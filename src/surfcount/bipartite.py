@@ -48,7 +48,6 @@ class BipTable:
         self._q: dict[tuple[int, int], Poly] = {}
         self._w: dict[tuple[int, int], Poly] = {}
         self._br: dict[tuple[int, int], Poly] = {}
-        self._filled_n = 2
 
     def poly(self, n: int, g2: int) -> Poly:
         if n <= 0 or g2 < 0 or n < g2:
@@ -77,7 +76,6 @@ class BipTable:
                 if not (poly.is_integral() and poly.is_homogeneous(deg)):
                     raise IntegralityError(f"K[{n},{g2}] failed checks: {poly}")
                 self.entries[(n, g2)] = poly
-            self._filled_n = max(self._filled_n, n)
         return self
 
     def q(self, m: int, g2: int) -> Poly:

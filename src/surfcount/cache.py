@@ -6,15 +6,22 @@ well before the table sizes this package targets).  A polynomial row
 (model, n, g2) is trusted only once its row marker, the record without
 indices holding the evaluation at all-ones, is present; the coefficient
 records then reconstruct the polynomial exactly.
+
+A run that dies mid-append can leave a last line without its newline.
+Loading drops such a line if it does not parse (with a warning on
+stderr) and cuts it off the file before the next append; an unparsable
+line anywhere else raises CacheError.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import CacheError
 from .poly import Poly
 
 HEADER = {"format": "surfcount-cache", "version": 1}
@@ -55,27 +62,48 @@ class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.records: dict[tuple, int] = {}
+        # (size, prefix): cut the file to size and write prefix before the
+        # next append, to repair a last line that lacks its newline
+        self._repair: tuple[int, str] | None = None
         if self.path.exists():
             self._load()
 
     def _load(self):
-        with self.path.open() as fh:
-            first = fh.readline()
-            if first.strip():
-                head = json.loads(first)
-                if head.get("format") != HEADER["format"]:
-                    raise ValueError(f"not a surfcount cache: {self.path}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = CountRecord.from_dict(json.loads(line))
+        data = self.path.read_bytes()
+        # split leaves "" last unless the last line lacks its newline
+        lines = data.decode(errors="replace").split("\n")
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                rec = None if lineno == 1 else CountRecord.from_dict(obj)
+            except (ValueError, KeyError, TypeError):
+                if lineno < len(lines):
+                    raise CacheError(
+                        f"{self.path}:{lineno}: unparsable cache record") from None
+                print(f"warning: dropping torn last line {lineno} of {self.path}",
+                      file=sys.stderr)
+                self._repair = (data.rfind(b"\n") + 1, "")
+                return
+            if rec is None:
+                if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
+                    raise CacheError(f"not a surfcount cache: {self.path}")
+            else:
                 self.records[(rec.model, rec.n, rec.g2, rec.indices)] = rec.value
+        if lines[-1]:
+            self._repair = (len(data), "\n")
 
     def _append(self, records):
-        new_file = not self.path.exists()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
-            if new_file:
+            if self._repair is not None:
+                size, prefix = self._repair
+                fh.truncate(size)
+                fh.seek(0, os.SEEK_END)
+                fh.write(prefix)
+                self._repair = None
+            if fh.tell() == 0:
                 fh.write(json.dumps(HEADER) + "\n")
             for rec in records:
                 fh.write(json.dumps(rec.as_dict()) + "\n")

@@ -3,7 +3,8 @@
 Subcommands produce count tables (human table, CSV grid, or JSON records)
 for each model, run the brute-force oracle, and evaluate the functional
 identity checks.  Exit code 0 on success, 1 on a verification failure,
-2 on usage errors.
+2 on usage errors, 3 when the count cache file cannot be read (a
+one-line message on stderr names the file and line).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 
 from .bipartite import BipOneFaceTable, BipTable
 from .cache import CountCache, CountRecord, default_cache_path
-from .errors import WindowError
+from .errors import CacheError, WindowError
 from .genus import genus_label, parse_genus
 from .identities import IDENTITIES, run_identity
 from .maps import MapsCounts, MapsTable
@@ -35,7 +36,11 @@ def common_options(fn):
 def open_cache(cache_path, no_cache) -> CountCache | None:
     if no_cache:
         return None
-    return CountCache(cache_path or default_cache_path())
+    try:
+        return CountCache(cache_path or default_cache_path())
+    except CacheError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
 
 
 @click.group()
@@ -304,13 +309,13 @@ def verify_cmd(identity, order, fmt, cache_path, no_cache):
     sys.exit(0 if report.status == "pass" else 1)
 
 
-@main.command("oracle")
+@main.command("oracle",
+              help=f"Brute-force enumeration via flag involutions (up to {MAX_EDGES} edges).")
 @click.option("--edges", type=int, required=True)
 @click.option("--filter", "model_filter",
               type=click.Choice(["bipartite", "triangulation"]), default=None)
 @common_options
 def oracle_cmd(edges, model_filter, fmt, cache_path, no_cache):
-    """Brute-force enumeration via flag involutions (edges <= 3)."""
     if not (1 <= edges <= MAX_EDGES):
         raise click.UsageError(f"--edges must be between 1 and {MAX_EDGES}")
     if model_filter == "triangulation" and edges % 3:

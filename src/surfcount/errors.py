@@ -19,3 +19,7 @@ class MissingEntryError(Exception):
 
 class IntegralityError(Exception):
     """A final count came out non-integral, signalling an implementation bug."""
+
+
+class CacheError(ValueError):
+    """The count cache file is not a readable surfcount cache."""

@@ -64,7 +64,6 @@ class MapsTable:
         self._q2: dict[tuple[int, int], Poly] = {}
         self._w: dict[tuple[int, int, int], Poly] = {}
         self._br: dict[tuple[int, int], Poly] = {}
-        self._filled_n = 2
 
     def poly(self, n: int, g2: int) -> Poly:
         """H[n, g2] with this engine's boundary conventions."""
@@ -99,7 +98,6 @@ class MapsTable:
                         f"H[{n},{g2}] failed integrality/homogeneity: {poly}"
                     )
                 self.entries[(n, g2)] = poly
-            self._filled_n = max(self._filled_n, n)
         return self
 
     # memoized building blocks, all keyed on this table's own entries

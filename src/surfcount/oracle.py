@@ -5,14 +5,21 @@ triple of fixed-point-free involutions (s0, s1, s2) on 4n flags with
 s0 s2 = s2 s0 fixed-point-free and the whole group acting transitively.
 Vertices are the orbits of <s1, s2>, faces the orbits of <s0, s1>,
 edges the orbits of <s0, s2> (quadruples).  The number of such labeled
-triples is (4n-1)! times the number of rooted maps, and all s2 are
-conjugate, so the scan fixes s2 = (0 1)(2 3)... and multiplies by the
-count (4n-1)!! of fixed-point-free involutions.
+triples is (4n-1)! times the number of rooted maps.
+
+Each admissible pair (s0, s2) is a free action of the Klein four-group
+on the flags, and all such actions are conjugate in the symmetric group;
+the centralizer of one, K4 wr S_n, has order 4^n n!.  So the scan fixes
+s2 = (0 1)(2 3)... and s0 = (0 2)(1 3)... (flag x goes to x ^ 1 and
+x ^ 2), enumerates only s1, and the N1 transitive triples it finds
+stand for N1 (4n)! / (4^n n!) labeled triples, that is for
+N1 4n / (4^n n!) rooted maps.
 
 This module is ground truth for coefficients no published table prints
 (the full vertex/face split); it is itself validated against the n = 1
-and n = 2 rows before its n = 3 output is trusted.  Cost grows
-super-exponentially, so n <= 3 is enforced.
+and n = 2 rows before its higher output is trusted.  Cost grows
+super-exponentially ((4n-1)!! choices of s1), so n <= MAX_EDGES is
+enforced.
 """
 
 from __future__ import annotations
@@ -21,15 +28,7 @@ from math import factorial
 
 from .errors import IntegralityError
 
-MAX_EDGES = 3
-
-
-def _double_factorial_odd(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+MAX_EDGES = 4
 
 
 def fixed_point_free_involutions(points: list[int]):
@@ -45,39 +44,6 @@ def fixed_point_free_involutions(points: list[int]):
             sub[first] = mate
             sub[mate] = first
             yield sub
-
-
-def _edge_involutions(n: int):
-    """All s0 commuting with the canonical s2, with s0 s2 fixed-point-free.
-
-    s0 must match the 2n pairs of s2 among themselves (never fixing a
-    pair), with two orientations per matched couple of pairs.
-    """
-    pairs = list(range(2 * n))
-
-    def rec(remaining):
-        if not remaining:
-            yield []
-            return
-        first = remaining[0]
-        for idx in range(1, len(remaining)):
-            other = remaining[idx]
-            rest = remaining[1:idx] + remaining[idx + 1:]
-            for tail in rec(rest):
-                yield [(first, other, 0)] + tail
-                yield [(first, other, 1)] + tail
-
-    for matching in rec(pairs):
-        s0 = [0] * (4 * n)
-        for a, b, crossed in matching:
-            fa, fb = 2 * a, 2 * b
-            if crossed:
-                s0[fa], s0[fa + 1] = fb + 1, fb
-                s0[fb], s0[fb + 1] = fa + 1, fa
-            else:
-                s0[fa], s0[fa + 1] = fb, fb + 1
-                s0[fb], s0[fb + 1] = fa, fa + 1
-        yield tuple(s0)
 
 
 def _orbit_labels(n4: int, perm_a, perm_b):
@@ -112,88 +78,86 @@ def scan(n: int) -> dict:
         raise ValueError(f"oracle supports 1 <= edges <= {MAX_EDGES}, got {n}")
     n4 = 4 * n
     s2 = tuple(x ^ 1 for x in range(n4))
-
-    # vertex structure depends on s1 only: precompute per s1
-    s1_data = []
-    for inv in fixed_point_free_involutions(list(range(n4))):
-        s1 = tuple(inv[x] for x in range(n4))
-        vlab, v = _orbit_labels(n4, s1, s2)
-        s1_data.append((s1, vlab, v))
+    s0 = tuple(x ^ 2 for x in range(n4))
 
     maps_tally: dict[tuple[int, int], int] = {}
     bip_tally: dict[tuple[int, int, int], int] = {}
     tri_tally: dict[int, int] = {}
     prof_tally: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    for s0 in _edge_involutions(n):
-        for s1, vlab, v in s1_data:
-            # connectivity: s0 must merge all vertex classes into one
-            parent = list(range(v))
+    # stream s1: a list of all (4n-1)!! of them (2027025 at n = 4) would
+    # hold every one in memory at once
+    for inv in fixed_point_free_involutions(list(range(n4))):
+        s1 = tuple(inv[x] for x in range(n4))
+        vlab, v = _orbit_labels(n4, s1, s2)
+        # connectivity: s0 must merge all vertex classes into one
+        parent = list(range(v))
 
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
 
-            merged = v
+        merged = v
+        for x in range(n4):
+            ra, rb = find(vlab[x]), find(vlab[s0[x]])
+            if ra != rb:
+                parent[ra] = rb
+                merged -= 1
+        if merged != 1:
+            continue
+
+        flab, f = _orbit_labels(n4, s0, s1)
+        g2 = 2 - v + n - f
+        if g2 < 0:
+            raise IntegralityError(f"negative genus at n={n}: v={v}, f={f}")
+        key = (v, f)
+        maps_tally[key] = maps_tally.get(key, 0) + 1
+
+        sizes = [0] * f
+        for x in range(n4):
+            sizes[flab[x]] += 1
+        degs = tuple(sorted(s // 2 for s in sizes))
+        pkey = (v, degs)
+        prof_tally[pkey] = prof_tally.get(pkey, 0) + 1
+        if n % 3 == 0 and all(d == 3 for d in degs):
+            tri_tally[g2] = tri_tally.get(g2, 0) + 1
+
+        # bipartite: 2-colour the vertex classes across s0; tally both
+        # proper colourings (each rooted map sits at a black vertex for
+        # exactly half the root-flag choices, hence the /2 later)
+        colors = [-1] * v
+        colors[vlab[0]] = 0
+        stack = [vlab[0]]
+        ok = True
+        seen = 1
+        while stack and ok:
+            a = stack.pop()
             for x in range(n4):
-                ra, rb = find(vlab[x]), find(vlab[s0[x]])
-                if ra != rb:
-                    parent[ra] = rb
-                    merged -= 1
-            if merged != 1:
-                continue
+                if vlab[x] == a:
+                    b = vlab[s0[x]]
+                    if colors[b] < 0:
+                        colors[b] = 1 - colors[a]
+                        stack.append(b)
+                        seen += 1
+                    elif colors[b] == colors[a]:
+                        ok = False
+                        break
+        if ok and seen == v:
+            blacks = colors.count(0)
+            whites = v - blacks
+            bip_tally[(blacks, whites, f)] = bip_tally.get((blacks, whites, f), 0) + 1
+            bip_tally[(whites, blacks, f)] = bip_tally.get((whites, blacks, f), 0) + 1
 
-            flab, f = _orbit_labels(n4, s0, s1)
-            g2 = 2 - v + n - f
-            if g2 < 0:
-                raise IntegralityError(f"negative genus at n={n}: v={v}, f={f}")
-            key = (v, f)
-            maps_tally[key] = maps_tally.get(key, 0) + 1
-
-            sizes = [0] * f
-            for x in range(n4):
-                sizes[flab[x]] += 1
-            degs = tuple(sorted(s // 2 for s in sizes))
-            pkey = (v, degs)
-            prof_tally[pkey] = prof_tally.get(pkey, 0) + 1
-            if n % 3 == 0 and all(d == 3 for d in degs):
-                tri_tally[g2] = tri_tally.get(g2, 0) + 1
-
-            # bipartite: 2-colour the vertex classes across s0; tally both
-            # proper colourings (each rooted map sits at a black vertex for
-            # exactly half the root-flag choices, hence the /2 later)
-            colors = [-1] * v
-            colors[vlab[0]] = 0
-            stack = [vlab[0]]
-            ok = True
-            seen = 1
-            while stack and ok:
-                a = stack.pop()
-                for x in range(n4):
-                    if vlab[x] == a:
-                        b = vlab[s0[x]]
-                        if colors[b] < 0:
-                            colors[b] = 1 - colors[a]
-                            stack.append(b)
-                            seen += 1
-                        elif colors[b] == colors[a]:
-                            ok = False
-                            break
-            if ok and seen == v:
-                blacks = colors.count(0)
-                whites = v - blacks
-                bip_tally[(blacks, whites, f)] = bip_tally.get((blacks, whites, f), 0) + 1
-                bip_tally[(whites, blacks, f)] = bip_tally.get((whites, blacks, f), 0) + 1
-
-    num_s2 = _double_factorial_odd(n4 - 1)
-    den = factorial(n4 - 1)
+    # each s1 found stands for (4n)!/(4^n n!) labeled triples, each rooted
+    # map for (4n-1)! of them
+    den = 4 ** n * factorial(n)
 
     def reduce(tally: dict, extra_den: int = 1) -> dict:
         out = {}
         for key, raw in tally.items():
-            total = raw * num_s2
+            total = raw * n4
             quot, rem = divmod(total, den * extra_den)
             if rem:
                 raise IntegralityError(

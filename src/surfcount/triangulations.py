@@ -31,7 +31,6 @@ class TriTable:
     def __init__(self):
         self.entries: dict[tuple[int, int], int] = dict(_INITIAL)
         self._q: dict[tuple[int, int], int] = {}
-        self._filled_n = 2
 
     def value(self, n: int, g2: int) -> int:
         if n <= 0 or g2 < 0 or n < g2 - 1:
@@ -48,7 +47,6 @@ class TriTable:
                 if (n, g2) in self.entries:
                     continue
                 self.entries[(n, g2)] = tri_rec(n, g2, self)
-            self._filled_n = max(self._filled_n, n)
         return self
 
     def q(self, m: int, g2: int) -> int:

@@ -209,14 +209,6 @@ class TSeries:
     def shift_u(self, delta: int) -> "TSeries":
         return TSeries(self.min_order, [p.shift_u(delta) for p in self.coeffs], self.max_order)
 
-    def shift_uv(self, delta: int) -> "TSeries":
-        """Shift u and v together (the bipartite charge moves both)."""
-        return TSeries(
-            self.min_order,
-            [p.shift_u(delta).shift_v(delta) for p in self.coeffs],
-            self.max_order,
-        )
-
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):

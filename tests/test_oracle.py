@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from surfcount.identities import ftheta, maps_context
 from surfcount.oracle import (
+    MAX_EDGES,
     fixed_point_free_involutions,
     marked_face_coefficient,
     oracle_count,
@@ -37,7 +39,7 @@ def test_one_edge_bipartite():
 
 def test_guard():
     with pytest.raises(ValueError):
-        scan(4)
+        scan(MAX_EDGES + 1)
     with pytest.raises(ValueError):
         oracle_count(2, "triangulation")
 
@@ -54,3 +56,24 @@ def test_marked_face_coefficients_two_edges(oracle2):
     assert marked_face_coefficient(prof, 2, (2, 1)) == {(1, 1): Fraction(1, 2)}
     # a single marked degree-2 face at one edge would live at order t^2
     assert marked_face_coefficient(prof, 2, (6,)) == {}
+
+
+@pytest.mark.slow
+def test_four_edge_ground_truth(maps_cc_12, bip_16):
+    result = scan(4)
+    expected_maps = {}
+    for g2 in range(5):
+        for (i, j, _), c in maps_cc_12.poly(4, g2).items():
+            expected_maps[(i, j)] = int(c)
+    assert result["maps"] == expected_maps
+    expected_bip = {}
+    for g2 in range(5):
+        for (i, k, j), c in bip_16.poly(4, g2).items():
+            expected_bip[(i, j, k)] = expected_bip.get((i, j, k), 0) + int(c)
+    assert result["bipartite"] == expected_bip
+    ctx = maps_context(10, maps_cc_12)
+    for lam in [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (3, 1), (2, 2), (4, 1),
+                (3, 2), (5, 1), (1, 1, 1), (2, 1, 1), (3, 3), (4, 2), (6, 1),
+                (7, 1), (5, 3), (2, 2, 2)]:
+        got = {(i, j): c for (i, j, _), c in ftheta(ctx, lam).coeff(8).items()}
+        assert got == marked_face_coefficient(result["profiles"], 4, lam), lam
