@@ -194,7 +194,6 @@ class BipOneFaceTable:
 
     def __init__(self):
         self.entries = dict(self._INITIAL)
-        self._filled_n = 3
 
     def value(self, n: int, i: int, j: int) -> int:
         if i <= 0 or j <= 0 or i + j > n + 1:
@@ -207,11 +206,11 @@ class BipOneFaceTable:
             raise MissingEntryError(f"bip-oneface[{n},{i},{j}] not filled yet") from None
 
     def fill(self, n_max: int) -> "BipOneFaceTable":
-        for n in range(max(4, self._filled_n + 1), n_max + 1):
+        for n in range(4, n_max + 1):
             for i in range(1, n + 1):
                 for j in range(1, n + 2 - i):
-                    self.entries[(n, i, j)] = bip_oneface(n, i, j, self)
-        self._filled_n = max(self._filled_n, n_max)
+                    if (n, i, j) not in self.entries:
+                        self.entries[(n, i, j)] = bip_oneface(n, i, j, self)
         return self
 
 

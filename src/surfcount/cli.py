@@ -33,13 +33,20 @@ def common_options(fn):
     return fn
 
 
+def _echo(message, err=False):
+    # An explicit file keeps click from caching a wrapper keyed on the
+    # current stdout; with a redirected stdout (tests, in-process callers)
+    # that cache entry keeps the whole output alive.
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def open_cache(cache_path, no_cache) -> CountCache | None:
     if no_cache:
         return None
     try:
         return CountCache(cache_path or default_cache_path())
     except CacheError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(3)
 
 
@@ -63,36 +70,36 @@ def _emit_grid(model, rows, n_max, g2_max, fmt):
     if fmt == "json":
         records = [CountRecord(model, n, g2, rows[(n, g2)]).as_dict()
                    for n in range(1, n_max + 1) for g2 in genera]
-        click.echo(json.dumps({"model": model, "rows": records}))
+        _echo(json.dumps({"model": model, "rows": records}))
         return
     header = ["n"] + [f"g={genus_label(g2)}" for g2 in genera]
     lines = [[str(n)] + [str(rows[(n, g2)]) for g2 in genera]
              for n in range(1, n_max + 1)]
     if fmt == "csv":
-        click.echo(",".join(header))
+        _echo(",".join(header))
         for line in lines:
-            click.echo(",".join(line))
+            _echo(",".join(line))
         return
     widths = [max(len(r[c]) for r in [header] + lines) for c in range(len(header))]
     for row in [header] + lines:
-        click.echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+        _echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
 
 
 def _emit_records(model, records, fmt, columns):
     """records: list of dicts with the given columns (value last)."""
     if fmt == "json":
-        click.echo(json.dumps({"model": model, "rows": records}))
+        _echo(json.dumps({"model": model, "rows": records}))
         return
     header = list(columns)
     lines = [[str(r.get(c, "")) for c in columns] for r in records]
     if fmt == "csv":
-        click.echo(",".join(header))
+        _echo(",".join(header))
         for line in lines:
-            click.echo(",".join(line))
+            _echo(",".join(line))
         return
     widths = [max([len(h)] + [len(l[i]) for l in lines]) for i, h in enumerate(header)]
     for row in [header] + lines:
-        click.echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+        _echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
 
 
 @main.command("maps")
@@ -141,7 +148,7 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
         for n in range(1, n_max + 1):
             for g2 in range(min(n, top) + 1):
                 if tables[0].poly(n, g2) != tables[1].poly(n, g2):
-                    click.echo(f"engine mismatch at n={n}, g={genus_label(g2)}", err=True)
+                    _echo(f"engine mismatch at n={n}, g={genus_label(g2)}", err=True)
                     sys.exit(1)
     tab = tables[-1]
     if cache and tab.engine == "cc":
@@ -243,7 +250,6 @@ def oneface_cmd(n_max, fmt, cache_path, no_cache):
             model, n, g2, idx = key
             if model == "oneface" and idx is None and 4 <= n <= n_max:
                 tab.entries[(n, g2)] = cache.records[key]
-                tab._filled_n = max(tab._filled_n, n)
     tab.fill(n_max)
     rows = {(n, g2): tab.value(n, g2)
             for n in range(1, n_max + 1) for g2 in range(n_max + 1)}
@@ -263,6 +269,11 @@ def bip_oneface_cmd(n_max, fmt, cache_path, no_cache):
         raise click.UsageError("--n-max must be >= 0")
     cache = open_cache(cache_path, no_cache)
     tab = BipOneFaceTable()
+    if cache:
+        for key in list(cache.records):
+            model, n, _, idx = key
+            if model == "bip-oneface" and idx is not None and 4 <= n <= n_max:
+                tab.entries[(n, *idx)] = cache.records[key]
     tab.fill(n_max)
     records = []
     for n in range(1, n_max + 1):
@@ -297,15 +308,15 @@ def verify_cmd(identity, order, fmt, cache_path, no_cache):
     except WindowError as exc:
         raise click.UsageError(str(exc))
     if fmt == "json":
-        click.echo(json.dumps(report.as_dict()))
+        _echo(json.dumps(report.as_dict()))
     else:
-        click.echo(f"identity: {report.identity} (model {report.model})")
-        click.echo(f"requested order: {report.requested_order}")
-        click.echo(f"usable window: t^{report.window[0]} .. t^{report.window[1]}")
-        click.echo(f"status: {report.status.upper()}")
+        _echo(f"identity: {report.identity} (model {report.model})")
+        _echo(f"requested order: {report.requested_order}")
+        _echo(f"usable window: t^{report.window[0]} .. t^{report.window[1]}")
+        _echo(f"status: {report.status.upper()}")
         if report.first_failure:
-            click.echo(f"first failing coefficient: t^{report.first_failure['order']}: "
-                       f"{report.first_failure['coefficient']}")
+            _echo(f"first failing coefficient: t^{report.first_failure['order']}: "
+                  f"{report.first_failure['coefficient']}")
     sys.exit(0 if report.status == "pass" else 1)
 
 

@@ -12,8 +12,11 @@ doubled genus.  Two independent recurrence engines fill the same table:
   and the boundary convention H[0,0] = uz.
 
 The engines share no formulas, so exact polynomial agreement of their
-outputs is a strong end-to-end check.  A third, integer-only fast path
-computes the univariate counts h[n, g2] = H[n, g2](1, 1) directly.
+outputs is a strong end-to-end check.  A third path, MapsCounts,
+computes the univariate counts h[n, g2] = H[n, g2](1, 1) directly in
+plain ints: its step is the "cc" recurrence at u = z = 1 scaled by 4, so
+that every coefficient is an integer, and ends in one exact division by
+2(n+1)(n-2) whose remainder must be zero.
 
 The one-face counts (maps whose complement is a single disk) obey a
 separate linear recursion, filled in OneFaceTable.
@@ -50,6 +53,18 @@ def _genus_splits(g2):
 def _sub_genus(g2_1):
     """Values g2_0 <= g2_1 with g1 - g0 a non-negative integer."""
     return range(g2_1 % 2, g2_1 + 1, 2)
+
+
+def _shift_weight(value, n1: int, g2_1: int, genera=None) -> int:
+    """Sum over g2_0 (default: all of _sub_genus(g2_1)) of
+    C(n1+2-g2_0, n1-g2_1) 2^(2+g2_1-g2_0) value(n1, g2_0): the univariate
+    charge-shift weight, zero when n1 < g2_1."""
+    if n1 < g2_1:
+        return 0
+    return sum(
+        comb(n1 + 2 - g2_0, n1 - g2_1) * 2 ** (2 + g2_1 - g2_0) * value(n1, g2_0)
+        for g2_0 in (_sub_genus(g2_1) if genera is None else genera)
+    )
 
 
 class MapsTable:
@@ -302,7 +317,12 @@ class MapsCounts:
     """Integer-only fast path for h[n, g2] = H[n, g2](1, 1).
 
     Mirrors engine "cc" at u = z = 1, where the bivariate shift kernel
-    collapses to a single binomial coefficient.
+    collapses to a single binomial coefficient.  The step is scaled by 4,
+    which makes every bracket coefficient an integer; the cell is then one
+    exact division of the scaled sum by 2(n+1)(n-2), and a remainder raises
+    IntegralityError.  Brackets (without the self term) are memoized on
+    (n2, g2_2) and shift weights on (n1, g2_1), since neither depends on
+    the target cell.
     """
 
     _INITIAL = {(1, 0): 2, (1, 1): 1, (2, 0): 9, (2, 1): 10, (2, 2): 5}
@@ -311,8 +331,10 @@ class MapsCounts:
         self.entries = dict(self._INITIAL)
         self._q1 = {}
         self._q2 = {}
+        self._br4 = {}
+        self._w = {}
 
-    def value(self, n: int, g2: int) -> Fraction | int:
+    def value(self, n: int, g2: int) -> int:
         if n < 0 or g2 < 0 or n < g2:
             return 0
         if n == 0:
@@ -329,7 +351,7 @@ class MapsCounts:
             self._q1[key] = sum(
                 (2 * n3 - 1) * (2 * (m - n3) - 1) * h(n3 - 1, ga) * h(m - n3 - 1, gb)
                 for ga, gb in _genus_splits(g2)
-                for n3 in range(m + 1)
+                for n3 in range(ga + 1, m - gb)  # all other terms vanish
             )
         return self._q1[key]
 
@@ -340,9 +362,27 @@ class MapsCounts:
             self._q2[key] = sum(
                 n1 * (2 * n1 - 1) * (2 * (m - n1) - 1) * h(n1 - 1, ga) * h(m - n1 - 1, gb)
                 for ga, gb in _genus_splits(g2)
-                for n1 in range(1, m + 1)
+                for n1 in range(ga + 1, m - gb)  # all other terms vanish
             )
         return self._q2[key]
+
+    def bracket4(self, n2: int, g2_2: int) -> int:
+        """4 x the inner bracket of (n2, g2_2) without its -(n2+1)/4 h[n2, g2_2] term."""
+        key = (n2, g2_2)
+        if key not in self._br4:
+            h = self.value
+            self._br4[key] = (
+                2 * (2 * n2 - 1) * (2 * n2 - 2) * (2 * n2 - 3) * h(n2 - 2, g2_2 - 2)
+                + 2 * (2 * n2 - 1) * (2 * h(n2 - 1, g2_2) + h(n2 - 1, g2_2 - 1))
+                + 6 * self.q1(n2, g2_2)
+            )
+        return self._br4[key]
+
+    def weight(self, n1: int, g2_1: int) -> int:
+        key = (n1, g2_1)
+        if key not in self._w:
+            self._w[key] = _shift_weight(self.value, n1, g2_1)
+        return self._w[key]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "MapsCounts":
         for n in range(3, n_max + 1):
@@ -355,33 +395,26 @@ class MapsCounts:
 
     def _step(self, n: int, g2: int) -> int:
         h = self.value
-        total = Fraction(
+        total4 = 4 * (
             n * (2 * n - 1) * (2 * h(n - 1, g2) + h(n - 1, g2 - 1))
-            + Fraction((2 * n - 3) * (2 * n - 2) * (2 * n - 1) * 2 * n, 2) * h(n - 2, g2 - 2)
+            + (2 * n - 3) * (n - 1) * (2 * n - 1) * 2 * n * h(n - 2, g2 - 2)
             + 6 * self.q2(n, g2)
         )
         for g2_1, g2_2 in _genus_splits(g2):
             for n1 in range(0, n):
-                n2 = n - n1
-                exclude_self = n1 == 0 and g2_1 == 0
-                bracket = (
-                    Fraction((2 * n2 - 1) * (2 * n2 - 2) * (2 * n2 - 3), 2) * h(n2 - 2, g2_2 - 2)
-                    + (0 if exclude_self else Fraction(-(n2 + 1), 4) * h(n2, g2_2))
-                    + Fraction(2 * n2 - 1, 2) * (2 * h(n2 - 1, g2_2) + h(n2 - 1, g2_2 - 1))
-                    + Fraction(6, 4) * self.q1(n2, g2_2)
-                )
-                if not bracket:
+                w = self.weight(n1, g2_1)
+                if not w:
                     continue
-                w = sum(
-                    comb(n1 + 2 - g2_0, n1 - g2_1) * 2 ** (2 + g2_1 - g2_0) * h(n1, g2_0)
-                    for g2_0 in _sub_genus(g2_1)
-                ) if n1 >= g2_1 else 0
-                if w:
-                    total -= w * bracket
-        total *= Fraction(2, (n + 1) * (n - 2))
-        if total.denominator != 1:
-            raise IntegralityError(f"h[{n},{g2}] = {total} is not an integer")
-        return int(total)
+                n2 = n - n1
+                bracket = self.bracket4(n2, g2_2)
+                if n1 or g2_1:  # else h[n2, g2_2] is the unknown cell itself
+                    bracket -= (n2 + 1) * h(n2, g2_2)
+                total4 -= w * bracket
+        quot, rem = divmod(total4, 2 * (n + 1) * (n - 2))
+        if rem:
+            raise IntegralityError(
+                f"h[{n},{g2}]: {total4} not divisible by {2 * (n + 1) * (n - 2)}")
+        return quot
 
 
 def maps_count(n: int, g2: int, table: MapsTable | None = None) -> int:
@@ -394,7 +427,7 @@ def maps_count(n: int, g2: int, table: MapsTable | None = None) -> int:
 def maps_count_univariate(n: int, g2: int, counts: MapsCounts | None = None) -> int:
     """Same number through the integer-only recurrence (fast path)."""
     counts = counts or MapsCounts().fill(n)
-    return int(counts.value(n, g2))
+    return counts.value(n, g2)
 
 
 class OneFaceTable:
@@ -414,7 +447,6 @@ class OneFaceTable:
 
     def __init__(self):
         self.entries = dict(self._INITIAL)
-        self._filled_n = 3
 
     def value(self, n: int, g2: int) -> int:
         if g2 < 0 or g2 > n:
@@ -425,10 +457,10 @@ class OneFaceTable:
             raise MissingEntryError(f"oneface[n={n}, g2={g2}] not filled yet") from None
 
     def fill(self, n_max: int) -> "OneFaceTable":
-        for n in range(max(4, self._filled_n + 1), n_max + 1):
+        for n in range(4, n_max + 1):
             for g2 in range(n + 1):
-                self.entries[(n, g2)] = ledoux(n, g2, self)
-        self._filled_n = max(self._filled_n, n_max)
+                if (n, g2) not in self.entries:
+                    self.entries[(n, g2)] = ledoux(n, g2, self)
         return self
 
 

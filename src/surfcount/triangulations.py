@@ -4,15 +4,20 @@ t[n, g2] counts rooted triangulations with 2n faces (equivalently 3n
 edges) and genus g2/2.  Pure integer data; the recurrence prefactor
 denominator D(n, g) = 2n^2 + (3-2g)n + (1-g)(1-2g) depends on the genus
 and is checked nonzero at every visited cell rather than assumed.
+
+The step runs in plain ints: scaled by 8, every bracket coefficient is
+an integer, and the cell is one exact division by 4 D(n, g); a remainder
+or a negative result raises IntegralityError.  The bracket core is
+memoized on (n2, g2_2) and the shift weight on (n1, g2_1); the boundary
+corrections for n1 in {n, n-1, n-2} are added on top.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import IntegralityError, MissingEntryError
-from .maps import _genus_splits, _sub_genus
+from .maps import _genus_splits, _shift_weight, _sub_genus
 from .poly import Poly
 from .tseries import TSeries
 
@@ -31,6 +36,8 @@ class TriTable:
     def __init__(self):
         self.entries: dict[tuple[int, int], int] = dict(_INITIAL)
         self._q: dict[tuple[int, int], int] = {}
+        self._br8: dict[tuple[int, int], int] = {}
+        self._w: dict[tuple[int, int], int] = {}
 
     def value(self, n: int, g2: int) -> int:
         if n <= 0 or g2 < 0 or n < g2 - 1:
@@ -57,82 +64,76 @@ class TriTable:
             self._q[key] = sum(
                 (3 * n3 - 1) * (3 * (m - n3) - 1) * t(n3 - 1, ga) * t(m - n3 - 1, gb)
                 for ga, gb in _genus_splits(g2)
-                for n3 in range(m + 1)
+                for n3 in range(max(2, ga), m - max(1, gb - 1))  # all other terms vanish
             )
         return self._q[key]
 
+    def bracket8(self, n2: int, g2_2: int) -> int:
+        """8 x the inner bracket of (n2, g2_2), without boundary corrections."""
+        key = (n2, g2_2)
+        if key not in self._br8:
+            t = self.value
+            self._br8[key] = 8 * (
+                (3 * n2 - 1) * t(n2 - 1, g2_2)
+                + 2 * (3 * n2 - 4) * (
+                    (3 * n2 - 2) * n2 * t(n2 - 2, g2_2 - 2)
+                    + 2 * (t(n2 - 2, g2_2 - 1) + t(n2 - 2, g2_2))
+                )
+                + self.q(n2, g2_2)
+            ) - (n2 + 1) * t(n2, g2_2)
+        return self._br8[key]
 
-def _bracket(tab: TriTable, n2: int, g2_2: int, n1: int, g2_1: int, g2_0: int,
-             n: int, g2: int) -> Fraction:
-    t = tab.value
-    total = Fraction(
-        (3 * n2 - 1) * t(n2 - 1, g2_2)
-        + 2 * (3 * n2 - 4) * (
-            (3 * n2 - 2) * n2 * t(n2 - 2, g2_2 - 2)
-            + 2 * (t(n2 - 2, g2_2 - 1) + t(n2 - 2, g2_2))
-        )
-        + tab.q(n2, g2_2)
-    )
-    total += Fraction(-(n2 + 1), 8) * t(n2, g2_2)
-    if n1 == n and g2_0 != g2:
-        if g2_1 == g2:
-            total += Fraction(1, 8)
-        elif g2_1 == g2 - 1:
-            total -= Fraction(1, 8)
-    if n1 == n - 1:
-        if g2_1 == g2 or g2_1 == g2 - 1:
-            total += 2
-        elif g2_1 == g2 - 2:
-            total += 1
-    elif n1 == n - 2:
-        if g2_1 == g2:
-            total += 4
-        elif g2_1 == g2 - 1:
-            total += 8
-        elif g2_1 == g2 - 2:
-            total += 36
-        elif g2_1 == g2 - 3:
-            total += 32
-    return total
+    def weight(self, n1: int, g2_1: int) -> int:
+        key = (n1, g2_1)
+        if key not in self._w:
+            self._w[key] = _shift_weight(self.value, n1, g2_1)
+        return self._w[key]
+
+
+# 8 x the boundary corrections of the bracket, keyed by (n - n1, g2 - g2_1)
+_BOUNDARY8 = {
+    (1, 0): 16, (1, 1): 16, (1, 2): 8,
+    (2, 0): 32, (2, 1): 64, (2, 2): 288, (2, 3): 256,
+}
 
 
 def tri_rec(n: int, g2: int, table: TriTable) -> int:
-    """One recurrence step for t[n, g2] (n > 2, dependencies filled)."""
+    """One recurrence step for t[n, g2] (n > 2, dependencies filled).
+
+    Scaled by 8 so that every bracket coefficient is an integer; the cell
+    is one exact division of the scaled sum by 2 Dnum, Dnum = 2 D(n, g).
+    """
     if n <= 2:
         raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
-    D = prefactor_denominator(n, g2)
-    if D == 0:
+    Dnum = int(2 * prefactor_denominator(n, g2))
+    if Dnum == 0:
         raise ArithmeticError(f"prefactor denominator vanishes at (n={n}, g2={g2})")
     t = table.value
-    total = Fraction(n * (
+    total8 = 8 * n * (
         6 * (3 * n - 1) * t(n - 1, g2)
         + 12 * (3 * n - 4) * (
             (3 * n - 2) * n * t(n - 2, g2 - 2)
             + 2 * (t(n - 2, g2 - 1) + t(n - 2, g2))
         )
         + 6 * table.q(n, g2)
-    ))
+    )
     for g2_1, g2_2 in _genus_splits(g2):
-        for n1 in range(1, n + 1):
-            n2 = n - n1
-            for g2_0 in _sub_genus(g2_1):
-                if n1 == n and g2_0 == g2:
-                    continue  # self term; its bracket vanishes identically
-                if n1 < g2_1:
-                    continue
-                tv = t(n1, g2_0)
-                if not tv:
-                    continue
-                br = _bracket(table, n2, g2_2, n1, g2_1, g2_0, n, g2)
-                if br:
-                    w = comb(n1 + 2 - g2_0, n1 - g2_1) * 2 ** (2 + g2_1 - g2_0) * tv
-                    total -= w * br
-    total *= 2 / D
-    if total.denominator != 1:
-        raise IntegralityError(f"t[{n},{g2}] = {total} is not an integer")
-    if total < 0:
-        raise IntegralityError(f"t[{n},{g2}] = {total} is negative")
-    return int(total)
+        for n1 in range(1, n):
+            w = table.weight(n1, g2_1)
+            if w:
+                br = table.bracket8(n - n1, g2_2) + _BOUNDARY8.get((n - n1, g2 - g2_1), 0)
+                total8 -= w * br
+    # n1 = n: the bracket reduces to +-1/8 and the self term g2_0 = g2 drops out
+    for g2_1, sign in ((g2, 1), (g2 - 1, -1)):
+        if g2_1 >= 0:
+            others = [g2_0 for g2_0 in _sub_genus(g2_1) if g2_0 != g2]
+            total8 -= sign * _shift_weight(t, n, g2_1, others)
+    quot, rem = divmod(total8, 2 * Dnum)
+    if rem:
+        raise IntegralityError(f"t[{n},{g2}]: {total8} not divisible by {2 * Dnum}")
+    if quot < 0:
+        raise IntegralityError(f"t[{n},{g2}] = {quot} is negative")
+    return quot
 
 
 def xi_series(table: TriTable, order: int) -> TSeries:

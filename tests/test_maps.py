@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from surfcount.errors import MissingEntryError
+from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.maps import (
     MapsCounts,
     MapsTable,
@@ -91,6 +92,26 @@ def test_fast_path_matches_bivariate(cc8):
     assert maps_count_univariate(2, 2) == 5
     assert maps_count_univariate(6, 6) == 166377
     assert maps_count_univariate(1, 3) == 0
+
+
+def test_fast_path_values_are_ints():
+    counts = MapsCounts().fill(25)
+    assert all(type(v) is int for v in counts.entries.values())
+
+
+def test_fast_path_rejects_non_divisible_sum():
+    counts = MapsCounts()
+    counts.entries[(1, 0)] += 1
+    with pytest.raises(IntegralityError, match=r"h\[3,0\]"):
+        counts.fill(3)
+
+
+def test_fast_path_planar_row_is_tutte():
+    # Tutte (1963): 2 3^n (2n)! / (n! (n+2)!) rooted planar maps with n edges
+    counts = MapsCounts().fill(60, 0)
+    for n in range(1, 61):
+        lhs = counts.value(n, 0) * factorial(n) * factorial(n + 2)
+        assert lhs == 2 * 3**n * factorial(2 * n), n
 
 
 def test_totals_increase(cc8):

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from surfcount.errors import MissingEntryError
+from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.triangulations import TriTable, prefactor_denominator, tri_rec, xi_series
 
 
@@ -47,6 +48,30 @@ def test_single_step_and_missing(tri10):
     assert tri_rec(7, 3, tri10) == tri10.value(7, 3)
     with pytest.raises(MissingEntryError):
         TriTable().value(5, 0)
+
+
+def test_values_are_ints():
+    tab = TriTable().fill(21)
+    assert all(type(v) is int for v in tab.entries.values())
+
+
+def test_rejects_non_divisible_sum():
+    tab = TriTable()
+    tab.entries[(1, 0)] += 1
+    with pytest.raises(IntegralityError, match=r"t\[3,0\]"):
+        tab.fill(3)
+
+
+def _double_factorial(m):
+    return prod(range(m, 0, -2))
+
+
+def test_planar_row_is_a002005():
+    # OEIS A002005: 2^(2n+1) (3n)!! / ((n+2)! n!!) rooted planar triangulations
+    tab = TriTable().fill(30, 0)
+    for n in range(1, 31):
+        lhs = tab.value(n, 0) * factorial(n + 2) * _double_factorial(n)
+        assert lhs == 2 ** (2 * n + 1) * _double_factorial(3 * n), n
 
 
 def test_xi_series(tri10):
