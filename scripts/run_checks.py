@@ -8,16 +8,6 @@ import time
 
 from surfcount.identities import IDENTITIES, run_identity
 
-ACCEPTANCE_ORDERS = {
-    "shifted-bkp1": 20,
-    "ode-maps": 16,
-    "ode-bipartite": 12,
-    "ode-triangulations": 18,
-    "ode-oneface-maps": 14,
-    "ode-oneface-bipartite": 10,
-    "fixed-charge": 12,
-}
-
 
 def main():
     ap = argparse.ArgumentParser()
@@ -27,7 +17,7 @@ def main():
 
     failures = 0
     for name in IDENTITIES:
-        order = args.order or ACCEPTANCE_ORDERS[name]
+        order = args.order or IDENTITIES[name][1]
         t0 = time.time()
         report = run_identity(name, order)
         elapsed = time.time() - t0

@@ -2,10 +2,18 @@
 
 Newline-delimited JSON, append-only, one record per stored integer, with
 a version header.  Values are decimal strings (counts overflow 64 bits
-well before the table sizes this package targets).  A polynomial row
-(model, n, g2) is trusted only once its row marker, the record without
-indices holding the evaluation at all-ones, is present; the coefficient
-records then reconstruct the polynomial exactly.
+well before the table sizes this package targets).
+
+A record is keyed by (model, n, g2, indices).  A scalar table's cell has
+no indices; a bip-oneface cell carries its vertex split (i, j).  A
+polynomial row (model, n, g2) is one record per coefficient, indexed by
+its exponents, plus the record without indices holding the row's total
+(its value at all-ones, shared with the scalar maps table).  The
+coefficient records decide whether a row is complete: it is served only
+once they sum to the stored total, and storing a row writes whichever of
+its records the file lacks.  The layout stays inside this module: a
+table's `entries` go in through `load` and out through `store`, which
+writes every new record of a run in one append.
 
 A run that dies mid-append can leave a last line without its newline.
 Loading drops such a line if it does not parse (with a warning on
@@ -56,17 +64,40 @@ def default_cache_path() -> Path:
     return Path(base) / "surfcount" / "counts.ndjson"
 
 
+def _poly_exps(model: str, indices: tuple[int, ...]) -> tuple[int, int, int]:
+    # stored index order is (i, j) = (u, z) for maps and (i, j, k) =
+    # (u, v, z) for bipartite; poly slots are (u, z, v)
+    if model == "bipartite":
+        return indices[0], indices[2], indices[1]
+    return indices[0], indices[1], 0
+
+
+def _record_indices(model: str, exps: tuple[int, int, int]) -> tuple[int, ...]:
+    eu, ez, ev = exps
+    return (eu, ev, ez) if model == "bipartite" else (eu, ez)
+
+
 class CountCache:
     """In-memory view over the append-only record file."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.records: dict[tuple, int] = {}
+        # (model, n, g2) -> {indices: value}, indices None for the count
+        self._cells: dict[tuple[str, int, int], dict] = {}
         # (size, prefix): cut the file to size and write prefix before the
         # next append, to repair a last line that lacks its newline
         self._repair: tuple[int, str] | None = None
         if self.path.exists():
             self._load()
+
+    @property
+    def records(self) -> dict[tuple, int]:
+        """Every stored value, keyed by (model, n, g2, indices)."""
+        return {(*key, indices): value
+                for key, cells in self._cells.items() for indices, value in cells.items()}
+
+    def _add(self, rec: CountRecord):
+        self._cells.setdefault((rec.model, rec.n, rec.g2), {})[rec.indices] = rec.value
 
     def _load(self):
         data = self.path.read_bytes()
@@ -90,11 +121,16 @@ class CountCache:
                 if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
                     raise CacheError(f"not a surfcount cache: {self.path}")
             else:
-                self.records[(rec.model, rec.n, rec.g2, rec.indices)] = rec.value
+                self._add(rec)
         if lines[-1]:
             self._repair = (len(data), "\n")
 
     def _append(self, records):
+        """Write the records the file lacks, all in one open."""
+        records = [rec for rec in records
+                   if self.get_scalar(rec.model, rec.n, rec.g2, rec.indices) is None]
+        if not records:
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             if self._repair is not None:
@@ -105,48 +141,75 @@ class CountCache:
                 self._repair = None
             if fh.tell() == 0:
                 fh.write(json.dumps(HEADER) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec.as_dict()) + "\n")
-                self.records[(rec.model, rec.n, rec.g2, rec.indices)] = rec.value
+            fh.write("".join(json.dumps(rec.as_dict()) + "\n" for rec in records))
+        for rec in records:
+            self._add(rec)
 
-    # -- scalar tables -------------------------------------------------
+    # -- tables ----------------------------------------------------------
+
+    def load(self, model: str, entries: dict, n_max: int, rows: bool = False):
+        """Copy the cached cells of model with n <= n_max into a table's entries.
+
+        Entries keep their own keys: (n, g2) for counts and polynomial
+        rows (rows=True; complete rows only), (n, i, j) for bip-oneface.
+        Cells already in entries, such as a table's seeds, are kept.
+        """
+        for (m, n, g2), cells in self._cells.items():
+            if m != model or n > n_max:
+                continue
+            if rows:
+                row = self.get_row(model, n, g2)
+                if row is not None:
+                    entries.setdefault((n, g2), row)
+            elif model == "bip-oneface":
+                for indices, value in cells.items():
+                    if indices is not None and len(indices) == 2:
+                        entries.setdefault((n, *indices), value)
+            elif None in cells:
+                entries.setdefault((n, g2), cells[None])
+
+    def store(self, model: str, entries: dict):
+        """Append every cell of a table's entries that the file lacks."""
+        records = []
+        for key, value in entries.items():
+            if isinstance(value, Poly):
+                records += self._row_records(model, *key, value, value.evaluate())
+            elif model == "bip-oneface":
+                n, i, j = key
+                records.append(CountRecord(model, n, n + 1 - i - j, value, (i, j)))
+            else:
+                records.append(CountRecord(model, *key, value))
+        self._append(records)
+
+    # -- single cells and rows ---------------------------------------------
 
     def get_scalar(self, model: str, n: int, g2: int,
                    indices: tuple[int, ...] | None = None) -> int | None:
-        return self.records.get((model, n, g2, indices))
+        cells = self._cells.get((model, n, g2))
+        return None if cells is None else cells.get(indices)
 
     def put_scalar(self, model: str, n: int, g2: int, value: int,
                    indices: tuple[int, ...] | None = None):
-        if self.get_scalar(model, n, g2, indices) is None:
-            self._append([CountRecord(model, n, g2, value, indices)])
-
-    # -- polynomial rows -----------------------------------------------
+        self._append([CountRecord(model, n, g2, value, indices)])
 
     def get_row(self, model: str, n: int, g2: int) -> Poly | None:
-        """Rebuild the stored polynomial; None unless the row marker exists."""
-        if self.get_scalar(model, n, g2) is None:
+        """Rebuild a stored polynomial row; None unless it is complete."""
+        cells = self._cells.get((model, n, g2), {})
+        total = cells.get(None)
+        coeffs = {_poly_exps(model, idx): value
+                  for idx, value in cells.items() if idx is not None}
+        if total is None or sum(coeffs.values()) != total:
             return None
-        terms = {}
-        for (m, nn, gg, idx), value in self.records.items():
-            if m == model and nn == n and gg == g2 and idx is not None:
-                exps = idx if len(idx) == 3 else (idx[0], idx[1], 0)
-                # stored index order is (i, j[, k]) = (u, z[, v]) for maps
-                # and (u, v, z) -> poly slots (u, z, v) for bipartite
-                if m == "bipartite":
-                    exps = (idx[0], idx[2], idx[1])
-                terms[exps] = value
-        return Poly.from_terms(terms)
+        return Poly.from_terms(coeffs)
 
     def put_row(self, model: str, n: int, g2: int, poly: Poly, total: int):
-        if self.get_scalar(model, n, g2) is not None:
-            return
+        self._append(self._row_records(model, n, g2, poly, total))
+
+    @staticmethod
+    def _row_records(model, n, g2, poly, total):
         records = []
-        for (eu, ez, ev), c in sorted(poly.items()):
+        for exps, c in sorted(poly.items()):
             assert c.denominator == 1
-            if model == "bipartite":
-                indices = (eu, ev, ez)
-            else:
-                indices = (eu, ez)
-            records.append(CountRecord(model, n, g2, c.numerator, indices))
-        records.append(CountRecord(model, n, g2, total))
-        self._append(records)
+            records.append(CountRecord(model, n, g2, c.numerator, _record_indices(model, exps)))
+        records.append(CountRecord(model, n, g2, int(total)))
+        return records

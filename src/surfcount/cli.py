@@ -19,14 +19,17 @@ from .cache import CountCache, CountRecord, default_cache_path
 from .errors import CacheError, WindowError
 from .genus import genus_label, parse_genus
 from .identities import IDENTITIES, run_identity
-from .maps import MapsCounts, MapsTable
+from .maps import MapsCounts, MapsTable, OneFaceTable
 from .oracle import MAX_EDGES, scan
 from .triangulations import TriTable
 
 
-def common_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]),
-                      default="table", show_default=True, help="output format")(fn)
+def format_option(fn):
+    return click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]),
+                        default="table", show_default=True, help="output format")(fn)
+
+
+def cache_options(fn):
     fn = click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
                       default=None, help="count cache file (default: user cache dir)")(fn)
     fn = click.option("--no-cache", is_flag=True, help="disable the count cache")(fn)
@@ -48,6 +51,18 @@ def open_cache(cache_path, no_cache) -> CountCache | None:
     except CacheError as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(3)
+
+
+def _fill(cache, model, tab, *limits, rows=False):
+    """Fill tab to limits, starting from the cells the cache holds."""
+    if cache:
+        cache.load(model, tab.entries, limits[0], rows)
+    return tab.fill(*limits)
+
+
+def _store(cache, model, tab):
+    if cache:
+        cache.store(model, tab.entries)
 
 
 @click.group()
@@ -108,7 +123,8 @@ def _emit_records(model, records, fmt, columns):
 @click.option("--bivariate", is_flag=True, help="emit vertex/face coefficients")
 @click.option("--engine", type=click.Choice(["kz", "cc", "both"]), default=None,
               help="bivariate recurrence engine (default: integer fast path)")
-@common_options
+@format_option
+@cache_options
 def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
     """Rooted maps by edge count and genus."""
     if n_max < 0:
@@ -117,33 +133,17 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
     top = n_max if g2_max is None else g2_max
     cache = open_cache(cache_path, no_cache)
     if engine is None and not bivariate:
-        counts = MapsCounts()
-        if cache:
-            for key in list(cache.records):
-                model, n, g2, idx = key
-                if model == "maps" and idx is None and n <= n_max:
-                    counts.entries[(n, g2)] = cache.records[key]
-        counts.fill(n_max, top)
+        counts = _fill(cache, "maps", MapsCounts(), n_max, top)
+        _store(cache, "maps", counts)
         rows = {(n, g2): counts.value(n, g2)
                 for n in range(1, n_max + 1) for g2 in range(top + 1)}
-        if cache:
-            for n in range(1, n_max + 1):
-                for g2 in range(min(n, top) + 1):
-                    cache.put_scalar("maps", n, g2, rows[(n, g2)])
         _emit_grid("maps", rows, n_max, top, fmt)
         return
     engine = engine or "cc"
-    tables = []
-    for eng in (["kz", "cc"] if engine == "both" else [engine]):
-        tab = MapsTable(eng)
-        if eng == "cc" and cache:
-            for n in range(3, n_max + 1):
-                for g2 in range(min(n, top) + 1):
-                    row = cache.get_row("maps", n, g2)
-                    if row is not None and row.evaluate() == cache.get_scalar("maps", n, g2):
-                        tab.entries[(n, g2)] = row
-        tab.fill(n_max, top)
-        tables.append(tab)
+    # only engine cc meets the cache; kz stays an independent check
+    tables = [_fill(cache if eng == "cc" else None, "maps", MapsTable(eng), n_max, top,
+                    rows=True)
+              for eng in (["kz", "cc"] if engine == "both" else [engine])]
     if engine == "both":
         for n in range(1, n_max + 1):
             for g2 in range(min(n, top) + 1):
@@ -151,10 +151,8 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
                     _echo(f"engine mismatch at n={n}, g={genus_label(g2)}", err=True)
                     sys.exit(1)
     tab = tables[-1]
-    if cache and tab.engine == "cc":
-        for n in range(3, n_max + 1):
-            for g2 in range(min(n, top) + 1):
-                cache.put_row("maps", n, g2, tab.poly(n, g2), tab.count(n, g2))
+    if tab.engine == "cc":
+        _store(cache, "maps", tab)
     if bivariate:
         records = []
         for n in range(1, n_max + 1):
@@ -173,7 +171,8 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
 @click.option("--n-max", type=int, required=True)
 @click.option("--g-max", type=str, default=None)
 @click.option("--trivariate", is_flag=True, help="emit colour/face coefficients")
-@common_options
+@format_option
+@cache_options
 def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     """Rooted bipartite maps by edge count and genus."""
     if n_max < 0:
@@ -181,18 +180,8 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     g2_max = _parse_gmax(g_max, n_max)
     top = n_max if g2_max is None else g2_max
     cache = open_cache(cache_path, no_cache)
-    tab = BipTable()
-    if cache:
-        for n in range(3, n_max + 1):
-            for g2 in range(min(n, top) + 1):
-                row = cache.get_row("bipartite", n, g2)
-                if row is not None and row.evaluate() == cache.get_scalar("bipartite", n, g2):
-                    tab.entries[(n, g2)] = row
-    tab.fill(n_max, top)
-    if cache:
-        for n in range(3, n_max + 1):
-            for g2 in range(min(n, top) + 1):
-                cache.put_row("bipartite", n, g2, tab.poly(n, g2), tab.count(n, g2))
+    tab = _fill(cache, "bipartite", BipTable(), n_max, top, rows=True)
+    _store(cache, "bipartite", tab)
     if trivariate:
         records = []
         for n in range(1, n_max + 1):
@@ -210,7 +199,8 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
 @main.command("triangulations")
 @click.option("--n-max", type=int, required=True, help="max half-face-count n (2n faces)")
 @click.option("--g-max", type=str, default=None)
-@common_options
+@format_option
+@cache_options
 def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     """Rooted triangulations with 2n faces by genus."""
     if n_max < 0:
@@ -218,81 +208,52 @@ def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     g2_max = _parse_gmax(g_max, n_max)
     top = (n_max + 1) if g2_max is None else g2_max
     cache = open_cache(cache_path, no_cache)
-    tab = TriTable()
-    if cache:
-        for key in list(cache.records):
-            model, n, g2, idx = key
-            if model == "triangulations" and idx is None and n <= n_max:
-                tab.entries[(n, g2)] = cache.records[key]
-    tab.fill(n_max, top)
+    tab = _fill(cache, "triangulations", TriTable(), n_max, top)
+    _store(cache, "triangulations", tab)
     rows = {(n, g2): tab.value(n, g2)
             for n in range(1, n_max + 1) for g2 in range(top + 1)}
-    if cache:
-        for n in range(1, n_max + 1):
-            for g2 in range(min(n + 1, top) + 1):
-                cache.put_scalar("triangulations", n, g2, tab.value(n, g2))
     _emit_grid("triangulations", rows, n_max, top, fmt)
 
 
 @main.command("oneface")
 @click.option("--n-max", type=int, required=True)
-@common_options
+@format_option
+@cache_options
 def oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face maps by edge count and genus."""
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
-    from .maps import OneFaceTable
-
     cache = open_cache(cache_path, no_cache)
-    tab = OneFaceTable()
-    if cache:
-        for key in list(cache.records):
-            model, n, g2, idx = key
-            if model == "oneface" and idx is None and 4 <= n <= n_max:
-                tab.entries[(n, g2)] = cache.records[key]
-    tab.fill(n_max)
+    tab = _fill(cache, "oneface", OneFaceTable(), n_max)
+    _store(cache, "oneface", tab)
     rows = {(n, g2): tab.value(n, g2)
             for n in range(1, n_max + 1) for g2 in range(n_max + 1)}
-    if cache:
-        for n in range(1, n_max + 1):
-            for g2 in range(n + 1):
-                cache.put_scalar("oneface", n, g2, tab.value(n, g2))
     _emit_grid("oneface", rows, n_max, n_max, fmt)
 
 
 @main.command("bip-oneface")
 @click.option("--n-max", type=int, required=True)
-@common_options
+@format_option
+@cache_options
 def bip_oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face bipartite maps by edges and vertex colours."""
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
     cache = open_cache(cache_path, no_cache)
-    tab = BipOneFaceTable()
-    if cache:
-        for key in list(cache.records):
-            model, n, _, idx = key
-            if model == "bip-oneface" and idx is not None and 4 <= n <= n_max:
-                tab.entries[(n, *idx)] = cache.records[key]
-    tab.fill(n_max)
-    records = []
-    for n in range(1, n_max + 1):
-        for i in range(1, n + 1):
-            for j in range(1, n + 2 - i):
-                val = tab.value(n, i, j)
-                g2 = n + 1 - i - j
-                records.append({"model": "bip-oneface", "n": n, "g2": g2,
-                                "i": i, "j": j, "value": str(val)})
-                if cache:
-                    cache.put_scalar("bip-oneface", n, g2, val, indices=(i, j))
+    tab = _fill(cache, "bip-oneface", BipOneFaceTable(), n_max)
+    _store(cache, "bip-oneface", tab)
+    records = [{"model": "bip-oneface", "n": n, "g2": n + 1 - i - j,
+                "i": i, "j": j, "value": str(tab.value(n, i, j))}
+               for n in range(1, n_max + 1) for i in range(1, n + 1)
+               for j in range(1, n + 2 - i)]
     _emit_records("bip-oneface", records, fmt, ["n", "g2", "i", "j", "value"])
 
 
 @main.command("verify")
 @click.argument("identity")
 @click.option("--order", type=int, default=None, help="t-order to verify to")
-@common_options
-def verify_cmd(identity, order, fmt, cache_path, no_cache):
+@format_option
+def verify_cmd(identity, order, fmt):
     """Evaluate a functional identity's residual on truncated series.
 
     Known identities: shifted-bkp1, ode-maps, ode-bipartite,
@@ -325,8 +286,8 @@ def verify_cmd(identity, order, fmt, cache_path, no_cache):
 @click.option("--edges", type=int, required=True)
 @click.option("--filter", "model_filter",
               type=click.Choice(["bipartite", "triangulation"]), default=None)
-@common_options
-def oracle_cmd(edges, model_filter, fmt, cache_path, no_cache):
+@format_option
+def oracle_cmd(edges, model_filter, fmt):
     if not (1 <= edges <= MAX_EDGES):
         raise click.UsageError(f"--edges must be between 1 and {MAX_EDGES}")
     if model_filter == "triangulation" and edges % 3:

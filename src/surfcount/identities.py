@@ -271,44 +271,6 @@ def _series_sum(terms) -> TSeries:
 
 
 # ---------------------------------------------------------------------------
-# KP combinations (common shape across the three models)
-
-
-def kp_combinations(ctx: SeriesContext) -> tuple[TSeries, TSeries, TSeries]:
-    key = "__kp__"
-    if key not in ctx.memo:
-        F = lambda *parts: _F(ctx, _canon(parts))
-        f11 = F(1, 1)
-        kp1 = _series_sum([
-            F(3, 1).scale(-4),
-            F(2, 2).scale(4),
-            (f11 * f11).scale(8),
-            F(1, 1, 1, 1).scale(Fraction(4, 3)),
-        ])
-        kp2 = _series_sum([
-            F(4, 1).scale(-4),
-            F(3, 2).scale(4),
-            (F(2, 1) * f11).scale(16),
-            F(2, 1, 1, 1).scale(Fraction(8, 3)),
-        ])
-        kp3 = _series_sum([
-            F(5, 1).scale(-6),
-            F(4, 2).scale(4),
-            F(3, 3).scale(2),
-            (F(3, 1) * f11).scale(16),
-            F(3, 1, 1, 1).scale(Fraction(8, 3)),
-            (F(2, 1) * F(2, 1)).scale(16),
-            (F(2, 2) * f11).scale(8),
-            F(2, 2, 1, 1).scale(4),
-            (f11 * f11 * f11).scale(Fraction(16, 3)),
-            (F(1, 1, 1, 1) * f11).scale(Fraction(8, 3)),
-            F(1, 1, 1, 1, 1, 1).scale(Fraction(4, 45)),
-        ])
-        ctx.memo[key] = (kp1, kp2, kp3)
-    return ctx.memo[key]
-
-
-# ---------------------------------------------------------------------------
 # identity residuals
 
 
@@ -448,7 +410,7 @@ def verify_oneface_bipartite_ode(series: TSeries) -> TSeries:
 
 
 # ---------------------------------------------------------------------------
-# shift-free identity with derivative-expanded combinations (maps model)
+# KP combinations as formal products of F[mu], and the shift-free identity
 
 _Mono = tuple[tuple[int, ...], ...]
 _FPoly = dict[_Mono, Fraction]
@@ -501,13 +463,23 @@ def formal_eval(ctx: SeriesContext, fp: _FPoly) -> TSeries:
     """
     acc = TSeries.zero()
     for mono, coef in fp.items():
-        term = TSeries.const(1)
-        weight = 1
-        for mu in mono:
+        term = _F(ctx, mono[0])
+        weight = 1 << len(mono[0])
+        for mu in mono[1:]:
             term = term * _F(ctx, mu)
             weight <<= len(mu)
         acc = acc + term.scale(coef * weight)
     return acc
+
+
+def kp_combinations(ctx: SeriesContext) -> tuple[TSeries, TSeries, TSeries]:
+    """KP1, KP2/2 and KP3/4 of the formal combinations, memoized per context."""
+    key = "__kp__"
+    if key not in ctx.memo:
+        ctx.memo[key] = (formal_eval(ctx, KP1_FORMAL),
+                         formal_eval(ctx, KP2_FORMAL).scale(Fraction(1, 2)),
+                         formal_eval(ctx, KP3_FORMAL).scale(Fraction(1, 4)))
+    return ctx.memo[key]
 
 
 def verify_fixed_charge(ctx: SeriesContext) -> TSeries:

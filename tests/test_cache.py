@@ -130,3 +130,27 @@ def test_cli_corrupt_cache_exit_code(tmp_path):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and ":2:" in res.stderr
+
+
+def test_row_completes_after_its_total(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    poly = 5 * U * U * Z + 7 * U * Z * Z
+    CountCache(path).put_scalar("maps", 3, 1, 12)   # scalar table's cell
+    cache = CountCache(path)
+    assert cache.get_row("maps", 3, 1) is None
+    cache.put_row("maps", 3, 1, poly, 12)
+    assert CountCache(path).get_row("maps", 3, 1) == poly
+    assert len(path.read_text().splitlines()) == 4   # header, total, two coefficients
+
+
+def test_cold_store_is_one_append(tmp_path, monkeypatch):
+    path = tmp_path / "counts.ndjson"
+    appends = []
+    append = CountCache._append
+    monkeypatch.setattr(CountCache, "_append",
+                        lambda self, records: appends.append(1) or append(self, records))
+    args = ["bip-oneface", "--n-max", "18", "--format", "csv"]
+    cold = CliRunner().invoke(main, args + ["--cache", str(path)])
+    assert cold.exit_code == 0
+    assert len(appends) == 1
+    assert len(CountCache(path).records) == 1140

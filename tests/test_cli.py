@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import surfcount.bipartite
+import surfcount.maps
 from surfcount.cli import main
 
 
@@ -108,33 +109,33 @@ def test_bip_oneface(runner):
 
 
 def test_verify_pass_and_fail_codes(runner):
-    res = runner.invoke(main, ["verify", "ode-maps", "--order", "16", "--no-cache"])
+    res = runner.invoke(main, ["verify", "ode-maps", "--order", "16"])
     assert res.exit_code == 0
     assert "PASS" in res.output
-    res = runner.invoke(main, ["verify", "ode-oneface-maps", "--order", "8", "--no-cache"])
+    res = runner.invoke(main, ["verify", "ode-oneface-maps", "--order", "8"])
     assert res.exit_code == 0
     assert "PASS" in res.output
     res = runner.invoke(main, ["verify", "ode-oneface-maps", "--order", "8",
-                               "--format", "json", "--no-cache"])
+                               "--format", "json"])
     rep = json.loads(res.output)
     assert rep["status"] == "pass" and rep["requested_order"] == 8
 
 
 def test_verify_usage_errors(runner):
-    res = runner.invoke(main, ["verify", "no-such-identity", "--no-cache"])
+    res = runner.invoke(main, ["verify", "no-such-identity"])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["verify", "ode-maps", "--order", "0", "--no-cache"])
+    res = runner.invoke(main, ["verify", "ode-maps", "--order", "0"])
     assert res.exit_code == 2
 
 
 def test_oracle_cli(runner):
-    res = invoke(runner, ["oracle", "--edges", "2", "--format", "json", "--no-cache"])
+    res = invoke(runner, ["oracle", "--edges", "2", "--format", "json"])
     rows = json.loads(res.output)["rows"]
     vals = {(r["i"], r["j"]): int(r["value"]) for r in rows}
     assert vals[(2, 2)] == 5
-    res = runner.invoke(main, ["oracle", "--edges", "9", "--no-cache"])
+    res = runner.invoke(main, ["oracle", "--edges", "9"])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["oracle", "--edges", "2", "--filter", "triangulation", "--no-cache"])
+    res = runner.invoke(main, ["oracle", "--edges", "2", "--filter", "triangulation"])
     assert res.exit_code == 2
 
 
@@ -206,3 +207,27 @@ def test_redirected_stdout_is_released():
     del buf
     gc.collect()
     assert ref() is None, "stream retained"
+
+
+def test_bivariate_cache_warms_after_scalar_run(runner, tmp_path, monkeypatch):
+    cache = str(tmp_path / "counts.ndjson")
+    args = ["maps", "--n-max", "6", "--bivariate", "--format", "json"]
+    invoke(runner, ["maps", "--n-max", "6", "--cache", cache])
+    invoke(runner, args + ["--cache", cache])
+    no_cache = invoke(runner, args + ["--no-cache"])
+
+    def recompute(*_):
+        raise AssertionError("cached row recomputed")
+    monkeypatch.setattr(surfcount.maps, "_rec_cc", recompute)
+    warm = invoke(runner, args + ["--cache", cache])
+    assert warm.exit_code == 0
+    assert warm.output == no_cache.output
+
+
+def test_cache_options_only_on_table_commands(runner, tmp_path):
+    cache = tmp_path / "counts.ndjson"
+    for args in (["oracle", "--edges", "1"], ["verify", "ode-maps", "--order", "4"]):
+        res = runner.invoke(main, args + ["--cache", str(cache)])
+        assert res.exit_code == 2
+        assert not cache.exists()
+        assert runner.invoke(main, args + ["--no-cache"]).exit_code == 2

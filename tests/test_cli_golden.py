@@ -1,0 +1,81 @@
+"""Pinned CLI output: the sha256 of stdout for a fixed set of small commands.
+
+A refactor that changes no behaviour leaves every hash alone.  Each table
+command is also run twice on one cache file (a cold run in the first
+format, warm runs after it); every cached run must print the pinned
+output too.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from surfcount.cli import main
+
+GOLDEN = {
+    "maps --n-max 7 --g-max 3": (
+        "5e184f0c7c3a4d59f800b67a4057b566033cfd6a6e224d714afe371300f159be",
+        "79b632730b6a86ee5c707b3c6a13113c3c17a1ca64b382487119ad27efec1c03",
+        "fd3c93e5dfb7e4efac8984c9eb5d3edbd91d97f94be018b526ee7f0f5b31fb95",
+    ),
+    "maps --n-max 5 --bivariate": (
+        "e199d8022673c0534015e5d20804285cbf3417960c38ce4fff2e2e70abbb3a6c",
+        "e87196bf9c6afc5bd68c5fc4ba84aff4335ca7caba2697f52fa50160543c3b92",
+        "dc35a0cd2a79c3de37f96607db83feabc8fc587e690264ad6f0e1f7e6e8da5b7",
+    ),
+    "maps --n-max 5 --engine both": (
+        "36049654987a98ed63ee70337402d253407d5874ba90e3706159e29ef98c4805",
+        "d0788ab78f0dc1a780f7a9915180e42f461b1b21c447d591db770a17c12755b5",
+        "2dbbeef2f04e229a1c88f572990f1e2cf4fa56576179779bb6157bb441e04c59",
+    ),
+    "bipartite --n-max 5": (
+        "b541f5188bfbc2009f3f7a30912429140b40c2f437668f4f38e58613cefc435d",
+        "6a13b4c5043d33e536bd07d3ef6894181eb6f16e4a7e707cffcf5f69a04fe8e9",
+        "cdc7436195f38134e70438681aac0ffa2ba68fb7064578675d7dfacb88a5b704",
+    ),
+    "bipartite --n-max 4 --trivariate": (
+        "d5cad9d63087c39fd2c0720cea3e3d7381485697fe30feff10a14b5a17fa77f1",
+        "2c91e2fedaeaa49bce2082eb014079c888883c7774c5f801445a7e2fbfe79657",
+        "6d7525c789cf3bd5f7fc1d2fb441ad6d07324e5cd1a26a910c1ffa388e6fe6a1",
+    ),
+    "triangulations --n-max 5 --g-max 3": (
+        "25fb077b9356ba3ff365cb9e865d43fac45a103a4b4df9a6df13cb8d38b64b23",
+        "b33b86558764f8340fc40690e729b47f3114365b393ec42a6a6fe937a947c9f3",
+        "cc7600a9112115f995cfe41ba635add3ed6cefb6a4bf84932ba22ed07fd9286b",
+    ),
+    "oneface --n-max 7": (
+        "511aa706a3bab134ebb5b457e4031c962e9fa3539b8f18318f713f65853fa486",
+        "b2be8415ab62560e8ba6fab850df9ba54bd9cdb73ce558a9fd300aed7e240027",
+        "ea8a14edb990a526db43fa7a8b65a7e9f62b60467ff3d71cbc948c5b073d3a39",
+    ),
+    "bip-oneface --n-max 6": (
+        "ff73109f2852633e3568a9e60b99b3a545b676074fca04616678ce6601a11766",
+        "66c3516dc3114dec41082691072a7c42051573f8eed6640d30aa45e91d6474bc",
+        "0fce91053a68f43122524e22a9f2a69284224656f932ee61e89d29b56b148e98",
+    ),
+    "oracle --edges 2": (
+        "ec757869526be0e5cfaf8112786a9209829ab09a1109d11d677fc607681a5b21",
+        "5fe07c26d81dfb3ce13edfe58fc9364f400cd3f61a5cf9e5ac4bfafa4a117130",
+        "859e6d825ca650827b66d71a08318a54a8ef1719b0e145d93c62093c00c3ac26",
+    ),
+}
+FORMATS = ("table", "csv", "json")
+
+
+def digest(args):
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 0
+    return hashlib.sha256(res.stdout.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_output_is_pinned(command, tmp_path):
+    base = command.split()
+    cached = base[0] != "oracle"
+    cache = str(tmp_path / "counts.ndjson")
+    for fmt, expected in zip(FORMATS, GOLDEN[command]):
+        args = base + ["--format", fmt]
+        assert digest(args + (["--no-cache"] if cached else [])) == expected, fmt
+        if cached:
+            assert digest(args + ["--cache", cache]) == expected, f"{fmt}, cached"
