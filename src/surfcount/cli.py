@@ -4,7 +4,9 @@ Subcommands produce count tables (human table, CSV grid, or JSON records)
 for each model, run the brute-force oracle, and evaluate the functional
 identity checks.  Exit code 0 on success, 1 on a verification failure,
 2 on usage errors, 3 when the count cache file cannot be read (a
-one-line message on stderr names the file and line).
+one-line message on stderr names the file and line) or when cells loaded
+from it break a recurrence's integrality check (the message names the
+file and the cell that failed).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import click
 
 from .bipartite import BipOneFaceTable, BipTable
 from .cache import CountCache, CountRecord, default_cache_path
-from .errors import CacheError, WindowError
+from .errors import CacheError, IntegralityError, WindowError
 from .genus import genus_label, parse_genus
 from .identities import IDENTITIES, run_identity
 from .maps import MapsCounts, MapsTable, OneFaceTable
@@ -54,10 +56,22 @@ def open_cache(cache_path, no_cache) -> CountCache | None:
 
 
 def _fill(cache, model, tab, *limits, rows=False):
-    """Fill tab to limits, starting from the cells the cache holds."""
-    if cache:
-        cache.load(model, tab.entries, limits[0], rows)
-    return tab.fill(*limits)
+    """Fill tab to limits, starting from the cells the cache holds.
+
+    A fill from cached cells that fails the recurrence's exact-division
+    check means a corrupted cache cell: one stderr line, exit code 3.
+    """
+    if not cache:
+        return tab.fill(*limits)
+    seeds = len(tab.entries)
+    cache.load(model, tab.entries, limits[0], rows)
+    try:
+        return tab.fill(*limits)
+    except IntegralityError as exc:
+        if len(tab.entries) == seeds:
+            raise
+        _echo(f"error: {cache.path}: cached counts break the recurrence at {exc}", err=True)
+        sys.exit(3)
 
 
 def _store(cache, model, tab):

@@ -16,12 +16,20 @@ per model, two linear one-face ODEs, and a shift-free identity that also
 involves derivative-expanded combinations.  Every check returns a
 residual series; correctness means every retained coefficient is the
 exact rational zero (tolerance is not a concept here).
+
+The three models share one loop equation and one ODE shape; two tables
+of per-model constants drive them.  `_LOOP` holds, per model, the offset
+of the marked part, the linear factor, the boundary constants and the
+largest leading part the recursion accepts (`_loop_terms`).  `_ODE`
+holds the power of t, the weight, the derivative coefficient, the KP2
+term and the exact cofactor of the unshifted ODE (`verify_ode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .bipartite import BipOneFaceTable, BipTable, bip_oneface_series, eta_series
@@ -110,6 +118,18 @@ def triangulations_context(order: int, table: TriTable | None = None) -> SeriesC
 # ---------------------------------------------------------------------------
 # the F[lam] recursions
 
+_HALF = Fraction(1, 2)
+_U_U1 = (U * (U + ONE)).scale(_HALF)
+
+# model: (offset, linear factor, boundary constants keyed by (i, rest),
+# largest leading part), see _loop_terms
+_LOOP = {
+    "maps": (2, 2 * U + ONE, {(-1, (1,)): U.scale(_HALF), (-1, ()): _UZ.scale(_HALF),
+                              (0, ()): _U_U1}, 9),
+    "bipartite": (1, U + V, {(0, ()): _UV.scale(_HALF)}, 9),
+    "triangulations": (3, 2 * U + ONE, {(-1, (1,)): U.scale(_HALF), (0, ()): _U_U1}, 10),
+}
+
 
 def ftheta(ctx: SeriesContext, lam) -> TSeries:
     """The truncated series F[lam], by structural recursion on the size."""
@@ -122,102 +142,61 @@ def _F(ctx: SeriesContext, parts: tuple[int, ...]) -> TSeries:
         return ctx.theta
     hit = ctx.memo.get(parts)
     if hit is None:
-        if ctx.model == "maps":
-            hit = _f_maps(ctx, parts)
-        elif ctx.model == "bipartite":
-            hit = _f_bip(ctx, parts)
-        else:
-            hit = _f_tri(ctx, parts)
+        hit = (_f_tri if ctx.model == "triangulations" else _f_loop)(ctx, parts)
         ctx.memo[parts] = hit
     return hit
 
 
-def _rest_counts(parts):
-    rest = parts[1:]
+def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
+    """The loop-equation terms all three models share, for F[ell, rest].
+
+    With i = ell - offset: the binomial split products F[a, ..] F[i-a, ..],
+    the merges F[a, i-a, rest] and F[i+j, rest - j], the linear term
+    (lin + i) i F[i, rest] and the boundary constant for (i, rest).
+    Returns (i, rest, terms).
+    """
+    offset, lin, consts, ell_max = _LOOP[ctx.model]
+    ell, rest = parts[0], parts[1:]
+    if ell > ell_max:
+        raise ValueError(f"leading part {ell} out of reachable range")
     if rest and rest[0] > 3:
         raise ValueError(f"two parts above 3 in {parts}")
-    return rest.count(3), rest.count(2), rest.count(1)
-
-
-def _split_products(ctx, i, n3, n2, n1):
-    """Quadratic terms: sum over a+b=i and binomial splits of the small parts."""
+    i = ell - offset
+    n = {j: rest.count(j) for j in (1, 2, 3)}
     terms = []
     for a in range(1, i):
         b = i - a
-        for l3 in range(n3 + 1):
-            for l2 in range(n2 + 1):
-                for l1 in range(n1 + 1):
-                    c = 2 * a * b * comb(n3, l3) * comb(n2, l2) * comb(n1, l1)
-                    left = _F(ctx, _canon((a,) + (3,) * l3 + (2,) * l2 + (1,) * l1))
-                    right = _F(ctx, _canon(
-                        (b,) + (3,) * (n3 - l3) + (2,) * (n2 - l2) + (1,) * (n1 - l1)
-                    ))
-                    terms.append((left * right).scale(c))
-    return terms
-
-
-def _f_maps(ctx, parts):
-    ell = parts[0]
-    if ell > 9:
-        raise ValueError(f"leading part {ell} out of reachable range")
-    n3, n2, n1 = _rest_counts(parts)
-    rest = parts[1:]
-    i = ell - 2
-    acc = list(_split_products(ctx, i, n3, n2, n1))
-    for a in range(1, i):
-        acc.append(_F(ctx, _canon((a, i - a) + rest)).scale(2 * a * (i - a)))
-    for j, nj in ((1, n1), (2, n2), (3, n3)):
-        if nj and i + j > 0:
+        for l3, l2, l1 in product(range(n[3] + 1), range(n[2] + 1), range(n[1] + 1)):
+            c = 2 * a * b * comb(n[3], l3) * comb(n[2], l2) * comb(n[1], l1)
+            left = _F(ctx, _canon((a,) + (3,) * l3 + (2,) * l2 + (1,) * l1))
+            right = _F(ctx, _canon((b,) + (3,) * (n[3] - l3) + (2,) * (n[2] - l2)
+                                   + (1,) * (n[1] - l1)))
+            terms.append((left * right).scale(c))
+        terms.append(_F(ctx, _canon((a, b) + rest)).scale(2 * a * b))
+    for j in (1, 2, 3):
+        if n[j] and i + j > 0:
             sub = list(rest)
             sub.remove(j)
-            acc.append(_F(ctx, _canon([i + j] + sub)).scale(nj * (i + j)))
-    base = _F(ctx, rest)
-    acc.append(base.t_dt())
-    size_rest = n1 + 2 * n2 + 3 * n3
-    if size_rest:
-        acc.append(base.scale(-size_rest))
-    for a in range(1, i + 1):
-        acc.append(_F(ctx, _canon((a,) + rest)).scale(Z).scale(-a))
+            terms.append(_F(ctx, _canon([i + j] + sub)).scale(n[j] * (i + j)))
     if i >= 1:
-        acc.append(_F(ctx, _canon((i,) + rest)).scale((2 * U + (i + 1) * ONE).scale(i)))
-    if n2 == 0 and n3 == 0:
-        if i == -1:
-            if n1 == 1:
-                acc.append(TSeries.const(U.scale(Fraction(1, 2))))
-            elif n1 == 0:
-                acc.append(TSeries.const(_UZ.scale(Fraction(1, 2))))
-        elif i == 0 and n1 == 0:
-            acc.append(TSeries.const((U * (U + ONE)).scale(Fraction(1, 2))))
-    return _series_sum(acc).shift_t(2).scale(Fraction(1, ell))
+        terms.append(_F(ctx, _canon((i,) + rest)).scale((lin + i * ONE).scale(i)))
+    if (i, rest) in consts:
+        terms.append(TSeries.const(consts[i, rest]))
+    return i, rest, terms
 
 
-def _f_bip(ctx, parts):
-    ell = parts[0]
-    if ell > 9:
-        raise ValueError(f"leading part {ell} out of reachable range")
-    n3, n2, n1 = _rest_counts(parts)
-    rest = parts[1:]
-    i = ell - 1
-    acc = list(_split_products(ctx, i, n3, n2, n1))
-    for a in range(1, i):
-        acc.append(_F(ctx, _canon((a, i - a) + rest)).scale(2 * a * (i - a)))
-    for j, nj in ((1, n1), (2, n2), (3, n3)):
-        if nj and i + j > 0:
-            sub = list(rest)
-            sub.remove(j)
-            acc.append(_F(ctx, _canon([i + j] + sub)).scale(nj * (i + j)))
+def _f_loop(ctx, parts):
+    """Maps and bipartite: the shared terms, t d/dt F[rest], -|rest| F[rest]
+    and -a z F[a, rest], all times t^offset / ell."""
+    i, rest, terms = _loop_terms(ctx, parts)
     base = _F(ctx, rest)
-    acc.append(base.t_dt())
-    size_rest = n1 + 2 * n2 + 3 * n3
-    if size_rest:
-        acc.append(base.scale(-size_rest))
+    terms.append(base.t_dt())
+    if rest:
+        terms.append(base.scale(-sum(rest)))
     for a in range(1, i + 1):
-        acc.append(_F(ctx, _canon((a,) + rest)).scale(Z).scale(-a))
-    if i >= 1:
-        acc.append(_F(ctx, _canon((i,) + rest)).scale((U + V + i * ONE).scale(i)))
-    if i == 0 and not rest:
-        acc.append(TSeries.const(_UV.scale(Fraction(1, 2))))
-    return _series_sum(acc).shift_t(1).scale(Fraction(1, ell))
+        terms.append(_F(ctx, _canon((a,) + rest)).scale(-a * Z))
+    offset = _LOOP[ctx.model][0]
+    return _series_sum(terms).shift_t(offset).scale(Fraction(1, parts[0]))
 
 
 def _f_tri(ctx, parts):
@@ -232,35 +211,13 @@ def _f_tri(ctx, parts):
         l = len(parts)
         acc = [_F(ctx, parts[1:]).dt().shift_t(5).scale(Z)]
         if l == 1:
-            acc.append(TSeries.exact({4: (U * U + U).scale(Fraction(1, 2)) * Z}))
+            acc.append(TSeries.exact({4: _U_U1 * Z}))
         elif l == 2:
-            acc.append(TSeries.exact({2: U.scale(Fraction(1, 2))}))
+            acc.append(TSeries.exact({2: U.scale(_HALF)}))
         return _series_sum(acc)
-    ell = parts[0]
-    if ell > 10:
-        raise ValueError(f"leading part {ell} out of reachable range")
-    n3, n2, n1 = _rest_counts(parts)
-    if n3:
-        raise AssertionError("unreachable: parts of size 3 eliminated above")
-    rest = parts[1:]
-    i = ell - 3
-    inner = list(_split_products(ctx, i, 0, n2, n1))
-    for a in range(1, i):
-        inner.append(_F(ctx, _canon((a, i - a) + rest)).scale(2 * a * (i - a)))
-    for j, nj in ((1, n1), (2, n2)):
-        if nj and i + j > 0:
-            sub = list(rest)
-            sub.remove(j)
-            inner.append(_F(ctx, _canon([i + j] + sub)).scale(nj * (i + j)))
-    if i >= 1:
-        inner.append(_F(ctx, _canon((i,) + rest)).scale((2 * U + (i + 1) * ONE).scale(i)))
-    if n2 == 0:
-        if i == -1 and n1 == 1:
-            inner.append(TSeries.const(U.scale(Fraction(1, 2))))
-        elif i == 0 and n1 == 0:
-            inner.append(TSeries.const((U * (U + ONE)).scale(Fraction(1, 2))))
-    rhs = _F(ctx, _canon((i + 2,) + rest)).scale(i + 2) - _series_sum(inner).shift_t(2)
-    return rhs.div_z().shift_t(-2).scale(Fraction(1, ell))
+    i, rest, terms = _loop_terms(ctx, parts)
+    rhs = _F(ctx, _canon((i + 2,) + rest)).scale(i + 2) - _series_sum(terms).shift_t(2)
+    return rhs.div_z().shift_t(-2).scale(Fraction(1, parts[0]))
 
 
 def _series_sum(terms) -> TSeries:
@@ -287,47 +244,42 @@ def verify_shifted_bkp1(ctx: SeriesContext) -> TSeries:
     return lhs - rhs
 
 
+# model: (s, w, c, KP2 term, exact cofactor); see verify_ode
+_ODE = {
+    "maps": (6, ONE, 2, lambda kp2: kp2.scale(_HALF),
+             {4: _UZ - 4 * ONE, 2: 3 * U + ONE - Z}),
+    "bipartite": (4, ONE, 4,
+                  lambda kp2: kp2 * TSeries.exact({1: U + V + ONE - Z, 0: ONE}).scale(_HALF),
+                  {2: 3 * _UV, 1: -(U + V)}),
+    "triangulations": (10, Z * Z, 5, lambda kp2: kp2.div_z().shift_t(-2).scale(_HALF),
+                       {8: (4 * (U * U + U)) * Z * Z, 2: U}),
+}
+
+
 def verify_ode(model: str, ctx: SeriesContext) -> TSeries:
-    """Unshifted ODE residual for the given model."""
+    """Unshifted ODE residual for the given model.
+
+    With D(f) = w (f'' t^s + c f' t^(s-1)) and the model's row of _ODE:
+    w KP1'^2 t^s - KP2^2 + KP1 (KP3 - kp2_term(KP2) - D(KP1)
+    - KP1 (2 D(theta) + exact)).
+    """
     if ctx.model != model:
         raise ValueError(f"context is for {ctx.model!r}, not {model!r}")
+    if model not in _ODE:
+        raise ValueError(f"unknown model {model!r}")
+    s, w, c, kp2_term, exact = _ODE[model]
+
+    def weight(f):
+        return f if w == ONE else f.scale(w)
+
+    def D(df):   # D(f), given f'
+        return weight(df.dt().shift_t(s) + df.shift_t(s - 1).scale(c))
+
     kp1, kp2, kp3 = kp_combinations(ctx)
     d1 = kp1.dt()
-    d2 = d1.dt()
-    theta = ctx.theta
-    if model == "maps":
-        cof = _series_sum([
-            theta.dt().dt().shift_t(6).scale(2),
-            theta.dt().shift_t(5).scale(4),
-            TSeries.exact({4: _UZ - 4 * ONE, 2: 3 * U + ONE - Z}),
-        ])
-        inner = kp3 - kp2.scale(Fraction(1, 2)) - (
-            d2.shift_t(6) + d1.shift_t(5).scale(2) + kp1 * cof
-        )
-        return (d1 * d1).shift_t(6) - kp2 * kp2 + kp1 * inner
-    if model == "bipartite":
-        cof = _series_sum([
-            theta.dt().dt().shift_t(4).scale(2),
-            theta.dt().shift_t(3).scale(8),
-            TSeries.exact({2: 3 * _UV, 1: -(U + V)}),
-        ])
-        half_fac = TSeries.exact({1: U + V + ONE - Z, 0: ONE}).scale(Fraction(1, 2))
-        inner = kp3 - kp2 * half_fac - (
-            d2.shift_t(4) + d1.shift_t(3).scale(4) + kp1 * cof
-        )
-        return (d1 * d1).shift_t(4) - kp2 * kp2 + kp1 * inner
-    if model == "triangulations":
-        zz = Z * Z
-        cof = _series_sum([
-            theta.dt().dt().shift_t(10).scale(2 * zz),
-            theta.dt().shift_t(9).scale(10 * zz),
-            TSeries.exact({8: (4 * (U * U + U)) * zz, 2: U}),
-        ])
-        inner = kp3 - kp2.div_z().shift_t(-2).scale(Fraction(1, 2)) - (
-            d2.shift_t(10).scale(zz) + d1.shift_t(9).scale(5 * zz) + kp1 * cof
-        )
-        return (d1 * d1).shift_t(10).scale(zz) - kp2 * kp2 + kp1 * inner
-    raise ValueError(f"unknown model {model!r}")
+    cof = _series_sum([D(ctx.theta.dt()).scale(2), TSeries.exact(exact)])
+    inner = kp3 - kp2_term(kp2) - (D(d1) + kp1 * cof)
+    return weight((d1 * d1).shift_t(s)) - kp2 * kp2 + kp1 * inner
 
 
 def verify_oneface_maps_ode(series: TSeries) -> TSeries:

@@ -76,7 +76,6 @@ class MapsTable:
         self.engine = engine
         self.entries: dict[tuple[int, int], Poly] = dict(_INITIAL)
         self._q1: dict[tuple[int, int], Poly] = {}
-        self._q2: dict[tuple[int, int], Poly] = {}
         self._w: dict[tuple[int, int, int], Poly] = {}
         self._br: dict[tuple[int, int], Poly] = {}
 
@@ -134,24 +133,6 @@ class MapsTable:
                     parts.append(((2 * n3 - 1) * (2 * (m - n3) - 1)) * (a * b))
             self._q1[key] = Poly.sum(parts)
         return self._q1[key]
-
-    def q2(self, m: int, g2: int) -> Poly:
-        """As q1 but with the extra weight n1 on the first factor."""
-        key = (m, g2)
-        if key not in self._q2:
-            H = self.poly
-            parts = []
-            for ga, gb in _genus_splits(g2):
-                for n1 in range(1, m + 1):
-                    a = H(n1 - 1, ga)
-                    if a.is_zero():
-                        continue
-                    b = H(m - n1 - 1, gb)
-                    if b.is_zero():
-                        continue
-                    parts.append((n1 * (2 * n1 - 1) * (2 * (m - n1) - 1)) * (a * b))
-            self._q2[key] = Poly.sum(parts)
-        return self._q2[key]
 
     def shift_weight(self, n1: int, g2_1: int, g2_0: int) -> Poly:
         """One charge-shift expansion piece of the double sum.
@@ -277,10 +258,12 @@ def _br_cc(tab: MapsTable, n2: int, g2_2: int, with_self: bool) -> Poly:
 def _rec_cc(n: int, g2: int, tab: MapsTable) -> Poly:
     """Engine "cc" step, prefactor 2/((n+1)(n-2))."""
     H = tab.poly
+    # the quadratic term 6 sum n1 (2n1-1)(2n2-1) H[n1-1] H[n2-1] is 3n q1(n, g2):
+    # swapping the two factors turns the weight n1 into n - n1
     first = [
         (n * (2 * n - 1)) * (_U_Z * H(n - 1, g2) + H(n - 1, g2 - 1)),
         Fraction((2 * n - 3) * (2 * n - 2) * (2 * n - 1) * 2 * n, 2) * H(n - 2, g2 - 2),
-        6 * tab.q2(n, g2),
+        (3 * n) * tab.q1(n, g2),
     ]
     double = []
     for g2_1, g2_2 in _genus_splits(g2):
@@ -330,7 +313,6 @@ class MapsCounts:
     def __init__(self):
         self.entries = dict(self._INITIAL)
         self._q1 = {}
-        self._q2 = {}
         self._br4 = {}
         self._w = {}
 
@@ -354,17 +336,6 @@ class MapsCounts:
                 for n3 in range(ga + 1, m - gb)  # all other terms vanish
             )
         return self._q1[key]
-
-    def q2(self, m, g2):
-        key = (m, g2)
-        if key not in self._q2:
-            h = self.value
-            self._q2[key] = sum(
-                n1 * (2 * n1 - 1) * (2 * (m - n1) - 1) * h(n1 - 1, ga) * h(m - n1 - 1, gb)
-                for ga, gb in _genus_splits(g2)
-                for n1 in range(ga + 1, m - gb)  # all other terms vanish
-            )
-        return self._q2[key]
 
     def bracket4(self, n2: int, g2_2: int) -> int:
         """4 x the inner bracket of (n2, g2_2) without its -(n2+1)/4 h[n2, g2_2] term."""
@@ -395,10 +366,11 @@ class MapsCounts:
 
     def _step(self, n: int, g2: int) -> int:
         h = self.value
+        # 3n q1(n, g2) is the quadratic term, as in _rec_cc
         total4 = 4 * (
             n * (2 * n - 1) * (2 * h(n - 1, g2) + h(n - 1, g2 - 1))
             + (2 * n - 3) * (n - 1) * (2 * n - 1) * 2 * n * h(n - 2, g2 - 2)
-            + 6 * self.q2(n, g2)
+            + 3 * n * self.q1(n, g2)
         )
         for g2_1, g2_2 in _genus_splits(g2):
             for n1 in range(0, n):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -38,6 +39,13 @@ def test_published_counts(bip8):
     assert bip8.count(6, 5) == 1348
     assert bip8.count(8, 5) == 1445760
     assert bip8.count(8, 6) == 793260
+
+
+def test_planar_row_closed_form(bip_16):
+    # rooted planar bipartite maps with n edges: 3 2^(n-1) (2n)! / (n! (n+2)!)
+    for n in range(1, 17):
+        lhs = bip_16.count(n, 0) * factorial(n) * factorial(n + 2)
+        assert lhs == 3 * 2 ** (n - 1) * factorial(2 * n), n
 
 
 def test_single_step_entry_point(bip8):

@@ -154,3 +154,20 @@ def test_cold_store_is_one_append(tmp_path, monkeypatch):
     assert cold.exit_code == 0
     assert len(appends) == 1
     assert len(CountCache(path).records) == 1140
+
+
+def test_cli_corrupt_cached_cell_exit_code(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    CliRunner().invoke(main, ["maps", "--n-max", "6", "--cache", str(path)])
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines[1:], 1):
+        rec = json.loads(line)
+        if (rec["model"], rec["n"], rec["g2"]) == ("maps", 4, 1) and "i" not in rec:
+            rec["value"] = str(int(rec["value"]) + 1)
+            lines[k] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    res = CliRunner().invoke(main, ["maps", "--n-max", "8", "--cache", str(path)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert str(path) in res.stderr and "h[7,1]" in res.stderr

@@ -182,3 +182,15 @@ def test_all_identities_pass_small_orders(maps_cc_12, bip_16, tri_15):
     for name, order in small.items():
         rep = run_identity(name, order, tables)
         assert rep.status == "pass", name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, order", [
+    ("shifted-bkp1", 30), ("ode-maps", 24), ("ode-bipartite", 16),
+    ("ode-triangulations", 60), ("fixed-charge", 20),
+])
+def test_raised_order_residuals(name, order):
+    # each residual constrains every genus of its table up to the order
+    rep = run_identity(name, order)
+    assert rep.status == "pass", rep.first_failure
+    assert rep.window[1] >= order
