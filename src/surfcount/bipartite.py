@@ -13,11 +13,11 @@ BipOneFaceTable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import IntegralityError, MissingEntryError
 from .maps import _genus_splits, _sub_genus
-from .poly import Poly, U, V, Z
+from .poly import Poly, U, V, Z, _pack, _unpack
 from .tseries import TSeries
 
 _UVZ = U * V * Z
@@ -83,18 +83,10 @@ class BipTable:
         key = (m, g2)
         if key not in self._q:
             K = self.poly
-            parts = []
-            for ga, gb in _genus_splits(g2):
-                for n3 in range(m + 1):
-                    a = K(n3 - 1, ga)
-                    if a.is_zero():
-                        continue
-                    b = K(m - n3 - 1, gb)
-                    if b.is_zero():
-                        continue
-                    n4 = m - n3
-                    parts.append((6 * n3 * n4 - 2 * m + 1) * (a * b))
-            self._q[key] = Poly.sum(parts)
+            self._q[key] = Poly.dot(
+                (6 * n3 * (m - n3) - 2 * m + 1, K(n3 - 1, ga), K(m - n3 - 1, gb))
+                for ga, gb in _genus_splits(g2)
+                for n3 in range(m + 1))
         return self._q[key]
 
     def shift_weight(self, n1: int, g2_1: int) -> Poly:
@@ -105,23 +97,21 @@ class BipTable:
         key = (n1, g2_1)
         if key not in self._w:
             m = n1 - g2_1
-            acc: dict[tuple[int, int, int], Fraction] = {}
+            acc: dict[int, int] = {}
+            get = acc.get
+            den = 1
             if m >= 0:
-                for g2_0 in _sub_genus(g2_1):
-                    K = self.poly(n1, g2_0)
-                    if K.is_zero():
-                        continue
-                    factor = 2 ** (2 + g2_1 - g2_0)
-                    for (p, k, q), c in K.items():
+                polys = [(g2_0, self.poly(n1, g2_0)) for g2_0 in _sub_genus(g2_1)]
+                den = lcm(*(K.den for _, K in polys))
+                for g2_0, K in polys:
+                    factor = 2 ** (2 + g2_1 - g2_0) * (den // K.den)
+                    for e, c in K.terms.items():
+                        p, k, q = _unpack(e)
                         top = m - k
-                        if top < 0:
-                            continue
                         for i in range(max(0, top - q), min(p, top) + 1):
-                            w = factor * comb(p, i) * comb(q, top - i) * c
-                            if w:
-                                kk = (i, k, top - i)
-                                acc[kk] = acc.get(kk, Fraction(0)) + w
-            self._w[key] = Poly.from_terms(acc)
+                            kk = _pack(i, k, top - i)
+                            acc[kk] = get(kk, 0) + factor * comb(p, i) * comb(q, top - i) * c
+            self._w[key] = Poly(acc, den)
         return self._w[key]
 
     def bracket(self, n2: int, g2_2: int) -> Poly:
@@ -165,13 +155,9 @@ def bip_rec(n: int, g2: int, table: BipTable) -> Poly:
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(1, n):
             w = table.shift_weight(n1, g2_1)
-            if w.is_zero():
-                continue
-            br = table.bracket(n - n1, g2_2)
-            if br.is_zero():
-                continue
-            double.append(w * br)
-    return first - Poly.sum(double).scale(Fraction(1, (n - 2) * (n + 1)))
+            if not w.is_zero():
+                double.append((1, w, table.bracket(n - n1, g2_2)))
+    return first - Poly.dot(double).scale(Fraction(1, (n - 2) * (n + 1)))
 
 
 class BipOneFaceTable:

@@ -264,27 +264,40 @@ def bip_oneface_cmd(n_max, fmt, cache_path, no_cache):
 
 
 @main.command("verify")
-@click.argument("identity")
+@click.argument("identity", required=False)
+@click.option("--all", "run_all", is_flag=True,
+              help="run every identity at its default order")
 @click.option("--order", type=int, default=None, help="t-order to verify to")
 @format_option
-def verify_cmd(identity, order, fmt):
+def verify_cmd(identity, run_all, order, fmt):
     """Evaluate a functional identity's residual on truncated series.
 
     Known identities: shifted-bkp1, ode-maps, ode-bipartite,
     ode-triangulations, ode-oneface-maps, ode-oneface-bipartite,
-    fixed-charge.
+    fixed-charge.  With --all, every one of them runs at its default
+    order, one report each, and the exit code is 1 if any fails.
     """
-    if identity not in IDENTITIES:
+    if run_all == (identity is not None):
+        raise click.UsageError("give one identity or --all")
+    if run_all and order is not None:
+        raise click.UsageError("--all runs every identity at its default order; "
+                               "--order needs one identity")
+    if identity is not None and identity not in IDENTITIES:
         raise click.UsageError(
             f"unknown identity {identity!r}; choose from {', '.join(sorted(IDENTITIES))}"
         )
-    try:
-        report = run_identity(identity, order)
-    except WindowError as exc:
-        raise click.UsageError(str(exc))
-    if fmt == "json":
-        _echo(json.dumps(report.as_dict()))
-    else:
+    failed = False
+    for k, name in enumerate(IDENTITIES if run_all else [identity]):
+        try:
+            report = run_identity(name, order)
+        except WindowError as exc:
+            raise click.UsageError(str(exc))
+        failed |= report.status != "pass"
+        if fmt == "json":
+            _echo(json.dumps(report.as_dict()))
+            continue
+        if k:
+            _echo("")
         _echo(f"identity: {report.identity} (model {report.model})")
         _echo(f"requested order: {report.requested_order}")
         _echo(f"usable window: t^{report.window[0]} .. t^{report.window[1]}")
@@ -292,7 +305,7 @@ def verify_cmd(identity, order, fmt):
         if report.first_failure:
             _echo(f"first failing coefficient: t^{report.first_failure['order']}: "
                   f"{report.first_failure['coefficient']}")
-    sys.exit(0 if report.status == "pass" else 1)
+    sys.exit(1 if failed else 0)
 
 
 @main.command("oracle",

@@ -41,6 +41,7 @@ from .tseries import TSeries
 
 _UZ = U * Z
 _UV = U * V
+_ONE = TSeries.const(1)
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,8 @@ def _F(ctx: SeriesContext, parts: tuple[int, ...]) -> TSeries:
 def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
     """The loop-equation terms all three models share, for F[ell, rest].
 
-    With i = ell - offset: the binomial split products F[a, ..] F[i-a, ..],
-    the merges F[a, i-a, rest] and F[i+j, rest - j], the linear term
+    With i = ell - offset: the binomial split products F[a, ..] F[i-a, ..]
+    (one `TSeries.dot`, the first of the returned terms), the merges F[a, i-a, rest] and F[i+j, rest - j], the linear term
     (lin + i) i F[i, rest] and the boundary constant for (i, rest).
     Returns (i, rest, terms).
     """
@@ -163,16 +164,24 @@ def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
         raise ValueError(f"two parts above 3 in {parts}")
     i = ell - offset
     n = {j: rest.count(j) for j in (1, 2, 3)}
-    terms = []
-    for a in range(1, i):
+    splits, terms = [], []
+    # (a, l) and its mirror (i - a, n - l) give the same product and merge,
+    # so each pair is computed once at double weight; the skipped mirrors
+    # would only read memo entries, which keeps the memo's order
+    for a in range(1, i // 2 + 1):
         b = i - a
-        for l3, l2, l1 in product(range(n[3] + 1), range(n[2] + 1), range(n[1] + 1)):
+        for l in product(range(n[3] + 1), range(n[2] + 1), range(n[1] + 1)):
+            mirror = (n[3] - l[0], n[2] - l[1], n[1] - l[2])
+            if a == b and l > mirror:
+                continue
+            l3, l2, l1 = l
             c = 2 * a * b * comb(n[3], l3) * comb(n[2], l2) * comb(n[1], l1)
             left = _F(ctx, _canon((a,) + (3,) * l3 + (2,) * l2 + (1,) * l1))
-            right = _F(ctx, _canon((b,) + (3,) * (n[3] - l3) + (2,) * (n[2] - l2)
-                                   + (1,) * (n[1] - l1)))
-            terms.append((left * right).scale(c))
-        terms.append(_F(ctx, _canon((a, b) + rest)).scale(2 * a * b))
+            right = _F(ctx, _canon((b,) + (3,) * mirror[0] + (2,) * mirror[1]
+                                   + (1,) * mirror[2]))
+            splits.append((c if (a, l) == (b, mirror) else 2 * c, left, right))
+        terms.append(_F(ctx, _canon((a, b) + rest)).scale(2 * a * b * (1 if a == b else 2)))
+    terms.insert(0, TSeries.dot(splits))
     for j in (1, 2, 3):
         if n[j] and i + j > 0:
             sub = list(rest)
@@ -413,15 +422,14 @@ def formal_eval(ctx: SeriesContext, fp: _FPoly) -> TSeries:
     factor F[mu] picks up 2^(number of parts of mu) when expressed through
     the face-specialized series.
     """
-    acc = TSeries.zero()
+    triples = []
     for mono, coef in fp.items():
-        term = _F(ctx, mono[0])
-        weight = 1 << len(mono[0])
-        for mu in mono[1:]:
-            term = term * _F(ctx, mu)
-            weight <<= len(mu)
-        acc = acc + term.scale(coef * weight)
-    return acc
+        *head, last = [_F(ctx, mu) for mu in mono]
+        left = head[0] if head else _ONE
+        for f in head[1:]:
+            left = left * f
+        triples.append((coef * (1 << sum(map(len, mono))), left, last))
+    return _series_sum([TSeries.dot(triples)])
 
 
 def kp_combinations(ctx: SeriesContext) -> tuple[TSeries, TSeries, TSeries]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import IntegralityError, MissingEntryError
-from .poly import Poly, U, Z
+from .poly import Poly, U, Z, _pack, _unpack
 from .tseries import TSeries
 
 _UZ = U * Z
@@ -121,17 +121,10 @@ class MapsTable:
         key = (m, g2)
         if key not in self._q1:
             H = self.poly
-            parts = []
-            for ga, gb in _genus_splits(g2):
-                for n3 in range(m + 1):
-                    a = H(n3 - 1, ga)
-                    if a.is_zero():
-                        continue
-                    b = H(m - n3 - 1, gb)
-                    if b.is_zero():
-                        continue
-                    parts.append(((2 * n3 - 1) * (2 * (m - n3) - 1)) * (a * b))
-            self._q1[key] = Poly.sum(parts)
+            self._q1[key] = Poly.dot(
+                ((2 * n3 - 1) * (2 * (m - n3) - 1), H(n3 - 1, ga), H(m - n3 - 1, gb))
+                for ga, gb in _genus_splits(g2)
+                for n3 in range(m + 1))
         return self._q1[key]
 
     def shift_weight(self, n1: int, g2_1: int, g2_0: int) -> Poly:
@@ -148,24 +141,23 @@ class MapsTable:
         if key not in self._w:
             m = n1 - g2_1
             H = self.poly(n1, g2_0)
-            acc: dict[tuple[int, int, int], Fraction] = {}
-            if m >= 0 and not H.is_zero():
+            acc: dict[int, int] = {}
+            get = acc.get
+            if m >= 0:
                 if self.engine == "cc":
-                    for (p, q, _), c in H.items():
+                    for e, c in H.terms.items():
+                        p, q, _ = _unpack(e)
                         for i in range(max(0, m - q), min(p, m) + 1):
-                            w = comb(p, i) * comb(q, m - i) * c
-                            if w:
-                                k = (i, m - i, 0)
-                                acc[k] = acc.get(k, Fraction(0)) + w
+                            k = _pack(i, m - i, 0)
+                            acc[k] = get(k, 0) + comb(p, i) * comb(q, m - i) * c
                 else:
                     r = 2 + g2_1 - g2_0
-                    for (p, j, _), c in H.items():
+                    for e, c in H.terms.items():
+                        p, j, _ = _unpack(e)
                         if j <= m:
-                            w = comb(p, r) * c
-                            if w:
-                                k = (m - j, j, 0)
-                                acc[k] = acc.get(k, Fraction(0)) + w
-            self._w[key] = Poly.from_terms(acc)
+                            k = _pack(m - j, j, 0)
+                            acc[k] = get(k, 0) + comb(p, r) * c
+            self._w[key] = Poly(acc, H.den)
         return self._w[key]
 
 
@@ -224,11 +216,9 @@ def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
                         bracket = bracket + Fraction(-3, 2) * U
                 if bracket.is_zero():
                     continue
-                w = tab.shift_weight(n1, g2_1, g2_0)
-                if w.is_zero():
-                    continue
-                double.append((2 ** (2 + g2_1 - g2_0)) * (w * bracket))
-    rhs = Poly.sum(first) - Poly.sum(double)
+                double.append((2 ** (2 + g2_1 - g2_0), tab.shift_weight(n1, g2_1, g2_0),
+                               bracket))
+    rhs = Poly.sum(first) - Poly.dot(double)
     nn1 = n * (n + 1)
     out = {}
     for (i, j, _), c in rhs.items():
@@ -274,11 +264,9 @@ def _rec_cc(n: int, g2: int, tab: MapsTable) -> Poly:
             if bracket.is_zero():
                 continue
             for g2_0 in _sub_genus(g2_1):
-                w = tab.shift_weight(n1, g2_1, g2_0)
-                if w.is_zero():
-                    continue
-                double.append((2 ** (2 + g2_1 - g2_0)) * (w * bracket))
-    rhs = Poly.sum(first) - Poly.sum(double)
+                double.append((2 ** (2 + g2_1 - g2_0), tab.shift_weight(n1, g2_1, g2_0),
+                               bracket))
+    rhs = Poly.sum(first) - Poly.dot(double)
     return rhs.scale(Fraction(2, (n + 1) * (n - 2)))
 
 

@@ -6,6 +6,12 @@ case: every final count table is integral) therefore multiply in pure
 int arithmetic.  Exponent triples are packed into one int so that
 monomial multiplication is a single addition.
 
+All multiplication goes through one kernel, `Poly.dot`: the sum of
+c * a * b over (c, Poly a, Poly b) triples with rational weights c,
+accumulated in ints over one common denominator, with a single Poly
+built (and reduced) at the end.  A product is the one-triple case; a
+sum of products never builds its products or partial sums.
+
 Instances are immutable values; every operation allocates a fresh
 polynomial, which makes sharing across threads safe.
 """
@@ -101,6 +107,36 @@ class Poly:
                 acc[k] = acc.get(k, 0) + c * f
         return cls(acc, den)
 
+    @classmethod
+    def dot(cls, triples) -> "Poly":
+        """Sum of c * a * b over (c, Poly a, Poly b) triples, c an int or
+        a Fraction.
+
+        Every product is brought over the lcm of the c.denominator * a.den
+        * b.den and added term by term into one int accumulator.
+        """
+        triples = [(c.numerator, c.denominator * a.den * b.den, a.terms, b.terms)
+                   for c, a, b in triples if c and a.terms and b.terms]
+        if not triples:
+            return _ZERO
+        den = 1
+        for _, d, _, _ in triples:
+            if d != 1:
+                den = den * d // gcd(den, d)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c, d, x, y in triples:
+            f = c * (den // d)
+            if len(x) > len(y):
+                x, y = y, x
+            y = y.items()
+            for k1, c1 in x.items():
+                c1 *= f
+                for k2, c2 in y:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        return cls(acc, den)
+
     # -- inspection ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -168,18 +204,7 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return _ZERO
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return Poly(out, self.den * other.den)
+        return Poly.dot(((1, self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -10,6 +10,14 @@ the validity window of a mixed expression.
 Windows combine pessimistically: sums keep the smallest max_order, and
 a product of a series known to order A (valuation a) with one known to
 order B (valuation b) is trusted to min(A + b, B + a).
+
+Products go through one kernel, `TSeries.dot`: the sum of c * a * b over
+(c, TSeries a, TSeries b) triples with rational weights c.  It returns
+exactly what adding up the products (a * b).scale(c) from left to right
+returns, window included: each product's window follows the product
+rule, and the sum rule then combines them.  Only the orders inside the
+final window are computed, with one `Poly.dot` per order, so no product
+series or partial sum is ever built.  A product is the one-triple case.
 """
 
 from __future__ import annotations
@@ -150,31 +158,74 @@ class TSeries:
             return self.scale(other)
         if not isinstance(other, TSeries):
             return NotImplemented
-        a, b = self, other
-        aval, bval = a.valuation(), b.valuation()
-        if aval is _INF or bval is _INF:
-            return TSeries.zero()
-        bounds = []
-        if a.max_order is not None:
-            bounds.append(a.max_order + bval)
-        if b.max_order is not None:
-            bounds.append(b.max_order + aval)
-        out_max = min(bounds) if bounds else None
-        acc: dict[int, Poly] = {}
-        for ka, ca in a.enum_nonzero():
-            for kb, cb in b.enum_nonzero():
-                k = ka + kb
-                if out_max is None or k <= out_max:
-                    prod = ca * cb
-                    if k in acc:
-                        acc[k] = acc[k] + prod
-                    else:
-                        acc[k] = prod
-        if out_max is None:
-            return TSeries.exact(acc)
-        return TSeries.truncated(acc, out_max, min_order=a.min_order + b.min_order)
+        return TSeries.dot(((1, self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, triples) -> "TSeries":
+        """Sum of c * a * b over (c, TSeries a, TSeries b) triples, c an int
+        or a Fraction: equal, window and stored leading zeros included, to
+        adding up the products (a * b).scale(c) from left to right.
+
+        Product rule: a product with an exact zero factor is the exact zero
+        series.  Otherwise it is exact when both factors are; else it is
+        known to min(A + valuation(b), B + valuation(a)) over the bounded
+        ones of A = a.max_order, B = b.max_order, and starts at
+        a.min_order + b.min_order (at 0 at the latest if a factor is all
+        zero).
+
+        Sum rule: a sum of exact products is exact, with its zero ends
+        trimmed.  Otherwise the sum is known to the smallest product bound
+        and starts at the lowest start among the products from the first
+        bounded one on and the trimmed sum of the exact products before it
+        (an exact zero starts at 0).
+        """
+        prods = []   # (c, a, b, start, bound); bound None: an exact product
+        for c, a, b in triples:
+            aval, bval = a.valuation(), b.valuation()
+            if aval is _INF or bval is _INF:
+                prods.append((0, a, b, 0, None))
+                continue
+            bounds = [top + val for top, val in ((a.max_order, bval), (b.max_order, aval))
+                      if top is not None]
+            start = a.min_order + b.min_order
+            if not bounds:
+                prods.append((c, a, b, start if c else 0, None))
+                continue
+            if any(top is not None and val > top
+                   for top, val in ((a.max_order, aval), (b.max_order, bval))):
+                start = min(start, 0)   # an all-zero factor: `truncated` of no terms
+            prods.append((c, a, b, start, min(bounds)))
+        tops = [p[4] for p in prods if p[4] is not None]
+        hi = min(tops) if tops else None
+        acc: dict[int, list] = {}
+        for c, a, b, _, _ in prods:
+            if not c:
+                continue
+            bn = list(b.enum_nonzero())
+            if not bn:
+                continue
+            for ka, pa in a.enum_nonzero():
+                if hi is not None and ka + bn[0][0] > hi:
+                    break
+                for kb, pb in bn:
+                    k = ka + kb
+                    if hi is not None and k > hi:
+                        break
+                    if k in acc:
+                        acc[k].append((c, pa, pb))
+                    else:
+                        acc[k] = [(c, pa, pb)]
+        sums = {k: Poly.dot(v) for k, v in acc.items()}
+        if hi is None:
+            return cls.exact(sums)
+        first = next(i for i, p in enumerate(prods) if p[4] is not None)
+        starts = [p[3] for p in prods[first:]]
+        if first:
+            starts.append(cls.dot(p[:3] for p in prods[:first]).min_order)
+        lo = min(starts)
+        return cls(lo, [sums.get(k, ZERO) for k in range(lo, hi + 1)], hi)
 
     def scale(self, value) -> "TSeries":
         if isinstance(value, Poly):

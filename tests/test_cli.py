@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import surfcount.bipartite
+import surfcount.cli
 import surfcount.maps
 from surfcount.cli import main
 
@@ -126,6 +127,36 @@ def test_verify_usage_errors(runner):
     assert res.exit_code == 2
     res = runner.invoke(main, ["verify", "ode-maps", "--order", "0"])
     assert res.exit_code == 2
+
+
+def test_verify_all(runner):
+    from surfcount.identities import IDENTITIES
+
+    res = runner.invoke(main, ["verify", "--all", "--format", "json"])
+    assert res.exit_code == 0
+    reports = [json.loads(line) for line in res.output.splitlines()]
+    assert [(r["identity"], r["requested_order"]) for r in reports] == \
+        [(name, spec[1]) for name, spec in IDENTITIES.items()]
+    assert all(r["status"] == "pass" for r in reports)
+    for args in (["verify"], ["verify", "ode-maps", "--all"],
+                 ["verify", "--all", "--order", "8"]):
+        assert runner.invoke(main, args).exit_code == 2
+
+
+def test_verify_all_fails_if_one_fails(runner, monkeypatch):
+    from surfcount.identities import VerifyReport
+
+    def fake(name, order=None):
+        bad = name == "ode-maps"
+        return VerifyReport(name, "maps", 4, (0, 4), "fail" if bad else "pass",
+                            {"order": 3, "coefficient": "u"} if bad else None)
+
+    monkeypatch.setattr(surfcount.cli, "run_identity", fake)
+    res = runner.invoke(main, ["verify", "--all"])
+    assert res.exit_code == 1
+    blocks = res.output.split("\n\n")
+    assert len(blocks) == 7 and "status: FAIL" in blocks[1]
+    assert "first failing coefficient: t^3: u" in blocks[1]
 
 
 def test_oracle_cli(runner):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from surfcount.identities import (
     kp_combinations,
     maps_context,
     run_identity,
+    triangulations_context,
     verify_fixed_charge,
     verify_ode,
     verify_shifted_bkp1,
@@ -194,3 +196,25 @@ def test_raised_order_residuals(name, order):
     rep = run_identity(name, order)
     assert rep.status == "pass", rep.first_failure
     assert rep.window[1] >= order
+
+
+def memo_digest(ctx):
+    h = hashlib.sha256()
+    for key, value in ctx.memo.items():
+        for s in (value if key == "__kp__" else (value,)):
+            h.update(repr((key, s.min_order, s.max_order, [str(p) for p in s.coeffs])).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("make, order, digest", [
+    (maps_context, 10, "dc17c1a2f4d07b7c69c561872316d183762e3e12a7a758d4502216a327d9a8d0"),
+    (bipartite_context, 8, "99f57841705745c9221a6157d34bc19df94d8ba0270c4a96ef10b231a4184b96"),
+    (triangulations_context, 12,
+     "999c0dd27f2ffb767f0398845059e4c0c306b4a8e7246457721db5b1b7abbadf"),
+], ids=["maps", "bipartite", "triangulations"])
+def test_memo_is_pinned(make, order, digest):
+    # every memoized F[lam] and the KP combinations, windows and memo order
+    # included, exactly as the term-by-term series arithmetic computed them
+    ctx = make(order)
+    kp_combinations(ctx)
+    assert memo_digest(ctx) == digest

@@ -93,3 +93,40 @@ def test_sum_matches_repeated_add(p):
     assert Poly.sum([p, p, p]) == p + p + p
     assert p - p == Poly.zero()
     assert p.evaluate(1, 1, 1) == sum((c for _, c in p.items()), Fraction(0))
+
+
+def schoolbook(p, q):
+    """Reference product: every pair of terms, in Fractions."""
+    out = {}
+    for (a, b, c), x in p.items():
+        for (d, e, f), y in q.items():
+            key = (a + d, b + e, c + f)
+            out[key] = out.get(key, Fraction(0)) + x * y
+    return Poly.from_terms(out)
+
+
+weights = st.one_of(st.integers(min_value=-5, max_value=5), small_frac)
+triples = st.lists(st.tuples(weights, polys, polys), max_size=4)
+
+
+@settings(max_examples=40)
+@given(triples)
+def test_dot_matches_sum_of_scaled_products(ts):
+    # rational coefficients with mixed denominators, zero weights and zero
+    # operands all come from the strategies above
+    want = Poly.sum(schoolbook(a, b).scale(c) for c, a, b in ts)
+    assert Poly.dot(ts) == want
+    for _, a, b in ts:
+        assert a * b == schoolbook(a, b)
+    # full cancellation leaves the canonical zero
+    gone = Poly.dot(ts + [(-c, a, b) for c, a, b in ts])
+    assert gone.is_zero() and gone.den == 1 and gone == Poly.zero()
+
+
+def test_dot_common_denominator():
+    half, third = U.scale(Fraction(1, 2)), Z.scale(Fraction(1, 3))
+    p = Poly.dot([(3, half, third), (Fraction(1, 4), U, U), (2, ONE, ONE)])
+    assert p == UZ.scale(Fraction(1, 2)) + (U * U).scale(Fraction(1, 4)) + 2 * ONE
+    assert p.den == 4
+    assert Poly.dot([]) == Poly.zero()
+    assert Poly.dot([(1, half, Poly.zero()), (0, U, U)]) == Poly.zero()

@@ -111,3 +111,78 @@ def test_product_rule(a, b):
     top = min(lhs.max_order, rhs.max_order)
     for k in range(min(lhs.min_order, rhs.min_order), top + 1):
         assert lhs.coeff(k) == rhs.coeff(k)
+
+
+def old_product(a, b):
+    """Reference product: the term-by-term series multiply `dot` replaced."""
+    aval, bval = a.valuation(), b.valuation()
+    if aval == float("inf") or bval == float("inf"):
+        return TSeries.zero()
+    bounds = [top + val for top, val in ((a.max_order, bval), (b.max_order, aval))
+              if top is not None]
+    out_max = min(bounds) if bounds else None
+    acc = {}
+    for ka, ca in a.enum_nonzero():
+        for kb, cb in b.enum_nonzero():
+            k = ka + kb
+            if out_max is None or k <= out_max:
+                acc[k] = acc.get(k, Poly.zero()) + ca * cb
+    if out_max is None:
+        return TSeries.exact(acc)
+    return TSeries.truncated(acc, out_max, min_order=a.min_order + b.min_order)
+
+
+def added_left_to_right(triples):
+    if not triples:
+        return TSeries.zero()
+    products = [old_product(a, b).scale(c) for c, a, b in triples]
+    acc = products[0]
+    for p in products[1:]:
+        acc = acc + p
+    return acc
+
+
+def same_series(got, want):
+    assert (got.min_order, got.max_order) == (want.min_order, want.max_order)
+    assert len(got.coeffs) == len(want.coeffs)
+    assert all(x == y for x, y in zip(got.coeffs, want.coeffs))
+
+
+small_poly = st.sampled_from([ONE, -ONE, U, 2 * Z, U - ONE, UZ])
+
+
+@st.composite
+def mixed_series(draw):
+    kind = draw(st.sampled_from(["exact", "truncated", "zero", "truncated zero"]))
+    lo = draw(st.integers(min_value=-2, max_value=3))
+    if kind == "zero":
+        return TSeries.zero()
+    if kind == "truncated zero":
+        return TSeries.truncated({}, lo + draw(st.integers(0, 3)), min_order=lo)
+    cs = draw(st.lists(st.one_of(st.just(Poly.zero()), small_poly), min_size=1, max_size=4))
+    mapping = {lo + i: p for i, p in enumerate(cs)}
+    if kind == "exact":
+        return TSeries.exact(mapping)
+    return TSeries.truncated(mapping, lo + len(cs) - 1 + draw(st.integers(0, 2)), min_order=lo)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), mixed_series(),
+                          mixed_series()), max_size=4))
+def test_dot_matches_products_added_left_to_right(ts):
+    same_series(TSeries.dot(ts), added_left_to_right(ts))
+    for _, a, b in ts:
+        same_series(a * b, old_product(a, b))
+
+
+def test_dot_window_after_exact_cancellation():
+    # the exact head t^2 + (t^5 - t^2) sums to t^5 before the bounded term
+    # joins, so the window starts at the bounded term's t^4, not at t^2
+    e1 = TSeries.exact({2: ONE})
+    e2 = TSeries.exact({2: -ONE, 5: ONE})
+    t = TSeries.truncated({4: U}, 8, min_order=4)
+    one = TSeries.const(1)
+    ts = [(1, e1, one), (1, e2, one), (1, t, one)]
+    got = TSeries.dot(ts)
+    same_series(got, added_left_to_right(ts))
+    assert got.window == (4, 8)
