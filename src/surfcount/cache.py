@@ -15,16 +15,25 @@ its records the file lacks.  The layout stays inside this module: a
 table's `entries` go in through `load` and out through `store`, which
 writes every new record of a run in one append.
 
+Loading parses each line once, straight into the in-memory index, and
+checks each record's shape: a known model, non-negative integers n, g2
+and indices (two for maps coefficients and bip-oneface cells, three for
+bipartite coefficients, none for totals and scalar cells) and a decimal
+string value.  Coefficients stay ints all the way from the file to a
+row's `Poly` and back.
+
 A run that dies mid-append can leave a last line without its newline.
-Loading drops such a line if it does not parse (with a warning on
-stderr) and cuts it off the file before the next append; an unparsable
-line anywhere else raises CacheError.
+Loading drops such a line if it does not parse or fails the shape check
+(with a warning on stderr) and cuts it off the file before the next
+append; such a line anywhere else raises CacheError naming the file and
+line.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,17 +60,59 @@ class CountRecord:
                 out[name] = idx
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CountRecord":
-        indices = None
-        if "i" in d:
-            indices = tuple(d[name] for name in ("i", "j", "k") if name in d)
-        return cls(d["model"], d["n"], d["g2"], int(d["value"]), indices)
-
 
 def default_cache_path() -> Path:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     return Path(base) / "surfcount" / "counts.ndjson"
+
+
+# index names by model and record length: a polynomial row's coefficient
+# records carry its exponents, its total record none
+_INDEX_NAMES = {
+    "maps": {4: (), 6: ("i", "j")},
+    "bipartite": {4: (), 7: ("i", "j", "k")},
+    "bip-oneface": {6: ("i", "j")},
+    "triangulations": {4: ()},
+    "oneface": {4: ()},
+}
+
+
+def _parse_record(obj) -> tuple[tuple[str, int, int], tuple[int, ...] | None, int]:
+    """Check one parsed record's shape; ValueError says what is wrong."""
+    try:
+        model = obj["model"]
+        names = _INDEX_NAMES[model][len(obj)]
+        key = (model, obj["n"], obj["g2"])
+        indices = tuple([obj[name] for name in names])
+        value = obj["value"]
+    except (KeyError, TypeError):
+        raise ValueError("keys do not fit any model's records") from None
+    for x in key[1:] + indices:
+        if type(x) is not int or x < 0:
+            raise ValueError("n, g2 and indices must be non-negative integers")
+    if not (type(value) is str and value.isascii() and value.isdecimal()):
+        raise ValueError("value must be a decimal string")
+    return key, indices or None, int(value)
+
+
+# A record line as _append writes it (json.dumps of as_dict), read about
+# twice as fast as json.loads does.  Any other line goes through
+# json.loads and _parse_record, which return the same on a matching line.
+# Compiled by the first load, not at import.
+_NUM = "(0|[1-9][0-9]*)"
+_WRITTEN = (r'\{"model": "([a-z-]+)", "n": %s, "g2": %s, "value": "([0-9]+)"'
+            r'(?:, "i": %s, "j": %s(?:, "k": %s)?)?\}' % ((_NUM,) * 5))
+
+
+def _read_record(line: str, written) -> tuple[tuple[str, int, int], tuple[int, ...] | None, int]:
+    """One record line; written is the compiled _WRITTEN's fullmatch."""
+    m = written(line)
+    if m is not None:
+        model, n, g2, value, i, j, k = m.groups()
+        indices = () if i is None else (int(i), int(j)) if k is None else (int(i), int(j), int(k))
+        if 4 + len(indices) in _INDEX_NAMES.get(model, ()):
+            return (model, int(n), int(g2)), indices or None, int(value)
+    return _parse_record(json.loads(line))
 
 
 def _poly_exps(model: str, indices: tuple[int, ...]) -> tuple[int, int, int]:
@@ -103,25 +154,30 @@ class CountCache:
         data = self.path.read_bytes()
         # split leaves "" last unless the last line lacks its newline
         lines = data.decode(errors="replace").split("\n")
+        cells = self._cells
+        written = re.compile(_WRITTEN).fullmatch
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                rec = None if lineno == 1 else CountRecord.from_dict(obj)
-            except (ValueError, KeyError, TypeError):
+                if lineno == 1:
+                    obj = json.loads(line)
+                else:
+                    key, indices, value = _read_record(line, written)
+            except ValueError as exc:
                 if lineno < len(lines):
-                    raise CacheError(
-                        f"{self.path}:{lineno}: unparsable cache record") from None
+                    why = ("unparsable cache record" if isinstance(exc, json.JSONDecodeError)
+                           else f"malformed cache record: {exc}")
+                    raise CacheError(f"{self.path}:{lineno}: {why}") from None
                 print(f"warning: dropping torn last line {lineno} of {self.path}",
                       file=sys.stderr)
                 self._repair = (data.rfind(b"\n") + 1, "")
                 return
-            if rec is None:
+            if lineno == 1:
                 if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
                     raise CacheError(f"not a surfcount cache: {self.path}")
             else:
-                self._add(rec)
+                cells.setdefault(key, {})[indices] = value
         if lines[-1]:
             self._repair = (len(data), "\n")
 
@@ -205,11 +261,13 @@ class CountCache:
     def put_row(self, model: str, n: int, g2: int, poly: Poly, total: int):
         self._append(self._row_records(model, n, g2, poly, total))
 
-    @staticmethod
-    def _row_records(model, n, g2, poly, total):
-        records = []
-        for exps, c in sorted(poly.items()):
-            assert c.denominator == 1
-            records.append(CountRecord(model, n, g2, c.numerator, _record_indices(model, exps)))
-        records.append(CountRecord(model, n, g2, int(total)))
+    def _row_records(self, model, n, g2, poly, total):
+        """The records of a row that the file lacks, coefficients sorted."""
+        cells = self._cells.get((model, n, g2), {})
+        missing = sorted((exps, c) for exps, c in poly.int_items()
+                         if _record_indices(model, exps) not in cells)
+        records = [CountRecord(model, n, g2, c, _record_indices(model, exps))
+                   for exps, c in missing]
+        if None not in cells:
+            records.append(CountRecord(model, n, g2, int(total)))
         return records

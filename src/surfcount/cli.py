@@ -3,10 +3,10 @@
 Subcommands produce count tables (human table, CSV grid, or JSON records)
 for each model, run the brute-force oracle, and evaluate the functional
 identity checks.  Exit code 0 on success, 1 on a verification failure,
-2 on usage errors, 3 when the count cache file cannot be read (a
-one-line message on stderr names the file and line) or when cells loaded
-from it break a recurrence's integrality check (the message names the
-file and the cell that failed).
+2 on usage errors, 3 when the count cache file cannot be read or holds
+a malformed record (a one-line message on stderr names the file and
+line) or when cells loaded from it break a recurrence's integrality
+check (the message names the file and the cell that failed).
 """
 
 from __future__ import annotations
@@ -171,9 +171,9 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
         records = []
         for n in range(1, n_max + 1):
             for g2 in range(min(n, top) + 1):
-                for (i, j, _), c in sorted(tab.poly(n, g2).items()):
+                for (i, j, _), c in sorted(tab.poly(n, g2).int_items()):
                     records.append({"model": "maps", "n": n, "g2": g2,
-                                    "i": i, "j": j, "value": str(int(c))})
+                                    "i": i, "j": j, "value": str(c)})
         _emit_records("maps", records, fmt, ["n", "g2", "i", "j", "value"])
     else:
         rows = {(n, g2): (tab.count(n, g2) if g2 <= n else 0)
@@ -200,9 +200,9 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
         records = []
         for n in range(1, n_max + 1):
             for g2 in range(min(n, top) + 1):
-                for (i, k, j), c in sorted(tab.poly(n, g2).items()):
+                for (i, k, j), c in sorted(tab.poly(n, g2).int_items()):
                     records.append({"model": "bipartite", "n": n, "g2": g2,
-                                    "i": i, "j": j, "k": k, "value": str(int(c))})
+                                    "i": i, "j": j, "k": k, "value": str(c)})
         _emit_records("bipartite", records, fmt, ["n", "g2", "i", "j", "k", "value"])
     else:
         rows = {(n, g2): (tab.count(n, g2) if g2 <= n else 0)

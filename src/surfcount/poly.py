@@ -13,15 +13,18 @@ built (and reduced) at the end.  A product is the one-triple case; a
 sum of products never builds its products or partial sums.
 
 Instances are immutable values; every operation allocates a fresh
-polynomial, which makes sharing across threads safe.
+polynomial, which makes sharing across threads safe.  Integer rows go in
+and out without a Fraction per coefficient: `from_terms` packs int
+coefficients as they are, `int_items` reads them back, and `evaluate`
+at u = z = v = 1 is one sum of numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
-from .errors import NonDivisibleError
+from .errors import IntegralityError, NonDivisibleError
 
 _SHIFT = 21
 _MASK = (1 << _SHIFT) - 1
@@ -44,13 +47,18 @@ class Poly:
     __slots__ = ("terms", "den")
 
     def __init__(self, terms: dict[int, int] | None = None, den: int = 1):
-        # Internal constructor: packed-exponent keys, integer numerators.
+        """Internal constructor: packed-exponent keys, integer numerators.
+
+        The instance may keep `terms` itself rather than a copy, so the
+        caller hands over a dict it has just built and never touches
+        again; every caller in this package does.
+        """
         if den == 0:
             raise ZeroDivisionError("polynomial denominator is zero")
         if den < 0:
             den = -den
             terms = {k: -c for k, c in terms.items()} if terms else None
-        if terms:
+        if terms and 0 in terms.values():
             terms = {k: c for k, c in terms.items() if c}
         if not terms:
             terms, den = {}, 1
@@ -79,16 +87,16 @@ class Poly:
 
     @classmethod
     def from_terms(cls, mapping) -> "Poly":
-        """Build from {(e_u, e_z, e_v): rational}."""
-        den = 1
-        fracs = {}
+        """Build from {(e_u, e_z, e_v): rational}; int values stay ints."""
+        terms = {}
         for exps, c in mapping.items():
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            f = Fraction(c)
-            if f:
-                fracs[_pack(*exps)] = f
-                den = den * f.denominator // gcd(den, f.denominator)
+            terms[_pack(*exps)] = c
+        if all(type(c) is int for c in terms.values()):
+            return cls(terms)
+        fracs = {k: Fraction(c) for k, c in terms.items()}
+        den = lcm(*(f.denominator for f in fracs.values()))
         return cls({k: int(f * den) for k, f in fracs.items()}, den)
 
     @classmethod
@@ -148,6 +156,13 @@ class Poly:
         for k, c in self.terms.items():
             yield _unpack(k), Fraction(c, den)
 
+    def int_items(self):
+        """Iterate ((e_u, e_z, e_v), int) pairs (unordered) of an integral
+        polynomial; IntegralityError if a coefficient is not an integer."""
+        if self.den != 1:
+            raise IntegralityError(f"coefficients over denominator {self.den} are not integers")
+        return ((_unpack(k), c) for k, c in self.terms.items())
+
     def coeff(self, exps: tuple[int, int, int]) -> Fraction:
         return Fraction(self.terms.get(_pack(*exps), 0), self.den)
 
@@ -166,6 +181,8 @@ class Poly:
         return all(c > 0 for c in self.terms.values())
 
     def evaluate(self, u=1, z=1, v=1) -> Fraction:
+        if u == z == v == 1:
+            return Fraction(sum(self.terms.values()), self.den)
         u, z, v = Fraction(u), Fraction(z), Fraction(v)
         total = Fraction(0)
         for (eu, ez, ev), c in self.items():

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from surfcount.cache import CountCache, CountRecord, HEADER
+from surfcount.cache import CountCache, HEADER
 from surfcount.cli import main
 from surfcount.errors import CacheError
 from surfcount.poly import U, Z
@@ -47,11 +47,15 @@ def test_rejects_foreign_file(tmp_path):
         CountCache(path)
 
 
-def test_record_round_trip():
-    rec = CountRecord("bipartite", 4, 2, 17, (2, 1, 1))
-    assert CountRecord.from_dict(rec.as_dict()) == rec
-    plain = CountRecord("maps", 16, 8, 783804517126931727890)
-    assert CountRecord.from_dict(plain.as_dict()) == plain
+def test_record_round_trip(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    cache = CountCache(path)
+    cache.put_scalar("bipartite", 4, 2, 17, (2, 1, 1))
+    cache.put_scalar("maps", 16, 8, 783804517126931727890)
+    assert CountCache(path).records == cache.records == {
+        ("bipartite", 4, 2, (2, 1, 1)): 17,
+        ("maps", 16, 8, None): 783804517126931727890,
+    }
 
 
 def test_append_only_dedupe(tmp_path):
@@ -130,6 +134,54 @@ def test_cli_corrupt_cache_exit_code(tmp_path):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and ":2:" in res.stderr
+
+
+def _edit_first_coefficient(path, model, edit):
+    """Apply edit to the first coefficient record of model; its line number."""
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines[1:], 2):
+        rec = json.loads(line)
+        if rec["model"] == model and "i" in rec:
+            edit(rec)
+            lines[k - 1] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+            return k
+    raise AssertionError(f"no {model} coefficient record")
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("maps --bivariate", lambda rec: rec.update(i=-1)),
+    ("maps --bivariate", lambda rec: rec.pop("j")),
+    ("bipartite --trivariate", lambda rec: rec.pop("k")),
+    ("maps --bivariate", lambda rec: rec.update(j="1")),
+    ("bipartite --trivariate", lambda rec: rec.update(value=int(rec["value"]))),
+], ids=["negative-index", "maps-one-index", "bipartite-two-indices", "string-index",
+        "value-not-a-string"])
+def test_cli_malformed_record_exit_code(tmp_path, command, edit):
+    path = tmp_path / "counts.ndjson"
+    model, flag = command.split()
+    CliRunner().invoke(main, [model, flag, "--n-max", "4", "--cache", str(path)])
+    lineno = _edit_first_coefficient(path, model, edit)
+    res = CliRunner().invoke(main, [model, flag, "--n-max", "5", "--cache", str(path)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and f":{lineno}: malformed" in res.stderr
+
+
+def test_any_json_spelling_loads_the_same(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    for args in (["maps", "--bivariate", "--n-max", "4"], ["bipartite", "--trivariate",
+                 "--n-max", "4"], ["triangulations", "--n-max", "3"],
+                 ["oneface", "--n-max", "4"], ["bip-oneface", "--n-max", "4"]):
+        CliRunner().invoke(main, args + ["--cache", str(path)])
+    other = tmp_path / "respelled.ndjson"
+    other.write_text("".join(json.dumps(json.loads(line), separators=(",", ":"),
+                                        sort_keys=True) + "\n"
+                             for line in path.read_text().splitlines()))
+    records = CountCache(path).records
+    assert {key[0] for key in records} == {"maps", "bipartite", "triangulations",
+                                           "oneface", "bip-oneface"}
+    assert CountCache(other).records == records
 
 
 def test_row_completes_after_its_total(tmp_path):

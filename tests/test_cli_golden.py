@@ -5,7 +5,8 @@ small order, and a small `oracle` run.  A refactor that changes no
 behaviour leaves every hash alone.  Each table
 command is also run twice on one cache file (a cold run in the first
 format, warm runs after it); every cached run must print the pinned
-output too.
+output too.  The bytes of the cache file that two cold polynomial-row
+runs write are pinned the same way.
 """
 
 import hashlib
@@ -99,6 +100,9 @@ GOLDEN = {
 }
 FORMATS = ("table", "csv", "json")
 
+CACHE_RUNS = ("maps --n-max 10 --bivariate", "bipartite --n-max 10 --trivariate")
+CACHE_FILE = "5d98c440e750153a4da59e9b25c99aa94133cfa71d0fed17422867c7f0ed2eb6"
+
 
 def digest(args):
     res = CliRunner().invoke(main, args, catch_exceptions=False)
@@ -116,3 +120,10 @@ def test_output_is_pinned(command, tmp_path):
         assert digest(args + (["--no-cache"] if cached else [])) == expected, fmt
         if cached:
             assert digest(args + ["--cache", cache]) == expected, f"{fmt}, cached"
+
+
+def test_cache_file_is_pinned(tmp_path):
+    cache = tmp_path / "counts.ndjson"
+    for command in CACHE_RUNS:
+        digest(command.split() + ["--cache", str(cache)])
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_FILE

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcount.errors import NonDivisibleError
+from surfcount.errors import IntegralityError, NonDivisibleError
 from surfcount.poly import ONE, Poly, U, Z
 
 UZ = U * Z
@@ -93,6 +93,34 @@ def test_sum_matches_repeated_add(p):
     assert Poly.sum([p, p, p]) == p + p + p
     assert p - p == Poly.zero()
     assert p.evaluate(1, 1, 1) == sum((c for _, c in p.items()), Fraction(0))
+
+
+int_terms = st.dictionaries(exps, st.integers(min_value=-10**30, max_value=10**30), max_size=6)
+points = st.tuples(small_frac, small_frac, small_frac)
+
+
+@settings(max_examples=60)
+@given(int_terms)
+def test_from_terms_int_path(mapping):
+    p = Poly.from_terms(mapping)
+    assert p == Poly.from_terms({e: Fraction(c) for e, c in mapping.items()})
+    assert dict(p.int_items()) == {e: c for e, c in mapping.items() if c}
+
+
+@settings(max_examples=60)
+@given(polys, points)
+def test_evaluate_matches_general_formula(p, point):
+    def formula(u, z, v):
+        return sum((c * u**a * z**b * v**e for (a, b, e), c in p.items()), Fraction(0))
+    assert p.evaluate() == formula(1, 1, 1)
+    assert p.evaluate(*point) == formula(*point)
+
+
+def test_int_items_rejects_rational_coefficients():
+    with pytest.raises(IntegralityError):
+        (U + Z.scale(Fraction(1, 2))).int_items()
+    with pytest.raises(ValueError):
+        Poly.from_terms({(0, -1, 0): 3})
 
 
 def schoolbook(p, q):
