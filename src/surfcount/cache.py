@@ -23,19 +23,20 @@ string value.  Coefficients stay ints all the way from the file to a
 row's `Poly` and back.
 
 A run that dies mid-append can leave a last line without its newline.
-Loading drops such a line if it does not parse or fails the shape check
-(with a warning on stderr) and cuts it off the file before the next
-append; such a line anywhere else raises CacheError naming the file and
-line.
+Every prefix of a record is invalid JSON, so loading drops a last line
+that does not parse (with a warning on stderr) and cuts it off the file
+before the next append.  Such a line anywhere else, and a record that
+parses but fails the shape check anywhere in the file, raise CacheError
+naming the file and line.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import CacheError
@@ -66,53 +67,31 @@ def default_cache_path() -> Path:
     return Path(base) / "surfcount" / "counts.ndjson"
 
 
-# index names by model and record length: a polynomial row's coefficient
+# index getters by model and record length: a polynomial row's coefficient
 # records carry its exponents, its total record none
-_INDEX_NAMES = {
-    "maps": {4: (), 6: ("i", "j")},
-    "bipartite": {4: (), 7: ("i", "j", "k")},
-    "bip-oneface": {6: ("i", "j")},
-    "triangulations": {4: ()},
-    "oneface": {4: ()},
+_INDICES = {
+    "maps": {4: None, 6: itemgetter("i", "j")},
+    "bipartite": {4: None, 7: itemgetter("i", "j", "k")},
+    "bip-oneface": {6: itemgetter("i", "j")},
+    "triangulations": {4: None},
+    "oneface": {4: None},
 }
 
 
 def _parse_record(obj) -> tuple[tuple[str, int, int], tuple[int, ...] | None, int]:
     """Check one parsed record's shape; ValueError says what is wrong."""
     try:
-        model = obj["model"]
-        names = _INDEX_NAMES[model][len(obj)]
-        key = (model, obj["n"], obj["g2"])
-        indices = tuple([obj[name] for name in names])
-        value = obj["value"]
+        model, n, g2, value = obj["model"], obj["n"], obj["g2"], obj["value"]
+        get = _INDICES[model][len(obj)]
+        indices = None if get is None else get(obj)
     except (KeyError, TypeError):
         raise ValueError("keys do not fit any model's records") from None
-    for x in key[1:] + indices:
+    for x in (n, g2) if indices is None else (n, g2, *indices):
         if type(x) is not int or x < 0:
             raise ValueError("n, g2 and indices must be non-negative integers")
     if not (type(value) is str and value.isascii() and value.isdecimal()):
         raise ValueError("value must be a decimal string")
-    return key, indices or None, int(value)
-
-
-# A record line as _append writes it (json.dumps of as_dict), read about
-# twice as fast as json.loads does.  Any other line goes through
-# json.loads and _parse_record, which return the same on a matching line.
-# Compiled by the first load, not at import.
-_NUM = "(0|[1-9][0-9]*)"
-_WRITTEN = (r'\{"model": "([a-z-]+)", "n": %s, "g2": %s, "value": "([0-9]+)"'
-            r'(?:, "i": %s, "j": %s(?:, "k": %s)?)?\}' % ((_NUM,) * 5))
-
-
-def _read_record(line: str, written) -> tuple[tuple[str, int, int], tuple[int, ...] | None, int]:
-    """One record line; written is the compiled _WRITTEN's fullmatch."""
-    m = written(line)
-    if m is not None:
-        model, n, g2, value, i, j, k = m.groups()
-        indices = () if i is None else (int(i), int(j)) if k is None else (int(i), int(j), int(k))
-        if 4 + len(indices) in _INDEX_NAMES.get(model, ()):
-            return (model, int(n), int(g2)), indices or None, int(value)
-    return _parse_record(json.loads(line))
+    return (model, n, g2), indices, int(value)
 
 
 def _poly_exps(model: str, indices: tuple[int, ...]) -> tuple[int, int, int]:
@@ -154,21 +133,15 @@ class CountCache:
         data = self.path.read_bytes()
         # split leaves "" last unless the last line lacks its newline
         lines = data.decode(errors="replace").split("\n")
-        cells = self._cells
-        written = re.compile(_WRITTEN).fullmatch
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                if lineno == 1:
-                    obj = json.loads(line)
-                else:
-                    key, indices, value = _read_record(line, written)
-            except ValueError as exc:
+                obj = json.loads(line)
+            except ValueError:
                 if lineno < len(lines):
-                    why = ("unparsable cache record" if isinstance(exc, json.JSONDecodeError)
-                           else f"malformed cache record: {exc}")
-                    raise CacheError(f"{self.path}:{lineno}: {why}") from None
+                    raise CacheError(
+                        f"{self.path}:{lineno}: unparsable cache record") from None
                 print(f"warning: dropping torn last line {lineno} of {self.path}",
                       file=sys.stderr)
                 self._repair = (data.rfind(b"\n") + 1, "")
@@ -176,8 +149,12 @@ class CountCache:
             if lineno == 1:
                 if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
                     raise CacheError(f"not a surfcount cache: {self.path}")
-            else:
-                cells.setdefault(key, {})[indices] = value
+                continue
+            try:
+                key, indices, value = _parse_record(obj)
+            except ValueError as exc:
+                raise CacheError(f"{self.path}:{lineno}: malformed cache record: {exc}") from None
+            self._cells.setdefault(key, {})[indices] = value
         if lines[-1]:
             self._repair = (len(data), "\n")
 
@@ -219,8 +196,7 @@ class CountCache:
                     entries.setdefault((n, g2), row)
             elif model == "bip-oneface":
                 for indices, value in cells.items():
-                    if indices is not None and len(indices) == 2:
-                        entries.setdefault((n, *indices), value)
+                    entries.setdefault((n, *indices), value)
             elif None in cells:
                 entries.setdefault((n, g2), cells[None])
 
@@ -261,13 +237,9 @@ class CountCache:
     def put_row(self, model: str, n: int, g2: int, poly: Poly, total: int):
         self._append(self._row_records(model, n, g2, poly, total))
 
-    def _row_records(self, model, n, g2, poly, total):
-        """The records of a row that the file lacks, coefficients sorted."""
-        cells = self._cells.get((model, n, g2), {})
-        missing = sorted((exps, c) for exps, c in poly.int_items()
-                         if _record_indices(model, exps) not in cells)
+    @staticmethod
+    def _row_records(model, n, g2, poly, total):
         records = [CountRecord(model, n, g2, c, _record_indices(model, exps))
-                   for exps, c in missing]
-        if None not in cells:
-            records.append(CountRecord(model, n, g2, int(total)))
+                   for exps, c in sorted(poly.int_items())]
+        records.append(CountRecord(model, n, g2, int(total)))
         return records
