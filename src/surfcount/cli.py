@@ -145,7 +145,8 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
         raise click.UsageError("--n-max must be >= 0")
     g2_max = _parse_gmax(g_max, n_max)
     top = n_max if g2_max is None else g2_max
-    cache = open_cache(cache_path, no_cache)
+    # only engine cc meets the cache; kz stays an independent check
+    cache = None if engine == "kz" else open_cache(cache_path, no_cache)
     if engine is None and not bivariate:
         counts = _fill(cache, "maps", MapsCounts(), n_max, top)
         _store(cache, "maps", counts)
@@ -154,7 +155,6 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
         _emit_grid("maps", rows, n_max, top, fmt)
         return
     engine = engine or "cc"
-    # only engine cc meets the cache; kz stays an independent check
     tables = [_fill(cache if eng == "cc" else None, "maps", MapsTable(eng), n_max, top,
                     rows=True)
               for eng in (["kz", "cc"] if engine == "both" else [engine])]
@@ -165,8 +165,7 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
                     _echo(f"engine mismatch at n={n}, g={genus_label(g2)}", err=True)
                     sys.exit(1)
     tab = tables[-1]
-    if tab.engine == "cc":
-        _store(cache, "maps", tab)
+    _store(cache, "maps", tab)
     if bivariate:
         records = []
         for n in range(1, n_max + 1):

@@ -34,3 +34,8 @@ def oracle2():
 @pytest.fixture(scope="session")
 def oracle3():
     return scan(3)
+
+
+@pytest.fixture(scope="session")
+def oracle4():
+    return scan(4)

@@ -177,6 +177,18 @@ def test_cli_malformed_record_exit_code(tmp_path, command, edit, last):
     assert res.stderr.count("\n") == 1 and f":{lineno}: malformed" in res.stderr
 
 
+def test_kz_engine_leaves_the_cache_unread(tmp_path):
+    # engine kz never loads or stores cells, so a bad cache file is no error
+    path = tmp_path / "counts.ndjson"
+    CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)])
+    _edit_first_coefficient(path, "maps", lambda rec: rec.update(i=-1), False)
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, ["maps", "--n-max", "4", "--engine", "kz",
+                                    "--cache", str(path)])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert path.read_bytes() == before
+
+
 def test_row_completes_after_its_total(tmp_path):
     path = tmp_path / "counts.ndjson"
     poly = 5 * U * U * Z + 7 * U * Z * Z

@@ -1,30 +1,60 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from surfcount.bipartite import BipTable
 from surfcount.identities import ftheta, maps_context
+from surfcount.maps import MapsCounts
 from surfcount.oracle import (
     MAX_EDGES,
-    fixed_point_free_involutions,
     marked_face_coefficient,
     oracle_count,
     oracle_count_bipartite,
-    oracle_genus_totals,
     scan,
 )
 
 
-def test_involution_count():
-    assert sum(1 for _ in fixed_point_free_involutions(list(range(8)))) == 105  # 7!!
+def genus_totals(n: int) -> dict:
+    """Map counts folded to {g2: count} via Euler's relation."""
+    out: dict[int, int] = {}
+    for (v, f), c in scan(n)["maps"].items():
+        g2 = 2 - v + n - f
+        out[g2] = out.get(g2, 0) + c
+    return out
+
+
+def fingerprint(result: dict) -> str:
+    return hashlib.sha256(
+        repr([(k, sorted(result[k].items())) for k in sorted(result)]).encode()
+    ).hexdigest()
+
+
+def test_leaf_counts_match_maps_counts(oracle4):
+    # one leaf per rooted map: the totals are the univariate counts
+    counts = MapsCounts().fill(4, 4)
+    for n, want in [(1, 3), (2, 24), (3, 297), (4, 4896)]:
+        result = oracle4 if n == 4 else scan(n)
+        assert sum(result["maps"].values()) == want
+        assert want == sum(counts.value(n, g2) for g2 in range(n + 1))
+
+
+@pytest.mark.parametrize("n, digest", [
+    (3, "552402d4c84cc2a0b232aa4dd195205cac5522b9259deb69a95d34eac7da3aec"),
+    (4, "7ab214952372b91ffd5ba5a099f36b04f4137ca918ddea5bb6415206233650c0"),
+])
+def test_scan_is_pinned(n, digest, oracle3, oracle4):
+    # all four tallies, as the former (4n-1)!!-involution scan returned them
+    assert fingerprint({3: oracle3, 4: oracle4}[n]) == digest
 
 
 def test_one_edge_maps():
     assert oracle_count(1) == {(1, 1): 1, (1, 2): 1, (2, 1): 1}
-    assert oracle_genus_totals(1) == {0: 2, 1: 1}
+    assert genus_totals(1) == {0: 2, 1: 1}
 
 
 def test_two_edge_maps_and_bipartite():
-    assert oracle_genus_totals(2) == {0: 9, 1: 10, 2: 5}
+    assert genus_totals(2) == {0: 9, 1: 10, 2: 5}
     split = oracle_count(2)
     # planar row is uz(2u^2 + 5uz + 2z^2); duality symmetric
     assert split[(3, 1)] == 2 and split[(2, 2)] == 5 and split[(1, 3)] == 2
@@ -58,22 +88,41 @@ def test_marked_face_coefficients_two_edges(oracle2):
     assert marked_face_coefficient(prof, 2, (6,)) == {}
 
 
-@pytest.mark.slow
-def test_four_edge_ground_truth(maps_cc_12, bip_16):
-    result = scan(4)
-    expected_maps = {}
-    for g2 in range(5):
-        for (i, j, _), c in maps_cc_12.poly(4, g2).items():
-            expected_maps[(i, j)] = int(c)
-    assert result["maps"] == expected_maps
-    expected_bip = {}
-    for g2 in range(5):
-        for (i, k, j), c in bip_16.poly(4, g2).items():
-            expected_bip[(i, j, k)] = expected_bip.get((i, j, k), 0) + int(c)
-    assert result["bipartite"] == expected_bip
+def _maps_split(table, n):
+    out = {}
+    for g2 in range(n + 1):
+        for (i, j, _), c in table.poly(n, g2).items():
+            out[(i, j)] = int(c)
+    return out
+
+
+def _bip_split(table, n):
+    out = {}
+    for g2 in range(n + 1):
+        for (i, k, j), c in table.poly(n, g2).items():
+            out[(i, j, k)] = out.get((i, j, k), 0) + int(c)
+    return out
+
+
+def test_four_edge_ground_truth(oracle4, maps_cc_12, bip_16):
+    assert oracle4["maps"] == _maps_split(maps_cc_12, 4)
+    assert oracle4["bipartite"] == _bip_split(bip_16, 4)
     ctx = maps_context(10, maps_cc_12)
     for lam in [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (3, 1), (2, 2), (4, 1),
                 (3, 2), (5, 1), (1, 1, 1), (2, 1, 1), (3, 3), (4, 2), (6, 1),
                 (7, 1), (5, 3), (2, 2, 2)]:
         got = {(i, j): c for (i, j, _), c in ftheta(ctx, lam).coeff(8).items()}
-        assert got == marked_face_coefficient(result["profiles"], 4, lam), lam
+        assert got == marked_face_coefficient(oracle4["profiles"], 4, lam), lam
+
+
+@pytest.mark.slow
+def test_five_edge_ground_truth(maps_cc_12):
+    result = scan(5)
+    assert sum(result["maps"].values()) == 100278
+    assert result["maps"] == _maps_split(maps_cc_12, 5)
+    assert result["bipartite"] == _bip_split(BipTable().fill(5), 5)
+    ctx = maps_context(12, maps_cc_12)
+    for lam in [(1,), (5,), (2, 1), (3, 3), (4, 1, 1), (2, 2, 2), (9, 1),
+                (3, 2, 1, 1)]:
+        got = {(i, j): c for (i, j, _), c in ftheta(ctx, lam).coeff(10).items()}
+        assert got == marked_face_coefficient(result["profiles"], 5, lam), lam
