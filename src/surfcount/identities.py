@@ -23,6 +23,10 @@ of the marked part, the linear factor, the boundary constants and the
 largest leading part the recursion accepts (`_loop_terms`).  `_ODE`
 holds the power of t, the weight, the derivative coefficient, the KP2
 term and the exact cofactor of the unshifted ODE (`verify_ode`).
+
+Each F[lam] step, each one-face ODE residual and each KP combination is
+one `TSeries.dot` over (weight, series, series) triples; a lone series
+is paired with a constant series (1, z or the linear factor).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .tseries import TSeries
 _UZ = U * Z
 _UV = U * V
 _ONE = TSeries.const(1)
+_Z = TSeries.const(Z)
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,6 @@ class SeriesContext:
     theta: TSeries
     memo: dict = field(default_factory=dict)
 
-    def clear_memo(self):
-        self.memo.clear()
-
 
 def maps_context(order: int, table: MapsTable | None = None) -> SeriesContext:
     table = table or MapsTable("cc").fill(order // 2)
@@ -151,10 +153,11 @@ def _F(ctx: SeriesContext, parts: tuple[int, ...]) -> TSeries:
 def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
     """The loop-equation terms all three models share, for F[ell, rest].
 
-    With i = ell - offset: the binomial split products F[a, ..] F[i-a, ..]
-    (one `TSeries.dot`, the first of the returned terms), the merges F[a, i-a, rest] and F[i+j, rest - j], the linear term
-    (lin + i) i F[i, rest] and the boundary constant for (i, rest).
-    Returns (i, rest, terms).
+    With i = ell - offset: the binomial split products F[a, ..] F[i-a, ..],
+    the merges F[a, i-a, rest] and F[i+j, rest - j], the linear term
+    (lin + i) i F[i, rest] and the boundary constant for (i, rest), each a
+    (weight, series, series) triple for `TSeries.dot`.  Returns
+    (i, rest, triples).
     """
     offset, lin, consts, ell_max = _LOOP[ctx.model]
     ell, rest = parts[0], parts[1:]
@@ -164,7 +167,7 @@ def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
         raise ValueError(f"two parts above 3 in {parts}")
     i = ell - offset
     n = {j: rest.count(j) for j in (1, 2, 3)}
-    splits, terms = [], []
+    splits, merges = [], []
     # (a, l) and its mirror (i - a, n - l) give the same product and merge,
     # so each pair is computed once at double weight; the skipped mirrors
     # would only read memo entries, which keeps the memo's order
@@ -180,17 +183,17 @@ def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
             right = _F(ctx, _canon((b,) + (3,) * mirror[0] + (2,) * mirror[1]
                                    + (1,) * mirror[2]))
             splits.append((c if (a, l) == (b, mirror) else 2 * c, left, right))
-        terms.append(_F(ctx, _canon((a, b) + rest)).scale(2 * a * b * (1 if a == b else 2)))
-    terms.insert(0, TSeries.dot(splits))
+        merges.append((2 * a * b * (1 if a == b else 2), _F(ctx, _canon((a, b) + rest)), _ONE))
+    terms = splits + merges
     for j in (1, 2, 3):
         if n[j] and i + j > 0:
             sub = list(rest)
             sub.remove(j)
-            terms.append(_F(ctx, _canon([i + j] + sub)).scale(n[j] * (i + j)))
+            terms.append((n[j] * (i + j), _F(ctx, _canon([i + j] + sub)), _ONE))
     if i >= 1:
-        terms.append(_F(ctx, _canon((i,) + rest)).scale((lin + i * ONE).scale(i)))
+        terms.append((i, _F(ctx, _canon((i,) + rest)), TSeries.const(lin + i * ONE)))
     if (i, rest) in consts:
-        terms.append(TSeries.const(consts[i, rest]))
+        terms.append((1, _ONE, TSeries.const(consts[i, rest])))
     return i, rest, terms
 
 
@@ -199,13 +202,12 @@ def _f_loop(ctx, parts):
     and -a z F[a, rest], all times t^offset / ell."""
     i, rest, terms = _loop_terms(ctx, parts)
     base = _F(ctx, rest)
-    terms.append(base.t_dt())
+    terms.append((1, base.t_dt(), _ONE))
     if rest:
-        terms.append(base.scale(-sum(rest)))
+        terms.append((-sum(rest), base, _ONE))
     for a in range(1, i + 1):
-        terms.append(_F(ctx, _canon((a,) + rest)).scale(-a * Z))
-    offset = _LOOP[ctx.model][0]
-    return _series_sum(terms).shift_t(offset).scale(Fraction(1, parts[0]))
+        terms.append((-a, _F(ctx, _canon((a,) + rest)), _Z))
+    return _fused(terms, parts[0], _LOOP[ctx.model][0])
 
 
 def _f_tri(ctx, parts):
@@ -225,8 +227,14 @@ def _f_tri(ctx, parts):
             acc.append(TSeries.exact({2: U.scale(_HALF)}))
         return _series_sum(acc)
     i, rest, terms = _loop_terms(ctx, parts)
-    rhs = _F(ctx, _canon((i + 2,) + rest)).scale(i + 2) - _series_sum(terms).shift_t(2)
-    return rhs.div_z().shift_t(-2).scale(Fraction(1, parts[0]))
+    top = _F(ctx, _canon((i + 2,) + rest)).scale(Fraction(i + 2, parts[0]))
+    return (top - _fused(terms, parts[0], 2)).div_z().shift_t(-2)
+
+
+def _fused(terms, ell: int, offset: int) -> TSeries:
+    """t^offset / ell times the sum of the triples, as one `TSeries.dot`."""
+    w = Fraction(1, ell)
+    return _series_sum([TSeries.dot([(c * w, a, b) for c, a, b in terms])]).shift_t(offset)
 
 
 def _series_sum(terms) -> TSeries:
@@ -246,7 +254,8 @@ def verify_shifted_bkp1(ctx: SeriesContext) -> TSeries:
     if ctx.model != "maps":
         raise ValueError("the shifted identity is implemented for the maps model")
     theta = ctx.theta
-    kp1, _, _ = kp_combinations(ctx)
+    kp = ctx.memo.get("__kp__")
+    kp1 = kp[0] if kp else formal_eval(ctx, KP1_FORMAL)
     nabla2 = theta.shift_u(2) + theta.shift_u(-2) - theta.scale(2)
     lhs = nabla2.dt() * kp1
     rhs = kp1.dt() - kp1.shift_t(-1).scale(4)
@@ -315,11 +324,11 @@ def verify_oneface_maps_ode(series: TSeries) -> TSeries:
         7: 240 * U, 5: (2 * u2 - U).scale(30),
         3: (4 * U * u2 - 4 * u2 - 11 * U).scale(2), 1: (u2 + U).scale(-2),
     })
-    return _series_sum([
-        c1 * d[1], c2 * d[2], c3 * d[3], c4 * d[4],
-        d[5].shift_t(12).scale(120), d[6].shift_t(13).scale(4),
-        inhom,
-    ])
+    return _series_sum([TSeries.dot([
+        (1, c1, d[1]), (1, c2, d[2]), (1, c3, d[3]), (1, c4, d[4]),
+        (120, TSeries.exact({12: ONE}), d[5]), (4, TSeries.exact({13: ONE}), d[6]),
+        (1, _ONE, inhom),
+    ])])
 
 
 def verify_oneface_bipartite_ode(series: TSeries) -> TSeries:
@@ -363,11 +372,11 @@ def verify_oneface_bipartite_ode(series: TSeries) -> TSeries:
         1: _UV * (2 * U + 2 * V - 5 * ONE),
         2: -(_UV * (dmv2 - ONE)),
     })
-    return _series_sum([
-        c1 * d[1], c2 * d[2], c3 * d[3], c4 * d[4],
-        d[5].shift_t(8).scale(80), d[6].shift_t(9).scale(4),
-        inhom,
-    ])
+    return _series_sum([TSeries.dot([
+        (1, c1, d[1]), (1, c2, d[2]), (1, c3, d[3]), (1, c4, d[4]),
+        (80, TSeries.exact({8: ONE}), d[5]), (4, TSeries.exact({9: ONE}), d[6]),
+        (1, _ONE, inhom),
+    ])])
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +564,3 @@ def run_identity(name: str, order: int | None = None, tables: dict | None = None
         first_failure=None if failure is None else
             {"order": failure[0], "coefficient": str(failure[1])},
     )
-
-
-def verify_oneface_odes(order_maps: int = 14, order_bip: int = 10,
-                        tables: dict | None = None) -> tuple[TSeries, TSeries]:
-    """Both one-face ODE residuals, built to cover the requested orders."""
-    tables = tables or {}
-    res_maps = _residual_of_maps(order_maps, tables).require_order(order_maps)
-    res_bip = _residual_of_bip(order_bip, tables).require_order(order_bip)
-    return res_maps, res_bip

@@ -270,20 +270,6 @@ def _rec_cc(n: int, g2: int, tab: MapsTable) -> Poly:
     return rhs.scale(Fraction(2, (n + 1) * (n - 2)))
 
 
-def maps_rec_kz(n: int, g2: int, table: MapsTable) -> Poly:
-    """One engine-"kz" recurrence step (table must hold all dependencies)."""
-    if n <= 2:
-        raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
-    return _rec_kz(n, g2, table)
-
-
-def maps_rec_cc(n: int, g2: int, table: MapsTable) -> Poly:
-    """One engine-"cc" recurrence step (table must hold all dependencies)."""
-    if n <= 2:
-        raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
-    return _rec_cc(n, g2, table)
-
-
 class MapsCounts:
     """Integer-only fast path for h[n, g2] = H[n, g2](1, 1).
 

@@ -187,16 +187,12 @@ def oracle_count(n: int, filter: str | None = None) -> dict:
     "bipartite"   -> {(black, white, faces): count}
     "triangulation" -> {g2: count} (requires n divisible by 3)
     """
-    result = scan(n)
-    if filter is None:
-        return result["maps"]
-    if filter == "bipartite":
-        return result["bipartite"]
-    if filter == "triangulation":
-        if n % 3:
-            raise ValueError("triangulations need an edge count divisible by 3")
-        return result["triangulations"]
-    raise ValueError(f"unknown filter {filter!r}")
+    key = {None: "maps", "bipartite": "bipartite", "triangulation": "triangulations"}.get(filter)
+    if key is None:
+        raise ValueError(f"unknown filter {filter!r}")
+    if key == "triangulations" and n % 3:
+        raise ValueError("triangulations need an edge count divisible by 3")
+    return scan(n)[key]
 
 
 def oracle_count_bipartite(n: int) -> dict:

@@ -1,8 +1,11 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from surfcount import identities
+from surfcount.bipartite import BipOneFaceTable, bip_oneface_series
 from surfcount.errors import WindowError
 from surfcount.identities import (
     LambdaIndex,
@@ -14,6 +17,8 @@ from surfcount.identities import (
     triangulations_context,
     verify_fixed_charge,
     verify_ode,
+    verify_oneface_bipartite_ode,
+    verify_oneface_maps_ode,
     verify_shifted_bkp1,
 )
 from surfcount.maps import MapsTable, OneFaceTable, oneface_series
@@ -84,10 +89,23 @@ def test_shifted_residual_zero(ctx10):
     assert res.max_order >= 12
 
 
+def test_shifted_identity_builds_only_kp1(maps_cc_12, monkeypatch):
+    ctx = maps_context(10, maps_cc_12)
+    res = verify_shifted_bkp1(ctx)
+    # KP2 and KP3 need these; KP1 does not
+    for parts in [(5, 1), (4, 2), (4, 1), (3, 3), (1,) * 6]:
+        assert parts not in ctx.memo, parts
+    assert "__kp__" not in ctx.memo
+    kp_combinations(ctx)
+    # with the combinations memoized, KP1 is read back, not rebuilt
+    monkeypatch.setattr(identities, "formal_eval", None)
+    assert verify_shifted_bkp1(ctx) == res
+
+
 def test_memoization_transparent(maps_cc_12):
     ctx = maps_context(8, maps_cc_12)
     first = ftheta(ctx, (3, 1))
-    ctx.clear_memo()
+    ctx.memo.clear()
     again = ftheta(ctx, (3, 1))
     assert first == again
 
@@ -129,14 +147,8 @@ def test_mutation_detected_in_shifted_identity(maps_cc_12):
 def test_mutation_detected_in_oneface_ode():
     table = OneFaceTable().fill(8)
     table.entries[(3, 2)] += 1   # corrupt one stored value
-    res = verify_oneface_maps_ode_series(table)
+    res = verify_oneface_maps_ode(oneface_series(table, 16))
     assert not res.is_zero()
-
-
-def verify_oneface_maps_ode_series(table):
-    from surfcount.identities import verify_oneface_maps_ode
-
-    return verify_oneface_maps_ode(oneface_series(table, 16))
 
 
 def test_fixed_charge_uses_same_evaluator(ctx10):
@@ -169,9 +181,8 @@ def test_run_identity_reports():
 
 
 def test_oneface_pair_entry_point():
-    from surfcount.identities import verify_oneface_odes
-
-    res_maps, res_bip = verify_oneface_odes(10, 8)
+    res_maps = verify_oneface_maps_ode(oneface_series(OneFaceTable().fill(6), 12))
+    res_bip = verify_oneface_bipartite_ode(bip_oneface_series(BipOneFaceTable().fill(10), 10))
     assert res_maps.is_zero() and res_bip.is_zero()
     assert res_maps.max_order >= 10 and res_bip.max_order >= 8
 
@@ -207,14 +218,46 @@ def memo_digest(ctx):
 
 
 @pytest.mark.parametrize("make, order, digest", [
-    (maps_context, 10, "dc17c1a2f4d07b7c69c561872316d183762e3e12a7a758d4502216a327d9a8d0"),
-    (bipartite_context, 8, "99f57841705745c9221a6157d34bc19df94d8ba0270c4a96ef10b231a4184b96"),
-    (triangulations_context, 12,
-     "999c0dd27f2ffb767f0398845059e4c0c306b4a8e7246457721db5b1b7abbadf"),
-], ids=["maps", "bipartite", "triangulations"])
+    pytest.param(maps_context, 10,
+                 "dc17c1a2f4d07b7c69c561872316d183762e3e12a7a758d4502216a327d9a8d0", id="maps"),
+    pytest.param(bipartite_context, 8,
+                 "99f57841705745c9221a6157d34bc19df94d8ba0270c4a96ef10b231a4184b96", id="bipartite"),
+    pytest.param(triangulations_context, 12,
+                 "999c0dd27f2ffb767f0398845059e4c0c306b4a8e7246457721db5b1b7abbadf",
+                 id="triangulations"),
+    # the verify-deep orders of the benchmark
+    pytest.param(maps_context, 24,
+                 "ac436ae90f9702138622eb099f240d162345dfd91f94b2a0eab8e259c050df1f",
+                 id="maps-24", marks=pytest.mark.slow),
+    pytest.param(bipartite_context, 12,
+                 "55feb61c0e1b13cc48c95ca0259e39152f71132f4812a5491ee87d15b856e3a5",
+                 id="bipartite-12", marks=pytest.mark.slow),
+    pytest.param(triangulations_context, 42,
+                 "fc387615a8bb268e0a3355d62273a1eac1e83154d7321be1a5456e64b98b2b33",
+                 id="triangulations-42", marks=pytest.mark.slow),
+])
 def test_memo_is_pinned(make, order, digest):
     # every memoized F[lam] and the KP combinations, windows and memo order
     # included, exactly as the term-by-term series arithmetic computed them
     ctx = make(order)
     kp_combinations(ctx)
     assert memo_digest(ctx) == digest
+
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, order, digest", [
+    ("shifted-bkp1", 26, "56a0eed7b770dcd66c1be45869706323d30d22da0948eb7787c310ea366e3ccb"),
+    ("ode-maps", 24, "a6033e207793c53b00565c76b960a3a2a0cba95fcdedf5dcb7f3d71ce3c4e01d"),
+    ("ode-bipartite", 12, "6b237b24413dc985aa9469305c11b9a548a707e5ff818d35107a59109a454087"),
+    ("ode-triangulations", 42, "c068ab1f4f8ed2cc77744edcf94a7e187ad2739d4f5a5b53af84759927513119"),
+    ("ode-triangulations", 48, "5d03a4b90623e2b055869201b9819a8ae48165b48d979aac11e7db96b50a07df"),
+    ("ode-oneface-maps", 26, "a2aa870220e928d46dea8da786957f9b77f4251bf0a5101233f8499f81d33029"),
+    ("ode-oneface-maps", 30, "7fa265a248aaff41857661282ab54f03c5573fcd94c2c80d8e4dd4366a2d9af0"),
+    ("ode-oneface-bipartite", 24, "36b680368cd158fa10b070d96fe97e7b8b1c45a947bdf477772cd97705ec8c97"),
+    ("fixed-charge", 18, "7f0f8bbacdb4f3d9e65588d4bb367de6f0cfd01fa154804916fc42c5448326ab"),
+])
+def test_verify_deep_reports_are_pinned(name, order, digest):
+    # the identity reports at the benchmark's verify-deep orders
+    report = json.dumps(run_identity(name, order).as_dict(), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest

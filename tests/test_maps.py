@@ -10,9 +10,9 @@ from surfcount.maps import (
     OneFaceTable,
     ledoux,
     maps_count,
+    _rec_cc,
+    _rec_kz,
     maps_count_univariate,
-    maps_rec_cc,
-    maps_rec_kz,
     oneface_series,
     theta_series,
 )
@@ -65,8 +65,9 @@ def test_engines_agree(kz8, cc8):
 
 
 def test_single_step_entry_points(cc8, kz8):
-    assert maps_rec_cc(5, 2, cc8) == cc8.poly(5, 2)
-    assert maps_rec_kz(5, 2, kz8) == kz8.poly(5, 2)
+    # one recurrence step over a filled table reproduces the stored cell
+    assert _rec_cc(5, 2, cc8) == cc8.poly(5, 2)
+    assert _rec_kz(5, 2, kz8) == kz8.poly(5, 2)
 
 
 def test_missing_dependency_raises():

@@ -5,6 +5,7 @@ import pytest
 
 from surfcount.bipartite import BipTable
 from surfcount.identities import ftheta, maps_context
+from surfcount import oracle
 from surfcount.maps import MapsCounts
 from surfcount.oracle import (
     MAX_EDGES,
@@ -72,6 +73,17 @@ def test_guard():
         scan(MAX_EDGES + 1)
     with pytest.raises(ValueError):
         oracle_count(2, "triangulation")
+
+
+def test_filter_checked_before_scan(monkeypatch):
+    def no_scan(n):
+        raise AssertionError("scan ran before the filter was checked")
+
+    monkeypatch.setattr(oracle, "scan", no_scan)
+    with pytest.raises(ValueError, match="unknown filter"):
+        oracle_count(5, "bogus")
+    with pytest.raises(ValueError, match="divisible by 3"):
+        oracle_count(5, "triangulation")
 
 
 def test_euler_relation_holds(oracle2):
