@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import IntegralityError, MissingEntryError
-from .maps import _genus_splits, _sub_genus
+from .errors import IntegralityError
 from .poly import Poly, U, V, Z, _pack, _unpack
+from .table import Memo, PolyTable, Table, _genus_splits, _grid, _sub_genus, row_series
 from .tseries import TSeries
 
 _UVZ = U * V * Z
@@ -25,11 +25,6 @@ _UV = U * V
 _SUM3 = U + V + Z
 _DIFF3 = U + V - Z
 
-_INITIAL = {
-    (1, 0): _UVZ,
-    (2, 0): _UVZ * _SUM3,
-    (2, 1): _UVZ,
-}
 # stated zero seeds, kept explicit: no bipartite map exists there
 _INITIAL_ZERO = {(1, 1), (2, 2)}
 
@@ -40,103 +35,89 @@ def _psi(n: int) -> Poly:
     ) - 12 * _UV
 
 
-class BipTable:
+class BipTable(PolyTable):
     """Trivariate table of K[n, g2]."""
 
+    NAME = "K"
+    SEEDS = {
+        (1, 0): _UVZ,
+        (2, 0): _UVZ * _SUM3,
+        (2, 1): _UVZ,
+    }
+
     def __init__(self):
-        self.entries: dict[tuple[int, int], Poly] = dict(_INITIAL)
-        self._q: dict[tuple[int, int], Poly] = {}
-        self._w: dict[tuple[int, int], Poly] = {}
-        self._br: dict[tuple[int, int], Poly] = {}
+        super().__init__()
+        self.q = Memo(BipTable._q, self)
+        self.shift_weight = Memo(BipTable._weight, self)
+        self.bracket = Memo(BipTable._bracket, self)
 
     def poly(self, n: int, g2: int) -> Poly:
         if n <= 0 or g2 < 0 or n < g2:
             return Poly.zero()
         if (n, g2) in _INITIAL_ZERO:
             return Poly.zero()
-        try:
-            return self.entries[(n, g2)]
-        except KeyError:
-            raise MissingEntryError(f"K[n={n}, g2={g2}] not filled yet") from None
-
-    def count(self, n: int, g2: int) -> int:
-        val = self.poly(n, g2).evaluate()
-        if val.denominator != 1:
-            raise IntegralityError(f"K[{n},{g2}](1,1,1) = {val} not an integer")
-        return val.numerator
+        return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "BipTable":
-        for n in range(3, n_max + 1):
-            top = n if g2_max is None else min(n, g2_max)
-            for g2 in range(top + 1):
-                if (n, g2) in self.entries:
-                    continue
-                poly = bip_rec(n, g2, self)
-                deg = n + 2 - g2
-                if not (poly.is_integral() and poly.is_homogeneous(deg)):
-                    raise IntegralityError(f"K[{n},{g2}] failed checks: {poly}")
-                self.entries[(n, g2)] = poly
-        return self
+        return self._sweep(_grid(3, n_max, g2_max), self._step)
 
-    def q(self, m: int, g2: int) -> Poly:
+    def _step(self, n: int, g2: int) -> Poly:
+        poly = bip_rec(n, g2, self)
+        deg = n + 2 - g2
+        if not (poly.is_integral() and poly.is_homogeneous(deg)):
+            raise IntegralityError(f"K[{n},{g2}] failed checks: {poly}")
+        return poly
+
+    def _q(self, m: int, g2: int) -> Poly:
         """Sum of (6 n3 n4 - 2(n3+n4) + 1) K[n3-1] K[n4-1] over splits of (m, g2)."""
-        key = (m, g2)
-        if key not in self._q:
-            K = self.poly
-            self._q[key] = Poly.dot(
-                (6 * n3 * (m - n3) - 2 * m + 1, K(n3 - 1, ga), K(m - n3 - 1, gb))
-                for ga, gb in _genus_splits(g2)
-                for n3 in range(m + 1))
-        return self._q[key]
+        K = self.poly
+        return Poly.dot(
+            (6 * n3 * (m - n3) - 2 * m + 1, K(n3 - 1, ga), K(m - n3 - 1, gb))
+            for ga, gb in _genus_splits(g2)
+            for n3 in range(m + 1))
 
-    def shift_weight(self, n1: int, g2_1: int) -> Poly:
+    def _weight(self, n1: int, g2_1: int) -> Poly:
         """Expansion kernel of the simultaneous (u, v) charge shift:
         sum over monomials u^p v^q z^k of K[n1, g2_0], g2_0 <= g2_1, of
         2^(2 + g2_1 - g2_0) C(p,i) C(q, m-k-i) u^i v^(m-k-i) z^k with
         m = n1 - g2_1 (z-exponents pass through unshifted)."""
-        key = (n1, g2_1)
-        if key not in self._w:
-            m = n1 - g2_1
-            acc: dict[int, int] = {}
-            get = acc.get
-            den = 1
-            if m >= 0:
-                polys = [(g2_0, self.poly(n1, g2_0)) for g2_0 in _sub_genus(g2_1)]
-                den = lcm(*(K.den for _, K in polys))
-                for g2_0, K in polys:
-                    factor = 2 ** (2 + g2_1 - g2_0) * (den // K.den)
-                    for e, c in K.terms.items():
-                        p, k, q = _unpack(e)
-                        top = m - k
-                        for i in range(max(0, top - q), min(p, top) + 1):
-                            kk = _pack(i, k, top - i)
-                            acc[kk] = get(kk, 0) + factor * comb(p, i) * comb(q, top - i) * c
-            self._w[key] = Poly(acc, den)
-        return self._w[key]
+        m = n1 - g2_1
+        acc: dict[int, int] = {}
+        get = acc.get
+        den = 1
+        if m >= 0:
+            polys = [(g2_0, self.poly(n1, g2_0)) for g2_0 in _sub_genus(g2_1)]
+            den = lcm(*(K.den for _, K in polys))
+            for g2_0, K in polys:
+                factor = 2 ** (2 + g2_1 - g2_0) * (den // K.den)
+                for e, c in K.terms.items():
+                    p, k, q = _unpack(e)
+                    top = m - k
+                    for i in range(max(0, top - q), min(p, top) + 1):
+                        kk = _pack(i, k, top - i)
+                        acc[kk] = get(kk, 0) + factor * comb(p, i) * comb(q, top - i) * c
+        return Poly(acc, den)
 
-    def bracket(self, n2: int, g2_2: int) -> Poly:
-        key = (n2, g2_2)
-        if key not in self._br:
-            K = self.poly
-            parts = [
-                (-(n2 + 1)) * K(n2, g2_2),
-                (2 * n2 - 1) * (_SUM3 * K(n2 - 1, g2_2) - K(n2 - 1, g2_2 - 1)),
-                ((2 * n2 - 1) * (2 * n2 - 3) * n2) * K(n2 - 2, g2_2 - 2),
-                (-6 * (n2 - 1)) * (_DIFF3 * K(n2 - 2, g2_2 - 1)),
-                -_psi(n2) * K(n2 - 2, g2_2),
-                2 * self.q(n2, g2_2),
-            ]
-            if n2 == 1 and g2_2 == 0:
-                parts.append(2 * _UVZ)
-            if n2 == 2:
-                if g2_2 == 0:
-                    parts.append(6 * _UV * _UV)
-                elif g2_2 == 1:
-                    parts.append(-6 * _UV * _DIFF3)
-                elif g2_2 == 2:
-                    parts.append(6 * _UV)
-            self._br[key] = Poly.sum(parts)
-        return self._br[key]
+    def _bracket(self, n2: int, g2_2: int) -> Poly:
+        K = self.poly
+        parts = [
+            (-(n2 + 1)) * K(n2, g2_2),
+            (2 * n2 - 1) * (_SUM3 * K(n2 - 1, g2_2) - K(n2 - 1, g2_2 - 1)),
+            ((2 * n2 - 1) * (2 * n2 - 3) * n2) * K(n2 - 2, g2_2 - 2),
+            (-6 * (n2 - 1)) * (_DIFF3 * K(n2 - 2, g2_2 - 1)),
+            -_psi(n2) * K(n2 - 2, g2_2),
+            2 * self.q[n2, g2_2],
+        ]
+        if n2 == 1 and g2_2 == 0:
+            parts.append(2 * _UVZ)
+        if n2 == 2:
+            if g2_2 == 0:
+                parts.append(6 * _UV * _UV)
+            elif g2_2 == 1:
+                parts.append(-6 * _UV * _DIFF3)
+            elif g2_2 == 2:
+                parts.append(6 * _UV)
+        return Poly.sum(parts)
 
 
 def bip_rec(n: int, g2: int, table: BipTable) -> Poly:
@@ -149,18 +130,18 @@ def bip_rec(n: int, g2: int, table: BipTable) -> Poly:
         -_psi(n) * K(n - 2, g2),
         ((2 * n - 1) * (2 * n - 3) * n) * K(n - 2, g2 - 2),
         (-6 * (n - 1)) * (_DIFF3 * K(n - 2, g2 - 1)),
-        2 * table.q(n, g2),
+        2 * table.q[n, g2],
     ]).scale(Fraction(1, n + 1))
     double = []
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(1, n):
-            w = table.shift_weight(n1, g2_1)
+            w = table.shift_weight[n1, g2_1]
             if not w.is_zero():
-                double.append((1, w, table.bracket(n - n1, g2_2)))
+                double.append((1, w, table.bracket[n - n1, g2_2]))
     return first - Poly.dot(double).scale(Fraction(1, (n - 2) * (n + 1)))
 
 
-class BipOneFaceTable:
+class BipOneFaceTable(Table):
     """b[n, i, j]: rooted one-face bipartite maps, i black and j white vertices.
 
     Rows n <= 3 are seeded; the depth-4 linear recursion fills n >= 4.
@@ -170,7 +151,8 @@ class BipOneFaceTable:
     slice of the full trivariate table for every n <= 10.
     """
 
-    _INITIAL = {
+    NAME = "bip-oneface"
+    SEEDS = {
         (1, 1, 1): 1,
         (2, 2, 1): 1, (2, 1, 2): 1, (2, 1, 1): 1,
         (3, 3, 1): 1, (3, 1, 3): 1,
@@ -178,26 +160,17 @@ class BipOneFaceTable:
         (3, 1, 1): 4,
     }
 
-    def __init__(self):
-        self.entries = dict(self._INITIAL)
-
     def value(self, n: int, i: int, j: int) -> int:
         if i <= 0 or j <= 0 or i + j > n + 1:
             return 0
         if n <= 3:
             return self.entries.get((n, i, j), 0)
-        try:
-            return self.entries[(n, i, j)]
-        except KeyError:
-            raise MissingEntryError(f"bip-oneface[{n},{i},{j}] not filled yet") from None
+        return self.entries[n, i, j]
 
     def fill(self, n_max: int) -> "BipOneFaceTable":
-        for n in range(4, n_max + 1):
-            for i in range(1, n + 1):
-                for j in range(1, n + 2 - i):
-                    if (n, i, j) not in self.entries:
-                        self.entries[(n, i, j)] = bip_oneface(n, i, j, self)
-        return self
+        cells = ((n, i, j) for n in range(4, n_max + 1)
+                 for i in range(1, n + 1) for j in range(1, n + 2 - i))
+        return self._sweep(cells, lambda n, i, j: bip_oneface(n, i, j, self))
 
 
 def bip_oneface(n: int, i: int, j: int, table: BipOneFaceTable) -> int:
@@ -238,21 +211,15 @@ def bip_oneface(n: int, i: int, j: int, table: BipOneFaceTable) -> int:
 
 def eta_series(table: BipTable, order: int) -> TSeries:
     """Bipartite generating series: sum over n of (sum_g K[n, g2]) / (2n) t^n."""
-    coeffs = {}
-    for n in range(1, order + 1):
-        s = Poly.sum(table.poly(n, g2) for g2 in range(n + 1))
-        coeffs[n] = s.scale(Fraction(1, 2 * n))
-    return TSeries.truncated(coeffs, order, min_order=min(1, order))
+    return row_series(order, 1, lambda n: Poly.sum(
+        table.poly(n, g2) for g2 in range(n + 1)).scale(Fraction(1, 2 * n)))
 
 
 def bip_oneface_series(table: BipOneFaceTable, order: int) -> TSeries:
     """One-face bipartite series: sum b[n,i,j]/(2n) t^n u^i v^j."""
-    coeffs = {}
-    for n in range(1, order + 1):
-        coeffs[n] = Poly.from_terms({
-            (i, 0, j): Fraction(table.value(n, i, j), 2 * n)
-            for i in range(1, n + 1)
-            for j in range(1, n + 2 - i)
-            if table.value(n, i, j)
-        })
-    return TSeries.truncated(coeffs, order, min_order=min(1, order))
+    return row_series(order, 1, lambda n: Poly.from_terms({
+        (i, 0, j): Fraction(table.value(n, i, j), 2 * n)
+        for i in range(1, n + 1)
+        for j in range(1, n + 2 - i)
+        if table.value(n, i, j)
+    }))

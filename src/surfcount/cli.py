@@ -84,7 +84,7 @@ def main():
     """Exact counts of rooted maps on surfaces, orientable or not."""
 
 
-def _parse_gmax(g_max, n_max):
+def _parse_gmax(g_max):
     if g_max is None:
         return None
     try:
@@ -93,42 +93,40 @@ def _parse_gmax(g_max, n_max):
         raise click.UsageError(str(exc))
 
 
+def _emit_json(model, records):
+    _echo(json.dumps({"model": model, "rows": records}))
+
+
+def _emit_text(header, lines, fmt):
+    """header and lines are rows of strings: CSV, or a right-aligned table."""
+    rows = [header] + lines
+    if fmt == "csv":
+        for row in rows:
+            _echo(",".join(row))
+        return
+    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
+    for row in rows:
+        _echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+
+
 def _emit_grid(model, rows, n_max, g2_max, fmt):
     """rows: {(n, g2): int} covering 1..n_max, 0..g2_max."""
     genera = list(range(g2_max + 1))
     if fmt == "json":
-        records = [CountRecord(model, n, g2, rows[(n, g2)]).as_dict()
-                   for n in range(1, n_max + 1) for g2 in genera]
-        _echo(json.dumps({"model": model, "rows": records}))
+        _emit_json(model, [CountRecord(model, n, g2, rows[(n, g2)]).as_dict()
+                           for n in range(1, n_max + 1) for g2 in genera])
         return
-    header = ["n"] + [f"g={genus_label(g2)}" for g2 in genera]
-    lines = [[str(n)] + [str(rows[(n, g2)]) for g2 in genera]
-             for n in range(1, n_max + 1)]
-    if fmt == "csv":
-        _echo(",".join(header))
-        for line in lines:
-            _echo(",".join(line))
-        return
-    widths = [max(len(r[c]) for r in [header] + lines) for c in range(len(header))]
-    for row in [header] + lines:
-        _echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    _emit_text(["n"] + [f"g={genus_label(g2)}" for g2 in genera],
+               [[str(n)] + [str(rows[(n, g2)]) for g2 in genera] for n in range(1, n_max + 1)],
+               fmt)
 
 
 def _emit_records(model, records, fmt, columns):
     """records: list of dicts with the given columns (value last)."""
     if fmt == "json":
-        _echo(json.dumps({"model": model, "rows": records}))
+        _emit_json(model, records)
         return
-    header = list(columns)
-    lines = [[str(r.get(c, "")) for c in columns] for r in records]
-    if fmt == "csv":
-        _echo(",".join(header))
-        for line in lines:
-            _echo(",".join(line))
-        return
-    widths = [max([len(h)] + [len(l[i]) for l in lines]) for i, h in enumerate(header)]
-    for row in [header] + lines:
-        _echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    _emit_text(list(columns), [[str(r.get(c, "")) for c in columns] for r in records], fmt)
 
 
 @main.command("maps")
@@ -143,7 +141,7 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
     """Rooted maps by edge count and genus."""
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
-    g2_max = _parse_gmax(g_max, n_max)
+    g2_max = _parse_gmax(g_max)
     top = n_max if g2_max is None else g2_max
     # only engine cc meets the cache; kz stays an independent check
     cache = None if engine == "kz" else open_cache(cache_path, no_cache)
@@ -190,7 +188,7 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     """Rooted bipartite maps by edge count and genus."""
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
-    g2_max = _parse_gmax(g_max, n_max)
+    g2_max = _parse_gmax(g_max)
     top = n_max if g2_max is None else g2_max
     cache = open_cache(cache_path, no_cache)
     tab = _fill(cache, "bipartite", BipTable(), n_max, top, rows=True)
@@ -218,7 +216,7 @@ def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     """Rooted triangulations with 2n faces by genus."""
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
-    g2_max = _parse_gmax(g_max, n_max)
+    g2_max = _parse_gmax(g_max)
     top = (n_max + 1) if g2_max is None else g2_max
     cache = open_cache(cache_path, no_cache)
     tab = _fill(cache, "triangulations", TriTable(), n_max, top)

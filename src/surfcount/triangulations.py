@@ -7,24 +7,19 @@ and is checked nonzero at every visited cell rather than assumed.
 
 The step runs in plain ints: scaled by 8, every bracket coefficient is
 an integer, and the cell is one exact division by 4 D(n, g); a remainder
-or a negative result raises IntegralityError.  The bracket core is
-memoized on (n2, g2_2) and the shift weight on (n1, g2_1); the boundary
-corrections for n1 in {n, n-1, n-2} are added on top.
+or a negative result raises IntegralityError.  The table's memos hold
+the bracket core on (n2, g2_2) and the shift weight on (n1, g2_1); the
+boundary corrections for n1 in {n, n-1, n-2} are added on top.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IntegralityError, MissingEntryError
-from .maps import _genus_splits, _shift_weight, _sub_genus
+from .errors import IntegralityError
 from .poly import Poly
+from .table import Memo, Table, _genus_splits, _grid, _shift_weight, _sub_genus, row_series
 from .tseries import TSeries
-
-_INITIAL = {
-    (1, 0): 4, (1, 1): 9, (1, 2): 7,
-    (2, 0): 32, (2, 1): 118, (2, 2): 202, (2, 3): 128,
-}
 
 
 def prefactor_denominator(n: int, g2: int) -> Fraction:
@@ -32,62 +27,48 @@ def prefactor_denominator(n: int, g2: int) -> Fraction:
     return Fraction(4 * n * n + 2 * (3 - g2) * n + (2 - g2) * (1 - g2), 2)
 
 
-class TriTable:
+class TriTable(Table):
+    NAME = "t"
+    SEEDS = {
+        (1, 0): 4, (1, 1): 9, (1, 2): 7,
+        (2, 0): 32, (2, 1): 118, (2, 2): 202, (2, 3): 128,
+    }
+
     def __init__(self):
-        self.entries: dict[tuple[int, int], int] = dict(_INITIAL)
-        self._q: dict[tuple[int, int], int] = {}
-        self._br8: dict[tuple[int, int], int] = {}
-        self._w: dict[tuple[int, int], int] = {}
+        super().__init__()
+        self.q = Memo(TriTable._q, self)
+        self.bracket8 = Memo(TriTable._bracket8, self)
+        self.weight = Memo(_shift_weight, self)
 
     def value(self, n: int, g2: int) -> int:
         if n <= 0 or g2 < 0 or n < g2 - 1:
             return 0
-        try:
-            return self.entries[(n, g2)]
-        except KeyError:
-            raise MissingEntryError(f"t[n={n}, g2={g2}] not filled yet") from None
+        return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "TriTable":
-        for n in range(3, n_max + 1):
-            top = n + 1 if g2_max is None else min(n + 1, g2_max)
-            for g2 in range(top + 1):
-                if (n, g2) in self.entries:
-                    continue
-                self.entries[(n, g2)] = tri_rec(n, g2, self)
-        return self
+        return self._sweep(_grid(3, n_max, g2_max, excess=1),
+                           lambda n, g2: tri_rec(n, g2, self))
 
-    def q(self, m: int, g2: int) -> int:
+    def _q(self, m: int, g2: int) -> int:
         """Sum of (3 n3 - 1)(3 n4 - 1) t[n3-1] t[n4-1] over splits of (m, g2)."""
-        key = (m, g2)
-        if key not in self._q:
-            t = self.value
-            self._q[key] = sum(
-                (3 * n3 - 1) * (3 * (m - n3) - 1) * t(n3 - 1, ga) * t(m - n3 - 1, gb)
-                for ga, gb in _genus_splits(g2)
-                for n3 in range(max(2, ga), m - max(1, gb - 1))  # all other terms vanish
-            )
-        return self._q[key]
+        t = self.value
+        return sum(
+            (3 * n3 - 1) * (3 * (m - n3) - 1) * t(n3 - 1, ga) * t(m - n3 - 1, gb)
+            for ga, gb in _genus_splits(g2)
+            for n3 in range(max(2, ga), m - max(1, gb - 1))  # all other terms vanish
+        )
 
-    def bracket8(self, n2: int, g2_2: int) -> int:
+    def _bracket8(self, n2: int, g2_2: int) -> int:
         """8 x the inner bracket of (n2, g2_2), without boundary corrections."""
-        key = (n2, g2_2)
-        if key not in self._br8:
-            t = self.value
-            self._br8[key] = 8 * (
-                (3 * n2 - 1) * t(n2 - 1, g2_2)
-                + 2 * (3 * n2 - 4) * (
-                    (3 * n2 - 2) * n2 * t(n2 - 2, g2_2 - 2)
-                    + 2 * (t(n2 - 2, g2_2 - 1) + t(n2 - 2, g2_2))
-                )
-                + self.q(n2, g2_2)
-            ) - (n2 + 1) * t(n2, g2_2)
-        return self._br8[key]
-
-    def weight(self, n1: int, g2_1: int) -> int:
-        key = (n1, g2_1)
-        if key not in self._w:
-            self._w[key] = _shift_weight(self.value, n1, g2_1)
-        return self._w[key]
+        t = self.value
+        return 8 * (
+            (3 * n2 - 1) * t(n2 - 1, g2_2)
+            + 2 * (3 * n2 - 4) * (
+                (3 * n2 - 2) * n2 * t(n2 - 2, g2_2 - 2)
+                + 2 * (t(n2 - 2, g2_2 - 1) + t(n2 - 2, g2_2))
+            )
+            + self.q[n2, g2_2]
+        ) - (n2 + 1) * t(n2, g2_2)
 
 
 # 8 x the boundary corrections of the bracket, keyed by (n - n1, g2 - g2_1)
@@ -115,19 +96,19 @@ def tri_rec(n: int, g2: int, table: TriTable) -> int:
             (3 * n - 2) * n * t(n - 2, g2 - 2)
             + 2 * (t(n - 2, g2 - 1) + t(n - 2, g2))
         )
-        + 6 * table.q(n, g2)
+        + 6 * table.q[n, g2]
     )
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(1, n):
-            w = table.weight(n1, g2_1)
+            w = table.weight[n1, g2_1]
             if w:
-                br = table.bracket8(n - n1, g2_2) + _BOUNDARY8.get((n - n1, g2 - g2_1), 0)
+                br = table.bracket8[n - n1, g2_2] + _BOUNDARY8.get((n - n1, g2 - g2_1), 0)
                 total8 -= w * br
     # n1 = n: the bracket reduces to +-1/8 and the self term g2_0 = g2 drops out
     for g2_1, sign in ((g2, 1), (g2 - 1, -1)):
         if g2_1 >= 0:
             others = [g2_0 for g2_0 in _sub_genus(g2_1) if g2_0 != g2]
-            total8 -= sign * _shift_weight(t, n, g2_1, others)
+            total8 -= sign * _shift_weight(table, n, g2_1, others)
     quot, rem = divmod(total8, 2 * Dnum)
     if rem:
         raise IntegralityError(f"t[{n},{g2}]: {total8} not divisible by {2 * Dnum}")
@@ -138,11 +119,8 @@ def tri_rec(n: int, g2: int, table: TriTable) -> int:
 
 def xi_series(table: TriTable, order: int) -> TSeries:
     """Triangulation generating series: sum t[n,g2]/(12n) t^{6n} z^{2n} u^{n+2-g2}."""
-    coeffs = {}
-    for n in range(1, order // 6 + 1):
-        coeffs[6 * n] = Poly.from_terms({
-            (n + 2 - g2, 2 * n, 0): Fraction(table.value(n, g2), 12 * n)
-            for g2 in range(n + 2)
-            if table.value(n, g2)
-        })
-    return TSeries.truncated(coeffs, order, min_order=min(6, order))
+    return row_series(order, 6, lambda n: Poly.from_terms({
+        (n + 2 - g2, 2 * n, 0): Fraction(table.value(n, g2), 12 * n)
+        for g2 in range(n + 2)
+        if table.value(n, g2)
+    }))

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from surfcount.errors import IntegralityError, MissingEntryError
+from surfcount.errors import IntegralityError
 from surfcount.maps import (
     MapsCounts,
     MapsTable,
@@ -68,12 +68,6 @@ def test_single_step_entry_points(cc8, kz8):
     # one recurrence step over a filled table reproduces the stored cell
     assert _rec_cc(5, 2, cc8) == cc8.poly(5, 2)
     assert _rec_kz(5, 2, kz8) == kz8.poly(5, 2)
-
-
-def test_missing_dependency_raises():
-    fresh = MapsTable("cc")
-    with pytest.raises(MissingEntryError):
-        fresh.poly(5, 0)
 
 
 def test_duality_homogeneity_positivity(cc8):
