@@ -148,7 +148,8 @@ class BipOneFaceTable(Table):
     Three signs here differ from circulating forms of this recursion
     (two of those would break black/white symmetry, which these counts
     provably have); every sign used is pinned against the one-face
-    slice of the full trivariate table for every n <= 10.
+    slice of the full trivariate table for every n <= 10, and by the
+    recursion's derivation from the one-face ODE (see `bip_oneface`).
     """
 
     NAME = "bip-oneface"
@@ -174,7 +175,12 @@ class BipOneFaceTable(Table):
 
 
 def bip_oneface(n: int, i: int, j: int, table: BipOneFaceTable) -> int:
-    """One step of the bipartite one-face recursion; division by n+1 exact."""
+    """One step of the bipartite one-face recursion; division by n+1 exact.
+
+    Every coefficient, signs included, is the one derived from the
+    bipartite one-face ODE (`identities._ONEFACE_ODE`), which
+    tests/test_oneface_recurrence.py checks for n = 4..20.
+    """
     b = table.value
     total = (
         (4 * n - 1) * (b(n - 1, i - 1, j) + b(n - 1, i, j - 1) - b(n - 1, i, j))

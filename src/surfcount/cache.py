@@ -22,16 +22,20 @@ bipartite coefficients, none for totals and scalar cells) and a decimal
 string value.  Coefficients stay ints all the way from the file to a
 row's `Poly` and back.
 
-A run that dies mid-append can leave a last line without its newline.
-Every prefix of a record is invalid JSON, so loading drops a last line
-that does not parse (with a warning on stderr) and cuts it off the file
-before the next append.  Such a line anywhere else, and a record that
-parses but fails the shape check anywhere in the file, raise CacheError
-naming the file and line.
+Each append holds an exclusive `flock` on the file, so runs sharing one
+file write one header and never interleave their records.  A run that
+dies mid-append can leave a last line without its newline.  Every
+prefix of a record is invalid JSON, so loading drops a last line that
+does not parse (with a warning on stderr), and the next append cuts it
+off the file under the lock; a complete last record only gets its
+newline.  Such a line anywhere else, and a record that parses but fails
+the shape check anywhere in the file, raise CacheError naming the file
+and line.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
@@ -107,6 +111,25 @@ def _record_indices(model: str, exps: tuple[int, int, int]) -> tuple[int, ...]:
     return (eu, ev, ez) if model == "bipartite" else (eu, ez)
 
 
+def _mend_last_line(fh):
+    """Give a last line without its newline one if it parses, else cut it off."""
+    end = fh.seek(0, os.SEEK_END)
+    if not end:
+        return
+    fh.seek(end - 1)
+    if fh.read(1) == b"\n":
+        return
+    fh.seek(0)
+    data = fh.read()
+    cut = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[cut:])
+    except ValueError:
+        fh.truncate(cut)
+    else:
+        fh.write(b"\n")
+
+
 class CountCache:
     """In-memory view over the append-only record file."""
 
@@ -114,9 +137,6 @@ class CountCache:
         self.path = Path(path)
         # (model, n, g2) -> {indices: value}, indices None for the count
         self._cells: dict[tuple[str, int, int], dict] = {}
-        # (size, prefix): cut the file to size and write prefix before the
-        # next append, to repair a last line that lacks its newline
-        self._repair: tuple[int, str] | None = None
         if self.path.exists():
             self._load()
 
@@ -144,7 +164,6 @@ class CountCache:
                         f"{self.path}:{lineno}: unparsable cache record") from None
                 print(f"warning: dropping torn last line {lineno} of {self.path}",
                       file=sys.stderr)
-                self._repair = (data.rfind(b"\n") + 1, "")
                 return
             if lineno == 1:
                 if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
@@ -155,26 +174,25 @@ class CountCache:
             except ValueError as exc:
                 raise CacheError(f"{self.path}:{lineno}: malformed cache record: {exc}") from None
             self._cells.setdefault(key, {})[indices] = value
-        if lines[-1]:
-            self._repair = (len(data), "\n")
 
     def _append(self, records):
-        """Write the records the file lacks, all in one open."""
+        """Write the records the file lacks, all in one locked append.
+
+        Under the lock: mend the last line, then write the header if the
+        file is empty.
+        """
         records = [rec for rec in records
                    if self.get_scalar(rec.model, rec.n, rec.g2, rec.indices) is None]
         if not records:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            if self._repair is not None:
-                size, prefix = self._repair
-                fh.truncate(size)
-                fh.seek(0, os.SEEK_END)
-                fh.write(prefix)
-                self._repair = None
-            if fh.tell() == 0:
-                fh.write(json.dumps(HEADER) + "\n")
-            fh.write("".join(json.dumps(rec.as_dict()) + "\n" for rec in records))
+        lines = [json.dumps(rec.as_dict()) + "\n" for rec in records]
+        with self.path.open("ab+") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)   # released when the file closes
+            _mend_last_line(fh)
+            if not fh.seek(0, os.SEEK_END):
+                lines.insert(0, json.dumps(HEADER) + "\n")
+            fh.write("".join(lines).encode())
         for rec in records:
             self._add(rec)
 

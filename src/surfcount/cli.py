@@ -31,6 +31,10 @@ def format_option(fn):
                         default="table", show_default=True, help="output format")(fn)
 
 
+def n_max_option(text=None):
+    return click.option("--n-max", type=click.IntRange(min=0), required=True, help=text)
+
+
 def cache_options(fn):
     fn = click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
                       default=None, help="count cache file (default: user cache dir)")(fn)
@@ -130,7 +134,7 @@ def _emit_records(model, records, fmt, columns):
 
 
 @main.command("maps")
-@click.option("--n-max", type=int, required=True)
+@n_max_option()
 @click.option("--g-max", type=str, default=None, help="max genus, e.g. 4 or 7/2")
 @click.option("--bivariate", is_flag=True, help="emit vertex/face coefficients")
 @click.option("--engine", type=click.Choice(["kz", "cc", "both"]), default=None,
@@ -139,8 +143,6 @@ def _emit_records(model, records, fmt, columns):
 @cache_options
 def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
     """Rooted maps by edge count and genus."""
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     g2_max = _parse_gmax(g_max)
     top = n_max if g2_max is None else g2_max
     # only engine cc meets the cache; kz stays an independent check
@@ -179,15 +181,13 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
 
 
 @main.command("bipartite")
-@click.option("--n-max", type=int, required=True)
+@n_max_option()
 @click.option("--g-max", type=str, default=None)
 @click.option("--trivariate", is_flag=True, help="emit colour/face coefficients")
 @format_option
 @cache_options
 def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     """Rooted bipartite maps by edge count and genus."""
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     g2_max = _parse_gmax(g_max)
     top = n_max if g2_max is None else g2_max
     cache = open_cache(cache_path, no_cache)
@@ -208,14 +208,12 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
 
 
 @main.command("triangulations")
-@click.option("--n-max", type=int, required=True, help="max half-face-count n (2n faces)")
+@n_max_option("max half-face-count n (2n faces)")
 @click.option("--g-max", type=str, default=None)
 @format_option
 @cache_options
 def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     """Rooted triangulations with 2n faces by genus."""
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     g2_max = _parse_gmax(g_max)
     top = (n_max + 1) if g2_max is None else g2_max
     cache = open_cache(cache_path, no_cache)
@@ -227,13 +225,11 @@ def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
 
 
 @main.command("oneface")
-@click.option("--n-max", type=int, required=True)
+@n_max_option()
 @format_option
 @cache_options
 def oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face maps by edge count and genus."""
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     cache = open_cache(cache_path, no_cache)
     tab = _fill(cache, "oneface", OneFaceTable(), n_max)
     _store(cache, "oneface", tab)
@@ -243,13 +239,11 @@ def oneface_cmd(n_max, fmt, cache_path, no_cache):
 
 
 @main.command("bip-oneface")
-@click.option("--n-max", type=int, required=True)
+@n_max_option()
 @format_option
 @cache_options
 def bip_oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face bipartite maps by edges and vertex colours."""
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     cache = open_cache(cache_path, no_cache)
     tab = _fill(cache, "bip-oneface", BipOneFaceTable(), n_max)
     _store(cache, "bip-oneface", tab)

@@ -8,15 +8,14 @@ Euler characteristic 2 - 2g = 2 - g2 stays integral.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 
 def check_g2(g2: int) -> int:
     if g2 < 0:
         raise ValueError(f"doubled genus must be >= 0, got {g2}")
     return g2
-
-
-def euler_characteristic(g2: int) -> int:
-    return 2 - check_g2(g2)
 
 
 def genus_label(g2: int) -> str:
@@ -25,19 +24,23 @@ def genus_label(g2: int) -> str:
     return str(g2 // 2) if g2 % 2 == 0 else f"{g2}/2"
 
 
+_SPELLING = re.compile(r"([0-9]+)(?:/([0-9]+)|\.[0-9]+)?")
+
+
 def parse_genus(text: str) -> int:
-    """Parse "2", "7/2" or "3.5" into the doubled-genus integer."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if den.strip() != "2":
+    """Parse "2", "7/2" or "3.5" into the doubled-genus integer.
+
+    Only these spellings are accepted and a decimal is read exactly:
+    anything that is not a non-negative half-integer is a ValueError.
+    """
+    match = _SPELLING.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"genus must be written n, n/2 or n.d: {text!r}")
+    if match[2] is not None:
+        if match[2] != "2":
             raise ValueError(f"genus denominator must be 2: {text!r}")
-        g2 = int(num)
-    elif "." in text:
-        val = float(text)
-        g2 = round(2 * val)
-        if abs(2 * val - g2) > 1e-9:
-            raise ValueError(f"genus must be a half-integer: {text!r}")
-    else:
-        g2 = 2 * int(text)
-    return check_g2(g2)
+        return int(match[1])
+    g2 = 2 * Fraction(match[0])
+    if g2.denominator != 1:
+        raise ValueError(f"genus must be a half-integer: {text!r}")
+    return g2.numerator

@@ -23,6 +23,10 @@ of the marked part, the linear factor, the boundary constants and the
 largest leading part the recursion accepts (`_loop_terms`).  `_ODE`
 holds the power of t, the weight, the derivative coefficient, the KP2
 term and the exact cofactor of the unshifted ODE (`verify_ode`).
+`_ONEFACE_ODE` holds the two linear one-face ODEs as operator data, the
+coefficient of each t^a f^(k) and the inhomogeneous part
+(`verify_oneface_ode`); the tests read the same data to derive the
+one-face recurrences from it.
 
 Each F[lam] step, each one-face ODE residual and each KP combination is
 one `TSeries.dot` over (weight, series, series) triples; a lone series
@@ -39,7 +43,7 @@ from math import comb
 from .bipartite import BipOneFaceTable, BipTable, bip_oneface_series, eta_series
 from .errors import WindowError
 from .maps import MapsTable, OneFaceTable, oneface_series, theta_series
-from .poly import ONE, Poly, U, V, Z
+from .poly import ONE, U, V, Z
 from .triangulations import TriTable, xi_series
 from .tseries import TSeries
 
@@ -74,21 +78,6 @@ class LambdaIndex:
         return _canon(
             ([self.ell] if self.ell else [])
             + [3] * self.n3 + [2] * self.n2 + [1] * self.n1
-        )
-
-    @classmethod
-    def from_parts(cls, parts) -> "LambdaIndex":
-        parts = _canon(parts)
-        if not parts:
-            return cls()
-        rest = parts[1:]
-        if rest and rest[0] > 3:
-            raise ValueError(f"more than one part above 3 in {parts}")
-        return cls(
-            ell=parts[0],
-            n3=rest.count(3),
-            n2=rest.count(2),
-            n1=rest.count(1),
         )
 
 
@@ -300,83 +289,58 @@ def verify_ode(model: str, ctx: SeriesContext) -> TSeries:
     return weight((d1 * d1).shift_t(s)) - kp2 * kp2 + kp1 * inner
 
 
-def verify_oneface_maps_ode(series: TSeries) -> TSeries:
-    """Linear ODE residual for the one-face map series (variables t, u)."""
-    d = [series]
-    for _ in range(6):
-        d.append(d[-1].dt())
-    u2 = U * U
-    c1 = TSeries.exact({
-        4: (u2 - U - 5 * ONE).scale(32), 6: (2 * U - ONE).scale(240),
-        2: 10 * ONE - 20 * U, 8: Poly.const(2880), 0: Poly.const(3),
-    })
-    c2 = TSeries.exact({
-        5: (8 * u2 - 8 * U - 109 * ONE).scale(2), 7: (2 * U - ONE).scale(360),
-        3: 4 * ONE - 8 * U, 9: Poly.const(7200), 1: ONE,
-    })
-    c3 = TSeries.exact({
-        8: (2 * U - ONE).scale(120), 10: Poly.const(4800), 6: Poly.const(-66),
-    })
-    c4 = TSeries.exact({
-        7: Poly.const(-5), 9: (2 * U - ONE).scale(10), 11: Poly.const(1200),
-    })
-    inhom = TSeries.exact({
-        7: 240 * U, 5: (2 * u2 - U).scale(30),
-        3: (4 * U * u2 - 4 * u2 - 11 * U).scale(2), 1: (u2 + U).scale(-2),
-    })
-    return _series_sum([TSeries.dot([
-        (1, c1, d[1]), (1, c2, d[2]), (1, c3, d[3]), (1, c4, d[4]),
-        (120, TSeries.exact({12: ONE}), d[5]), (4, TSeries.exact({13: ONE}), d[6]),
-        (1, _ONE, inhom),
-    ])])
+_DMV2 = (U - V) * (U - V)
+_S3 = 3 * U * U + 3 * V * V + 2 * _UV
+
+# model: ({k: {a: c}}, {a: c}), the linear one-face ODE
+# sum_k sum_a c t^a f^(k) + sum_a c t^a = 0 on the model's one-face series
+_ONEFACE_ODE = {
+    "oneface": ({
+        1: {0: 3 * ONE, 2: 10 * ONE - 20 * U, 4: (U * U - U - 5 * ONE).scale(32),
+            6: (2 * U - ONE).scale(240), 8: 2880 * ONE},
+        2: {1: ONE, 3: 4 * ONE - 8 * U, 5: (8 * U * U - 8 * U - 109 * ONE).scale(2),
+            7: (2 * U - ONE).scale(360), 9: 7200 * ONE},
+        3: {6: -66 * ONE, 8: (2 * U - ONE).scale(120), 10: 4800 * ONE},
+        4: {7: -5 * ONE, 9: (2 * U - ONE).scale(10), 11: 1200 * ONE},
+        5: {12: 120 * ONE},
+        6: {13: 4 * ONE},
+    }, {
+        1: (U * U + U).scale(-2), 3: (4 * U * U * U - 4 * U * U - 11 * U).scale(2),
+        5: (2 * U * U - U).scale(30), 7: 240 * U,
+    }),
+    "bip-oneface": ({
+        1: {0: 2 * ONE, 1: (ONE - U - V).scale(7),
+            2: _S3.scale(3) - (U + V).scale(12) - 29 * ONE,
+            # the inner constant must be 9: the quoted form with 7 fails the
+            # residual from t^3 on, while 9 makes it vanish identically
+            # through every checked order on the slice-validated table
+            3: (_UV * (U + V) - U * U * U - V * V * V + _DMV2
+                + (U + V - ONE).scale(9)).scale(5),
+            4: _DMV2 * _DMV2 - _DMV2.scale(18) + 81 * ONE},
+        2: {1: ONE, 2: (ONE - U - V).scale(4), 3: _S3.scale(2) - (U + V).scale(8) - 86 * ONE,
+            4: (U * U * U + V * V * V - _UV * (U + V) - _DMV2
+                - (U + V - ONE).scale(37)).scale(-4),
+            5: _DMV2 * _DMV2 - _DMV2.scale(64) + 719 * ONE},
+        3: {4: -44 * ONE, 5: (U + V - ONE).scale(82), 6: _DMV2.scale(-38) + 1078 * ONE},
+        4: {5: -5 * ONE, 6: (U + V - ONE).scale(10), 7: _DMV2.scale(-5) + 493 * ONE},
+        5: {8: 80 * ONE},
+        6: {9: 4 * ONE},
+    }, {
+        0: -_UV, 1: _UV * (2 * U + 2 * V - 5 * ONE), 2: -(_UV * (_DMV2 - ONE)),
+    }),
+}
 
 
-def verify_oneface_bipartite_ode(series: TSeries) -> TSeries:
-    """Linear ODE residual for the one-face bipartite series (t, u, v)."""
+def verify_oneface_ode(model: str, series: TSeries) -> TSeries:
+    """Linear ODE residual of a one-face series, from the model's row of
+    _ONEFACE_ODE: "oneface" in (t, u), "bip-oneface" in (t, u, v)."""
+    rows, inhom = _ONEFACE_ODE[model]
     d = [series]
-    for _ in range(6):
+    for _ in range(max(rows)):
         d.append(d[-1].dt())
-    u2, v2 = U * U, V * V
-    dmv = U - V
-    dmv2 = dmv * dmv
-    s3 = 3 * u2 + 3 * v2 + 2 * _UV
-    # the t^3 cofactor's inner constant must be 9: the quoted form with 7
-    # fails the residual from t^3 on, while 9 makes it vanish identically
-    # through every checked order on the slice-validated table
-    c1 = TSeries.exact({
-        0: Poly.const(2),
-        1: (ONE - U - V).scale(7),
-        2: s3.scale(3) - (U + V).scale(12) - 29 * ONE,
-        3: (-(U * u2) + u2 * V + U * v2 - V * v2 + dmv2 + (U + V - ONE).scale(9)).scale(5),
-        4: dmv2 * dmv2 - dmv2.scale(18) + 81 * ONE,
-    })
-    c2 = TSeries.exact({
-        1: ONE,
-        2: (ONE - U - V).scale(4),
-        3: s3.scale(2) - (U + V).scale(8) - 86 * ONE,
-        4: (U * u2 - u2 * V - U * v2 + V * v2 - dmv2 - (U + V - ONE).scale(37)).scale(-4),
-        5: dmv2 * dmv2 - dmv2.scale(64) + 719 * ONE,
-    })
-    c3 = TSeries.exact({
-        4: Poly.const(-44),
-        5: (U + V - ONE).scale(82),
-        6: dmv2.scale(-38) + 1078 * ONE,
-    })
-    c4 = TSeries.exact({
-        5: Poly.const(-5),
-        6: (U + V - ONE).scale(10),
-        7: dmv2.scale(-5) + 493 * ONE,
-    })
-    inhom = TSeries.exact({
-        0: -_UV,
-        1: _UV * (2 * U + 2 * V - 5 * ONE),
-        2: -(_UV * (dmv2 - ONE)),
-    })
-    return _series_sum([TSeries.dot([
-        (1, c1, d[1]), (1, c2, d[2]), (1, c3, d[3]), (1, c4, d[4]),
-        (80, TSeries.exact({8: ONE}), d[5]), (4, TSeries.exact({9: ONE}), d[6]),
-        (1, _ONE, inhom),
-    ])])
+    return _series_sum([TSeries.dot(
+        [(1, TSeries.exact(rows[k]), d[k]) for k in sorted(rows)]
+        + [(1, _ONE, TSeries.exact(inhom))])])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +420,7 @@ def verify_fixed_charge(ctx: SeriesContext) -> TSeries:
     if ctx.model != "maps":
         raise ValueError("the shift-free identity check runs on the maps model")
     ev = lambda fp: formal_eval(ctx, fp)
-    k1, k2, k3 = ev(KP1_FORMAL), ev(KP2_FORMAL), ev(KP3_FORMAL)
+    k1, h2, q3 = kp_combinations(ctx)   # KP1, KP2/2, KP3/4
     k3_1 = ev(formal_dp(KP3_FORMAL, 1))
     k2_2 = ev(formal_dp(KP2_FORMAL, 2))
     k2_1 = ev(formal_dp(KP2_FORMAL, 1))
@@ -470,9 +434,9 @@ def verify_fixed_charge(ctx: SeriesContext) -> TSeries:
     lhs = (f111 * k1 * k1 * k1).scale(2)
     rhs = _series_sum([
         (k3_1 - k2_2.scale(2)) * k1 * k1,
-        -((k3 - k1_11.scale(3)) * k1 * k1_1),
-        ((k1_2 - k2_1) * k1 * k2).scale(2),
-        (k2 * k2 * k1_1).scale(2),
+        -((q3.scale(4) - k1_11.scale(3)) * k1 * k1_1),
+        ((k1_2 - k2_1) * k1 * h2).scale(4),
+        (h2 * h2 * k1_1).scale(8),
         (k1_1 * k1_1 * k1_1).scale(-2),
         -(k1 * k1 * k1_111),
     ])
@@ -521,11 +485,11 @@ def _residual_fixed(order, tables):
 
 def _residual_of_maps(order, tables):
     table = tables.get("oneface") or OneFaceTable().fill((order + 2) // 2)
-    return verify_oneface_maps_ode(oneface_series(table, order + 2))
+    return verify_oneface_ode("oneface", oneface_series(table, order + 2))
 
 def _residual_of_bip(order, tables):
     table = tables.get("bip-oneface") or BipOneFaceTable().fill(order + 2)
-    return verify_oneface_bipartite_ode(bip_oneface_series(table, order + 2))
+    return verify_oneface_ode("bip-oneface", bip_oneface_series(table, order + 2))
 
 
 IDENTITIES = {

@@ -340,7 +340,13 @@ class OneFaceTable(Table):
 
 
 def ledoux(n: int, g2: int, table: OneFaceTable) -> int:
-    """One step of the linear one-face recursion; division by n+1 is exact."""
+    """One step of the linear one-face recursion; division by n+1 is exact.
+
+    This is Ledoux's recursion (2009).  For n >= 5 every coefficient is
+    the one derived from the one-face ODE (`identities._ONEFACE_ODE`),
+    which tests/test_oneface_recurrence.py checks; at n = 4 the seed
+    u[0, 0] = 1 stands for the ODE's inhomogeneous part.
+    """
     u = table.value
     total = (
         (8 * n - 2) * u(n - 1, g2)

@@ -166,11 +166,6 @@ class Poly:
     def coeff(self, exps: tuple[int, int, int]) -> Fraction:
         return Fraction(self.terms.get(_pack(*exps), 0), self.den)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(_unpack(k)) for k in self.terms)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(_unpack(k)) == degree for k in self.terms)
 
@@ -252,26 +247,19 @@ class Poly:
 
     # -- structural operations ------------------------------------------
 
-    def _shift_var(self, delta: int, field: int) -> "Poly":
+    def shift_u(self, delta: int) -> "Poly":
+        """Substitute u -> u + delta, expanded exactly."""
         if delta == 0 or not self.terms:
             return self
         out: dict[int, int] = {}
         for k, c in self.terms.items():
-            e = (k >> (field * _SHIFT)) & _MASK
-            base = k - (e << (field * _SHIFT))
+            e = k >> (2 * _SHIFT)
+            base = k - (e << (2 * _SHIFT))
             for i in range(e + 1):
                 add = c * comb(e, i) * delta ** (e - i)
-                kk = base + (i << (field * _SHIFT))
+                kk = base + (i << (2 * _SHIFT))
                 out[kk] = out.get(kk, 0) + add
         return Poly(out, self.den)
-
-    def shift_u(self, delta: int) -> "Poly":
-        """Substitute u -> u + delta, expanded exactly."""
-        return self._shift_var(delta, 2)
-
-    def shift_v(self, delta: int) -> "Poly":
-        """Substitute v -> v + delta, expanded exactly."""
-        return self._shift_var(delta, 0)
 
     def div_z(self) -> "Poly":
         """Exact division by z; every monomial must carry a z."""

@@ -19,8 +19,7 @@ from surfcount.identities import (
     run_identity,
     triangulations_context,
     verify_ode,
-    verify_oneface_bipartite_ode,
-    verify_oneface_maps_ode,
+    verify_oneface_ode,
     verify_shifted_bkp1,
 )
 from surfcount.maps import MapsTable, OneFaceTable, oneface_series
@@ -216,12 +215,12 @@ def test_criterion_8_mutation_sensitivity(maps_cc_12, bip_16, tri_15):
             _, n, g2, _ = trial
             broken = OneFaceTable().fill(10)
             broken.entries[(n, g2)] = broken.entries.get((n, g2), 0) + 1
-            res = verify_oneface_maps_ode(oneface_series(broken, 2 * n + 4))
+            res = verify_oneface_ode("oneface", oneface_series(broken, 2 * n + 4))
         else:
             _, n, i, j = trial
             broken = BipOneFaceTable().fill(12)
             broken.entries[(n, i, j)] = broken.entries.get((n, i, j), 0) + 1
-            res = verify_oneface_bipartite_ode(bip_oneface_series(broken, n + 4))
+            res = verify_oneface_ode("bip-oneface", bip_oneface_series(broken, n + 4))
         assert not res.is_zero(), f"mutation not detected: {trial}"
         detected += 1
         loc = res.first_nonzero()[0]

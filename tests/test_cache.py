@@ -1,4 +1,7 @@
+import fcntl
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from click.testing import CliRunner
@@ -99,6 +102,29 @@ def test_complete_last_record_without_newline_is_kept(tmp_path, capsys):
     cache.put_scalar("maps", 1, 1, 1)
     assert CountCache(path).records == cache.records
     assert capsys.readouterr().err == ""
+
+
+def test_two_writers_on_a_fresh_file_write_one_header(tmp_path, monkeypatch):
+    # both writers open the new file before either one locks it: the
+    # interleaving in which a header decided outside the lock is written twice
+    path = tmp_path / "counts.ndjson"
+    both_open = threading.Barrier(2, timeout=10)
+    flock = fcntl.flock
+
+    def flock_once_both_are_open(fh, op):
+        if op == fcntl.LOCK_EX:
+            both_open.wait()
+        return flock(fh, op)
+
+    monkeypatch.setattr(fcntl, "flock", flock_once_both_are_open)
+    writers = [CountCache(path), CountCache(path)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(w.put_scalar, "oneface", 4, g2, 93) for g2, w in enumerate(writers)]
+        for run in runs:
+            run.result()
+    lines = path.read_text().splitlines()
+    assert [json.loads(line) == HEADER for line in lines] == [True, False, False]
+    assert CountCache(path).records == {("oneface", 4, 0, None): 93, ("oneface", 4, 1, None): 93}
 
 
 def test_corrupt_inner_line_raises(tmp_path):

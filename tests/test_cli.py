@@ -47,6 +47,25 @@ def test_fractional_genus_bound(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("g_max, error", [
+    ("0.5000000001", "genus must be a half-integer: '0.5000000001'"),
+    ("1.5e400", "genus must be written n, n/2 or n.d: '1.5e400'"),
+])
+def test_genus_bound_not_a_half_integer(runner, g_max, error):
+    res = runner.invoke(main, ["maps", "--n-max", "3", "--g-max", g_max, "--no-cache"])
+    assert res.exit_code == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert [line for line in res.stderr.splitlines() if line.startswith("Error")] == [f"Error: {error}"]
+
+
+@pytest.mark.parametrize("command", ["maps", "bipartite", "triangulations", "oneface",
+                                     "bip-oneface"])
+def test_negative_n_max_is_a_usage_error(runner, command):
+    res = runner.invoke(main, [command, "--n-max", "-1", "--no-cache"])
+    assert res.exit_code == 2
+    assert res.stdout == "" and "--n-max" in res.stderr
+
+
 def test_formats_agree(runner):
     base = ["maps", "--n-max", "5", "--g-max", "2", "--no-cache"]
     as_json = json.loads(invoke(runner, base + ["--format", "json"]).output)

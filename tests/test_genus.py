@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surfcount.genus import euler_characteristic, genus_label, parse_genus
+from surfcount.genus import genus_label, parse_genus
 
 
 def test_labels():
@@ -25,10 +25,19 @@ def test_parse_forms():
         parse_genus("-1")
 
 
-def test_euler():
-    assert euler_characteristic(0) == 2
-    assert euler_characteristic(1) == 1
-    assert euler_characteristic(4) == -2
+@pytest.mark.parametrize("text", ["0.5000000001", "1.5e400", "1e1", ".5", "3.", "inf", "1_0"])
+def test_parse_rejects_other_spellings(text):
+    # decimals are read exactly: no float rounds 0.5000000001 to 1/2 or
+    # overflows on 1.5e400
+    with pytest.raises(ValueError):
+        parse_genus(text)
+
+
+def test_parse_decimals_exactly():
+    assert parse_genus("0.5") == 1
+    assert parse_genus("3.50") == 7
+    assert parse_genus("12.0") == 24
+    assert parse_genus("1" + "0" * 40 + ".5") == 2 * 10**40 + 1
 
 
 @given(st.integers(min_value=0, max_value=200))

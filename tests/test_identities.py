@@ -17,8 +17,7 @@ from surfcount.identities import (
     triangulations_context,
     verify_fixed_charge,
     verify_ode,
-    verify_oneface_bipartite_ode,
-    verify_oneface_maps_ode,
+    verify_oneface_ode,
     verify_shifted_bkp1,
 )
 from surfcount.maps import MapsTable, OneFaceTable, oneface_series
@@ -32,14 +31,14 @@ def ctx10(maps_cc_12):
     return maps_context(10, maps_cc_12)
 
 
-def test_lambda_index_roundtrip():
-    lam = LambdaIndex.from_parts((4, 3, 1, 1))
-    assert (lam.ell, lam.n3, lam.n2, lam.n1) == (4, 1, 0, 2)
+def test_lambda_index_roundtrip(ctx10):
+    lam = LambdaIndex(ell=4, n3=1, n1=2)
     assert lam.size == 9
     assert lam.parts() == (4, 3, 1, 1)
+    assert ftheta(ctx10, lam) is ftheta(ctx10, (4, 3, 1, 1))
     assert LambdaIndex().parts() == ()
     with pytest.raises(ValueError):
-        LambdaIndex.from_parts((5, 4))
+        ftheta(ctx10, (5, 4))
 
 
 def test_base_case_is_series(ctx10):
@@ -147,7 +146,7 @@ def test_mutation_detected_in_shifted_identity(maps_cc_12):
 def test_mutation_detected_in_oneface_ode():
     table = OneFaceTable().fill(8)
     table.entries[(3, 2)] += 1   # corrupt one stored value
-    res = verify_oneface_maps_ode(oneface_series(table, 16))
+    res = verify_oneface_ode("oneface", oneface_series(table, 16))
     assert not res.is_zero()
 
 
@@ -181,8 +180,8 @@ def test_run_identity_reports():
 
 
 def test_oneface_pair_entry_point():
-    res_maps = verify_oneface_maps_ode(oneface_series(OneFaceTable().fill(6), 12))
-    res_bip = verify_oneface_bipartite_ode(bip_oneface_series(BipOneFaceTable().fill(10), 10))
+    res_maps = verify_oneface_ode("oneface", oneface_series(OneFaceTable().fill(6), 12))
+    res_bip = verify_oneface_ode("bip-oneface", bip_oneface_series(BipOneFaceTable().fill(10), 10))
     assert res_maps.is_zero() and res_bip.is_zero()
     assert res_maps.max_order >= 10 and res_bip.max_order >= 8
 
