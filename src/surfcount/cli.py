@@ -5,8 +5,10 @@ for each model, run the brute-force oracle, and evaluate the functional
 identity checks.  Exit code 0 on success, 1 on a verification failure,
 2 on usage errors, 3 when the count cache file cannot be read or holds
 a malformed record (a one-line message on stderr names the file and
-line) or when cells loaded from it break a recurrence's integrality
-check (the message names the file and the cell that failed).
+line) or when cells loaded from it break a recurrence: an integrality
+check fails, or a cached `maps` or `triangulations` cell differs from
+the value its recomputed row gives (the message names the file and the
+cell).
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ def _fill(cache, model, tab, *limits, rows=False):
     """Fill tab to limits, starting from the cells the cache holds.
 
     A fill from cached cells that fails the recurrence's exact-division
-    check means a corrupted cache cell: one stderr line, exit code 3.
+    check, or (for the scalar tables, which recompute every row) finds a
+    cached cell that differs from its recomputed value, means a corrupted
+    cache cell: one stderr line, exit code 3.
     """
     if not cache:
         return tab.fill(*limits)
@@ -88,11 +92,13 @@ def main():
     """Exact counts of rooted maps on surfaces, orientable or not."""
 
 
-def _parse_gmax(g_max):
+def _genus_top(g_max, reach):
+    """The largest g2 to print: --g-max read exactly, capped at reach, the
+    largest g2 the table has at its --n-max."""
     if g_max is None:
-        return None
+        return reach
     try:
-        return parse_genus(g_max)
+        return min(parse_genus(g_max), reach)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -143,8 +149,7 @@ def _emit_records(model, records, fmt, columns):
 @cache_options
 def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
     """Rooted maps by edge count and genus."""
-    g2_max = _parse_gmax(g_max)
-    top = n_max if g2_max is None else g2_max
+    top = _genus_top(g_max, n_max)
     # only engine cc meets the cache; kz stays an independent check
     cache = None if engine == "kz" else open_cache(cache_path, no_cache)
     if engine is None and not bivariate:
@@ -188,8 +193,7 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
 @cache_options
 def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     """Rooted bipartite maps by edge count and genus."""
-    g2_max = _parse_gmax(g_max)
-    top = n_max if g2_max is None else g2_max
+    top = _genus_top(g_max, n_max)
     cache = open_cache(cache_path, no_cache)
     tab = _fill(cache, "bipartite", BipTable(), n_max, top, rows=True)
     _store(cache, "bipartite", tab)
@@ -214,8 +218,7 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
 @cache_options
 def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     """Rooted triangulations with 2n faces by genus."""
-    g2_max = _parse_gmax(g_max)
-    top = (n_max + 1) if g2_max is None else g2_max
+    top = _genus_top(g_max, n_max + 1)
     cache = open_cache(cache_path, no_cache)
     tab = _fill(cache, "triangulations", TriTable(), n_max, top)
     _store(cache, "triangulations", tab)

@@ -21,9 +21,10 @@ that every coefficient is an integer, and ends in one exact division by
 The one-face counts (maps whose complement is a single disk) obey a
 separate linear recursion, filled in OneFaceTable.
 
-Building blocks that do not depend on the target cell (the quadratic
-sum q1, the charge-shift weights and the inner brackets) are Memo dicts
-of each table, filled on first read; see table.py.
+In MapsTable, building blocks that do not depend on the target cell
+(the quadratic sum q1, the charge-shift weights and the inner brackets)
+are Memo dicts, filled on first read.  MapsCounts keeps none: it
+computes each row from genus convolutions of lower rows; see table.py.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from math import comb
 from .errors import IntegralityError
 from .poly import Poly, U, Z, _pack, _unpack
 from .table import (
-    Memo, PolyTable, Table, _genus_splits, _grid, _shift_weight, _sub_genus, row_series,
+    Memo, PolyTable, Table, _genus_splits, _grid, _sub_genus, convolve, convolve_square,
+    row_series, shift_weight,
 )
 from .tseries import TSeries
 
@@ -235,19 +237,15 @@ class MapsCounts(Table):
     collapses to a single binomial coefficient.  The step is scaled by 4,
     which makes every bracket coefficient an integer; the cell is then one
     exact division of the scaled sum by 2(n+1)(n-2), and a remainder raises
-    IntegralityError.  The memos hold brackets (without the self term) on
-    (n2, g2_2) and shift weights on (n1, g2_1), since neither depends on
-    the target cell.
+    IntegralityError.  Row n reads only rows below it (the n1 = 0 shift
+    weight is 4 at genus 0 and 0 above), so `fill` computes a whole row at
+    once from genus convolutions of lower rows, held in lists local to the
+    call.  Every row from 3 up is recomputed; a cell already in `entries`
+    (a cached one) must equal its recomputed value.
     """
 
     NAME = "h"
     SEEDS = {(1, 0): 2, (1, 1): 1, (2, 0): 9, (2, 1): 10, (2, 2): 5}
-
-    def __init__(self):
-        super().__init__()
-        self.q1 = Memo(MapsCounts._q1, self)
-        self.bracket4 = Memo(MapsCounts._bracket4, self)
-        self.weight = Memo(_shift_weight, self)
 
     def value(self, n: int, g2: int) -> int:
         if n < 0 or g2 < 0 or n < g2:
@@ -257,48 +255,35 @@ class MapsCounts(Table):
         return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "MapsCounts":
-        return self._sweep(_grid(3, n_max, g2_max), self._step)
-
-    def _q1(self, m, g2):
+        top = n_max if g2_max is None else g2_max
         h = self.value
-        return sum(
-            (2 * n3 - 1) * (2 * (m - n3) - 1) * h(n3 - 1, ga) * h(m - n3 - 1, gb)
-            for ga, gb in _genus_splits(g2)
-            for n3 in range(ga + 1, m - gb)  # all other terms vanish
-        )
-
-    def _bracket4(self, n2: int, g2_2: int) -> int:
-        """4 x the inner bracket of (n2, g2_2) without its -(n2+1)/4 h[n2, g2_2] term."""
-        h = self.value
-        return (
-            2 * (2 * n2 - 1) * (2 * n2 - 2) * (2 * n2 - 3) * h(n2 - 2, g2_2 - 2)
-            + 2 * (2 * n2 - 1) * (2 * h(n2 - 1, g2_2) + h(n2 - 1, g2_2 - 1))
-            + 6 * self.q1[n2, g2_2]
-        )
-
-    def _step(self, n: int, g2: int) -> int:
-        h = self.value
-        # 3n q1(n, g2) is the quadratic term, as in _rec_cc
-        total4 = 4 * (
-            n * (2 * n - 1) * (2 * h(n - 1, g2) + h(n - 1, g2 - 1))
-            + (2 * n - 3) * (n - 1) * (2 * n - 1) * 2 * n * h(n - 2, g2 - 2)
-            + 3 * n * self.q1[n, g2]
-        )
-        for g2_1, g2_2 in _genus_splits(g2):
-            for n1 in range(0, n):
-                w = self.weight[n1, g2_1]
-                if not w:
-                    continue
-                n2 = n - n1
-                bracket = self.bracket4[n2, g2_2]
-                if n1 or g2_1:  # else h[n2, g2_2] is the unknown cell itself
-                    bracket -= (n2 + 1) * h(n2, g2_2)
-                total4 -= w * bracket
-        quot, rem = divmod(total4, 2 * (n + 1) * (n - 2))
-        if rem:
-            raise IntegralityError(
-                f"h[{n},{g2}]: {total4} not divisible by {2 * (n + 1) * (n - 2)}")
-        return quot
+        # by row m: (2m+1) h[m], the shift weights of h[m] and 4 x its bracket
+        odd, weight, bracket = [[1]], [[4]], [[]]
+        for n in range(1, n_max + 1):
+            genera = range(min(n, top) + 1)
+            # q1[g2]: sum of (2n3-1)(2n4-1) h[n3-1] h[n4-1] over n3+n4 = n, g3+g4 = g2
+            q1 = convolve_square(odd, n - 2, len(genera))
+            # 4 x the bracket of row n without its -(n+1)/4 h[n] term
+            core = [2 * (2 * n - 1) * ((2 * n - 2) * (2 * n - 3) * h(n - 2, g - 2)
+                                       + 2 * h(n - 1, g) + h(n - 1, g - 1)) + 6 * q1[g]
+                    for g in genera]
+            if n >= 3:
+                # the first part, 4 x (n(2n-1)(...) + ... + 3n q1), is 2n core;
+                # at n1 = 0 the bracket lacks the h[n] term, the unknown cell
+                shift = convolve([0] * len(genera), ((weight[n1], bracket[n - n1] if n1 else core)
+                                                     for n1 in range(n)))
+                div = 2 * (n + 1) * (n - 2)
+                for g2 in genera:
+                    total4 = 2 * n * core[g2] - shift[g2]
+                    quot, rem = divmod(total4, div)
+                    if rem:
+                        raise IntegralityError(f"h[{n},{g2}]: {total4} not divisible by {div}")
+                    self._settle(n, g2, quot)
+            row = [h(n, g) for g in genera]
+            odd.append([(2 * n + 1) * v for v in row])
+            weight.append([shift_weight(n, g, row) for g in genera])
+            bracket.append([b - (n + 1) * v for b, v in zip(core, row)])
+        return self
 
 
 def maps_count(n: int, g2: int, table: MapsTable | None = None) -> int:

@@ -1,11 +1,13 @@
 """Scaffolding shared by the recurrence tables.
 
 Every table keeps its filled cells in `entries`, seeded from the class's
-SEEDS, and fills them with one sweep that skips the cells already there
-(seeds, cells loaded from the count cache).  Reading a cell that is not
-there raises MissingEntryError.  Building blocks that do not depend on
-the target cell are Memo dicts, computed on first read.  The formulas,
-the zero region of each table and its `fill` stay in the model modules.
+SEEDS; reading a cell that is not there raises MissingEntryError.  The
+polynomial and one-face tables fill with one sweep that skips the cells
+already there (seeds, cells loaded from the count cache) and keep
+building blocks in Memo dicts, computed on first read.  The scalar
+tables recompute each row from genus convolutions of lower rows, and a
+cell already there must equal its recomputed value.  The formulas, the
+zero region of each table and its `fill` stay in the model modules.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class Table:
 
     A subclass sets NAME (its symbol in error messages) and SEEDS, reads
     cells through its own `value` or `poly`, which owns the zero region,
-    and defines `fill` in its own body as a call to `_sweep`.
+    and defines `fill` in its own body: a call to `_sweep`, or for the
+    scalar tables a row loop that enters each cell through `_settle`.
     """
 
     NAME = ""
@@ -69,6 +72,14 @@ class Table:
                 entries[cell] = step(*cell)
         return self
 
+    def _settle(self, n: int, g2: int, value: int) -> int:
+        """entries[n, g2] = value; a cell already there (a cached one) must
+        hold that value, else IntegralityError names it."""
+        old = self.entries.setdefault((n, g2), value)
+        if old != value:
+            raise IntegralityError(f"{self.NAME}[{n},{g2}]: cached {old}, recomputed {value}")
+        return value
+
 
 class PolyTable(Table):
     """A table of polynomials in the cell (n, g2), counted at all ones."""
@@ -80,11 +91,11 @@ class PolyTable(Table):
         return val.numerator
 
 
-def _grid(n_min: int, n_max: int, g2_max: int | None = None, excess: int = 0):
-    """Cells (n, g2) with n_min <= n <= n_max and 0 <= g2 <= n + excess,
-    capped at g2_max, row by row."""
+def _grid(n_min: int, n_max: int, g2_max: int | None = None):
+    """Cells (n, g2) with n_min <= n <= n_max and 0 <= g2 <= n, capped at
+    g2_max, row by row."""
     for n in range(n_min, n_max + 1):
-        top = n + excess if g2_max is None else min(n + excess, g2_max)
+        top = n if g2_max is None else min(n, g2_max)
         for g2 in range(top + 1):
             yield n, g2
 
@@ -99,17 +110,34 @@ def _sub_genus(g2_1):
     return range(g2_1 % 2, g2_1 + 1, 2)
 
 
-def _shift_weight(table, n1: int, g2_1: int, genera=None) -> int:
-    """Sum over g2_0 (default: all of _sub_genus(g2_1)) of
-    C(n1+2-g2_0, n1-g2_1) 2^(2+g2_1-g2_0) table.value(n1, g2_0): the
-    univariate charge-shift weight, zero when n1 < g2_1."""
+def shift_weight(n1: int, g2_1: int, row) -> int:
+    """Sum over g2_0 in _sub_genus(g2_1) of C(n1+2-g2_0, n1-g2_1)
+    2^(2+g2_1-g2_0) row[g2_0], where row holds the cells of row n1 by
+    genus: the univariate charge-shift weight, zero when n1 < g2_1."""
     if n1 < g2_1:
         return 0
-    value = table.value
-    return sum(
-        comb(n1 + 2 - g2_0, n1 - g2_1) * 2 ** (2 + g2_1 - g2_0) * value(n1, g2_0)
-        for g2_0 in (_sub_genus(g2_1) if genera is None else genera)
-    )
+    return sum((comb(n1 + 2 - g2_0, n1 - g2_1) * row[g2_0]) << (2 + g2_1 - g2_0)
+               for g2_0 in _sub_genus(g2_1))
+
+
+def convolve(acc: list, pairs) -> list:
+    """acc[g] += sum over (a, b) in pairs and over i of a[i] b[g - i], for
+    every g < len(acc): genus convolutions of rows, truncated at acc."""
+    width = len(acc)
+    for a, b in pairs:
+        for i, x in enumerate(a[:width]):
+            if x:
+                for g, y in enumerate(b[:width - i], i):
+                    acc[g] += x * y
+    return acc
+
+
+def convolve_square(rows, m: int, width: int) -> list:
+    """Sum over a + b = m of the genus convolution of rows[a] and rows[b],
+    truncated at width; each unordered pair is convolved once."""
+    acc = [2 * x for x in convolve([0] * width, ((rows[a], rows[m - a])
+                                                 for a in range((m + 1) // 2)))]
+    return convolve(acc, [(rows[m // 2], rows[m // 2])] if m % 2 == 0 else [])
 
 
 def row_series(order: int, step: int, coeff) -> TSeries:

@@ -7,9 +7,13 @@ and is checked nonzero at every visited cell rather than assumed.
 
 The step runs in plain ints: scaled by 8, every bracket coefficient is
 an integer, and the cell is one exact division by 4 D(n, g); a remainder
-or a negative result raises IntegralityError.  The table's memos hold
-the bracket core on (n2, g2_2) and the shift weight on (n1, g2_1); the
-boundary corrections for n1 in {n, n-1, n-2} are added on top.
+or a negative result raises IntegralityError.  A fill computes row n
+for every genus at once: the quadratic sum, the shift weights and the
+brackets of lower rows are lists local to the call, the shift sum over
+n1 < n is one genus convolution of them, and the boundary corrections
+of rows n2 = 1, 2 are part of those rows' brackets.  The n1 = n term
+reads lower genera of row n itself, so it is added by a sweep up the
+row.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from .errors import IntegralityError
 from .poly import Poly
-from .table import Memo, Table, _genus_splits, _grid, _shift_weight, _sub_genus, row_series
+from .table import Table, convolve, convolve_square, row_series, shift_weight
 from .tseries import TSeries
 
 
@@ -34,87 +38,59 @@ class TriTable(Table):
         (2, 0): 32, (2, 1): 118, (2, 2): 202, (2, 3): 128,
     }
 
-    def __init__(self):
-        super().__init__()
-        self.q = Memo(TriTable._q, self)
-        self.bracket8 = Memo(TriTable._bracket8, self)
-        self.weight = Memo(_shift_weight, self)
-
     def value(self, n: int, g2: int) -> int:
         if n <= 0 or g2 < 0 or n < g2 - 1:
             return 0
         return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "TriTable":
-        return self._sweep(_grid(3, n_max, g2_max, excess=1),
-                           lambda n, g2: tri_rec(n, g2, self))
-
-    def _q(self, m: int, g2: int) -> int:
-        """Sum of (3 n3 - 1)(3 n4 - 1) t[n3-1] t[n4-1] over splits of (m, g2)."""
+        """Rows 3..n_max; each cell is one exact division of its scaled sum
+        by 2 Dnum, Dnum = 2 D(n, g), and must equal a cell already there."""
+        top = n_max + 1 if g2_max is None else g2_max
         t = self.value
-        return sum(
-            (3 * n3 - 1) * (3 * (m - n3) - 1) * t(n3 - 1, ga) * t(m - n3 - 1, gb)
-            for ga, gb in _genus_splits(g2)
-            for n3 in range(max(2, ga), m - max(1, gb - 1))  # all other terms vanish
-        )
+        # by row m: (3m+2) t[m], the shift weights of t[m] and 8 x its bracket
+        scaled, weight, bracket = [[]], [[]], [[]]
+        for n in range(1, n_max + 1):
+            genera = range(min(n + 1, top) + 1)
+            # q[g2]: sum of (3n3-1)(3n4-1) t[n3-1] t[n4-1] over n3+n4 = n, g3+g4 = g2
+            q = convolve_square(scaled, n - 2, len(genera))
+            # 8 x the bracket of row n without its -(n+1)/8 t[n] term and boundary
+            core = [8 * ((3 * n - 1) * t(n - 1, g) + q[g] + 2 * (3 * n - 4) * (
+                (3 * n - 2) * n * t(n - 2, g - 2) + 2 * (t(n - 2, g - 1) + t(n - 2, g))))
+                for g in genera]
+            if n >= 3:
+                # the first part, 8n (6(3n-1) t[n-1] + ... + 6q), is 6n core
+                shift = convolve([0] * len(genera),
+                                 ((weight[n1], bracket[n - n1]) for n1 in range(1, n)))
+                row = [0] * len(genera)
+                for g2 in genera:
+                    Dnum = int(2 * prefactor_denominator(n, g2))
+                    if Dnum == 0:
+                        raise ArithmeticError(
+                            f"prefactor denominator vanishes at (n={n}, g2={g2})")
+                    # n1 = n: the bracket is +-1/8 at g2_1 = g2, g2 - 1, and the
+                    # unknown cell, row[g2] = 0 here, drops out of its weight
+                    total8 = (6 * n * core[g2] - shift[g2]
+                              - shift_weight(n, g2, row) + shift_weight(n, g2 - 1, row))
+                    quot, rem = divmod(total8, 2 * Dnum)
+                    if rem:
+                        raise IntegralityError(
+                            f"t[{n},{g2}]: {total8} not divisible by {2 * Dnum}")
+                    if quot < 0:
+                        raise IntegralityError(f"t[{n},{g2}] = {quot} is negative")
+                    row[g2] = self._settle(n, g2, quot)
+            row = [t(n, g) for g in genera]
+            scaled.append([(3 * n + 2) * v for v in row])
+            weight.append([shift_weight(n, g, row) for g in genera])
+            full = [b - (n + 1) * v for b, v in zip(core, row)]
+            for g, c in zip(genera, _BOUNDARY8.get(n, ())):
+                full[g] += c
+            bracket.append(full)
+        return self
 
-    def _bracket8(self, n2: int, g2_2: int) -> int:
-        """8 x the inner bracket of (n2, g2_2), without boundary corrections."""
-        t = self.value
-        return 8 * (
-            (3 * n2 - 1) * t(n2 - 1, g2_2)
-            + 2 * (3 * n2 - 4) * (
-                (3 * n2 - 2) * n2 * t(n2 - 2, g2_2 - 2)
-                + 2 * (t(n2 - 2, g2_2 - 1) + t(n2 - 2, g2_2))
-            )
-            + self.q[n2, g2_2]
-        ) - (n2 + 1) * t(n2, g2_2)
 
-
-# 8 x the boundary corrections of the bracket, keyed by (n - n1, g2 - g2_1)
-_BOUNDARY8 = {
-    (1, 0): 16, (1, 1): 16, (1, 2): 8,
-    (2, 0): 32, (2, 1): 64, (2, 2): 288, (2, 3): 256,
-}
-
-
-def tri_rec(n: int, g2: int, table: TriTable) -> int:
-    """One recurrence step for t[n, g2] (n > 2, dependencies filled).
-
-    Scaled by 8 so that every bracket coefficient is an integer; the cell
-    is one exact division of the scaled sum by 2 Dnum, Dnum = 2 D(n, g).
-    """
-    if n <= 2:
-        raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
-    Dnum = int(2 * prefactor_denominator(n, g2))
-    if Dnum == 0:
-        raise ArithmeticError(f"prefactor denominator vanishes at (n={n}, g2={g2})")
-    t = table.value
-    total8 = 8 * n * (
-        6 * (3 * n - 1) * t(n - 1, g2)
-        + 12 * (3 * n - 4) * (
-            (3 * n - 2) * n * t(n - 2, g2 - 2)
-            + 2 * (t(n - 2, g2 - 1) + t(n - 2, g2))
-        )
-        + 6 * table.q[n, g2]
-    )
-    for g2_1, g2_2 in _genus_splits(g2):
-        for n1 in range(1, n):
-            w = table.weight[n1, g2_1]
-            if w:
-                br = table.bracket8[n - n1, g2_2] + _BOUNDARY8.get((n - n1, g2 - g2_1), 0)
-                total8 -= w * br
-    # n1 = n: the bracket reduces to +-1/8 and the self term g2_0 = g2 drops out
-    for g2_1, sign in ((g2, 1), (g2 - 1, -1)):
-        if g2_1 >= 0:
-            others = [g2_0 for g2_0 in _sub_genus(g2_1) if g2_0 != g2]
-            total8 -= sign * _shift_weight(table, n, g2_1, others)
-    quot, rem = divmod(total8, 2 * Dnum)
-    if rem:
-        raise IntegralityError(f"t[{n},{g2}]: {total8} not divisible by {2 * Dnum}")
-    if quot < 0:
-        raise IntegralityError(f"t[{n},{g2}] = {quot} is negative")
-    return quot
+# 8 x the boundary corrections of the bracket of rows n2 = 1, 2, by genus
+_BOUNDARY8 = {1: (16, 16, 8), 2: (32, 64, 288, 256)}
 
 
 def xi_series(table: TriTable, order: int) -> TSeries:

@@ -239,18 +239,42 @@ def test_cold_store_is_one_append(tmp_path, monkeypatch):
     assert len(CountCache(path).records) == 1140
 
 
-def test_cli_corrupt_cached_cell_exit_code(tmp_path):
-    path = tmp_path / "counts.ndjson"
-    CliRunner().invoke(main, ["maps", "--n-max", "6", "--cache", str(path)])
+def _bump_cached_cell(path, model, n, g2):
+    """Add 1 to the cached scalar record of model at (n, g2)."""
     lines = path.read_text().splitlines()
     for k, line in enumerate(lines[1:], 1):
         rec = json.loads(line)
-        if (rec["model"], rec["n"], rec["g2"]) == ("maps", 4, 1) and "i" not in rec:
+        if (rec["model"], rec["n"], rec["g2"]) == (model, n, g2) and "i" not in rec:
             rec["value"] = str(int(rec["value"]) + 1)
             lines[k] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_cli_corrupt_cached_cell_exit_code(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    CliRunner().invoke(main, ["maps", "--n-max", "6", "--cache", str(path)])
+    _bump_cached_cell(path, "maps", 4, 1)
     res = CliRunner().invoke(main, ["maps", "--n-max", "8", "--cache", str(path)])
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1
-    assert str(path) in res.stderr and "h[7,1]" in res.stderr
+    # row 4 is recomputed, so the corrupted cell itself is named
+    assert str(path) in res.stderr and "h[4,1]" in res.stderr
+
+
+@pytest.mark.parametrize("model, n, g2, name", [
+    ("maps", 6, 2, "h[6,2]"),
+    ("triangulations", 5, 3, "t[5,3]"),
+])
+def test_cli_corrupt_top_cached_row_exit_code(tmp_path, model, n, g2, name):
+    # no division reads a cell of the top row, so every one stays exact:
+    # only comparing the cached cell with its recomputed value catches it
+    path = tmp_path / "counts.ndjson"
+    args = [model, "--n-max", str(n), "--format", "csv", "--cache", str(path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    _bump_cached_cell(path, model, n, g2)
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert str(path) in res.stderr and f"{name}: cached " in res.stderr

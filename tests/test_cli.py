@@ -58,6 +58,21 @@ def test_genus_bound_not_a_half_integer(runner, g_max, error):
     assert [line for line in res.stderr.splitlines() if line.startswith("Error")] == [f"Error: {error}"]
 
 
+@pytest.mark.parametrize("command, reach, above", [
+    ("maps", "1", "4"),                  # g2 <= n_max
+    ("maps --bivariate", "1", "200000"),
+    ("bipartite", "1", "7/2"),
+    ("triangulations", "3/2", "200000"),  # g2 <= n_max + 1
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_genus_bound_above_reach_is_capped(runner, command, reach, above, fmt):
+    # no column past the largest genus the table reaches at --n-max 2
+    args = command.split() + ["--n-max", "2", "--format", fmt, "--no-cache", "--g-max"]
+    at_reach = invoke(runner, args + [reach])
+    assert at_reach.exit_code == 0
+    assert invoke(runner, args + [above]).stdout_bytes == at_reach.stdout_bytes
+
+
 @pytest.mark.parametrize("command", ["maps", "bipartite", "triangulations", "oneface",
                                      "bip-oneface"])
 def test_negative_n_max_is_a_usage_error(runner, command):

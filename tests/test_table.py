@@ -2,8 +2,10 @@
 
 import gc
 import weakref
+from math import factorial, prod
 
 import pytest
+from reference_tables import MAPS, TRIANGULATIONS
 
 from surfcount.bipartite import BipOneFaceTable, BipTable
 from surfcount.errors import MissingEntryError
@@ -62,3 +64,31 @@ def test_no_table_lives_in_a_reference_cycle(fill):
         assert ref() is None, "table kept alive by a reference cycle"
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("cls", [MapsCounts, TriTable], ids=lambda cls: cls.__name__)
+def test_scalar_fill_bounds(cls):
+    # each fill recomputes every row, so a grown bound reads no truncated row
+    full = cls().fill(20)
+    grown = cls().fill(12, 3).fill(20)
+    assert grown.entries == full.entries
+    assert cls().fill(20, 3).entries == {cell: v for cell, v in full.entries.items()
+                                         if cell[1] <= 3}
+    assert list(vars(grown)) == ["entries"], "a scalar table holds only its cells"
+
+
+def _double_factorial(m):
+    return prod(range(m, 0, -2))
+
+
+@pytest.mark.slow
+def test_scalar_tables_far_out():
+    # every exact division passes up to maps 100 and triangulations 60
+    h, t = MapsCounts().fill(100), TriTable().fill(60)
+    for n in range(1, 101):   # Tutte (1963)
+        assert h.value(n, 0) * factorial(n) * factorial(n + 2) == 2 * 3**n * factorial(2 * n), n
+    for n in range(1, 61):    # OEIS A002005
+        lhs = t.value(n, 0) * factorial(n + 2) * _double_factorial(n)
+        assert lhs == 2 ** (2 * n + 1) * _double_factorial(3 * n), n
+    assert {cell: h.value(*cell) for cell in MAPS} == MAPS
+    assert {cell: t.value(*cell) for cell in TRIANGULATIONS} == TRIANGULATIONS

@@ -4,7 +4,7 @@ from math import factorial, prod
 import pytest
 
 from surfcount.errors import IntegralityError, MissingEntryError
-from surfcount.triangulations import TriTable, prefactor_denominator, tri_rec, xi_series
+from surfcount.triangulations import TriTable, prefactor_denominator, xi_series
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,16 @@ def test_prefactor_denominator_positive():
 
 
 def test_single_step_and_missing(tri10):
-    assert tri_rec(7, 3, tri10) == tri10.value(7, 3)
+    # a fill recomputes row 7 from the rows below it; a cell already
+    # there must equal its recomputed value
+    tab = TriTable()
+    tab.entries.update((cell, v) for cell, v in tri10.entries.items() if cell[0] < 7)
+    tab.entries[7, 3] = tri10.value(7, 3)
+    tab.fill(7)
+    assert [tab.value(7, g2) for g2 in range(9)] == [tri10.value(7, g2) for g2 in range(9)]
+    tab.entries[7, 3] += 1
+    with pytest.raises(IntegralityError, match=r"^t\[7,3\]: cached "):
+        tab.fill(7)
     with pytest.raises(MissingEntryError):
         TriTable().value(5, 0)
 
