@@ -15,12 +15,19 @@ its records the file lacks.  The layout stays inside this module: a
 table's `entries` go in through `load` and out through `store`, which
 writes every new record of a run in one append.
 
-Loading parses each line once, straight into the in-memory index, and
-checks each record's shape: a known model, non-negative integers n, g2
-and indices (two for maps coefficients and bip-oneface cells, three for
-bipartite coefficients, none for totals and scalar cells) and a decimal
-string value.  Coefficients stay ints all the way from the file to a
-row's `Poly` and back.
+Loading parses each line once, straight into the in-memory index, with
+the scan that `json.loads` itself ends in (`JSONDecoder.scan_once`); a
+line that scan does not consume whole (blank or padded, a BOM, invalid
+or torn) goes through `json.loads`, which reads it, or says why not,
+exactly as it always has.  Each record's shape is then checked: a known
+model, non-negative integers n, g2 and indices (two for maps
+coefficients and bip-oneface cells, three for bipartite coefficients,
+none for totals and scalar cells) and a decimal string value.
+Coefficients stay ints all the way from the file to a row's `Poly` and
+back.  A cached cell that a table already holds, one of its seeds, must
+equal it.  Storing a table skips each polynomial row whose total and
+coefficients the file already holds, and builds records only for the
+rows and cells it lacks.
 
 Each append holds an exclusive `flock` on the file, so runs sharing one
 file write one header and never interleave their records.  A run that
@@ -47,6 +54,10 @@ from .errors import CacheError
 from .poly import Poly
 
 HEADER = {"format": "surfcount-cache", "version": 1}
+
+# json.loads(s) is this scan at the start of s, plus whitespace and
+# BOM handling around it
+_scan = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -153,18 +164,25 @@ class CountCache:
         data = self.path.read_bytes()
         # split leaves "" last unless the last line lacks its newline
         lines = data.decode(errors="replace").split("\n")
+        cells = self._cells
         for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except ValueError:
-                if lineno < len(lines):
-                    raise CacheError(
-                        f"{self.path}:{lineno}: unparsable cache record") from None
-                print(f"warning: dropping torn last line {lineno} of {self.path}",
-                      file=sys.stderr)
-                return
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                # not one bare JSON value: blank, padded, a BOM, invalid or torn
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except ValueError:
+                    if lineno < len(lines):
+                        raise CacheError(
+                            f"{self.path}:{lineno}: unparsable cache record") from None
+                    print(f"warning: dropping torn last line {lineno} of {self.path}",
+                          file=sys.stderr)
+                    return
             if lineno == 1:
                 if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
                     raise CacheError(f"not a surfcount cache: {self.path}")
@@ -173,7 +191,7 @@ class CountCache:
                 key, indices, value = _parse_record(obj)
             except ValueError as exc:
                 raise CacheError(f"{self.path}:{lineno}: malformed cache record: {exc}") from None
-            self._cells.setdefault(key, {})[indices] = value
+            cells.setdefault(key, {})[indices] = value
 
     def _append(self, records):
         """Write the records the file lacks, all in one locked append.
@@ -203,7 +221,8 @@ class CountCache:
 
         Entries keep their own keys: (n, g2) for counts and polynomial
         rows (rows=True; complete rows only), (n, i, j) for bip-oneface.
-        Cells already in entries, such as a table's seeds, are kept.
+        A cell already in entries, one of the table's seeds, must equal
+        its cached value, else CacheError names the file and the cell.
         """
         for (m, n, g2), cells in self._cells.items():
             if m != model or n > n_max:
@@ -211,25 +230,42 @@ class CountCache:
             if rows:
                 row = self.get_row(model, n, g2)
                 if row is not None:
-                    entries.setdefault((n, g2), row)
+                    self._enter(model, entries, (n, g2), row)
             elif model == "bip-oneface":
                 for indices, value in cells.items():
-                    entries.setdefault((n, *indices), value)
+                    self._enter(model, entries, (n, *indices), value)
             elif None in cells:
-                entries.setdefault((n, g2), cells[None])
+                self._enter(model, entries, (n, g2), cells[None])
+
+    def _enter(self, model, entries, key, value):
+        seed = entries.setdefault(key, value)
+        if seed != value:
+            raise CacheError(f"{self.path}: {model}[{','.join(map(str, key))}]: "
+                             f"cached {value}, seed {seed}")
 
     def store(self, model: str, entries: dict):
-        """Append every cell of a table's entries that the file lacks."""
+        """Append every cell of a table's entries that the file lacks.
+
+        A polynomial row the file holds whole, its total and a record for
+        every coefficient, builds no records.
+        """
         records = []
         for key, value in entries.items():
             if isinstance(value, Poly):
-                records += self._row_records(model, *key, value, value.evaluate())
+                if not self._holds_row(model, *key, value):
+                    records += self._row_records(model, *key, value, value.evaluate())
             elif model == "bip-oneface":
                 n, i, j = key
                 records.append(CountRecord(model, n, n + 1 - i - j, value, (i, j)))
             else:
                 records.append(CountRecord(model, *key, value))
         self._append(records)
+
+    def _holds_row(self, model, n, g2, poly) -> bool:
+        """The presence test of `_append`, for every record of one row."""
+        cells = self._cells.get((model, n, g2))
+        return (cells is not None and None in cells
+                and all(_record_indices(model, exps) in cells for exps, _ in poly.int_items()))
 
     # -- single cells and rows ---------------------------------------------
 

@@ -5,10 +5,10 @@ for each model, run the brute-force oracle, and evaluate the functional
 identity checks.  Exit code 0 on success, 1 on a verification failure,
 2 on usage errors, 3 when the count cache file cannot be read or holds
 a malformed record (a one-line message on stderr names the file and
-line) or when cells loaded from it break a recurrence: an integrality
-check fails, or a cached `maps` or `triangulations` cell differs from
-the value its recomputed row gives (the message names the file and the
-cell).
+line) or when cells loaded from it break a recurrence: a cached cell
+differs from one of the table's seeds, an integrality check fails, or a
+cached `maps` or `triangulations` cell differs from the value its
+recomputed row gives (the message names the file and the cell).
 """
 
 from __future__ import annotations
@@ -57,29 +57,36 @@ def open_cache(cache_path, no_cache) -> CountCache | None:
     try:
         return CountCache(cache_path or default_cache_path())
     except CacheError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(3)
+        _cache_error(exc)
+
+
+def _cache_error(message):
+    _echo(f"error: {message}", err=True)
+    sys.exit(3)
 
 
 def _fill(cache, model, tab, *limits, rows=False):
     """Fill tab to limits, starting from the cells the cache holds.
 
-    A fill from cached cells that fails the recurrence's exact-division
-    check, or (for the scalar tables, which recompute every row) finds a
-    cached cell that differs from its recomputed value, means a corrupted
-    cache cell: one stderr line, exit code 3.
+    A cached cell that differs from one of the table's seeds, or a fill
+    from cached cells that fails the recurrence's exact-division check,
+    or (for the scalar tables, which recompute every row) finds a cached
+    cell that differs from its recomputed value, means a corrupted cache
+    cell: one stderr line, exit code 3.
     """
     if not cache:
         return tab.fill(*limits)
     seeds = len(tab.entries)
-    cache.load(model, tab.entries, limits[0], rows)
+    try:
+        cache.load(model, tab.entries, limits[0], rows)
+    except CacheError as exc:
+        _cache_error(exc)
     try:
         return tab.fill(*limits)
     except IntegralityError as exc:
         if len(tab.entries) == seeds:
             raise
-        _echo(f"error: {cache.path}: cached counts break the recurrence at {exc}", err=True)
-        sys.exit(3)
+        _cache_error(f"{cache.path}: cached counts break the recurrence at {exc}")
 
 
 def _store(cache, model, tab):

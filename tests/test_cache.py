@@ -1,12 +1,13 @@
 import fcntl
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from click.testing import CliRunner
 
-from surfcount.cache import CountCache, HEADER
+from surfcount.cache import CountCache, HEADER, _parse_record
 from surfcount.cli import main
 from surfcount.errors import CacheError
 from surfcount.poly import U, Z
@@ -278,3 +279,165 @@ def test_cli_corrupt_top_cached_row_exit_code(tmp_path, model, n, g2, name):
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1
     assert str(path) in res.stderr and f"{name}: cached " in res.stderr
+
+
+@pytest.mark.parametrize("command, n, g2, n_max", [
+    ("maps", 2, 1, 2),
+    ("maps", 2, 1, 5),
+    ("triangulations", 2, 3, 2),
+    ("oneface", 3, 2, 3),
+    ("oneface", 3, 2, 5),
+])
+def test_cli_corrupt_cached_seed_exit_code(tmp_path, command, n, g2, n_max):
+    # a seed is never recomputed, so only comparing it with the cached cell
+    # catches a wrong one; at n_max 2 every cached maps and triangulations
+    # cell is a seed, and rows up to 3 are the oneface seeds
+    path = tmp_path / "counts.ndjson"
+    assert CliRunner().invoke(main, [command, "--n-max", "5", "--cache", str(path)]).exit_code == 0
+    seed = CountCache(path).get_scalar(command, n, g2)
+    _bump_cached_cell(path, command, n, g2)
+    res = CliRunner().invoke(main, [command, "--n-max", str(n_max), "--cache", str(path)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {path}: {command}[{n},{g2}]: cached {seed + 1}, seed {seed}\n"
+
+
+def test_cli_corrupt_cached_seed_row_exit_code(tmp_path):
+    # a coefficient and the total edited together: the row is complete and
+    # is served, and only the comparison with the seed catches it
+    path = tmp_path / "counts.ndjson"
+    args = ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    lines = path.read_text().splitlines()
+    bumped = []
+    for k, line in enumerate(lines[1:], 1):
+        rec = json.loads(line)
+        # the total and the u z^2 coefficient of H[2,1] = 5 u^2 z + 5 u z^2
+        if (rec["model"], rec["n"], rec["g2"], rec.get("i")) in [("maps", 2, 1, None),
+                                                                 ("maps", 2, 1, 1)]:
+            rec["value"] = str(int(rec["value"]) + 1)
+            lines[k] = json.dumps(rec)
+            bumped.append(rec.get("i"))
+    assert sorted(bumped, key=str) == [1, None]
+    path.write_text("\n".join(lines) + "\n")
+    assert CountCache(path).get_row("maps", 2, 1) is not None
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert str(path) in res.stderr and "maps[2,1]: cached " in res.stderr
+
+
+# -- the loader reads every line exactly as json.loads does ---------------
+
+def _reference_load(path):
+    """json.loads and _parse_record on every line: records, or CacheError."""
+    lines = path.read_bytes().decode(errors="replace").split("\n")
+    records = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            if lineno < len(lines):
+                raise CacheError(f"{path}:{lineno}: unparsable cache record") from None
+            print(f"warning: dropping torn last line {lineno} of {path}", file=sys.stderr)
+            return records
+        if lineno == 1:
+            if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
+                raise CacheError(f"not a surfcount cache: {path}")
+            continue
+        try:
+            key, indices, value = _parse_record(obj)
+        except ValueError as exc:
+            raise CacheError(f"{path}:{lineno}: malformed cache record: {exc}") from None
+        records[(*key, indices)] = value
+    return records
+
+
+def _escaped(s):
+    return '"' + "".join(f"\\u{ord(c):04x}" for c in s) + '"'
+
+
+def _with_n(text):
+    # a spelling of n (or a new key n, in the header) that json.dumps never writes
+    return lambda obj: json.dumps({**obj, "n": None}).replace("null", text).encode()
+
+
+# each spelling turns a header or record dict into one line's bytes
+_SPELLINGS = {
+    "plain": lambda obj: json.dumps(obj).encode(),
+    "compact": lambda obj: json.dumps(obj, separators=(",", ":")).encode(),
+    "leading-blanks": lambda obj: b"  " + json.dumps(obj).encode(),
+    "trailing-blanks": lambda obj: json.dumps(obj).encode() + b" \t",
+    "carriage-return": lambda obj: json.dumps(obj).encode() + b"\r",
+    "blank-inside": lambda obj: json.dumps(obj, separators=(" ,\t", " :  ")).encode(),
+    "reordered-keys": lambda obj: json.dumps(dict(reversed(obj.items()))).encode(),
+    "unicode-escapes": lambda obj: ("{" + ", ".join(
+        f"{_escaped(k)}: {_escaped(v) if isinstance(v, str) else json.dumps(v)}"
+        for k, v in obj.items()) + "}").encode(),
+    "non-ascii-value": lambda obj: json.dumps({**obj, "value": "\u0661\u0662"},
+                                              ensure_ascii=False).encode(),
+    "bom": lambda obj: "\ufeff".encode() + json.dumps(obj).encode(),
+    "n-exponent": _with_n("1e2"),
+    "n-true": _with_n("true"),
+    "n-minus-zero": _with_n("-0"),
+    "nan-value": lambda obj: json.dumps({**obj, "value": float("nan")}).encode(),
+    "duplicate-keys": lambda obj: b'{"n": 7, ' + json.dumps(obj).encode()[1:],
+    "duplicate-keys-last-bad": lambda obj: json.dumps(obj).encode()[:-1] + b', "g2": "1"}',
+    "invalid-utf8": lambda obj: json.dumps({**obj, "x": "\xff"}).encode("latin-1"),
+    "two-values": lambda obj: json.dumps(obj).encode() * 2,
+    "torn": lambda obj: json.dumps(obj).encode()[:-1],
+    "torn-in-key": lambda obj: json.dumps(obj).encode()[:12],
+    "not-an-object": lambda obj: json.dumps(list(obj)).encode(),
+    "whitespace-only": lambda obj: b" \t ",
+}
+_RECORDS = [{"model": "maps", "n": 1, "g2": 0, "value": "2"},
+            {"model": "maps", "n": 3, "g2": 1, "i": 2, "j": 3, "value": "12"},
+            {"model": "bipartite", "n": 2, "g2": 1, "i": 1, "j": 1, "k": 1, "value": "1"}]
+
+
+@pytest.mark.parametrize("place", ["header", "inner", "last", "last-newline"])
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+def test_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, place):
+    spell = _SPELLINGS[spelling]
+    lines = [json.dumps(obj).encode() for obj in [HEADER] + _RECORDS]
+    if place == "header":
+        lines[0] = spell(HEADER)
+    elif place == "inner":
+        lines[2] = spell(_RECORDS[1])
+    else:
+        lines.append(spell({"model": "oneface", "n": 4, "g2": 2, "value": "93"}))
+    path = tmp_path / "counts.ndjson"
+    path.write_bytes(b"\n".join(lines) + (b"" if place == "last" else b"\n"))
+
+    def outcome(load):
+        try:
+            got = ("records", load())
+        except CacheError as exc:
+            got = ("error", str(exc))
+        return got, capsys.readouterr().err
+
+    assert outcome(lambda: CountCache(path).records) == outcome(lambda: _reference_load(path))
+
+
+@pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
+def test_store_writes_exactly_the_missing_records(tmp_path, command):
+    path = tmp_path / "counts.ndjson"
+    args = command.split() + ["--n-max", "6", "--format", "csv", "--cache", str(path)]
+    cold = CliRunner().invoke(main, args)
+    assert cold.exit_code == 0
+    full = path.read_bytes()
+    lines = full.splitlines(keepends=True)
+    # a coefficient record of a row below the top one
+    k = next(k for k, line in enumerate(lines)
+             if line.startswith(b'{"model": "%s", "n": 4, "g2": 1, ' % command.split()[0].encode())
+             and b'"i"' in line)
+    path.write_bytes(b"".join(lines[:k] + lines[k + 1:]))
+    warm = CliRunner().invoke(main, args)
+    assert warm.exit_code == 0 and warm.stdout == cold.stdout
+    assert path.read_bytes() == b"".join(lines[:k] + lines[k + 1:] + [lines[k]])
+    again = path.read_bytes()
+    assert CliRunner().invoke(main, args).stdout == cold.stdout
+    assert path.read_bytes() == again
