@@ -1,19 +1,19 @@
-"""Persistent cache of computed counts.
+"""Persistent cache of the polynomial rows of the count tables.
 
 Newline-delimited JSON, append-only, one record per stored integer, with
 a version header.  Values are decimal strings (counts overflow 64 bits
 well before the table sizes this package targets).
 
-A record is keyed by (model, n, g2, indices).  A scalar table's cell has
-no indices; a bip-oneface cell carries its vertex split (i, j).  A
-polynomial row (model, n, g2) is one record per coefficient, indexed by
-its exponents, plus the record without indices holding the row's total
-(its value at all-ones, shared with the scalar maps table).  The
-coefficient records decide whether a row is complete: it is served only
-once they sum to the stored total, and storing a row writes whichever of
-its records the file lacks.  The layout stays inside this module: a
-table's `entries` go in through `load` and out through `store`, which
-writes every new record of a run in one append.
+A record is keyed by (model, n, g2, indices).  A polynomial row (model,
+n, g2) of `maps` or `bipartite` is one record per coefficient, indexed
+by its exponents, plus the record without indices holding the row's
+total (its value at all-ones, the scalar maps count).  Only these rows
+are loaded and stored: the scalar and one-face tables recompute faster
+than their records parse.  The coefficient records decide whether a row
+is complete: it is served only once they sum to the stored total.  The
+layout stays inside this module: a table's `entries` go in through
+`load` and out through `store`, which writes every new record of a run
+in one append.
 
 Loading parses each line once, straight into the in-memory index, with
 the scan that `json.loads` itself ends in (`JSONDecoder.scan_once`); a
@@ -22,12 +22,14 @@ or torn) goes through `json.loads`, which reads it, or says why not,
 exactly as it always has.  Each record's shape is then checked: a known
 model, non-negative integers n, g2 and indices (two for maps
 coefficients and bip-oneface cells, three for bipartite coefficients,
-none for totals and scalar cells) and a decimal string value.
-Coefficients stay ints all the way from the file to a row's `Poly` and
-back.  A cached cell that a table already holds, one of its seeds, must
-equal it.  Storing a table skips each polynomial row whose total and
-coefficients the file already holds, and builds records only for the
-rows and cells it lacks.
+none for totals and scalar cells) and a decimal string value.  Files
+written when every table was cached also hold triangulations, oneface,
+bip-oneface and scalar maps records: they are checked the same way and
+otherwise ignored.  Coefficients stay ints all the way from the file to
+a row's `Poly` and back.  A cached row that a table already holds, one
+of its seeds, must equal it.  Storing a table compares every record the
+file holds for its rows, coefficients and totals, with the recomputed
+row, and builds records only for the rows it does not hold whole.
 
 Each append holds an exclusive `flock` on the file, so runs sharing one
 file write one header and never interleave their records.  A run that
@@ -35,9 +37,10 @@ dies mid-append can leave a last line without its newline.  Every
 prefix of a record is invalid JSON, so loading drops a last line that
 does not parse (with a warning on stderr), and the next append cuts it
 off the file under the lock; a complete last record only gets its
-newline.  Such a line anywhere else, and a record that parses but fails
-the shape check anywhere in the file, raise CacheError naming the file
-and line.
+newline.  Such a line anywhere else, a record that parses but fails
+the shape check anywhere in the file, and a stored record that differs
+from its recomputed or seeded value raise CacheError naming the file
+and the line or record.
 """
 
 from __future__ import annotations
@@ -216,56 +219,43 @@ class CountCache:
 
     # -- tables ----------------------------------------------------------
 
-    def load(self, model: str, entries: dict, n_max: int, rows: bool = False):
-        """Copy the cached cells of model with n <= n_max into a table's entries.
+    def load(self, model: str, entries: dict, n_max: int):
+        """Copy the complete cached rows of model with n <= n_max into a
+        polynomial table's entries, keyed (n, g2).
 
-        Entries keep their own keys: (n, g2) for counts and polynomial
-        rows (rows=True; complete rows only), (n, i, j) for bip-oneface.
-        A cell already in entries, one of the table's seeds, must equal
-        its cached value, else CacheError names the file and the cell.
+        A row already in entries, one of the table's seeds, must equal its
+        cached row, else CacheError names the file and the row.
         """
-        for (m, n, g2), cells in self._cells.items():
+        for m, n, g2 in self._cells:
             if m != model or n > n_max:
                 continue
-            if rows:
-                row = self.get_row(model, n, g2)
-                if row is not None:
-                    self._enter(model, entries, (n, g2), row)
-            elif model == "bip-oneface":
-                for indices, value in cells.items():
-                    self._enter(model, entries, (n, *indices), value)
-            elif None in cells:
-                self._enter(model, entries, (n, g2), cells[None])
-
-    def _enter(self, model, entries, key, value):
-        seed = entries.setdefault(key, value)
-        if seed != value:
-            raise CacheError(f"{self.path}: {model}[{','.join(map(str, key))}]: "
-                             f"cached {value}, seed {seed}")
+            row = self.get_row(model, n, g2)
+            if row is not None and entries.setdefault((n, g2), row) != row:
+                raise CacheError(f"{self.path}: {model}[{n},{g2}]: "
+                                 f"cached {row}, seed {entries[n, g2]}")
 
     def store(self, model: str, entries: dict):
-        """Append every cell of a table's entries that the file lacks.
+        """Append every record of a polynomial table's rows that the file lacks.
 
-        A polynomial row the file holds whole, its total and a record for
-        every coefficient, builds no records.
+        Each record the file holds for a row, coefficient or total, must
+        equal the recomputed one, else CacheError names the file and the
+        record.  A row the file holds whole builds no records; `_append`
+        drops the ones a partly held row already has.
         """
         records = []
-        for key, value in entries.items():
-            if isinstance(value, Poly):
-                if not self._holds_row(model, *key, value):
-                    records += self._row_records(model, *key, value, value.evaluate())
-            elif model == "bip-oneface":
-                n, i, j = key
-                records.append(CountRecord(model, n, n + 1 - i - j, value, (i, j)))
-            else:
-                records.append(CountRecord(model, *key, value))
+        for (n, g2), poly in entries.items():
+            held = self._cells.get((model, n, g2), {})
+            row = {_record_indices(model, exps): c for exps, c in poly.int_items()}
+            row[None] = sum(row.values())
+            for indices, value in held.items():
+                recomputed = row.get(indices, 0)
+                if recomputed != value:
+                    cell = ",".join(map(str, (n, g2, *(indices or ()))))
+                    raise CacheError(f"{self.path}: {model}[{cell}]: "
+                                     f"cached {value}, recomputed {recomputed}")
+            if not row.keys() <= held.keys():
+                records += self._row_records(model, n, g2, poly, row[None])
         self._append(records)
-
-    def _holds_row(self, model, n, g2, poly) -> bool:
-        """The presence test of `_append`, for every record of one row."""
-        cells = self._cells.get((model, n, g2))
-        return (cells is not None and None in cells
-                and all(_record_indices(model, exps) in cells for exps, _ in poly.int_items()))
 
     # -- single cells and rows ---------------------------------------------
 

@@ -5,10 +5,13 @@ for each model, run the brute-force oracle, and evaluate the functional
 identity checks.  Exit code 0 on success, 1 on a verification failure,
 2 on usage errors, 3 when the count cache file cannot be read or holds
 a malformed record (a one-line message on stderr names the file and
-line) or when cells loaded from it break a recurrence: a cached cell
-differs from one of the table's seeds, an integrality check fails, or a
-cached `maps` or `triangulations` cell differs from the value its
-recomputed row gives (the message names the file and the cell).
+line) or when the polynomial rows in it are wrong: a cached row differs
+from one of the table's seed rows, a fill from cached rows fails an
+integrality check, or a stored coefficient or total differs from the
+value its recomputed row gives (the message names the file and the
+row).  Only `maps --bivariate`, `maps --engine cc|both` and `bipartite`
+use the cache; the other table commands take `--cache` and `--no-cache`
+and ignore them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ def n_max_option(text=None):
 
 def cache_options(fn):
     fn = click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-                      default=None, help="count cache file (default: user cache dir)")(fn)
+                      default=None, help="count cache file (default: user cache dir); "
+                      "holds polynomial rows only, so maps without --bivariate or "
+                      "--engine, triangulations, oneface and bip-oneface ignore it")(fn)
     fn = click.option("--no-cache", is_flag=True, help="disable the count cache")(fn)
     return fn
 
@@ -65,24 +70,22 @@ def _cache_error(message):
     sys.exit(3)
 
 
-def _fill(cache, model, tab, *limits, rows=False):
-    """Fill tab to limits, starting from the cells the cache holds.
+def _fill(cache, model, tab, n_max, g2_max):
+    """Fill a polynomial table, starting from the complete rows the cache holds.
 
-    A cached cell that differs from one of the table's seeds, or a fill
-    from cached cells that fails the recurrence's exact-division check,
-    or (for the scalar tables, which recompute every row) finds a cached
-    cell that differs from its recomputed value, means a corrupted cache
-    cell: one stderr line, exit code 3.
+    A cached row that differs from one of the table's seed rows, or a
+    fill from cached rows that fails the recurrence's integrality check,
+    means a corrupted cache: one stderr line, exit code 3.
     """
     if not cache:
-        return tab.fill(*limits)
+        return tab.fill(n_max, g2_max)
     seeds = len(tab.entries)
     try:
-        cache.load(model, tab.entries, limits[0], rows)
+        cache.load(model, tab.entries, n_max)
     except CacheError as exc:
         _cache_error(exc)
     try:
-        return tab.fill(*limits)
+        return tab.fill(n_max, g2_max)
     except IntegralityError as exc:
         if len(tab.entries) == seeds:
             raise
@@ -90,8 +93,13 @@ def _fill(cache, model, tab, *limits, rows=False):
 
 
 def _store(cache, model, tab):
+    """Append the table's new records; a stored record that differs from
+    its recomputed value is one stderr line, exit code 3."""
     if cache:
-        cache.store(model, tab.entries)
+        try:
+            cache.store(model, tab.entries)
+        except CacheError as exc:
+            _cache_error(exc)
 
 
 @click.group()
@@ -118,12 +126,10 @@ def _emit_text(header, lines, fmt):
     """header and lines are rows of strings: CSV, or a right-aligned table."""
     rows = [header] + lines
     if fmt == "csv":
-        for row in rows:
-            _echo(",".join(row))
+        _echo("\n".join(",".join(row) for row in rows))
         return
     widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
-    for row in rows:
-        _echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    _echo("\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows))
 
 
 def _emit_grid(model, rows, n_max, g2_max, fmt):
@@ -157,18 +163,16 @@ def _emit_records(model, records, fmt, columns):
 def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
     """Rooted maps by edge count and genus."""
     top = _genus_top(g_max, n_max)
-    # only engine cc meets the cache; kz stays an independent check
-    cache = None if engine == "kz" else open_cache(cache_path, no_cache)
     if engine is None and not bivariate:
-        counts = _fill(cache, "maps", MapsCounts(), n_max, top)
-        _store(cache, "maps", counts)
+        counts = MapsCounts().fill(n_max, top)
         rows = {(n, g2): counts.value(n, g2)
                 for n in range(1, n_max + 1) for g2 in range(top + 1)}
         _emit_grid("maps", rows, n_max, top, fmt)
         return
     engine = engine or "cc"
-    tables = [_fill(cache if eng == "cc" else None, "maps", MapsTable(eng), n_max, top,
-                    rows=True)
+    # only engine cc meets the cache; kz stays an independent check
+    cache = None if engine == "kz" else open_cache(cache_path, no_cache)
+    tables = [_fill(cache if eng == "cc" else None, "maps", MapsTable(eng), n_max, top)
               for eng in (["kz", "cc"] if engine == "both" else [engine])]
     if engine == "both":
         for n in range(1, n_max + 1):
@@ -202,7 +206,7 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     """Rooted bipartite maps by edge count and genus."""
     top = _genus_top(g_max, n_max)
     cache = open_cache(cache_path, no_cache)
-    tab = _fill(cache, "bipartite", BipTable(), n_max, top, rows=True)
+    tab = _fill(cache, "bipartite", BipTable(), n_max, top)
     _store(cache, "bipartite", tab)
     if trivariate:
         records = []
@@ -226,9 +230,7 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
 def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     """Rooted triangulations with 2n faces by genus."""
     top = _genus_top(g_max, n_max + 1)
-    cache = open_cache(cache_path, no_cache)
-    tab = _fill(cache, "triangulations", TriTable(), n_max, top)
-    _store(cache, "triangulations", tab)
+    tab = TriTable().fill(n_max, top)
     rows = {(n, g2): tab.value(n, g2)
             for n in range(1, n_max + 1) for g2 in range(top + 1)}
     _emit_grid("triangulations", rows, n_max, top, fmt)
@@ -240,9 +242,7 @@ def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
 @cache_options
 def oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face maps by edge count and genus."""
-    cache = open_cache(cache_path, no_cache)
-    tab = _fill(cache, "oneface", OneFaceTable(), n_max)
-    _store(cache, "oneface", tab)
+    tab = OneFaceTable().fill(n_max)
     rows = {(n, g2): tab.value(n, g2)
             for n in range(1, n_max + 1) for g2 in range(n_max + 1)}
     _emit_grid("oneface", rows, n_max, n_max, fmt)
@@ -254,9 +254,7 @@ def oneface_cmd(n_max, fmt, cache_path, no_cache):
 @cache_options
 def bip_oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face bipartite maps by edges and vertex colours."""
-    cache = open_cache(cache_path, no_cache)
-    tab = _fill(cache, "bip-oneface", BipOneFaceTable(), n_max)
-    _store(cache, "bip-oneface", tab)
+    tab = BipOneFaceTable().fill(n_max)
     records = [{"model": "bip-oneface", "n": n, "g2": n + 1 - i - j,
                 "i": i, "j": j, "value": str(tab.value(n, i, j))}
                for n in range(1, n_max + 1) for i in range(1, n + 1)

@@ -240,8 +240,7 @@ class MapsCounts(Table):
     IntegralityError.  Row n reads only rows below it (the n1 = 0 shift
     weight is 4 at genus 0 and 0 above), so `fill` computes a whole row at
     once from genus convolutions of lower rows, held in lists local to the
-    call.  Every row from 3 up is recomputed; a cell already in `entries`
-    (a cached one) must equal its recomputed value.
+    call.  Every row from 3 up is recomputed and written into `entries`.
     """
 
     NAME = "h"
@@ -278,7 +277,7 @@ class MapsCounts(Table):
                     quot, rem = divmod(total4, div)
                     if rem:
                         raise IntegralityError(f"h[{n},{g2}]: {total4} not divisible by {div}")
-                    self._settle(n, g2, quot)
+                    self.entries[n, g2] = quot
             row = [h(n, g) for g in genera]
             odd.append([(2 * n + 1) * v for v in row])
             weight.append([shift_weight(n, g, row) for g in genera])

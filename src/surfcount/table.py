@@ -3,11 +3,11 @@
 Every table keeps its filled cells in `entries`, seeded from the class's
 SEEDS; reading a cell that is not there raises MissingEntryError.  The
 polynomial and one-face tables fill with one sweep that skips the cells
-already there (seeds, cells loaded from the count cache) and keep
-building blocks in Memo dicts, computed on first read.  The scalar
-tables recompute each row from genus convolutions of lower rows, and a
-cell already there must equal its recomputed value.  The formulas, the
-zero region of each table and its `fill` stay in the model modules.
+already there (seeds, and rows of the polynomial tables loaded from the
+count cache) and keep building blocks in Memo dicts, computed on first
+read.  The scalar tables recompute each row from genus convolutions of
+lower rows.  The formulas, the zero region of each table and its `fill`
+stay in the model modules.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class Table:
     A subclass sets NAME (its symbol in error messages) and SEEDS, reads
     cells through its own `value` or `poly`, which owns the zero region,
     and defines `fill` in its own body: a call to `_sweep`, or for the
-    scalar tables a row loop that enters each cell through `_settle`.
+    scalar tables a row loop that writes each cell into `entries`.
     """
 
     NAME = ""
@@ -71,14 +71,6 @@ class Table:
             if cell not in entries:
                 entries[cell] = step(*cell)
         return self
-
-    def _settle(self, n: int, g2: int, value: int) -> int:
-        """entries[n, g2] = value; a cell already there (a cached one) must
-        hold that value, else IntegralityError names it."""
-        old = self.entries.setdefault((n, g2), value)
-        if old != value:
-            raise IntegralityError(f"{self.NAME}[{n},{g2}]: cached {old}, recomputed {value}")
-        return value
 
 
 class PolyTable(Table):

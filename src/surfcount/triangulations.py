@@ -45,7 +45,7 @@ class TriTable(Table):
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "TriTable":
         """Rows 3..n_max; each cell is one exact division of its scaled sum
-        by 2 Dnum, Dnum = 2 D(n, g), and must equal a cell already there."""
+        by 2 Dnum, Dnum = 2 D(n, g)."""
         top = n_max + 1 if g2_max is None else g2_max
         t = self.value
         # by row m: (3m+2) t[m], the shift weights of t[m] and 8 x its bracket
@@ -78,7 +78,7 @@ class TriTable(Table):
                             f"t[{n},{g2}]: {total8} not divisible by {2 * Dnum}")
                     if quot < 0:
                         raise IntegralityError(f"t[{n},{g2}] = {quot} is negative")
-                    row[g2] = self._settle(n, g2, quot)
+                    row[g2] = self.entries[n, g2] = quot
             row = [t(n, g) for g in genera]
             scaled.append([(3 * n + 2) * v for v in row])
             weight.append([shift_weight(n, g, row) for g in genera])

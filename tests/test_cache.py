@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import sys
 import threading
@@ -7,10 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from click.testing import CliRunner
 
+from surfcount.bipartite import BipOneFaceTable
 from surfcount.cache import CountCache, HEADER, _parse_record
 from surfcount.cli import main
 from surfcount.errors import CacheError
+from surfcount.maps import MapsCounts, OneFaceTable
 from surfcount.poly import U, Z
+from surfcount.triangulations import TriTable
 
 
 def test_round_trip_scalars(tmp_path):
@@ -142,8 +146,8 @@ def test_corrupt_inner_line_raises(tmp_path):
 
 def test_cli_survives_torn_tail(tmp_path):
     path = tmp_path / "counts.ndjson"
-    args = ["maps", "--n-max", "5", "--format", "csv"]
-    CliRunner().invoke(main, ["maps", "--n-max", "4", "--cache", str(path)])
+    args = ["maps", "--bivariate", "--n-max", "5", "--format", "csv"]
+    CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)])
     with path.open("a") as fh:
         fh.write('{"model": "maps", "n": 5, "g2": 0, "val')
     again = CliRunner().invoke(main, args + ["--cache", str(path)])
@@ -157,7 +161,7 @@ def test_cli_corrupt_cache_exit_code(tmp_path):
     path = tmp_path / "counts.ndjson"
     path.write_text(json.dumps(HEADER) + "\n{not json}\n"
                     + '{"model": "maps", "n": 1, "g2": 0, "value": "2"}\n')
-    res = CliRunner().invoke(main, ["maps", "--n-max", "3", "--cache", str(path)])
+    res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "3", "--cache", str(path)])
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and ":2:" in res.stderr
@@ -216,6 +220,58 @@ def test_kz_engine_leaves_the_cache_unread(tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("command", ["maps", "triangulations", "oneface", "bip-oneface"])
+def test_uncached_commands_leave_the_cache_alone(tmp_path, command):
+    # these tables recompute faster than their records parse: --cache is
+    # accepted and ignored, so a file that is no cache is no error
+    path = tmp_path / "counts.ndjson"
+    path.write_text('{"format": "something-else"}\n')
+    args = [command, "--n-max", "5", "--format", "csv"]
+    res = CliRunner().invoke(main, args + ["--cache", str(path)])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout == CliRunner().invoke(main, args + ["--no-cache"]).stdout
+    assert path.read_text() == '{"format": "something-else"}\n'
+    missing = tmp_path / "missing" / "counts.ndjson"
+    assert CliRunner().invoke(main, args + ["--cache", str(missing)]).exit_code == 0
+    assert not missing.parent.exists()
+
+
+def _all_tables_cache(path):
+    """Write the file that `maps --n-max 4`, `triangulations --n-max 3`,
+    `oneface --n-max 4` and `bip-oneface --n-max 4` left, in that order,
+    when every table was cached."""
+    cache = CountCache(path)
+    for model, tab in [("maps", MapsCounts().fill(4)), ("triangulations", TriTable().fill(3)),
+                       ("oneface", OneFaceTable().fill(4))]:
+        for (n, g2), value in tab.entries.items():
+            cache.put_scalar(model, n, g2, value)
+    for (n, i, j), value in BipOneFaceTable().fill(4).entries.items():
+        cache.put_scalar("bip-oneface", n, n + 1 - i - j, value, (i, j))
+
+
+def test_all_tables_cache_file_still_loads(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    _all_tables_cache(path)
+    # the bytes those four runs wrote with every table cached
+    old = path.read_bytes()
+    assert hashlib.sha256(old).hexdigest() == (
+        "db969b697c47593400ff5bb75596b3b284852642ded68b03f3d2244fa8231041")
+    for command in ("maps --bivariate", "bipartite --trivariate"):
+        args = command.split() + ["--n-max", "5", "--format", "csv"]
+        res = CliRunner().invoke(main, args + ["--cache", str(path)])
+        assert res.exit_code == 0 and res.stderr == ""
+        assert res.stdout == CliRunner().invoke(main, args + ["--no-cache"]).stdout
+    # the scalar maps cells are the rows' totals: kept, checked, not written again
+    assert path.read_bytes().startswith(old)
+    assert len(CountCache(path).records) == len(path.read_bytes().splitlines()) - 1
+    with path.open("a") as fh:
+        fh.write('{"model": "oneface", "n": 4, "g2": -1, "value": "3"}\n')
+    lineno = len(path.read_text().splitlines())
+    res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "5", "--cache", str(path)])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr.count("\n") == 1 and f":{lineno}: malformed" in res.stderr
+
+
 def test_row_completes_after_its_total(tmp_path):
     path = tmp_path / "counts.ndjson"
     poly = 5 * U * U * Z + 7 * U * Z * Z
@@ -233,73 +289,68 @@ def test_cold_store_is_one_append(tmp_path, monkeypatch):
     append = CountCache._append
     monkeypatch.setattr(CountCache, "_append",
                         lambda self, records: appends.append(1) or append(self, records))
-    args = ["bip-oneface", "--n-max", "18", "--format", "csv"]
+    args = ["bipartite", "--trivariate", "--n-max", "10", "--format", "csv"]
     cold = CliRunner().invoke(main, args + ["--cache", str(path)])
     assert cold.exit_code == 0
     assert len(appends) == 1
-    assert len(CountCache(path).records) == 1140
+    # 715 coefficients, as printed, and the totals of the 63 nonzero rows
+    assert len(cold.stdout.splitlines()) == 1 + 715
+    assert len(CountCache(path).records) == 778
 
 
-def _bump_cached_cell(path, model, n, g2):
-    """Add 1 to the cached scalar record of model at (n, g2)."""
+def _bump_record(path, model, n, g2, indices=None):
+    """Add 1 to the value of the cached record of model at (n, g2, indices)."""
     lines = path.read_text().splitlines()
     for k, line in enumerate(lines[1:], 1):
         rec = json.loads(line)
-        if (rec["model"], rec["n"], rec["g2"]) == (model, n, g2) and "i" not in rec:
+        if ((rec["model"], rec["n"], rec["g2"]) == (model, n, g2)
+                and tuple(rec[c] for c in "ijk" if c in rec) == (indices or ())):
             rec["value"] = str(int(rec["value"]) + 1)
             lines[k] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
+            path.write_text("\n".join(lines) + "\n")
+            return int(rec["value"])
+    raise AssertionError(f"no record {model}[{n},{g2}] {indices}")
 
 
 def test_cli_corrupt_cached_cell_exit_code(tmp_path):
+    # a wrong total alone makes the row incomplete, so it is recomputed,
+    # and storing the recomputed row names the record that differs
     path = tmp_path / "counts.ndjson"
-    CliRunner().invoke(main, ["maps", "--n-max", "6", "--cache", str(path)])
-    _bump_cached_cell(path, "maps", 4, 1)
-    res = CliRunner().invoke(main, ["maps", "--n-max", "8", "--cache", str(path)])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr.count("\n") == 1
-    # row 4 is recomputed, so the corrupted cell itself is named
-    assert str(path) in res.stderr and "h[4,1]" in res.stderr
-
-
-@pytest.mark.parametrize("model, n, g2, name", [
-    ("maps", 6, 2, "h[6,2]"),
-    ("triangulations", 5, 3, "t[5,3]"),
-])
-def test_cli_corrupt_top_cached_row_exit_code(tmp_path, model, n, g2, name):
-    # no division reads a cell of the top row, so every one stays exact:
-    # only comparing the cached cell with its recomputed value catches it
-    path = tmp_path / "counts.ndjson"
-    args = [model, "--n-max", str(n), "--format", "csv", "--cache", str(path)]
+    args = ["maps", "--bivariate", "--n-max", "5", "--cache", str(path)]
     assert CliRunner().invoke(main, args).exit_code == 0
-    _bump_cached_cell(path, model, n, g2)
+    _bump_record(path, "maps", 4, 1)
+    before = path.read_bytes()
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr.count("\n") == 1
-    assert str(path) in res.stderr and f"{name}: cached " in res.stderr
+    assert res.stderr == f"error: {path}: maps[4,1]: cached 983, recomputed 982\n"
+    assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("command, n, g2, n_max", [
-    ("maps", 2, 1, 2),
-    ("maps", 2, 1, 5),
-    ("triangulations", 2, 3, 2),
-    ("oneface", 3, 2, 3),
-    ("oneface", 3, 2, 5),
-])
-def test_cli_corrupt_cached_seed_exit_code(tmp_path, command, n, g2, n_max):
-    # a seed is never recomputed, so only comparing it with the cached cell
-    # catches a wrong one; at n_max 2 every cached maps and triangulations
-    # cell is a seed, and rows up to 3 are the oneface seeds
+@pytest.mark.parametrize("record", ["total", "coefficient", "top-row-total"])
+@pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"],
+                         ids=["maps-bivariate", "bipartite-trivariate"])
+def test_store_checks_held_records(tmp_path, command, record):
+    # every record the file holds for a row, coefficient or total, is
+    # compared with the recomputed row, whether or not a later row reads it
     path = tmp_path / "counts.ndjson"
-    assert CliRunner().invoke(main, [command, "--n-max", "5", "--cache", str(path)]).exit_code == 0
-    seed = CountCache(path).get_scalar(command, n, g2)
-    _bump_cached_cell(path, command, n, g2)
-    res = CliRunner().invoke(main, [command, "--n-max", str(n_max), "--cache", str(path)])
+    model, flag = command.split()
+    args = [model, flag, "--n-max", "6", "--format", "csv", "--cache", str(path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    n, g2 = (6, 2) if record == "top-row-total" else (4, 1)
+    indices = None
+    if record == "coefficient":
+        rec = next(rec for rec in map(json.loads, path.read_text().splitlines()[1:])
+                   if (rec["model"], rec["n"], rec["g2"]) == (model, n, g2) and "i" in rec)
+        indices = tuple(rec[c] for c in "ijk" if c in rec)
+    cached = _bump_record(path, model, n, g2, indices)
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr == f"error: {path}: {command}[{n},{g2}]: cached {seed + 1}, seed {seed}\n"
+    cell = ",".join(map(str, (n, g2, *(indices or ()))))
+    assert res.stderr == f"error: {path}: {model}[{cell}]: cached {cached}, recomputed {cached - 1}\n"
+    assert path.read_bytes() == before
 
 
 def test_cli_corrupt_cached_seed_row_exit_code(tmp_path):

@@ -7,7 +7,6 @@ from contextlib import redirect_stdout
 import pytest
 from click.testing import CliRunner
 
-import surfcount.bipartite
 import surfcount.cli
 import surfcount.maps
 from surfcount.cli import main
@@ -206,7 +205,8 @@ def test_oracle_cli(runner):
 
 def test_cache_hit_byte_identical(runner, tmp_path):
     cache = str(tmp_path / "counts.ndjson")
-    args = ["maps", "--n-max", "6", "--g-max", "2", "--format", "csv", "--cache", cache]
+    args = ["maps", "--bivariate", "--n-max", "6", "--g-max", "2", "--format", "csv",
+            "--cache", cache]
     cold = invoke(runner, args)
     size_after_cold = len((tmp_path / "counts.ndjson").read_text())
     warm = invoke(runner, args)
@@ -232,35 +232,6 @@ def test_cache_trivariate_round_trip(runner, tmp_path):
     no_cache = invoke(runner, ["bipartite", "--n-max", "5", "--trivariate",
                                "--format", "json", "--no-cache"])
     assert warm.output == no_cache.output
-
-
-def test_bip_oneface_reads_cache(runner, tmp_path, monkeypatch):
-    cache = str(tmp_path / "counts.ndjson")
-    args = ["bip-oneface", "--n-max", "6", "--format", "json"]
-    cold = invoke(runner, args + ["--cache", cache])
-    no_cache = invoke(runner, args + ["--no-cache"])
-    assert cold.output == no_cache.output
-
-    def recompute(*_):
-        raise AssertionError("cached cell recomputed")
-    monkeypatch.setattr(surfcount.bipartite, "bip_oneface", recompute)
-    warm = invoke(runner, args + ["--cache", cache])
-    assert warm.exit_code == 0
-    assert warm.output == no_cache.output
-
-
-def test_oneface_fills_partly_cached_row(runner, tmp_path):
-    cache = tmp_path / "counts.ndjson"
-    invoke(runner, ["oneface", "--n-max", "5", "--cache", str(cache)])
-    # keep row 5 only in part, as after an interrupted store
-    lines = cache.read_text().splitlines(keepends=True)
-    cache.write_text("".join(
-        line for line in lines
-        if (json.loads(line).get("n"), json.loads(line).get("g2")) != (5, 5)))
-    warm = invoke(runner, ["oneface", "--n-max", "6", "--format", "csv", "--cache", str(cache)])
-    fresh = invoke(runner, ["oneface", "--n-max", "6", "--format", "csv", "--no-cache"])
-    assert warm.exit_code == 0
-    assert warm.output == fresh.output
 
 
 def test_redirected_stdout_is_released():
