@@ -17,7 +17,9 @@ from math import comb, lcm
 
 from .errors import IntegralityError
 from .poly import Poly, U, V, Z, _pack, _unpack
-from .table import Memo, PolyTable, Table, _genus_splits, _grid, _sub_genus, row_series
+from .table import (
+    Memo, PolyTable, Table, _genus_splits, _grid, _square_splits, _sub_genus, row_series,
+)
 from .tseries import TSeries
 
 _UVZ = U * V * Z
@@ -29,10 +31,11 @@ _DIFF3 = U + V - Z
 _INITIAL_ZERO = {(1, 1), (2, 2)}
 
 
+_PSI = U * U + V * V + Z * Z - 14 * _UV - 2 * U * Z - 2 * V * Z
+
+
 def _psi(n: int) -> Poly:
-    return (n - 2) * (
-        U * U + V * V + Z * Z - 14 * _UV - 2 * U * Z - 2 * V * Z
-    ) - 12 * _UV
+    return (n - 2) * _PSI - 12 * _UV
 
 
 class BipTable(PolyTable):
@@ -69,12 +72,11 @@ class BipTable(PolyTable):
         return poly
 
     def _q(self, m: int, g2: int) -> Poly:
-        """Sum of (6 n3 n4 - 2(n3+n4) + 1) K[n3-1] K[n4-1] over splits of (m, g2)."""
+        """Sum of (6 n3 n4 - 2(n3+n4) + 1) K[n3-1] K[n4-1] over splits of (m, g2),
+        one product per mirrored pair of splits."""
         K = self.poly
-        return Poly.dot(
-            (6 * n3 * (m - n3) - 2 * m + 1, K(n3 - 1, ga), K(m - n3 - 1, gb))
-            for ga, gb in _genus_splits(g2)
-            for n3 in range(m + 1))
+        return Poly.dot((k * (6 * n3 * (m - n3) - 2 * m + 1), K(n3 - 1, ga), K(m - n3 - 1, gb))
+                        for n3, ga, gb, k in _square_splits(m, g2))
 
     def _weight(self, n1: int, g2_1: int) -> Poly:
         """Expansion kernel of the simultaneous (u, v) charge shift:
@@ -223,9 +225,9 @@ def eta_series(table: BipTable, order: int) -> TSeries:
 
 def bip_oneface_series(table: BipOneFaceTable, order: int) -> TSeries:
     """One-face bipartite series: sum b[n,i,j]/(2n) t^n u^i v^j."""
-    return row_series(order, 1, lambda n: Poly.from_terms({
-        (i, 0, j): Fraction(table.value(n, i, j), 2 * n)
+    return row_series(order, 1, lambda n: Poly({
+        _pack(i, 0, j): table.value(n, i, j)
         for i in range(1, n + 1)
         for j in range(1, n + 2 - i)
         if table.value(n, i, j)
-    }))
+    }, 2 * n))

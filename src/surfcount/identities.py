@@ -187,13 +187,10 @@ def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
 
 
 def _f_loop(ctx, parts):
-    """Maps and bipartite: the shared terms, t d/dt F[rest], -|rest| F[rest]
+    """Maps and bipartite: the shared terms, (t d/dt - |rest|) F[rest]
     and -a z F[a, rest], all times t^offset / ell."""
     i, rest, terms = _loop_terms(ctx, parts)
-    base = _F(ctx, rest)
-    terms.append((1, base.t_dt(), _ONE))
-    if rest:
-        terms.append((-sum(rest), base, _ONE))
+    terms.append((1, _F(ctx, rest).t_dt(sum(rest)), _ONE))
     for a in range(1, i + 1):
         terms.append((-a, _F(ctx, _canon((a,) + rest)), _Z))
     return _fused(terms, parts[0], _LOOP[ctx.model][0])
@@ -204,9 +201,7 @@ def _f_tri(ctx, parts):
         sub = list(parts)
         sub.remove(3)
         mu = _canon(sub)
-        base = _F(ctx, mu)
-        combo = base.t_dt() - base.scale(sum(mu))
-        return combo.div_z().scale(Fraction(1, 3))
+        return _F(ctx, mu).t_dt(sum(mu)).div_z().scale(Fraction(1, 3))
     if all(p == 1 for p in parts):
         l = len(parts)
         acc = [_F(ctx, parts[1:]).dt().shift_t(5).scale(Z)]

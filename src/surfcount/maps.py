@@ -22,21 +22,29 @@ The one-face counts (maps whose complement is a single disk) obey a
 separate linear recursion, filled in OneFaceTable.
 
 In MapsTable, building blocks that do not depend on the target cell
-(the quadratic sum q1, the charge-shift weights and the inner brackets)
-are Memo dicts, filled on first read.  MapsCounts keeps none: it
-computes each row from genus convolutions of lower rows; see table.py.
+are Memo dicts, filled on first read:
+
+* q1[m, g2], the quadratic sum, with each split and its mirror one
+  product at double weight;
+* shift_weight[n1, g2_1], the charge-shift weight, summed over g2_0
+  into one polynomial, so the double sum multiplies it once by each
+  bracket;
+* bracket[n2, g2_2], the engine's inner bracket.
+
+MapsCounts keeps none: it computes each row from genus convolutions of
+lower rows; see table.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import IntegralityError
 from .poly import Poly, U, Z, _pack, _unpack
 from .table import (
-    Memo, PolyTable, Table, _genus_splits, _grid, _sub_genus, convolve, convolve_square,
-    row_series, shift_weight,
+    Memo, PolyTable, Table, _genus_splits, _grid, _square_splits, _sub_genus, convolve,
+    convolve_square, row_series, shift_weight,
 )
 from .tseries import TSeries
 
@@ -92,42 +100,49 @@ class MapsTable(PolyTable):
     # building blocks for the memos, all keyed on this table's own entries
 
     def _q1(self, m: int, g2: int) -> Poly:
-        """Sum of (2n3-1)(2n4-1) H[n3-1] H[n4-1] over n3+n4 = m, g3+g4 = g2."""
+        """Sum of (2n3-1)(2n4-1) H[n3-1] H[n4-1] over n3+n4 = m, g3+g4 = g2,
+        one product per mirrored pair of splits."""
         H = self.poly
-        return Poly.dot(
-            ((2 * n3 - 1) * (2 * (m - n3) - 1), H(n3 - 1, ga), H(m - n3 - 1, gb))
-            for ga, gb in _genus_splits(g2)
-            for n3 in range(m + 1))
+        return Poly.dot((k * (2 * n3 - 1) * (2 * (m - n3) - 1), H(n3 - 1, ga), H(m - n3 - 1, gb))
+                        for n3, ga, gb, k in _square_splits(m, g2))
 
-    def _weight(self, n1: int, g2_1: int, g2_0: int) -> Poly:
-        """One charge-shift expansion piece of the double sum.
+    def _weight(self, n1: int, g2_1: int, top: int | None = None) -> Poly:
+        """The charge-shift weight of the double sum: the sum over g2_0 in
+        _sub_genus(g2_1), up to top (default g2_1), of 2^(2 + g2_1 - g2_0)
+        times one expansion piece of H[n1, g2_0], with m = n1 - g2_1.
 
         Engine "cc" shifts u and z together: the piece is
         sum over p+q = n1+2-g2_0 of phi_{p,q,m}(u,z) H[n1,g2_0]^{(p,q)}
-        with m = n1 - g2_1 and phi the bivariate binomial kernel.
+        with phi the bivariate binomial kernel.
         Engine "kz" shifts u only, so z-exponents pass through:
         sum over j of C(p, 2 + g2_1 - g2_0) H^{(p,j)} u^{m-j} z^j
         with p = n1 + 2 - g2_0 - j.
         """
         m = n1 - g2_1
-        H = self.poly(n1, g2_0)
         acc: dict[int, int] = {}
         get = acc.get
+        den = 1
         if m >= 0:
-            if self.engine == "cc":
-                for e, c in H.terms.items():
-                    p, q, _ = _unpack(e)
-                    for i in range(max(0, m - q), min(p, m) + 1):
-                        k = _pack(i, m - i, 0)
-                        acc[k] = get(k, 0) + comb(p, i) * comb(q, m - i) * c
-            else:
+            polys = [(g2_0, self.poly(n1, g2_0))
+                     for g2_0 in _sub_genus(g2_1) if top is None or g2_0 <= top]
+            den = lcm(*(H.den for _, H in polys))
+            for g2_0, H in polys:
                 r = 2 + g2_1 - g2_0
-                for e, c in H.terms.items():
-                    p, j, _ = _unpack(e)
-                    if j <= m:
-                        k = _pack(m - j, j, 0)
-                        acc[k] = get(k, 0) + comb(p, r) * c
-        return Poly(acc, H.den)
+                factor = (den // H.den) << r
+                if self.engine == "cc":
+                    for e, c in H.terms.items():
+                        p, q, _ = _unpack(e)
+                        c *= factor
+                        for i in range(max(0, m - q), min(p, m) + 1):
+                            k = _pack(i, m - i, 0)
+                            acc[k] = get(k, 0) + comb(p, i) * comb(q, m - i) * c
+                else:
+                    for e, c in H.terms.items():
+                        p, j, _ = _unpack(e)
+                        if j <= m:
+                            k = _pack(m - j, j, 0)
+                            acc[k] = get(k, 0) + comb(p, r) * factor * c
+        return Poly(acc, den)
 
     def _bracket_kz(self, n2: int, g2_2: int) -> Poly:
         """Engine-"kz" inner bracket without its boundary corrections."""
@@ -183,19 +198,20 @@ def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
                     base = base + 3 * _UZ * _UZ
                 elif g2_1 == g2 - 2:
                     base = base + 6 * _UZ
-            for g2_0 in _sub_genus(g2_1):
-                if n1 == n and g2_0 == g2:
-                    continue  # self term; its bracket vanishes identically
-                bracket = base
-                if n1 == n and g2_0 != g2:
-                    if g2_1 == g2:
-                        bracket = bracket + Fraction(3, 2) * (U * U)
-                    elif g2_1 == g2 - 1:
-                        bracket = bracket + Fraction(-3, 2) * U
-                if bracket.is_zero():
-                    continue
-                double.append((2 ** (2 + g2_1 - g2_0), tab.shift_weight[n1, g2_1, g2_0],
-                               bracket))
+            elif n1 == n:
+                if g2_1 == g2:
+                    base = base + Fraction(3, 2) * (U * U)
+                elif g2_1 == g2 - 1:
+                    base = base + Fraction(-3, 2) * U
+            if base.is_zero():
+                continue
+            if n1 == n and g2_1 == g2:
+                # the self piece g2_0 = g2, the unknown cell, has a bracket
+                # that vanishes identically: the weight stops below it
+                weight = tab._weight(n, g2, top=g2 - 2)
+            else:
+                weight = tab.shift_weight[n1, g2_1]
+            double.append((1, weight, base))
     rhs = Poly.sum(first) - Poly.dot(double)
     nn1 = n * (n + 1)
     out = {}
@@ -221,11 +237,8 @@ def _rec_cc(n: int, g2: int, tab: MapsTable) -> Poly:
             # with n1 = g2_1 = 0, H[n2, g2_2] is the unknown cell itself
             bracket = (tab.bracket[n2, g2_2] if n1 or g2_1
                        else tab._bracket_cc(n2, g2_2, with_self=False))
-            if bracket.is_zero():
-                continue
-            for g2_0 in _sub_genus(g2_1):
-                double.append((2 ** (2 + g2_1 - g2_0), tab.shift_weight[n1, g2_1, g2_0],
-                               bracket))
+            if not bracket.is_zero():
+                double.append((1, tab.shift_weight[n1, g2_1], bracket))
     rhs = Poly.sum(first) - Poly.dot(double)
     return rhs.scale(Fraction(2, (n + 1) * (n - 2)))
 
@@ -357,5 +370,5 @@ def theta_series(table: MapsTable, order: int) -> TSeries:
 
 def oneface_series(table: OneFaceTable, order: int) -> TSeries:
     """Generating series of one-face maps: sum u[n,g2]/(4n) t^{2n} u^{n+1-g2}."""
-    return row_series(order, 2, lambda n: Poly.from_terms({
-        (n + 1 - g2, 0, 0): Fraction(table.value(n, g2), 4 * n) for g2 in range(n + 1)}))
+    return row_series(order, 2, lambda n: Poly(
+        {_pack(n + 1 - g2, 0, 0): table.value(n, g2) for g2 in range(n + 1)}, 4 * n))

@@ -224,6 +224,10 @@ class Poly:
         return NotImplemented
 
     def scale(self, value) -> "Poly":
+        if type(value) is int:
+            if not value:
+                return _ZERO
+            return Poly({k: c * value for k, c in self.terms.items()}, self.den)
         f = Fraction(value)
         if not f:
             return _ZERO

@@ -97,6 +97,16 @@ def _genus_splits(g2):
     return ((a, g2 - a) for a in range(g2 + 1))
 
 
+def _square_splits(m: int, g2: int):
+    """Splits (n3, ga, gb) of a symmetric quadratic sum over n3 + n4 = m,
+    ga + gb = g2, one of each mirrored pair, with its multiplicity: 2, or
+    1 for a split that is its own mirror."""
+    for ga, gb in _genus_splits(g2):
+        for n3 in range(m // 2 + 1):
+            if (n3, ga) <= (m - n3, gb):
+                yield n3, ga, gb, 2 if (n3, ga) != (m - n3, gb) else 1
+
+
 def _sub_genus(g2_1):
     """Values g2_0 <= g2_1 with g1 - g0 a non-negative integer."""
     return range(g2_1 % 2, g2_1 + 1, 2)

@@ -18,6 +18,8 @@ returns, window included: each product's window follows the product
 rule, and the sum rule then combines them.  Only the orders inside the
 final window are computed, with one `Poly.dot` per order, so no product
 series or partial sum is ever built.  A product is the one-triple case.
+A square, a triple whose two factors are the same series object, pairs
+each two orders i < j once at weight 2c, and each diagonal order once.
 """
 
 from __future__ import annotations
@@ -206,17 +208,22 @@ class TSeries:
             bn = list(b.enum_nonzero())
             if not bn:
                 continue
-            for ka, pa in a.enum_nonzero():
-                if hi is not None and ka + bn[0][0] > hi:
+            # a square pairs orders i <= j only, the mirrored i < j at 2c
+            square = a is b
+            c2 = 2 * c if square else c
+            for i, (ka, pa) in enumerate(a.enum_nonzero()):
+                row = bn[i:] if square else bn
+                if hi is not None and ka + row[0][0] > hi:
                     break
-                for kb, pb in bn:
+                for kb, pb in row:
                     k = ka + kb
                     if hi is not None and k > hi:
                         break
+                    w = c2 if kb != ka else c
                     if k in acc:
-                        acc[k].append((c, pa, pb))
+                        acc[k].append((w, pa, pb))
                     else:
-                        acc[k] = [(c, pa, pb)]
+                        acc[k] = [(w, pa, pb)]
         sums = {k: Poly.dot(v) for k, v in acc.items()}
         if hi is None:
             return cls.exact(sums)
@@ -233,8 +240,7 @@ class TSeries:
                 return TSeries.zero() if self.max_order is None else \
                     TSeries(self.min_order, [ZERO] * len(self.coeffs), self.max_order)
             return TSeries(self.min_order, [p * value for p in self.coeffs], self.max_order)
-        f = Fraction(value)
-        return TSeries(self.min_order, [p.scale(f) for p in self.coeffs], self.max_order)
+        return TSeries(self.min_order, [p.scale(value) for p in self.coeffs], self.max_order)
 
     def dt(self) -> "TSeries":
         """d/dt; a bounded window conservatively drops its top order."""
@@ -244,9 +250,11 @@ class TSeries:
             raise WindowError("empty validity window after d/dt")
         return TSeries(self.min_order - 1, coeffs, hi)
 
-    def t_dt(self) -> "TSeries":
-        """t * d/dt, which is order-diagonal and loses no window."""
-        coeffs = [p.scale(k) for k, p in zip(range(self.min_order, self.min_order + len(self.coeffs)), self.coeffs)]
+    def t_dt(self, shift: int = 0) -> "TSeries":
+        """t * d/dt - shift, which is order-diagonal and loses no window:
+        the coefficient at t^k is multiplied by k - shift."""
+        lo = self.min_order - shift
+        coeffs = [p.scale(k) for k, p in zip(range(lo, lo + len(self.coeffs)), self.coeffs)]
         return TSeries(self.min_order, coeffs, self.max_order)
 
     def shift_t(self, k: int) -> "TSeries":

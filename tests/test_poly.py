@@ -156,3 +156,12 @@ def test_dot_common_denominator():
     assert p.den == 4
     assert Poly.dot([]) == Poly.zero()
     assert Poly.dot([(1, half, Poly.zero()), (0, U, U)]) == Poly.zero()
+
+
+@pytest.mark.parametrize("k", [-6, -1, 0, 1, 2, 15])
+def test_int_scale_matches_fraction_scale(k):
+    # the int path skips the Fraction round trip and still reduces
+    p = Poly.from_terms({(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(5, 3), (0, 0, 2): 2})
+    for q in (p, UZ + ONE):
+        got, want = q.scale(k), q.scale(Fraction(k))
+        assert (got.terms, got.den) == (want.terms, want.den)

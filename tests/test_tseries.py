@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +188,44 @@ def test_dot_window_after_exact_cancellation():
     got = TSeries.dot(ts)
     same_series(got, added_left_to_right(ts))
     assert got.window == (4, 8)
+
+
+def distinct_copy(s):
+    """An equal series that is a different object, so `dot` cannot see a square."""
+    return TSeries(s.min_order, list(s.coeffs), s.max_order)
+
+
+weights = st.one_of(st.integers(min_value=-3, max_value=3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=6))
+
+
+@settings(max_examples=150)
+@given(weights, mixed_series(), st.lists(st.tuples(weights, mixed_series(), mixed_series()),
+                                         max_size=2))
+def test_square_matches_product_of_distinct_copies(c, a, others):
+    # the square path pairs each two orders once at 2c; window, stored
+    # leading zeros and every coefficient stay those of the plain product
+    same_series(TSeries.dot([(c, a, a)]), TSeries.dot([(c, a, distinct_copy(a))]))
+    mixed = others + [(c, a, a)] + others
+    plain = others + [(c, a, distinct_copy(a))] + others
+    same_series(TSeries.dot(mixed), TSeries.dot(plain))
+
+
+@pytest.mark.parametrize("a", [
+    TSeries.exact({0: ONE, 1: U, 3: 2 * Z}),
+    trunc({0: 1, 1: 2, 2: -1, 5: 3}, 7),
+    TSeries.truncated({}, 4, min_order=1),
+    TSeries.zero(),
+    TSeries.truncated({-2: U, 0: UZ, 1: -ONE}, 3, min_order=-3),
+], ids=["exact", "truncated", "all-zero", "exact-zero", "laurent"])
+@pytest.mark.parametrize("c", [1, -3, Fraction(1, 2), Fraction(-5, 6)], ids=str)
+def test_square_cases(a, c):
+    same_series(TSeries.dot([(c, a, a)]), TSeries.dot([(c, a, distinct_copy(a))]))
+    same_series(a * a, a * distinct_copy(a))
+
+
+def test_t_dt_with_shift():
+    a = TSeries.truncated({-1: U, 2: UZ, 3: ONE}, 6, min_order=-2)
+    got = a.t_dt(3)
+    same_series(got, a.t_dt() - a.scale(3))
+    assert got.coeff(3).is_zero() and got.coeff(2) == -UZ and got.coeff(-1) == -4 * U
