@@ -170,9 +170,13 @@ class BipOneFaceTable(Table):
             return self.entries.get((n, i, j), 0)
         return self.entries[n, i, j]
 
+    @staticmethod
+    def row_cells(n: int):
+        """The cells (i, j) of row n that can be nonzero: i, j >= 1, i + j <= n + 1."""
+        return ((i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i))
+
     def fill(self, n_max: int) -> "BipOneFaceTable":
-        cells = ((n, i, j) for n in range(4, n_max + 1)
-                 for i in range(1, n + 1) for j in range(1, n + 2 - i))
+        cells = ((n, i, j) for n in range(4, n_max + 1) for i, j in self.row_cells(n))
         return self._sweep(cells, lambda n, i, j: bip_oneface(n, i, j, self))
 
 
@@ -227,7 +231,6 @@ def bip_oneface_series(table: BipOneFaceTable, order: int) -> TSeries:
     """One-face bipartite series: sum b[n,i,j]/(2n) t^n u^i v^j."""
     return row_series(order, 1, lambda n: Poly({
         _pack(i, 0, j): table.value(n, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 2 - i)
+        for i, j in table.row_cells(n)
         if table.value(n, i, j)
     }, 2 * n))

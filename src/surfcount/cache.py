@@ -58,6 +58,19 @@ from .poly import Poly
 
 HEADER = {"format": "surfcount-cache", "version": 1}
 
+# the keys of a record's indices, in order
+INDEX_NAMES = "ijk"
+
+# The row layout: SLOTS[model][c] is the slot, of a Poly's exponents (u,
+# z, v), that a coefficient record's index c holds.  Maps rows are indexed
+# (i, j) = (u, z), bipartite rows (i, j, k) = (u, v, z).
+SLOTS = {"maps": (0, 1), "bipartite": (0, 2, 1)}
+_TO_INDICES = {model: itemgetter(*slots) for model, slots in SLOTS.items()}
+# and back: exponent slot s reads the index that holds it, or else a 0
+# appended to the indices
+_TO_EXPS = {model: itemgetter(*(slots.index(s) if s in slots else len(slots) for s in range(3)))
+            for model, slots in SLOTS.items()}
+
 # json.loads(s) is this scan at the start of s, plus whitespace and
 # BOM handling around it
 _scan = json.JSONDecoder().scan_once
@@ -74,9 +87,7 @@ class CountRecord:
     def as_dict(self) -> dict:
         out = {"model": self.model, "n": self.n, "g2": self.g2,
                "value": str(self.value)}
-        if self.indices is not None:
-            for name, idx in zip(("i", "j", "k"), self.indices):
-                out[name] = idx
+        out.update(zip(INDEX_NAMES, self.indices or ()))
         return out
 
 
@@ -88,8 +99,8 @@ def default_cache_path() -> Path:
 # index getters by model and record length: a polynomial row's coefficient
 # records carry its exponents, its total record none
 _INDICES = {
-    "maps": {4: None, 6: itemgetter("i", "j")},
-    "bipartite": {4: None, 7: itemgetter("i", "j", "k")},
+    **{model: {4: None, 4 + len(slots): itemgetter(*INDEX_NAMES[:len(slots)])}
+       for model, slots in SLOTS.items()},
     "bip-oneface": {6: itemgetter("i", "j")},
     "triangulations": {4: None},
     "oneface": {4: None},
@@ -112,17 +123,13 @@ def _parse_record(obj) -> tuple[tuple[str, int, int], tuple[int, ...] | None, in
     return (model, n, g2), indices, int(value)
 
 
+def record_indices(model: str, exps: tuple[int, int, int]) -> tuple[int, ...]:
+    """A polynomial row's exponents (u, z, v) as its record indices."""
+    return _TO_INDICES[model](exps)
+
+
 def _poly_exps(model: str, indices: tuple[int, ...]) -> tuple[int, int, int]:
-    # stored index order is (i, j) = (u, z) for maps and (i, j, k) =
-    # (u, v, z) for bipartite; poly slots are (u, z, v)
-    if model == "bipartite":
-        return indices[0], indices[2], indices[1]
-    return indices[0], indices[1], 0
-
-
-def _record_indices(model: str, exps: tuple[int, int, int]) -> tuple[int, ...]:
-    eu, ez, ev = exps
-    return (eu, ev, ez) if model == "bipartite" else (eu, ez)
+    return _TO_EXPS[model](indices + (0,))
 
 
 def _mend_last_line(fh):
@@ -245,7 +252,7 @@ class CountCache:
         records = []
         for (n, g2), poly in entries.items():
             held = self._cells.get((model, n, g2), {})
-            row = {_record_indices(model, exps): c for exps, c in poly.int_items()}
+            row = {record_indices(model, exps): c for exps, c in poly.int_items()}
             row[None] = sum(row.values())
             for indices, value in held.items():
                 recomputed = row.get(indices, 0)
@@ -283,7 +290,7 @@ class CountCache:
 
     @staticmethod
     def _row_records(model, n, g2, poly, total):
-        records = [CountRecord(model, n, g2, c, _record_indices(model, exps))
+        records = [CountRecord(model, n, g2, c, record_indices(model, exps))
                    for exps, c in sorted(poly.int_items())]
         records.append(CountRecord(model, n, g2, int(total)))
         return records

@@ -6,12 +6,13 @@ identity checks.  Exit code 0 on success, 1 on a verification failure,
 2 on usage errors, 3 when the count cache file cannot be read or holds
 a malformed record (a one-line message on stderr names the file and
 line) or when the polynomial rows in it are wrong: a cached row differs
-from one of the table's seed rows, a fill from cached rows fails an
-integrality check, or a stored coefficient or total differs from the
-value its recomputed row gives (the message names the file and the
-row).  Only `maps --bivariate`, `maps --engine cc|both` and `bipartite`
-use the cache; the other table commands take `--cache` and `--no-cache`
-and ignore them.
+from one of the table's seed rows, a fill that started from cached rows
+fails an integrality check, or a stored coefficient or total differs
+from the value its recomputed row gives (the message names the file and
+the row).  A fill with no cached row loaded that fails an integrality
+check is no cache fault: its IntegralityError propagates.  Only `maps
+--bivariate`, `maps --engine cc|both` and `bipartite` use the cache; the
+other table commands take `--cache` and `--no-cache` and ignore them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import click
 
 from .bipartite import BipOneFaceTable, BipTable
-from .cache import CountCache, CountRecord, default_cache_path
+from .cache import INDEX_NAMES, SLOTS, CountCache, default_cache_path, record_indices
 from .errors import CacheError, IntegralityError, WindowError
 from .genus import genus_label, parse_genus
 from .identities import IDENTITIES, run_identity
@@ -56,50 +57,45 @@ def _echo(message, err=False):
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
-def open_cache(cache_path, no_cache) -> CountCache | None:
-    if no_cache:
-        return None
-    try:
-        return CountCache(cache_path or default_cache_path())
-    except CacheError as exc:
-        _cache_error(exc)
+def _fill_rows(model, tables, n_max, g2_max, cache_path, no_cache):
+    """Fill polynomial tables and return the last, the one the count cache serves.
 
-
-def _cache_error(message):
-    _echo(f"error: {message}", err=True)
-    sys.exit(3)
-
-
-def _fill(cache, model, tab, n_max, g2_max):
-    """Fill a polynomial table, starting from the complete rows the cache holds.
-
-    A cached row that differs from one of the table's seed rows, or a
-    fill from cached rows that fails the recurrence's integrality check,
-    means a corrupted cache: one stderr line, exit code 3.
+    The tables before it are independent checks (engine kz under
+    `--engine both`): a row of one that differs from the last table's is
+    one stderr line, exit code 1.  The last table starts from the
+    complete rows the cache holds, and only once every check has passed
+    are its new records stored.  A cache file that cannot be read, a
+    cached row that differs from a seed, a fill from cached rows that
+    fails an integrality check, or a stored record that differs from its
+    recomputed value, is one stderr line, exit code 3.
     """
-    if not cache:
-        return tab.fill(n_max, g2_max)
-    seeds = len(tab.entries)
+    *checks, tab = tables
     try:
-        cache.load(model, tab.entries, n_max)
-    except CacheError as exc:
-        _cache_error(exc)
-    try:
-        return tab.fill(n_max, g2_max)
-    except IntegralityError as exc:
-        if len(tab.entries) == seeds:
-            raise
-        _cache_error(f"{cache.path}: cached counts break the recurrence at {exc}")
-
-
-def _store(cache, model, tab):
-    """Append the table's new records; a stored record that differs from
-    its recomputed value is one stderr line, exit code 3."""
-    if cache:
+        cache = None if no_cache else CountCache(cache_path or default_cache_path())
+        for check in checks:
+            check.fill(n_max, g2_max)
+        seeds = len(tab.entries)
+        if cache:
+            cache.load(model, tab.entries, n_max)
+        loaded = len(tab.entries) > seeds
         try:
+            tab.fill(n_max, g2_max)
+        except IntegralityError as exc:
+            if not loaded:
+                raise
+            raise CacheError(f"{cache.path}: cached counts break the recurrence at {exc}")
+        for check in checks:
+            for n in range(1, n_max + 1):
+                for g2 in range(g2_max + 1):
+                    if check.poly(n, g2) != tab.poly(n, g2):
+                        _echo(f"engine mismatch at n={n}, g={genus_label(g2)}", err=True)
+                        sys.exit(1)
+        if cache:
             cache.store(model, tab.entries)
-        except CacheError as exc:
-            _cache_error(exc)
+    except CacheError as exc:
+        _echo(f"error: {exc}", err=True)
+        sys.exit(3)
+    return tab
 
 
 @click.group()
@@ -118,6 +114,14 @@ def _genus_top(g_max, reach):
         raise click.UsageError(str(exc))
 
 
+def _record(model, n, g2, indices, value):
+    """One JSON output record: model, n, g2, the indices as i, j, k, then value."""
+    rec = {"model": model, "n": n, "g2": g2}
+    rec.update(zip(INDEX_NAMES, indices))
+    rec["value"] = str(value)
+    return rec
+
+
 def _emit_json(model, records):
     _echo(json.dumps({"model": model, "rows": records}))
 
@@ -132,24 +136,36 @@ def _emit_text(header, lines, fmt):
     _echo("\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows))
 
 
-def _emit_grid(model, rows, n_max, g2_max, fmt):
-    """rows: {(n, g2): int} covering 1..n_max, 0..g2_max."""
-    genera = list(range(g2_max + 1))
+def _emit_grid(model, value, n_max, g2_max, fmt):
+    """value(n, g2) for n in 1..n_max and g2 in 0..g2_max, a row per n."""
+    ns, genera = range(1, n_max + 1), range(g2_max + 1)
     if fmt == "json":
-        _emit_json(model, [CountRecord(model, n, g2, rows[(n, g2)]).as_dict()
-                           for n in range(1, n_max + 1) for g2 in genera])
+        _emit_records(model, [(n, g2, (), value(n, g2)) for n in ns for g2 in genera], fmt, 0)
         return
     _emit_text(["n"] + [f"g={genus_label(g2)}" for g2 in genera],
-               [[str(n)] + [str(rows[(n, g2)]) for g2 in genera] for n in range(1, n_max + 1)],
-               fmt)
+               [[str(n)] + [str(value(n, g2)) for g2 in genera] for n in ns], fmt)
 
 
-def _emit_records(model, records, fmt, columns):
-    """records: list of dicts with the given columns (value last)."""
+def _emit_records(model, rows, fmt, width):
+    """rows: (n, g2, indices, value), one record each, with `width` indices."""
     if fmt == "json":
-        _emit_json(model, records)
+        _emit_json(model, [_record(model, *row) for row in rows])
         return
-    _emit_text(list(columns), [[str(r.get(c, "")) for c in columns] for r in records], fmt)
+    _emit_text(["n", "g2", *INDEX_NAMES[:width], "value"],
+               [[str(n), str(g2), *map(str, indices), str(value)]
+                for n, g2, indices, value in rows], fmt)
+
+
+def _emit_rows(model, tab, n_max, g2_max, fmt, coefficients):
+    """A polynomial table's counts as a grid, or with coefficients one
+    record per coefficient of each row."""
+    if not coefficients:
+        _emit_grid(model, tab.count, n_max, g2_max, fmt)
+        return
+    rows = [(n, g2, record_indices(model, exps), c)
+            for n in range(1, n_max + 1) for g2 in range(g2_max + 1)
+            for exps, c in sorted(tab.poly(n, g2).int_items())]
+    _emit_records(model, rows, fmt, len(SLOTS[model]))
 
 
 @main.command("maps")
@@ -164,36 +180,13 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
     """Rooted maps by edge count and genus."""
     top = _genus_top(g_max, n_max)
     if engine is None and not bivariate:
-        counts = MapsCounts().fill(n_max, top)
-        rows = {(n, g2): counts.value(n, g2)
-                for n in range(1, n_max + 1) for g2 in range(top + 1)}
-        _emit_grid("maps", rows, n_max, top, fmt)
+        _emit_grid("maps", MapsCounts().fill(n_max, top).value, n_max, top, fmt)
         return
-    engine = engine or "cc"
+    engines = ["kz", "cc"] if engine == "both" else [engine or "cc"]
     # only engine cc meets the cache; kz stays an independent check
-    cache = None if engine == "kz" else open_cache(cache_path, no_cache)
-    tables = [_fill(cache if eng == "cc" else None, "maps", MapsTable(eng), n_max, top)
-              for eng in (["kz", "cc"] if engine == "both" else [engine])]
-    if engine == "both":
-        for n in range(1, n_max + 1):
-            for g2 in range(min(n, top) + 1):
-                if tables[0].poly(n, g2) != tables[1].poly(n, g2):
-                    _echo(f"engine mismatch at n={n}, g={genus_label(g2)}", err=True)
-                    sys.exit(1)
-    tab = tables[-1]
-    _store(cache, "maps", tab)
-    if bivariate:
-        records = []
-        for n in range(1, n_max + 1):
-            for g2 in range(min(n, top) + 1):
-                for (i, j, _), c in sorted(tab.poly(n, g2).int_items()):
-                    records.append({"model": "maps", "n": n, "g2": g2,
-                                    "i": i, "j": j, "value": str(c)})
-        _emit_records("maps", records, fmt, ["n", "g2", "i", "j", "value"])
-    else:
-        rows = {(n, g2): (tab.count(n, g2) if g2 <= n else 0)
-                for n in range(1, n_max + 1) for g2 in range(top + 1)}
-        _emit_grid("maps", rows, n_max, top, fmt)
+    tab = _fill_rows("maps", [MapsTable(e) for e in engines], n_max, top,
+                     cache_path, no_cache or engines == ["kz"])
+    _emit_rows("maps", tab, n_max, top, fmt, bivariate)
 
 
 @main.command("bipartite")
@@ -205,21 +198,8 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
 def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     """Rooted bipartite maps by edge count and genus."""
     top = _genus_top(g_max, n_max)
-    cache = open_cache(cache_path, no_cache)
-    tab = _fill(cache, "bipartite", BipTable(), n_max, top)
-    _store(cache, "bipartite", tab)
-    if trivariate:
-        records = []
-        for n in range(1, n_max + 1):
-            for g2 in range(min(n, top) + 1):
-                for (i, k, j), c in sorted(tab.poly(n, g2).int_items()):
-                    records.append({"model": "bipartite", "n": n, "g2": g2,
-                                    "i": i, "j": j, "k": k, "value": str(c)})
-        _emit_records("bipartite", records, fmt, ["n", "g2", "i", "j", "k", "value"])
-    else:
-        rows = {(n, g2): (tab.count(n, g2) if g2 <= n else 0)
-                for n in range(1, n_max + 1) for g2 in range(top + 1)}
-        _emit_grid("bipartite", rows, n_max, top, fmt)
+    tab = _fill_rows("bipartite", [BipTable()], n_max, top, cache_path, no_cache)
+    _emit_rows("bipartite", tab, n_max, top, fmt, trivariate)
 
 
 @main.command("triangulations")
@@ -230,10 +210,7 @@ def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
 def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     """Rooted triangulations with 2n faces by genus."""
     top = _genus_top(g_max, n_max + 1)
-    tab = TriTable().fill(n_max, top)
-    rows = {(n, g2): tab.value(n, g2)
-            for n in range(1, n_max + 1) for g2 in range(top + 1)}
-    _emit_grid("triangulations", rows, n_max, top, fmt)
+    _emit_grid("triangulations", TriTable().fill(n_max, top).value, n_max, top, fmt)
 
 
 @main.command("oneface")
@@ -242,10 +219,7 @@ def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
 @cache_options
 def oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face maps by edge count and genus."""
-    tab = OneFaceTable().fill(n_max)
-    rows = {(n, g2): tab.value(n, g2)
-            for n in range(1, n_max + 1) for g2 in range(n_max + 1)}
-    _emit_grid("oneface", rows, n_max, n_max, fmt)
+    _emit_grid("oneface", OneFaceTable().fill(n_max).value, n_max, n_max, fmt)
 
 
 @main.command("bip-oneface")
@@ -255,11 +229,9 @@ def oneface_cmd(n_max, fmt, cache_path, no_cache):
 def bip_oneface_cmd(n_max, fmt, cache_path, no_cache):
     """Rooted one-face bipartite maps by edges and vertex colours."""
     tab = BipOneFaceTable().fill(n_max)
-    records = [{"model": "bip-oneface", "n": n, "g2": n + 1 - i - j,
-                "i": i, "j": j, "value": str(tab.value(n, i, j))}
-               for n in range(1, n_max + 1) for i in range(1, n + 1)
-               for j in range(1, n + 2 - i)]
-    _emit_records("bip-oneface", records, fmt, ["n", "g2", "i", "j", "value"])
+    rows = [(n, n + 1 - i - j, (i, j), tab.value(n, i, j))
+            for n in range(1, n_max + 1) for i, j in tab.row_cells(n)]
+    _emit_records("bip-oneface", rows, fmt, 2)
 
 
 @main.command("verify")
@@ -319,21 +291,15 @@ def oracle_cmd(edges, model_filter, fmt):
     if model_filter == "triangulation" and edges % 3:
         raise click.UsageError("triangulations need an edge count divisible by 3")
     result = scan(edges)
-    if model_filter is None:
-        records = [{"model": "maps", "n": edges, "g2": 2 - v + edges - f,
-                    "i": v, "j": f, "value": str(c)}
-                   for (v, f), c in sorted(result["maps"].items())]
-        _emit_records("maps", records, fmt, ["n", "g2", "i", "j", "value"])
-    elif model_filter == "bipartite":
-        records = [{"model": "bipartite", "n": edges, "g2": 2 - i - j + edges - k,
-                    "i": i, "j": j, "k": k, "value": str(c)}
-                   for (i, j, k), c in sorted(result["bipartite"].items())]
-        _emit_records("bipartite", records, fmt, ["n", "g2", "i", "j", "k", "value"])
-    else:
-        records = [{"model": "triangulations", "n": edges // 3, "g2": g2,
-                    "value": str(c)}
-                   for g2, c in sorted(result["triangulations"].items())]
-        _emit_records("triangulations", records, fmt, ["n", "g2", "value"])
+    if model_filter == "triangulation":
+        rows = [(edges // 3, g2, (), c) for g2, c in sorted(result["triangulations"].items())]
+        _emit_records("triangulations", rows, fmt, 0)
+        return
+    model = model_filter or "maps"
+    # keyed by vertex counts then faces, the record indices: by Euler's
+    # formula g2 = 2 + edges - their sum
+    rows = [(edges, 2 + edges - sum(key), key, c) for key, c in sorted(result[model].items())]
+    _emit_records(model, rows, fmt, len(SLOTS[model]))
 
 
 if __name__ == "__main__":

@@ -236,19 +236,6 @@ class Poly:
             self.den * f.denominator,
         )
 
-    def __pow__(self, exp: int) -> "Poly":
-        if exp < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
-
     # -- structural operations ------------------------------------------
 
     def shift_u(self, delta: int) -> "Poly":

@@ -4,14 +4,16 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import surfcount.maps
 from surfcount.bipartite import BipOneFaceTable
 from surfcount.cache import CountCache, HEADER, _parse_record
 from surfcount.cli import main
-from surfcount.errors import CacheError
+from surfcount.errors import CacheError, IntegralityError
 from surfcount.maps import MapsCounts, OneFaceTable
 from surfcount.poly import U, Z
 from surfcount.triangulations import TriTable
@@ -325,6 +327,55 @@ def test_cli_corrupt_cached_cell_exit_code(tmp_path):
     assert res.stdout == ""
     assert res.stderr == f"error: {path}: maps[4,1]: cached 983, recomputed 982\n"
     assert path.read_bytes() == before
+
+
+def _break_h50(monkeypatch):
+    """Make engine cc's H[5,0] fail the integrality check: scaled by 1/3."""
+    rec_cc = surfcount.maps._rec_cc
+
+    def broken(n, g2, tab):
+        poly = rec_cc(n, g2, tab)
+        return poly.scale(Fraction(1, 3)) if (n, g2) == (5, 0) else poly
+    monkeypatch.setattr(surfcount.maps, "_rec_cc", broken)
+
+
+def test_fill_failure_without_cached_rows_is_no_cache_fault(tmp_path, monkeypatch):
+    path = tmp_path / "counts.ndjson"
+    _break_h50(monkeypatch)
+    with pytest.raises(IntegralityError, match=r"H\[5,0\]"):
+        CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "6", "--cache", str(path)],
+                           catch_exceptions=False)
+    assert not path.exists()
+
+
+def test_fill_failure_from_cached_rows_exit_code(tmp_path, monkeypatch):
+    path = tmp_path / "counts.ndjson"
+    args = ["maps", "--bivariate", "--cache", str(path), "--n-max"]
+    assert CliRunner().invoke(main, args + ["4"]).exit_code == 0
+    before = path.read_bytes()
+    _break_h50(monkeypatch)
+    res = CliRunner().invoke(main, args + ["6"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {path}: cached counts break the recurrence at H[5,0]")
+    assert res.stderr.count("\n") == 1
+    assert path.read_bytes() == before
+
+
+def test_engine_mismatch_stores_nothing(tmp_path, monkeypatch):
+    rec_kz = surfcount.maps._rec_kz
+
+    def skewed(n, g2, tab):
+        poly = rec_kz(n, g2, tab)
+        return poly + U * Z * Z * Z * Z if (n, g2) == (5, 2) else poly
+    monkeypatch.setattr(surfcount.maps, "_rec_kz", skewed)
+    path = tmp_path / "counts.ndjson"
+    res = CliRunner().invoke(main, ["maps", "--n-max", "5", "--engine", "both",
+                                    "--cache", str(path)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == "engine mismatch at n=5, g=1\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("record", ["total", "coefficient", "top-row-total"])

@@ -1,12 +1,12 @@
 """Pinned CLI output: the sha256 of stdout for a fixed set of small commands.
 
 The set covers every table subcommand, `verify` of each identity at a
-small order, and a small `oracle` run.  A refactor that changes no
-behaviour leaves every hash alone.  Each table
-command is also run twice on one cache file (a cold run in the first
-format, warm runs after it); every cached run must print the pinned
-output too.  The bytes of the cache file that two cold polynomial-row
-runs write are pinned the same way.
+small order, and small `oracle` runs, unfiltered and with each
+`--filter`.  A refactor that changes no behaviour leaves every hash
+alone.  Each table command is also run twice on one cache file (a cold
+run in the first format, warm runs after it); every cached run must
+print the pinned output too.  The bytes of the cache file that two cold
+polynomial-row runs write are pinned the same way.
 """
 
 import hashlib
@@ -96,6 +96,36 @@ GOLDEN = {
         "ec757869526be0e5cfaf8112786a9209829ab09a1109d11d677fc607681a5b21",
         "5fe07c26d81dfb3ce13edfe58fc9364f400cd3f61a5cf9e5ac4bfafa4a117130",
         "859e6d825ca650827b66d71a08318a54a8ef1719b0e145d93c62093c00c3ac26",
+    ),
+    "oracle --edges 3 --filter bipartite": (
+        "14b413f3a1cd59cacdaf014df8714528ef6eefdaad096f4966bdcde38f49c476",
+        "93ec7ae2c920bb9d0e540142cc01385aaa6f02734b61658d7da44978f6d1c392",
+        "868718a4fe8c5623b3d924328b6f1c744272f60d63e554701944656a478d103c",
+    ),
+    "oracle --edges 3 --filter triangulation": (
+        "d6e6d648f50795686e3cd140b8ae11735b8d2a2a552fbb186b6c2a28665b5fda",
+        "be555a0e7ab086575da7ba50922e63d218886066e9f330c9ac78cf90023fa168",
+        "445ee39e62592c6f42f59d88d88e60cde793824294e0b95e51a3c48fa494c16f",
+    ),
+    "maps --n-max 6 --engine cc": (
+        "19d27343e684a00117dd15883a848fa24eeb6368c60c2055ebc28d195a43b955",
+        "d8ea8814f1a0d77e3914d9267bd1d0beaff839430e9821f27d7d7aa8f66c746a",
+        "cc618c739ad1563f0055d5600317d8976bcc303ffd937673b669e34a34045b61",
+    ),
+    "maps --n-max 0 --bivariate": (
+        "a6c995103086b428c66e29f5f93c420b914a2ef4a44f06d9f3f1390cb2015ed0",
+        "88105fe1f399aaf25fa4b0c00d6870f8777fff0571df599bb890b9aba8bf06de",
+        "ec588244a385453acd9d878775b743651d1f3ac73ead176d2fb8649c6bd701d8",
+    ),
+    "bipartite --n-max 0 --trivariate": (
+        "711655b28e9d39542247d0f9d175869fda57f5fd3a55a7eec9d0a723fdadddc7",
+        "c3f6d90a3fcf41e9d18895d1c1d8eb1b42d719e24ca026c2efe1cd1e79520e36",
+        "d4ae6e7abbb0f3f17b6cbc06075bc379354fd9e6ca66c7887e255cb2ff663db7",
+    ),
+    "bipartite --n-max 6 --g-max 3/2": (
+        "6810df74102f688b3f346da14335a373a12a00bcb09cd2226fda7adb484297c6",
+        "ba96d3da0992065fc4035a7a53c0c6b99272c6997a47f0a37883f30a0d80160a",
+        "1642d363a11e8c5ba2ce48634f387c7614c118db9863cea71d48e0be41b9e677",
     ),
 }
 FORMATS = ("table", "csv", "json")
