@@ -26,7 +26,7 @@ from .bipartite import BipOneFaceTable, BipTable
 from .cache import INDEX_NAMES, SLOTS, CountCache, default_cache_path, record_indices
 from .errors import CacheError, IntegralityError, WindowError
 from .genus import genus_label, parse_genus
-from .identities import IDENTITIES, run_identity
+from .identities import IDENTITIES, oneface_ode_fill, run_identity
 from .maps import MapsCounts, MapsTable, OneFaceTable
 from .oracle import MAX_EDGES, scan
 from .triangulations import TriTable
@@ -213,22 +213,47 @@ def triangulations_cmd(n_max, g_max, fmt, cache_path, no_cache):
     _emit_grid("triangulations", TriTable().fill(n_max, top).value, n_max, top, fmt)
 
 
+def _oneface_fill(model, table, n_max, engine, label):
+    """The one-face table filled by its recurrence (no engine), by its ODE
+    (engine ode), or by both: a cell where they differ is one stderr line,
+    exit code 1.  label(*cell) names the cell."""
+    tab = oneface_ode_fill(model, n_max) if engine == "ode" else table().fill(n_max)
+    if engine == "both":
+        ode = oneface_ode_fill(model, n_max).entries
+        for cell in sorted(tab.entries.keys() | ode.keys()):
+            if tab.entries.get(cell, 0) != ode.get(cell, 0):
+                _echo(f"engine mismatch at {label(*cell)}", err=True)
+                sys.exit(1)
+    return tab
+
+
+def oneface_engine_option(fn):
+    return click.option("--engine", type=click.Choice(["ode", "both"]), default=None,
+                        help="fill from the one-face ODE, or compare it with the "
+                        "default recurrence")(fn)
+
+
 @main.command("oneface")
 @n_max_option()
+@oneface_engine_option
 @format_option
 @cache_options
-def oneface_cmd(n_max, fmt, cache_path, no_cache):
+def oneface_cmd(n_max, engine, fmt, cache_path, no_cache):
     """Rooted one-face maps by edge count and genus."""
-    _emit_grid("oneface", OneFaceTable().fill(n_max).value, n_max, n_max, fmt)
+    tab = _oneface_fill("oneface", OneFaceTable, n_max, engine,
+                        lambda n, g2: f"n={n}, g={genus_label(g2)}")
+    _emit_grid("oneface", tab.value, n_max, n_max, fmt)
 
 
 @main.command("bip-oneface")
 @n_max_option()
+@oneface_engine_option
 @format_option
 @cache_options
-def bip_oneface_cmd(n_max, fmt, cache_path, no_cache):
+def bip_oneface_cmd(n_max, engine, fmt, cache_path, no_cache):
     """Rooted one-face bipartite maps by edges and vertex colours."""
-    tab = BipOneFaceTable().fill(n_max)
+    tab = _oneface_fill("bip-oneface", BipOneFaceTable, n_max, engine,
+                        lambda n, i, j: f"n={n}, i={i}, j={j}")
     rows = [(n, n + 1 - i - j, (i, j), tab.value(n, i, j))
             for n in range(1, n_max + 1) for i, j in tab.row_cells(n)]
     _emit_records("bip-oneface", rows, fmt, 2)

@@ -24,13 +24,18 @@ largest leading part the recursion accepts (`_loop_terms`).  `_ODE`
 holds the power of t, the weight, the derivative coefficient, the KP2
 term and the exact cofactor of the unshifted ODE (`verify_ode`).
 `_ONEFACE_ODE` holds the two linear one-face ODEs as operator data, the
-coefficient of each t^a f^(k) and the inhomogeneous part
-(`verify_oneface_ode`); the tests read the same data to derive the
-one-face recurrences from it.
+coefficient of each t^a f^(k) and the inhomogeneous part.  Read at one
+order t^m, such an ODE is a linear relation among the coefficients of
+the series, with coefficients polynomial in m (`oneface_relation`): the
+recurrence the paper's closing claim promises.  `verify_oneface_ode`
+evaluates the residual through it, and `oneface_ode_fill` fills the
+one-face tables from it, a second engine beside `ledoux` and
+`bip_oneface`.
 
-Each F[lam] step, each one-face ODE residual and each KP combination is
-one `TSeries.dot` over (weight, series, series) triples; a lone series
-is paired with a constant series (1, z or the linear factor).
+Each F[lam] step and each KP combination is one `TSeries.dot` over
+(weight, series, series) triples; a lone series is paired with a
+constant series (1, z or the linear factor).  Each coefficient of a
+one-face residual is one `Poly.dot`, over the relation's shifts.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .bipartite import BipOneFaceTable, BipTable, bip_oneface_series, eta_series
-from .errors import WindowError
+from .errors import IntegralityError, WindowError
 from .maps import MapsTable, OneFaceTable, oneface_series, theta_series
-from .poly import ONE, U, V, Z
+from .poly import ONE, U, V, Z, ZERO, Poly
 from .triangulations import TriTable, xi_series
 from .tseries import TSeries
 
@@ -326,16 +331,90 @@ _ONEFACE_ODE = {
 }
 
 
-def verify_oneface_ode(model: str, series: TSeries) -> TSeries:
-    """Linear ODE residual of a one-face series, from the model's row of
-    _ONEFACE_ODE: "oneface" in (t, u), "bip-oneface" in (t, u, v)."""
+def oneface_relation(model: str, m: int):
+    """The t^m coefficient of the model's one-face ODE, as ({j: P_j}, inhom):
+    sum_j P_j f_j + inhom, where f_j is the t^j coefficient of the series.
+
+    The t^m coefficient of c t^a f^(k) is c (j)_k f_j, with j = m - a + k
+    and (j)_k the falling factorial, so P_j sums c (j)_k over the terms of
+    one shift k - a = j - m: a recurrence with coefficients polynomial in m.
+    """
     rows, inhom = _ONEFACE_ODE[model]
-    d = [series]
-    for _ in range(max(rows)):
-        d.append(d[-1].dt())
-    return _series_sum([TSeries.dot(
-        [(1, TSeries.exact(rows[k]), d[k]) for k in sorted(rows)]
-        + [(1, _ONE, TSeries.exact(inhom))])])
+    terms = {}
+    for k, row in rows.items():
+        for a, c in row.items():
+            j = m - a + k
+            terms[j] = terms.get(j, ZERO) + c.scale(prod(range(j - k + 1, j + 1)))
+    return terms, inhom.get(m, ZERO)
+
+
+def _oneface_lag(model: str) -> int:
+    """min(a - k) over the ODE's terms: f_j first enters at t^(j + lag)."""
+    return min(a - k for k, row in _ONEFACE_ODE[model][0].items() for a in row)
+
+
+def verify_oneface_ode(model: str, series: TSeries) -> TSeries:
+    """Linear ODE residual of a truncated one-face series, from the model's
+    row of _ONEFACE_ODE: "oneface" in (t, u), "bip-oneface" in (t, u, v).
+
+    Each coefficient is one `Poly.dot` over the relation at its order.  The
+    window is the one the product rule gives the sum of the terms c t^a
+    f^(k) plus the inhomogeneous part: it tops out at series.max_order +
+    lag and starts at t^0 or lower.
+    """
+    lag = _oneface_lag(model)
+    lo = min(0, series.min_order + lag, min(_ONEFACE_ODE[model][1]))
+    hi = series.max_order + lag
+    coeffs = []
+    for m in range(lo, hi + 1):
+        terms, inhom = oneface_relation(model, m)
+        coeffs.append(Poly.dot([(1, p, series.coeff(j)) for j, p in terms.items()]) + inhom)
+    return TSeries(lo, coeffs, hi)
+
+
+# model: (table, series, t-orders per row, cell of the monomial u^e0 z^e1 v^e2
+# of row n)
+_ONEFACE_TABLES = {
+    "oneface": (OneFaceTable, oneface_series, 2, lambda n, e: (n, n + 1 - e[0])),
+    "bip-oneface": (BipOneFaceTable, bip_oneface_series, 1, lambda n, e: (n, e[0], e[2])),
+}
+
+
+def _oneface_step(model: str, top: int):
+    """The relation that first reaches f_top, as (lead, {j: P_j} with j <
+    top, inhom); lead, the coefficient of f_top, is a nonzero constant."""
+    terms, inhom = oneface_relation(model, top + _oneface_lag(model))
+    lead = terms.pop(top)
+    if lead.is_zero() or not lead.is_homogeneous(0):
+        raise IntegralityError(f"{model} t^{top}: leading coefficient {lead} "
+                               "is not a nonzero constant")
+    return lead.evaluate(), terms, inhom
+
+
+def oneface_ode_fill(model: str, n_max: int):
+    """The model's one-face table to row n_max, filled from its ODE.
+
+    The series coefficient of the table's row n is f_j = C_j / (2j), at j
+    = 2n for maps and j = n for bipartite maps, with C_j the row as a
+    polynomial.  From the seeded rows 1..3, each row solves the relation
+    that first reaches it: C_top = -(sum_j (top / j) P_j C_j + 2 top
+    inhom) / lead, an exact division, so a row that is not integral raises
+    IntegralityError.
+    """
+    table, series, step, cell = _ONEFACE_TABLES[model]
+    tab = table()
+    seeds = series(tab, 3 * step)
+    rows = {step * n: seeds.coeff(step * n).scale(2 * step * n) for n in range(1, 4)}
+    for n in range(4, n_max + 1):
+        top = step * n
+        lead, terms, inhom = _oneface_step(model, top)
+        num = Poly.dot([(Fraction(top, j), p, rows[j]) for j, p in terms.items() if j >= 1]
+                       + [(2 * top, ONE, inhom)])
+        rows[top] = num.scale(-1 / lead)
+        if not rows[top].is_integral():
+            raise IntegralityError(f"{model}[{n}]: {num} is not divisible by {lead}")
+        tab.entries.update((cell(n, exps), c) for exps, c in rows[top].int_items())
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +557,13 @@ def _residual_ode_tri(order, tables):
 def _residual_fixed(order, tables):
     return verify_fixed_charge(maps_context(order, tables.get("maps")))
 
-def _residual_of_maps(order, tables):
-    table = tables.get("oneface") or OneFaceTable().fill((order + 2) // 2)
-    return verify_oneface_ode("oneface", oneface_series(table, order + 2))
+def _residual_oneface(model):
+    table, series, step, _ = _ONEFACE_TABLES[model]
 
-def _residual_of_bip(order, tables):
-    table = tables.get("bip-oneface") or BipOneFaceTable().fill(order + 2)
-    return verify_oneface_ode("bip-oneface", bip_oneface_series(table, order + 2))
+    def build(order, tables):
+        tab = tables.get(model) or table().fill((order + 2) // step)
+        return verify_oneface_ode(model, series(tab, order + 2))
+    return build
 
 
 IDENTITIES = {
@@ -493,8 +572,8 @@ IDENTITIES = {
     "ode-maps": ("maps", 16, _residual_ode_maps),
     "ode-bipartite": ("bipartite", 12, _residual_ode_bip),
     "ode-triangulations": ("triangulations", 18, _residual_ode_tri),
-    "ode-oneface-maps": ("oneface", 14, _residual_of_maps),
-    "ode-oneface-bipartite": ("bip-oneface", 10, _residual_of_bip),
+    "ode-oneface-maps": ("oneface", 14, _residual_oneface("oneface")),
+    "ode-oneface-bipartite": ("bip-oneface", 10, _residual_oneface("bip-oneface")),
     "fixed-charge": ("maps", 12, _residual_fixed),
 }
 

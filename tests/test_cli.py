@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 from click.testing import CliRunner
 
+import surfcount.bipartite
 import surfcount.cli
 import surfcount.maps
 from surfcount.cli import main
@@ -140,6 +141,30 @@ def test_bip_oneface(runner):
     rows = json.loads(res.output)["rows"]
     vals = {(r["n"], r["i"], r["j"]): int(r["value"]) for r in rows}
     assert vals[(4, 1, 1)] == 20 and vals[(4, 2, 2)] == 17
+
+
+@pytest.mark.parametrize("command, n_top", [("oneface", 30), ("bip-oneface", 20)])
+def test_oneface_engines_print_the_same_bytes(runner, command, n_top):
+    # seeds only, the first filled row, and every format at the top
+    for n, fmt in [(0, "table"), (3, "csv"), (4, "json"),
+                   (n_top, "table"), (n_top, "csv"), (n_top, "json")]:
+        args = [command, "--n-max", str(n), "--format", fmt, "--no-cache"]
+        default = invoke(runner, args).stdout_bytes
+        for engine in ("ode", "both"):
+            assert invoke(runner, args + ["--engine", engine]).stdout_bytes == default
+
+
+@pytest.mark.parametrize("command, step, cell, where", [
+    ("oneface", "ledoux", (5, 2), "n=5, g=1"),
+    ("bip-oneface", "bip_oneface", (5, 2, 1), "n=5, i=2, j=1"),
+])
+def test_oneface_engine_mismatch(runner, monkeypatch, command, step, cell, where):
+    module = surfcount.maps if command == "oneface" else surfcount.bipartite
+    hand = getattr(module, step)
+    monkeypatch.setattr(module, step, lambda *c: hand(*c) + (c[:-1] == cell))
+    res = runner.invoke(main, [command, "--n-max", "5", "--engine", "both", "--no-cache"])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == f"engine mismatch at {where}\n"
 
 
 def test_verify_pass_and_fail_codes(runner):

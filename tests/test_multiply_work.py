@@ -57,7 +57,9 @@ def term_pairs(monkeypatch):
     (lambda: MapsTable("kz").fill(12), 17539),
     (lambda: BipTable().fill(10), 17618),
     (lambda: run_identity("ode-bipartite", 8), 69096),
-], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8"])
+    (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
+], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8",
+        "ode-oneface-bipartite-12"])
 def test_multiply_work_budget(term_pairs, run, pairs):
     run()
     assert term_pairs[0] == pairs

@@ -1,68 +1,30 @@
 """Ledoux's one-face recurrence and its bipartite analogue, derived from
-the one-face ODEs.
-
-`identities._ONEFACE_ODE` writes each linear one-face ODE as operator
-data: the coefficient c of each term c t^a f^(k), plus an inhomogeneous
-part.  The t^m coefficient of t^a f^(k) is (m-a+k)_k f_(m-a+k), with
-(x)_k the falling factorial, so the t^m coefficient of an ODE is a linear
-relation among the coefficients f_j of the series, with coefficients
-polynomial in m.  Both series have f_j = C_j / (2j), where C_j is a row
-of the table as a polynomial:
+the one-face ODEs by `identities.oneface_relation`: a linear relation
+among the coefficients f_j = C_j / (2j) of the series, where C_j is a
+row of the table as a polynomial:
 
 - one-face maps: j = 2n and C_j = sum over g2 of u[n, g2] u^(n+1-g2)
   (Ledoux, "A recursion formula for the moments of the Gaussian
   orthogonal ensemble", 2009);
 - one-face bipartite maps: j = n and C_j = sum of b[n, i, j'] u^i v^j'.
 
-So each relation is a recurrence on the rows.  The tests compare it
-with the hand-written steps `ledoux` and `bip_oneface`, coefficient by
-coefficient, and run it from rows 1..3 to the tables.  Everything is
-exact Poly and Fraction arithmetic.
+The tests compare it with the hand-written steps `ledoux` and
+`bip_oneface`, coefficient by coefficient, check that the ODE fill run
+from rows 1..3 rebuilds the tables, and that the residual regrouped by
+relation equals the sum of the operator terms.
 """
 
-from math import prod
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from surfcount.bipartite import BipOneFaceTable, bip_oneface, bip_oneface_series
-from surfcount.identities import _ONEFACE_ODE
+from surfcount.errors import IntegralityError
+from surfcount.identities import _ONEFACE_ODE, _oneface_step, oneface_ode_fill, verify_oneface_ode
 from surfcount.maps import OneFaceTable, ledoux, oneface_series
-from surfcount.poly import ZERO, Poly
-
-
-def _relation(model: str, m: int):
-    """The t^m coefficient of the model's ODE as ({j: P_j}, inhom), meaning
-    sum_j P_j f_j + inhom."""
-    rows, inhom = _ONEFACE_ODE[model]
-    terms = {}
-    for k, row in rows.items():
-        for a, c in row.items():
-            j = m - a + k
-            terms[j] = terms.get(j, ZERO) + c.scale(prod(range(j - k + 1, j + 1)))
-    return terms, inhom.get(m, ZERO)
-
-
-def _step(model: str, top: int):
-    """The relation that solves for f_top: (lead, {j: P_j} with j < top,
-    inhom), where lead, the coefficient of f_top, is a nonzero constant."""
-    rows, _ = _ONEFACE_ODE[model]
-    lag = min(a - k for k, row in rows.items() for a in row)
-    terms, inhom = _relation(model, top + lag)
-    lead = terms.pop(top)
-    assert max(terms) < top
-    assert lead.is_homogeneous(0) and not lead.is_zero(), lead
-    return lead.evaluate(), terms, inhom
-
-
-def _fill_from_ode(model: str, seeds, top: int) -> dict:
-    """f_1 .. f_top from the seed series' coefficients and the relations."""
-    f = {j: seeds.coeff(j) for j in range(1, seeds.max_order + 1)}
-    for top_j in range(seeds.max_order + 1, top + 1):
-        lead, terms, inhom = _step(model, top_j)
-        rhs = Poly.sum([p * f[j] for j, p in terms.items() if j >= 1]) + inhom
-        f[top_j] = rhs.scale(-1 / lead)
-    return f
+from surfcount.poly import ONE, U
+from surfcount.tseries import TSeries
 
 
 def _only(cell, value):
@@ -75,7 +37,7 @@ def _derived_coefficients(model: str, top: int, n: int, cell_of):
     coefficient * history cell, read off the ODE: C_top = -(top / lead)
     sum_j P_j C_j / j.  cell_of(j, exps) names the history cell a
     monomial of P_j multiplies."""
-    lead, terms, inhom = _step(model, top)
+    lead, terms, inhom = _oneface_step(model, top)
     assert inhom.is_zero()
     out = {}
     for j, p in terms.items():
@@ -123,14 +85,51 @@ def test_bip_oneface_is_the_derived_recurrence(n):
     assert derived == hand
 
 
-@pytest.mark.parametrize("model, series, table, rows", [
-    ("oneface", oneface_series, OneFaceTable, 40),
-    ("bip-oneface", bip_oneface_series, BipOneFaceTable, 20),
+@pytest.mark.parametrize("model, table, rows", [
+    ("oneface", OneFaceTable, 40), ("bip-oneface", BipOneFaceTable, 20),
 ], ids=["oneface", "bip-oneface"])
-def test_derived_recurrence_fills_the_table(model, series, table, rows):
-    step = 2 if model == "oneface" else 1   # t-orders per row
-    seeds = series(table(), 3 * step)        # the seeded rows 1..3
-    want = series(table().fill(rows), rows * step)
-    got = _fill_from_ode(model, seeds, rows * step)
-    assert [got[j] for j in range(1, rows * step + 1)] == \
-        [want.coeff(j) for j in range(1, rows * step + 1)]
+def test_derived_recurrence_fills_the_table(model, table, rows):
+    assert oneface_ode_fill(model, rows).entries == table().fill(rows).entries
+
+
+def test_ode_fill_raises_on_a_wrong_seed_or_a_zero_lead(monkeypatch):
+    monkeypatch.setattr(OneFaceTable, "SEEDS", {**OneFaceTable.SEEDS, (3, 3): 42})
+    with pytest.raises(IntegralityError, match=r"oneface\[5\]: .* not divisible by 120"):
+        oneface_ode_fill("oneface", 6)
+    # -7 f' + t f'' = 0: the coefficient of f_8 at t^7 is -7 * 8 + 8 * 7 = 0
+    monkeypatch.setitem(_ONEFACE_ODE, "oneface", ({1: {0: -7 * ONE}, 2: {1: ONE}}, {}))
+    with pytest.raises(IntegralityError, match="leading coefficient 0"):
+        oneface_ode_fill("oneface", 4)
+
+
+def _residual_by_terms(model, series):
+    """The residual as one product per operator term c t^a f^(k)."""
+    rows, inhom = _ONEFACE_ODE[model]
+    d = [series]
+    for _ in range(max(rows)):
+        d.append(d[-1].dt())
+    return TSeries.zero() + TSeries.dot(
+        [(1, TSeries.exact(rows[k]), d[k]) for k in sorted(rows)]
+        + [(1, TSeries.const(1), TSeries.exact(inhom))])
+
+
+def _report(res):
+    first = res.first_nonzero()
+    return res.min_order, res.max_order, res.coeffs, first and (first[0], str(first[1]))
+
+
+@pytest.mark.parametrize("model, table, series, top", [
+    ("oneface", OneFaceTable().fill, oneface_series, 30),
+    ("bip-oneface", BipOneFaceTable().fill, bip_oneface_series, 20),
+], ids=["oneface", "bip-oneface"])
+def test_residual_is_the_sum_of_the_operator_terms(model, table, series, top):
+    # at the orders run_identity checks, on the true series and with one
+    # coefficient off by an int or by a rational
+    table = table(top + 2)
+    for order in range(1, top + 1):
+        true = series(table, order + 2)
+        for s in (true, true + TSeries.exact({true.max_order: ONE}),
+                  true + TSeries.exact({true.min_order: U.scale(Fraction(1, 3))})):
+            got = _report(verify_oneface_ode(model, s))
+            assert got == _report(_residual_by_terms(model, s))
+            assert (got[3] is None) == (s is true)
