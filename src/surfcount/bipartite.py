@@ -5,6 +5,12 @@ vertex is black by convention), v white vertices, z faces.  One
 recurrence engine fills the table; every right-hand side entry has
 strictly smaller edge count, so the fill is a plain sweep in n.
 
+BipTable memoizes q[m, g2] (`table.square_sum`), shift_weight[n1, g2_1]
+(`table.charge_shift`, u and v shifting together) and bracket[n2, g2_2],
+whose boundary terms are data, _BOUNDARY.  Each step is the bracket at
+(n, g2) without the unknown cell K[n, g2] over n+1, minus the shift sum
+of weights times brackets over (n-2)(n+1).
+
 The one-face numbers b[n, i, j] (i black, j white vertices) satisfy
 their own linear recursion with history depth 4, filled in
 BipOneFaceTable.
@@ -13,12 +19,11 @@ BipOneFaceTable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
 
 from .errors import IntegralityError
-from .poly import Poly, U, V, Z, _pack, _unpack
+from .poly import Poly, U, V, Z, _pack
 from .table import (
-    Memo, PolyTable, Table, _genus_splits, _grid, _square_splits, _sub_genus, row_series,
+    Memo, PolyTable, Table, _genus_splits, _grid, charge_shift, row_series, square_sum,
 )
 from .tseries import TSeries
 
@@ -36,6 +41,15 @@ _PSI = U * U + V * V + Z * Z - 14 * _UV - 2 * U * Z - 2 * V * Z
 
 def _psi(n: int) -> Poly:
     return (n - 2) * _PSI - 12 * _UV
+
+
+# the bracket's boundary terms, by (n2, g2_2)
+_BOUNDARY = {
+    (1, 0): 2 * _UVZ,
+    (2, 0): 6 * _UV * _UV,
+    (2, 1): -6 * _UV * _DIFF3,
+    (2, 2): 6 * _UV,
+}
 
 
 class BipTable(PolyTable):
@@ -72,75 +86,41 @@ class BipTable(PolyTable):
         return poly
 
     def _q(self, m: int, g2: int) -> Poly:
-        """Sum of (6 n3 n4 - 2(n3+n4) + 1) K[n3-1] K[n4-1] over splits of (m, g2),
-        one product per mirrored pair of splits."""
-        K = self.poly
-        return Poly.dot((k * (6 * n3 * (m - n3) - 2 * m + 1), K(n3 - 1, ga), K(m - n3 - 1, gb))
-                        for n3, ga, gb, k in _square_splits(m, g2))
+        """Sum of (6 n3 n4 - 2(n3+n4) + 1) K[n3-1] K[n4-1] over splits of (m, g2)."""
+        return square_sum(self.poly, m, g2, lambda n3, n4: 6 * n3 * n4 - 2 * (n3 + n4) + 1)
 
     def _weight(self, n1: int, g2_1: int) -> Poly:
-        """Expansion kernel of the simultaneous (u, v) charge shift:
-        sum over monomials u^p v^q z^k of K[n1, g2_0], g2_0 <= g2_1, of
-        2^(2 + g2_1 - g2_0) C(p,i) C(q, m-k-i) u^i v^(m-k-i) z^k with
-        m = n1 - g2_1 (z-exponents pass through unshifted)."""
-        m = n1 - g2_1
-        acc: dict[int, int] = {}
-        get = acc.get
-        den = 1
-        if m >= 0:
-            polys = [(g2_0, self.poly(n1, g2_0)) for g2_0 in _sub_genus(g2_1)]
-            den = lcm(*(K.den for _, K in polys))
-            for g2_0, K in polys:
-                factor = 2 ** (2 + g2_1 - g2_0) * (den // K.den)
-                for e, c in K.terms.items():
-                    p, k, q = _unpack(e)
-                    top = m - k
-                    for i in range(max(0, top - q), min(p, top) + 1):
-                        kk = _pack(i, k, top - i)
-                        acc[kk] = get(kk, 0) + factor * comb(p, i) * comb(q, top - i) * c
-        return Poly(acc, den)
+        """Charge-shift weight of the simultaneous (u, v) shift; z passes through."""
+        return charge_shift(self.poly, n1, g2_1, 2)
 
-    def _bracket(self, n2: int, g2_2: int) -> Poly:
+    def _bracket(self, n2: int, g2_2: int, with_self: bool = True) -> Poly:
+        """Inner bracket with its boundary terms; with_self=False drops the
+        K[n2, g2_2] term (the step's first part, where that entry is the
+        unknown)."""
         K = self.poly
-        parts = [
-            (-(n2 + 1)) * K(n2, g2_2),
+        return Poly.sum([
+            (-(n2 + 1)) * K(n2, g2_2) if with_self else Poly.zero(),
             (2 * n2 - 1) * (_SUM3 * K(n2 - 1, g2_2) - K(n2 - 1, g2_2 - 1)),
             ((2 * n2 - 1) * (2 * n2 - 3) * n2) * K(n2 - 2, g2_2 - 2),
             (-6 * (n2 - 1)) * (_DIFF3 * K(n2 - 2, g2_2 - 1)),
             -_psi(n2) * K(n2 - 2, g2_2),
             2 * self.q[n2, g2_2],
-        ]
-        if n2 == 1 and g2_2 == 0:
-            parts.append(2 * _UVZ)
-        if n2 == 2:
-            if g2_2 == 0:
-                parts.append(6 * _UV * _UV)
-            elif g2_2 == 1:
-                parts.append(-6 * _UV * _DIFF3)
-            elif g2_2 == 2:
-                parts.append(6 * _UV)
-        return Poly.sum(parts)
+            _BOUNDARY.get((n2, g2_2), Poly.zero()),
+        ])
 
 
 def bip_rec(n: int, g2: int, table: BipTable) -> Poly:
     """One recurrence step for K[n, g2] (n > 2, dependencies filled)."""
     if n <= 2:
         raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
-    K = table.poly
-    first = Poly.sum([
-        (2 * n - 1) * (_SUM3 * K(n - 1, g2) - K(n - 1, g2 - 1)),
-        -_psi(n) * K(n - 2, g2),
-        ((2 * n - 1) * (2 * n - 3) * n) * K(n - 2, g2 - 2),
-        (-6 * (n - 1)) * (_DIFF3 * K(n - 2, g2 - 1)),
-        2 * table.q[n, g2],
-    ]).scale(Fraction(1, n + 1))
     double = []
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(1, n):
             w = table.shift_weight[n1, g2_1]
             if not w.is_zero():
                 double.append((1, w, table.bracket[n - n1, g2_2]))
-    return first - Poly.dot(double).scale(Fraction(1, (n - 2) * (n + 1)))
+    return (table._bracket(n, g2, with_self=False).scale(Fraction(1, n + 1))
+            - Poly.dot(double).scale(Fraction(1, (n - 2) * (n + 1))))
 
 
 class BipOneFaceTable(Table):

@@ -24,12 +24,15 @@ separate linear recursion, filled in OneFaceTable.
 In MapsTable, building blocks that do not depend on the target cell
 are Memo dicts, filled on first read:
 
-* q1[m, g2], the quadratic sum, with each split and its mirror one
-  product at double weight;
+* q1[m, g2], the quadratic sum (`table.square_sum`);
 * shift_weight[n1, g2_1], the charge-shift weight, summed over g2_0
   into one polynomial, so the double sum multiplies it once by each
-  bracket;
-* bracket[n2, g2_2], the engine's inner bracket.
+  bracket: `table.charge_shift` for "cc", a u-only kernel for "kz";
+* bracket[n2, g2_2], the engine's inner bracket; the boundary terms
+  of "kz" are data, _BOUNDARY_KZ, added by (n2, g2_2).
+
+Each step is 2n times the engine's bracket at (n, g2) without the
+unknown cell H[n, g2], minus the shift sum of weights times brackets.
 
 MapsCounts keeps none: it computes each row from genus convolutions of
 lower rows; see table.py.
@@ -43,14 +46,24 @@ from math import comb, lcm
 from .errors import IntegralityError
 from .poly import Poly, U, Z, _pack, _unpack
 from .table import (
-    Memo, PolyTable, Table, _genus_splits, _grid, _square_splits, _sub_genus, convolve,
-    convolve_square, row_series, shift_weight,
+    Memo, PolyTable, Table, _genus_splits, _grid, _sub_genus, charge_shift, convolve,
+    convolve_square, row_series, shift_weight, square_sum,
 )
 from .tseries import TSeries
 
 _UZ = U * Z
 _4U_Z = 4 * U + Z
 _U_Z = U + Z
+
+# the "kz" bracket's boundary terms, by (n2, g2_2)
+_BOUNDARY_KZ = {
+    (0, 0): Fraction(3, 2) * (U * U),
+    (0, 1): Fraction(-3, 2) * U,
+    (1, 0): _UZ * _4U_Z,
+    (1, 1): -2 * _UZ,
+    (2, 0): 3 * _UZ * _UZ,
+    (2, 2): 6 * _UZ,
+}
 
 
 class MapsTable(PolyTable):
@@ -71,10 +84,10 @@ class MapsTable(PolyTable):
             raise ValueError(f"unknown engine {engine!r}")
         super().__init__()
         self.engine = engine
+        kz = engine == "kz"
         self.q1 = Memo(MapsTable._q1, self)
-        self.shift_weight = Memo(MapsTable._weight, self)
-        self.bracket = Memo(MapsTable._bracket_kz if engine == "kz" else MapsTable._bracket_cc,
-                            self)
+        self.shift_weight = Memo(MapsTable._weight_kz if kz else MapsTable._weight_cc, self)
+        self.bracket = Memo(MapsTable._bracket_kz if kz else MapsTable._bracket_cc, self)
 
     def poly(self, n: int, g2: int) -> Poly:
         """H[n, g2] with this engine's boundary conventions."""
@@ -100,119 +113,82 @@ class MapsTable(PolyTable):
     # building blocks for the memos, all keyed on this table's own entries
 
     def _q1(self, m: int, g2: int) -> Poly:
-        """Sum of (2n3-1)(2n4-1) H[n3-1] H[n4-1] over n3+n4 = m, g3+g4 = g2,
-        one product per mirrored pair of splits."""
-        H = self.poly
-        return Poly.dot((k * (2 * n3 - 1) * (2 * (m - n3) - 1), H(n3 - 1, ga), H(m - n3 - 1, gb))
-                        for n3, ga, gb, k in _square_splits(m, g2))
+        """Sum of (2n3-1)(2n4-1) H[n3-1] H[n4-1] over n3+n4 = m, g3+g4 = g2."""
+        return square_sum(self.poly, m, g2, lambda n3, n4: (2 * n3 - 1) * (2 * n4 - 1))
 
-    def _weight(self, n1: int, g2_1: int, top: int | None = None) -> Poly:
-        """The charge-shift weight of the double sum: the sum over g2_0 in
-        _sub_genus(g2_1), up to top (default g2_1), of 2^(2 + g2_1 - g2_0)
-        times one expansion piece of H[n1, g2_0], with m = n1 - g2_1.
+    def _weight_cc(self, n1: int, g2_1: int) -> Poly:
+        """Engine-"cc" charge-shift weight: u and z shift together."""
+        return charge_shift(self.poly, n1, g2_1, 1)
 
-        Engine "cc" shifts u and z together: the piece is
-        sum over p+q = n1+2-g2_0 of phi_{p,q,m}(u,z) H[n1,g2_0]^{(p,q)}
-        with phi the bivariate binomial kernel.
-        Engine "kz" shifts u only, so z-exponents pass through:
-        sum over j of C(p, 2 + g2_1 - g2_0) H^{(p,j)} u^{m-j} z^j
-        with p = n1 + 2 - g2_0 - j.
-        """
+    def _weight_kz(self, n1: int, g2_1: int, top: int | None = None) -> Poly:
+        """Engine-"kz" charge-shift weight, u shifting alone: the sum over
+        g2_0 in _sub_genus(g2_1), up to top (default g2_1), of
+        2^r C(p, r) H[n1,g2_0]^{(p,j)} u^{m-j} z^j over the monomials
+        u^p z^j of H[n1, g2_0] with j <= m, r = 2 + g2_1 - g2_0 and
+        m = n1 - g2_1."""
         m = n1 - g2_1
+        if m < 0:
+            return Poly.zero()
+        polys = [(g2_0, self.poly(n1, g2_0))
+                 for g2_0 in _sub_genus(g2_1) if top is None or g2_0 <= top]
+        den = lcm(*(H.den for _, H in polys))
         acc: dict[int, int] = {}
         get = acc.get
-        den = 1
-        if m >= 0:
-            polys = [(g2_0, self.poly(n1, g2_0))
-                     for g2_0 in _sub_genus(g2_1) if top is None or g2_0 <= top]
-            den = lcm(*(H.den for _, H in polys))
-            for g2_0, H in polys:
-                r = 2 + g2_1 - g2_0
-                factor = (den // H.den) << r
-                if self.engine == "cc":
-                    for e, c in H.terms.items():
-                        p, q, _ = _unpack(e)
-                        c *= factor
-                        for i in range(max(0, m - q), min(p, m) + 1):
-                            k = _pack(i, m - i, 0)
-                            acc[k] = get(k, 0) + comb(p, i) * comb(q, m - i) * c
-                else:
-                    for e, c in H.terms.items():
-                        p, j, _ = _unpack(e)
-                        if j <= m:
-                            k = _pack(m - j, j, 0)
-                            acc[k] = get(k, 0) + comb(p, r) * factor * c
+        for g2_0, H in polys:
+            r = 2 + g2_1 - g2_0
+            factor = (den // H.den) << r
+            for e, c in H.terms.items():
+                p, j, _ = _unpack(e)
+                if j <= m:
+                    k = _pack(m - j, j, 0)
+                    acc[k] = get(k, 0) + comb(p, r) * factor * c
         return Poly(acc, den)
 
-    def _bracket_kz(self, n2: int, g2_2: int) -> Poly:
-        """Engine-"kz" inner bracket without its boundary corrections."""
+    def _bracket_kz(self, n2: int, g2_2: int, with_self: bool = True) -> Poly:
+        """Engine-"kz" inner bracket with its boundary terms; with_self=False
+        drops the H[n2, g2_2] term (the step's first part, where that entry
+        is the unknown)."""
         H = self.poly
         return Poly.sum([
-            Fraction(-(n2 + 1), 2) * H(n2, g2_2),
+            Fraction(-(n2 + 1), 2) * H(n2, g2_2) if with_self else Poly.zero(),
             (2 * n2 - 1) * (_4U_Z * H(n2 - 1, g2_2) - 2 * H(n2 - 1, g2_2 - 1)),
             (2 * (2 * n2 - 3)) * (
                 ((2 * n2 - 1) * (n2 - 1)) * H(n2 - 2, g2_2 - 2)
                 + 3 * _UZ * H(n2 - 2, g2_2)
             ),
             3 * self.q1[n2, g2_2],
+            _BOUNDARY_KZ.get((n2, g2_2), Poly.zero()),
         ])
 
     def _bracket_cc(self, n2: int, g2_2: int, with_self: bool = True) -> Poly:
         """Engine-"cc" inner bracket; with_self=False drops the H[n2, g2_2] term
-        (used exactly once per cell, where that entry is the unknown)."""
+        (the step's first part and its n1 = g2_1 = 0 shift term, where that
+        entry is the unknown)."""
         H = self.poly
-        parts = [
+        return Poly.sum([
+            Fraction(-(n2 + 1), 4) * H(n2, g2_2) if with_self else Poly.zero(),
             Fraction((2 * n2 - 1) * (2 * n2 - 2) * (2 * n2 - 3), 2) * H(n2 - 2, g2_2 - 2),
             Fraction(2 * n2 - 1, 2) * (_U_Z * H(n2 - 1, g2_2) + H(n2 - 1, g2_2 - 1)),
             Fraction(6, 4) * self.q1[n2, g2_2],
-        ]
-        if with_self:
-            parts.append(Fraction(-(n2 + 1), 4) * H(n2, g2_2))
-        return Poly.sum(parts)
+        ])
 
 
 def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
-    """Engine "kz" step: assemble the right side, then invert the diagonal
-    operator n(n+1) + 3 i(i-1) on each u^i z^j coefficient."""
-    H = tab.poly
-    first = [
-        (2 * n * (2 * n - 1)) * (_4U_Z * H(n - 1, g2) - 2 * H(n - 1, g2 - 1)),
-        (4 * n * (2 * n - 3)) * (
-            3 * _UZ * H(n - 2, g2)
-            + ((2 * n - 1) * (n - 1)) * H(n - 2, g2 - 2)
-        ),
-        (6 * n) * tab.q1[n, g2],
-    ]
+    """Engine "kz" step: 2n times the bracket without H[n, g2], minus the
+    shift sum, then the diagonal operator n(n+1) + 3 i(i-1) inverted on
+    each u^i z^j coefficient."""
     double = []
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(1, n + 1):
-            n2 = n - n1
-            base = tab.bracket[n2, g2_2]
-            if n1 == n - 1:
-                if g2_1 == g2:
-                    base = base + _UZ * _4U_Z
-                elif g2_1 == g2 - 1:
-                    base = base - 2 * _UZ
-            elif n1 == n - 2:
-                if g2_1 == g2:
-                    base = base + 3 * _UZ * _UZ
-                elif g2_1 == g2 - 2:
-                    base = base + 6 * _UZ
-            elif n1 == n:
-                if g2_1 == g2:
-                    base = base + Fraction(3, 2) * (U * U)
-                elif g2_1 == g2 - 1:
-                    base = base + Fraction(-3, 2) * U
-            if base.is_zero():
+            bracket = tab.bracket[n - n1, g2_2]
+            if bracket.is_zero():
                 continue
-            if n1 == n and g2_1 == g2:
-                # the self piece g2_0 = g2, the unknown cell, has a bracket
-                # that vanishes identically: the weight stops below it
-                weight = tab._weight(n, g2, top=g2 - 2)
-            else:
-                weight = tab.shift_weight[n1, g2_1]
-            double.append((1, weight, base))
-    rhs = Poly.sum(first) - Poly.dot(double)
+            # the self piece g2_0 = g2, the unknown cell, has a bracket
+            # that vanishes identically: its weight stops below it
+            weight = (tab._weight_kz(n, g2, top=g2 - 2) if n1 == n and g2_1 == g2
+                      else tab.shift_weight[n1, g2_1])
+            double.append((1, weight, bracket))
+    rhs = tab._bracket_kz(n, g2, with_self=False).scale(2 * n) - Poly.dot(double)
     nn1 = n * (n + 1)
     out = {}
     for (i, j, _), c in rhs.items():
@@ -221,25 +197,17 @@ def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
 
 
 def _rec_cc(n: int, g2: int, tab: MapsTable) -> Poly:
-    """Engine "cc" step, prefactor 2/((n+1)(n-2))."""
-    H = tab.poly
-    # the quadratic term 6 sum n1 (2n1-1)(2n2-1) H[n1-1] H[n2-1] is 3n q1(n, g2):
-    # swapping the two factors turns the weight n1 into n - n1
-    first = [
-        (n * (2 * n - 1)) * (_U_Z * H(n - 1, g2) + H(n - 1, g2 - 1)),
-        Fraction((2 * n - 3) * (2 * n - 2) * (2 * n - 1) * 2 * n, 2) * H(n - 2, g2 - 2),
-        (3 * n) * tab.q1[n, g2],
-    ]
+    """Engine "cc" step, prefactor 2/((n+1)(n-2)): 2n times the bracket
+    without H[n, g2], minus the shift sum."""
+    own = tab._bracket_cc(n, g2, with_self=False)
     double = []
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(0, n):
-            n2 = n - n1
-            # with n1 = g2_1 = 0, H[n2, g2_2] is the unknown cell itself
-            bracket = (tab.bracket[n2, g2_2] if n1 or g2_1
-                       else tab._bracket_cc(n2, g2_2, with_self=False))
+            # with n1 = g2_1 = 0, H[n - n1, g2_2] is the unknown cell itself
+            bracket = tab.bracket[n - n1, g2_2] if n1 or g2_1 else own
             if not bracket.is_zero():
                 double.append((1, tab.shift_weight[n1, g2_1], bracket))
-    rhs = Poly.sum(first) - Poly.dot(double)
+    rhs = own.scale(2 * n) - Poly.dot(double)
     return rhs.scale(Fraction(2, (n + 1) * (n - 2)))
 
 

@@ -6,16 +6,20 @@ polynomial and one-face tables fill with one sweep that skips the cells
 already there (seeds, and rows of the polynomial tables loaded from the
 count cache) and keep building blocks in Memo dicts, computed on first
 read.  The scalar tables recompute each row from genus convolutions of
-lower rows.  The formulas, the zero region of each table and its `fill`
-stay in the model modules.
+lower rows.  Beside the scalar `shift_weight`, two polynomial kernels
+live here: `square_sum`, the quadratic sum of the map and bipartite
+brackets, and `charge_shift`, the charge-shift weight of engine "cc"
+and of the bipartite engine.  The other formulas, the zero region of
+each table and its `fill` stay in the model modules.
 """
 
 from __future__ import annotations
 
 import weakref
-from math import comb
+from math import comb, lcm
 
 from .errors import IntegralityError, MissingEntryError
+from .poly import Poly, _pack, _unpack
 from .tseries import TSeries
 
 
@@ -97,14 +101,14 @@ def _genus_splits(g2):
     return ((a, g2 - a) for a in range(g2 + 1))
 
 
-def _square_splits(m: int, g2: int):
-    """Splits (n3, ga, gb) of a symmetric quadratic sum over n3 + n4 = m,
-    ga + gb = g2, one of each mirrored pair, with its multiplicity: 2, or
-    1 for a split that is its own mirror."""
-    for ga, gb in _genus_splits(g2):
-        for n3 in range(m // 2 + 1):
-            if (n3, ga) <= (m - n3, gb):
-                yield n3, ga, gb, 2 if (n3, ga) != (m - n3, gb) else 1
+def square_sum(poly, m: int, g2: int, weight) -> Poly:
+    """Sum of weight(n3, n4) poly(n3-1, ga) poly(n4-1, gb) over n3 + n4 = m,
+    ga + gb = g2, for a weight symmetric in (n3, n4): one product per
+    mirrored pair of splits, at double weight unless it is its own mirror."""
+    return Poly.dot((weight(n3, m - n3) * (2 if (n3, ga) != (m - n3, gb) else 1),
+                     poly(n3 - 1, ga), poly(m - n3 - 1, gb))
+                    for ga, gb in _genus_splits(g2) for n3 in range(m // 2 + 1)
+                    if (n3, ga) <= (m - n3, gb))
 
 
 def _sub_genus(g2_1):
@@ -120,6 +124,37 @@ def shift_weight(n1: int, g2_1: int, row) -> int:
         return 0
     return sum((comb(n1 + 2 - g2_0, n1 - g2_1) * row[g2_0]) << (2 + g2_1 - g2_0)
                for g2_0 in _sub_genus(g2_1))
+
+
+def charge_shift(poly, n1: int, g2_1: int, slot: int) -> Poly:
+    """The polynomial charge-shift weight, zero when n1 < g2_1: the sum over
+    g2_0 in _sub_genus(g2_1) and over the monomials c u^p w^q x^k of
+    poly(n1, g2_0) of 2^(2+g2_1-g2_0) C(p, i) C(q, m-k-i) c u^i w^(m-k-i) x^k,
+    m = n1 - g2_1.  u shifts together with w, the variable of exponent slot
+    `slot` (1: z, engine "cc"; 2: v, bipartite), and x passes through.  At
+    all ones it is shift_weight of the row, by Vandermonde's identity."""
+    m = n1 - g2_1
+    if m < 0:
+        return Poly.zero()
+    polys = [(g2_0, poly(n1, g2_0)) for g2_0 in _sub_genus(g2_1)]
+    den = lcm(*(p.den for _, p in polys))
+    # packed keys are linear in the exponents: base is the key of w^(m-k) x^k,
+    # and moving one power from w to u adds step
+    unit_u, unit_w = _pack(1, 0, 0), _pack(0, 1, 0) if slot == 1 else _pack(0, 0, 1)
+    step = unit_u - unit_w
+    acc: dict[int, int] = {}
+    get = acc.get
+    for g2_0, p in polys:
+        factor = (den // p.den) << (2 + g2_1 - g2_0)
+        for e, c in p.terms.items():
+            exps = _unpack(e)
+            eu, ew, top = exps[0], exps[slot], m - exps[3 - slot]
+            base = e - eu * unit_u + (top - ew) * unit_w
+            c *= factor
+            for i in range(max(0, top - ew), min(eu, top) + 1):
+                k = base + i * step
+                acc[k] = get(k, 0) + comb(eu, i) * comb(ew, top - i) * c
+    return Poly(acc, den)
 
 
 def convolve(acc: list, pairs) -> list:

@@ -2,7 +2,8 @@
 
 import gc
 import weakref
-from math import factorial, prod
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 from reference_tables import MAPS, TRIANGULATIONS
@@ -10,7 +11,8 @@ from reference_tables import MAPS, TRIANGULATIONS
 from surfcount.bipartite import BipOneFaceTable, BipTable
 from surfcount.errors import MissingEntryError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
-from surfcount.table import Memo
+from surfcount.poly import Poly
+from surfcount.table import Memo, charge_shift, shift_weight
 from surfcount.triangulations import TriTable
 
 # one cell of each table that a fresh table has not filled
@@ -75,6 +77,51 @@ def test_scalar_fill_bounds(cls):
     assert cls().fill(20, 3).entries == {cell: v for cell, v in full.entries.items()
                                          if cell[1] <= 3}
     assert list(vars(grown)) == ["entries"], "a scalar table holds only its cells"
+
+
+# small rows by (n, g2), exponents (u, z, v); one has a denominator
+HAND_ROWS = {
+    (1, 0): Poly.from_terms({(2, 1, 0): 3, (1, 1, 1): -1, (0, 2, 1): 2}),
+    (1, 1): Poly.from_terms({(1, 0, 2): Fraction(1, 3), (0, 1, 1): Fraction(5, 2)}),
+    (2, 0): Poly.from_terms({(3, 1, 0): 1, (1, 2, 1): 4, (2, 0, 2): -7}),
+    (2, 2): Poly.from_terms({(1, 1, 0): 6, (0, 0, 2): 1}),
+}
+
+
+def _expand(rows, n1, g2_1, slot):
+    """charge_shift's docstring formula, term by term."""
+    m, out = n1 - g2_1, {}
+    for g2_0 in range(g2_1 % 2, g2_1 + 1, 2):
+        for exps, c in rows(n1, g2_0).items():
+            p, q, k = exps[0], exps[slot], exps[3 - slot]
+            for i in range(p + 1):
+                if 0 <= m - k - i <= q:
+                    e = [i, 0, 0]
+                    e[slot], e[3 - slot] = m - k - i, k
+                    add = 2 ** (2 + g2_1 - g2_0) * comb(p, i) * comb(q, m - k - i) * c
+                    out[tuple(e)] = out.get(tuple(e), 0) + add
+    return Poly.from_terms(out)
+
+
+@pytest.mark.parametrize("slot", [1, 2], ids=["z", "v"])
+def test_charge_shift(slot):
+    def rows(n, g2):
+        return HAND_ROWS.get((n, g2), Poly.zero())
+
+    for n1 in range(4):
+        for g2_1 in range(6):
+            weight = charge_shift(rows, n1, g2_1, slot)
+            assert weight == _expand(rows, n1, g2_1, slot), (n1, g2_1)
+            if n1 < g2_1:
+                assert weight.is_zero()
+    if slot == 1:
+        # at all ones the (u, z) shift is the scalar weight: Vandermonde
+        cc, h = MapsTable("cc").fill(10), MapsCounts().fill(10)
+        for n1 in range(11):
+            row = [h.value(n1, g) for g in range(n1 + 1)]
+            for g2_1 in range(n1 + 1):
+                assert (charge_shift(cc.poly, n1, g2_1, 1).evaluate()
+                        == shift_weight(n1, g2_1, row)), (n1, g2_1)
 
 
 def _double_factorial(m):
