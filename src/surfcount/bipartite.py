@@ -6,10 +6,10 @@ recurrence engine fills the table; every right-hand side entry has
 strictly smaller edge count, so the fill is a plain sweep in n.
 
 BipTable memoizes q[m, g2] (`table.square_sum`), shift_weight[n1, g2_1]
-(`table.charge_shift`, u and v shifting together) and bracket[n2, g2_2],
-whose boundary terms are data, _BOUNDARY.  Each step is the bracket at
-(n, g2) without the unknown cell K[n, g2] over n+1, minus the shift sum
-of weights times brackets over (n-2)(n+1).
+(`table.charge_shift`, u and v shifting together), core[n2, g2_2], the
+bracket without its term -(n2+1) K[n2, g2_2] and with its boundary
+terms, data in _BOUNDARY, and bracket[n2, g2_2], core plus that term.
+Each step is core[n, g2] over n+1, minus the shift sum over (n-2)(n+1).
 
 The one-face numbers b[n, i, j] (i black, j white vertices) satisfy
 their own linear recursion with history depth 4, filled in
@@ -63,10 +63,9 @@ class BipTable(PolyTable):
     }
 
     def __init__(self):
-        super().__init__()
+        super().__init__(BipTable._core, 1)
         self.q = Memo(BipTable._q, self)
         self.shift_weight = Memo(BipTable._weight, self)
-        self.bracket = Memo(BipTable._bracket, self)
 
     def poly(self, n: int, g2: int) -> Poly:
         if n <= 0 or g2 < 0 or n < g2:
@@ -76,14 +75,7 @@ class BipTable(PolyTable):
         return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "BipTable":
-        return self._sweep(_grid(3, n_max, g2_max), self._step)
-
-    def _step(self, n: int, g2: int) -> Poly:
-        poly = bip_rec(n, g2, self)
-        deg = n + 2 - g2
-        if not (poly.is_integral() and poly.is_homogeneous(deg)):
-            raise IntegralityError(f"K[{n},{g2}] failed checks: {poly}")
-        return poly
+        return self._sweep(_grid(3, n_max, g2_max), lambda n, g2: self._step(bip_rec, n, g2))
 
     def _q(self, m: int, g2: int) -> Poly:
         """Sum of (6 n3 n4 - 2(n3+n4) + 1) K[n3-1] K[n4-1] over splits of (m, g2)."""
@@ -93,13 +85,10 @@ class BipTable(PolyTable):
         """Charge-shift weight of the simultaneous (u, v) shift; z passes through."""
         return charge_shift(self.poly, n1, g2_1, 2)
 
-    def _bracket(self, n2: int, g2_2: int, with_self: bool = True) -> Poly:
-        """Inner bracket with its boundary terms; with_self=False drops the
-        K[n2, g2_2] term (the step's first part, where that entry is the
-        unknown)."""
+    def _core(self, n2: int, g2_2: int) -> Poly:
+        """Inner bracket with its boundary terms, without -(n2+1) K[n2, g2_2]."""
         K = self.poly
         return Poly.sum([
-            (-(n2 + 1)) * K(n2, g2_2) if with_self else Poly.zero(),
             (2 * n2 - 1) * (_SUM3 * K(n2 - 1, g2_2) - K(n2 - 1, g2_2 - 1)),
             ((2 * n2 - 1) * (2 * n2 - 3) * n2) * K(n2 - 2, g2_2 - 2),
             (-6 * (n2 - 1)) * (_DIFF3 * K(n2 - 2, g2_2 - 1)),
@@ -113,14 +102,10 @@ def bip_rec(n: int, g2: int, table: BipTable) -> Poly:
     """One recurrence step for K[n, g2] (n > 2, dependencies filled)."""
     if n <= 2:
         raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
-    double = []
-    for g2_1, g2_2 in _genus_splits(g2):
-        for n1 in range(1, n):
-            w = table.shift_weight[n1, g2_1]
-            if not w.is_zero():
-                double.append((1, w, table.bracket[n - n1, g2_2]))
-    return (table._bracket(n, g2, with_self=False).scale(Fraction(1, n + 1))
-            - Poly.dot(double).scale(Fraction(1, (n - 2) * (n + 1))))
+    shift = Poly.dot((1, table.shift_weight[n1, g2_1], table.bracket[n - n1, g2_2])
+                     for g2_1, g2_2 in _genus_splits(g2) for n1 in range(1, n))
+    return (table.core[n, g2].scale(Fraction(1, n + 1))
+            - shift.scale(Fraction(1, (n - 2) * (n + 1))))
 
 
 class BipOneFaceTable(Table):

@@ -28,11 +28,13 @@ are Memo dicts, filled on first read:
 * shift_weight[n1, g2_1], the charge-shift weight, summed over g2_0
   into one polynomial, so the double sum multiplies it once by each
   bracket: `table.charge_shift` for "cc", a u-only kernel for "kz";
-* bracket[n2, g2_2], the engine's inner bracket; the boundary terms
-  of "kz" are data, _BOUNDARY_KZ, added by (n2, g2_2).
+* core[n2, g2_2], the engine's inner bracket without its own term
+  -(n2+1)/d H[n2, g2_2], d = 2 for "kz" and 4 for "cc"; the boundary
+  terms of "kz" are data, _BOUNDARY_KZ, added by (n2, g2_2);
+* bracket[n2, g2_2], core plus that term (`table.PolyTable`).
 
-Each step is 2n times the engine's bracket at (n, g2) without the
-unknown cell H[n, g2], minus the shift sum of weights times brackets.
+Each step is 2n times core[n, g2], minus the shift sum of weights times
+brackets.
 
 MapsCounts keeps none: it computes each row from genus convolutions of
 lower rows; see table.py.
@@ -82,12 +84,11 @@ class MapsTable(PolyTable):
     def __init__(self, engine: str = "cc"):
         if engine not in ("kz", "cc"):
             raise ValueError(f"unknown engine {engine!r}")
-        super().__init__()
-        self.engine = engine
         kz = engine == "kz"
+        super().__init__(MapsTable._core_kz if kz else MapsTable._core_cc, 2 if kz else 4)
+        self.engine = engine
         self.q1 = Memo(MapsTable._q1, self)
         self.shift_weight = Memo(MapsTable._weight_kz if kz else MapsTable._weight_cc, self)
-        self.bracket = Memo(MapsTable._bracket_kz if kz else MapsTable._bracket_cc, self)
 
     def poly(self, n: int, g2: int) -> Poly:
         """H[n, g2] with this engine's boundary conventions."""
@@ -98,17 +99,8 @@ class MapsTable(PolyTable):
         return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "MapsTable":
-        return self._sweep(_grid(3, n_max, g2_max), self._step)
-
-    def _step(self, n: int, g2: int) -> Poly:
-        poly = _rec_kz(n, g2, self) if self.engine == "kz" else _rec_cc(n, g2, self)
-        deg = n + 2 - g2
-        if not (poly.is_integral() and poly.is_homogeneous(deg)
-                and poly.has_nonnegative_coeffs()):
-            raise IntegralityError(
-                f"H[{n},{g2}] failed integrality/homogeneity: {poly}"
-            )
-        return poly
+        rec = _rec_kz if self.engine == "kz" else _rec_cc
+        return self._sweep(_grid(3, n_max, g2_max), lambda n, g2: self._step(rec, n, g2))
 
     # building blocks for the memos, all keyed on this table's own entries
 
@@ -144,13 +136,11 @@ class MapsTable(PolyTable):
                     acc[k] = get(k, 0) + comb(p, r) * factor * c
         return Poly(acc, den)
 
-    def _bracket_kz(self, n2: int, g2_2: int, with_self: bool = True) -> Poly:
-        """Engine-"kz" inner bracket with its boundary terms; with_self=False
-        drops the H[n2, g2_2] term (the step's first part, where that entry
-        is the unknown)."""
+    def _core_kz(self, n2: int, g2_2: int) -> Poly:
+        """Engine-"kz" inner bracket with its boundary terms, without its
+        -(n2+1)/2 H[n2, g2_2] term."""
         H = self.poly
         return Poly.sum([
-            Fraction(-(n2 + 1), 2) * H(n2, g2_2) if with_self else Poly.zero(),
             (2 * n2 - 1) * (_4U_Z * H(n2 - 1, g2_2) - 2 * H(n2 - 1, g2_2 - 1)),
             (2 * (2 * n2 - 3)) * (
                 ((2 * n2 - 1) * (n2 - 1)) * H(n2 - 2, g2_2 - 2)
@@ -160,13 +150,10 @@ class MapsTable(PolyTable):
             _BOUNDARY_KZ.get((n2, g2_2), Poly.zero()),
         ])
 
-    def _bracket_cc(self, n2: int, g2_2: int, with_self: bool = True) -> Poly:
-        """Engine-"cc" inner bracket; with_self=False drops the H[n2, g2_2] term
-        (the step's first part and its n1 = g2_1 = 0 shift term, where that
-        entry is the unknown)."""
+    def _core_cc(self, n2: int, g2_2: int) -> Poly:
+        """Engine-"cc" inner bracket without its -(n2+1)/4 H[n2, g2_2] term."""
         H = self.poly
         return Poly.sum([
-            Fraction(-(n2 + 1), 4) * H(n2, g2_2) if with_self else Poly.zero(),
             Fraction((2 * n2 - 1) * (2 * n2 - 2) * (2 * n2 - 3), 2) * H(n2 - 2, g2_2 - 2),
             Fraction(2 * n2 - 1, 2) * (_U_Z * H(n2 - 1, g2_2) + H(n2 - 1, g2_2 - 1)),
             Fraction(6, 4) * self.q1[n2, g2_2],
@@ -174,9 +161,9 @@ class MapsTable(PolyTable):
 
 
 def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
-    """Engine "kz" step: 2n times the bracket without H[n, g2], minus the
-    shift sum, then the diagonal operator n(n+1) + 3 i(i-1) inverted on
-    each u^i z^j coefficient."""
+    """Engine "kz" step: 2n times core[n, g2], the bracket without H[n, g2],
+    minus the shift sum, then the diagonal operator n(n+1) + 3 i(i-1)
+    inverted on each u^i z^j coefficient."""
     double = []
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(1, n + 1):
@@ -188,7 +175,7 @@ def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
             weight = (tab._weight_kz(n, g2, top=g2 - 2) if n1 == n and g2_1 == g2
                       else tab.shift_weight[n1, g2_1])
             double.append((1, weight, bracket))
-    rhs = tab._bracket_kz(n, g2, with_self=False).scale(2 * n) - Poly.dot(double)
+    rhs = tab.core[n, g2].scale(2 * n) - Poly.dot(double)
     nn1 = n * (n + 1)
     out = {}
     for (i, j, _), c in rhs.items():
@@ -197,9 +184,9 @@ def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
 
 
 def _rec_cc(n: int, g2: int, tab: MapsTable) -> Poly:
-    """Engine "cc" step, prefactor 2/((n+1)(n-2)): 2n times the bracket
-    without H[n, g2], minus the shift sum."""
-    own = tab._bracket_cc(n, g2, with_self=False)
+    """Engine "cc" step, prefactor 2/((n+1)(n-2)): 2n times core[n, g2],
+    the bracket without H[n, g2], minus the shift sum."""
+    own = tab.core[n, g2]
     double = []
     for g2_1, g2_2 in _genus_splits(g2):
         for n1 in range(0, n):

@@ -5,17 +5,20 @@ SEEDS; reading a cell that is not there raises MissingEntryError.  The
 polynomial and one-face tables fill with one sweep that skips the cells
 already there (seeds, and rows of the polynomial tables loaded from the
 count cache) and keep building blocks in Memo dicts, computed on first
-read.  The scalar tables recompute each row from genus convolutions of
-lower rows.  Beside the scalar `shift_weight`, two polynomial kernels
-live here: `square_sum`, the quadratic sum of the map and bipartite
-brackets, and `charge_shift`, the charge-shift weight of engine "cc"
-and of the bipartite engine.  The other formulas, the zero region of
-each table and its `fill` stay in the model modules.
+read.  PolyTable derives `bracket` from each engine's `core` and checks
+each new cell in one `_step`: integral, homogeneous, non-negative.  The
+scalar tables recompute each row from genus convolutions of lower rows.
+Beside the scalar `shift_weight`, two polynomial kernels live here:
+`square_sum`, the quadratic sum of the map and bipartite brackets, and
+`charge_shift`, the charge-shift weight of engine "cc" and of the
+bipartite engine.  The other formulas, the zero region of each table
+and its `fill` stay in the model modules.
 """
 
 from __future__ import annotations
 
 import weakref
+from fractions import Fraction
 from math import comb, lcm
 
 from .errors import IntegralityError, MissingEntryError
@@ -78,7 +81,28 @@ class Table:
 
 
 class PolyTable(Table):
-    """A table of polynomials in the cell (n, g2), counted at all ones."""
+    """A table of polynomials in the cell (n, g2), counted at all ones.
+
+    The subclass passes core(table, n2, g2_2), its bracket without the
+    term -(n2+1)/d cell(n2, g2_2), and d; `bracket` adds the term back.
+    """
+
+    def __init__(self, core, d: int):
+        super().__init__()
+        self.core = Memo(core, self)
+        self.bracket = Memo(PolyTable._bracket, self)
+        self.d = d
+
+    def _bracket(self, n2: int, g2_2: int) -> Poly:
+        return self.core[n2, g2_2] + self.poly(n2, g2_2).scale(Fraction(-(n2 + 1), self.d))
+
+    def _step(self, rec, n: int, g2: int) -> Poly:
+        poly = rec(n, g2, self)
+        if not (poly.is_integral() and poly.is_homogeneous(n + 2 - g2)
+                and poly.has_nonnegative_coeffs()):
+            raise IntegralityError(f"{self.NAME}[{n},{g2}] is not integral, homogeneous "
+                                   f"and non-negative: {poly}")
+        return poly
 
     def count(self, n: int, g2: int) -> int:
         val = self.poly(n, g2).evaluate()
@@ -103,11 +127,13 @@ def _genus_splits(g2):
 
 def square_sum(poly, m: int, g2: int, weight) -> Poly:
     """Sum of weight(n3, n4) poly(n3-1, ga) poly(n4-1, gb) over n3 + n4 = m,
-    ga + gb = g2, for a weight symmetric in (n3, n4): one product per
-    mirrored pair of splits, at double weight unless it is its own mirror."""
+    ga + gb = g2 with n3 > ga and n4 > gb (else a factor is zero), for a
+    weight symmetric in (n3, n4): one product per mirrored pair of splits,
+    at double weight unless it is its own mirror."""
     return Poly.dot((weight(n3, m - n3) * (2 if (n3, ga) != (m - n3, gb) else 1),
                      poly(n3 - 1, ga), poly(m - n3 - 1, gb))
-                    for ga, gb in _genus_splits(g2) for n3 in range(m // 2 + 1)
+                    for ga, gb in _genus_splits(g2)
+                    for n3 in range(ga + 1, min(m // 2, m - gb - 1) + 1)
                     if (n3, ga) <= (m - n3, gb))
 
 

@@ -53,10 +53,10 @@ def term_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("run, pairs", [
-    (lambda: MapsTable("cc").fill(12), 20581),
-    (lambda: MapsTable("kz").fill(12), 17199),
-    (lambda: BipTable().fill(10), 17614),
-    (lambda: run_identity("ode-bipartite", 8), 69092),
+    (lambda: MapsTable("cc").fill(12), 19861),
+    (lambda: MapsTable("kz").fill(12), 16416),
+    (lambda: BipTable().fill(10), 14737),
+    (lambda: run_identity("ode-bipartite", 8), 68087),
     (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
 ], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8",
         "ode-oneface-bipartite-12"])

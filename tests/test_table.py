@@ -8,11 +8,12 @@ from math import comb, factorial, prod
 import pytest
 from reference_tables import MAPS, TRIANGULATIONS
 
+from surfcount import bipartite, maps
 from surfcount.bipartite import BipOneFaceTable, BipTable
-from surfcount.errors import MissingEntryError
+from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
 from surfcount.poly import Poly
-from surfcount.table import Memo, charge_shift, shift_weight
+from surfcount.table import Memo, charge_shift, shift_weight, square_sum
 from surfcount.triangulations import TriTable
 
 # one cell of each table that a fresh table has not filled
@@ -122,6 +123,49 @@ def test_charge_shift(slot):
             for g2_1 in range(n1 + 1):
                 assert (charge_shift(cc.poly, n1, g2_1, 1).evaluate()
                         == shift_weight(n1, g2_1, row)), (n1, g2_1)
+
+
+def test_square_sum_reads_only_nonzero_splits():
+    # equal to the plain sum over every split, reading no cell outside
+    # 0 <= g2 <= n, where a factor would be zero
+    def rows(n, g2):
+        assert 0 <= g2 <= n, (n, g2)
+        return HAND_ROWS.get((n, g2), Poly.const(n + g2 + 1))
+
+    def every_split(m, g2):
+        return Poly.sum(weight(n3, m - n3) * rows(n3 - 1, ga) * rows(m - n3 - 1, g2 - ga)
+                        for ga in range(g2 + 1) for n3 in range(m + 1)
+                        if ga < n3 and g2 - ga < m - n3)
+
+    def weight(n3, n4):
+        return n3 * n4 + 1
+
+    for m in range(8):
+        for g2 in range(6):
+            assert square_sum(rows, m, g2, weight) == every_split(m, g2), (m, g2)
+
+
+# cells of degree 5, the degree of row (5, 2), each failing one check
+BAD_CELLS = {
+    "non-integral": Poly.from_terms({(5, 0, 0): Fraction(1, 2)}),
+    "inhomogeneous": Poly.from_terms({(5, 0, 0): 1, (1, 0, 0): 1}),
+    "negative": Poly.from_terms({(5, 0, 0): -1}),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_CELLS))
+@pytest.mark.parametrize("table, module, rec", [
+    (lambda: MapsTable("cc"), maps, "_rec_cc"),
+    (lambda: MapsTable("kz"), maps, "_rec_kz"),
+    (BipTable, bipartite, "bip_rec"),
+], ids=["MapsTable-cc", "MapsTable-kz", "BipTable"])
+def test_polynomial_step_checks_each_cell(monkeypatch, table, module, rec, bad):
+    step = getattr(module, rec)
+    monkeypatch.setattr(module, rec, lambda n, g2, tab: (
+        BAD_CELLS[bad] if (n, g2) == (5, 2) else step(n, g2, tab)))
+    tab = table()
+    with pytest.raises(IntegralityError, match=rf"^{tab.NAME}\[5,2\] "):
+        tab.fill(5)
 
 
 def _double_factorial(m):
