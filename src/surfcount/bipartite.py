@@ -5,11 +5,15 @@ vertex is black by convention), v white vertices, z faces.  One
 recurrence engine fills the table; every right-hand side entry has
 strictly smaller edge count, so the fill is a plain sweep in n.
 
-BipTable memoizes q[m, g2] (`table.square_sum`), shift_weight[n1, g2_1]
-(`table.charge_shift`, u and v shifting together), core[n2, g2_2], the
-bracket without its term -(n2+1) K[n2, g2_2] and with its boundary
-terms, data in _BOUNDARY, and bracket[n2, g2_2], core plus that term.
-Each step is core[n, g2] over n+1, minus the shift sum over (n-2)(n+1).
+BipTable fills a row, every genus of it, at a time (`table.PolyTable`),
+from Memo rows keyed (m, c) for a fill cut at genus c, each one
+polynomial with g2 in its genus field: shift_weight[n1, c]
+(`table.charge_shift`, u and v shifting together), core[m, c], the
+bracket without its term -(m+1) K[m, g2_2] and with its boundary terms,
+data in _BOUNDARY, its products and its quadratic sum
+(`table.square_sum`) in one `Poly.dot`, and bracket[m, c], core plus
+that term.  Each row step is core[n] over n+1, minus the shift sum, one
+`Poly.dot` over n1, over (n-2)(n+1).
 
 The one-face numbers b[n, i, j] (i black, j white vertices) satisfy
 their own linear recursion with history depth 4, filled in
@@ -23,7 +27,7 @@ from fractions import Fraction
 from .errors import IntegralityError
 from .poly import Poly, U, V, Z, _pack
 from .table import (
-    Memo, PolyTable, Table, _genus_splits, _grid, charge_shift, row_series, square_sum,
+    Memo, PolyTable, Table, charge_shift, cut, join, lift, row_series, split, square_sum,
 )
 from .tseries import TSeries
 
@@ -43,12 +47,10 @@ def _psi(n: int) -> Poly:
     return (n - 2) * _PSI - 12 * _UV
 
 
-# the bracket's boundary terms, by (n2, g2_2)
+# the bracket's boundary terms of row n2, by g2_2
 _BOUNDARY = {
-    (1, 0): 2 * _UVZ,
-    (2, 0): 6 * _UV * _UV,
-    (2, 1): -6 * _UV * _DIFF3,
-    (2, 2): 6 * _UV,
+    1: (2 * _UVZ,),
+    2: (6 * _UV * _UV, -6 * _UV * _DIFF3, 6 * _UV),
 }
 
 
@@ -64,7 +66,6 @@ class BipTable(PolyTable):
 
     def __init__(self):
         super().__init__(BipTable._core, 1)
-        self.q = Memo(BipTable._q, self)
         self.shift_weight = Memo(BipTable._weight, self)
 
     def poly(self, n: int, g2: int) -> Poly:
@@ -75,37 +76,35 @@ class BipTable(PolyTable):
         return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "BipTable":
-        return self._sweep(_grid(3, n_max, g2_max), lambda n, g2: self._step(bip_rec, n, g2))
+        return self._fill(bip_row, n_max, g2_max)
 
-    def _q(self, m: int, g2: int) -> Poly:
-        """Sum of (6 n3 n4 - 2(n3+n4) + 1) K[n3-1] K[n4-1] over splits of (m, g2)."""
-        return square_sum(self.poly, m, g2, lambda n3, n4: 6 * n3 * n4 - 2 * (n3 + n4) + 1)
+    def _weight(self, n1: int, c: int) -> Poly:
+        """Charge-shift weights of the simultaneous (u, v) shift; z passes through."""
+        return charge_shift(self.poly, n1, c, 2)
 
-    def _weight(self, n1: int, g2_1: int) -> Poly:
-        """Charge-shift weight of the simultaneous (u, v) shift; z passes through."""
-        return charge_shift(self.poly, n1, g2_1, 2)
-
-    def _core(self, n2: int, g2_2: int) -> Poly:
-        """Inner bracket with its boundary terms, without -(n2+1) K[n2, g2_2]."""
-        K = self.poly
+    def _core(self, m: int, c: int) -> Poly:
+        """Inner bracket with its boundary terms, without -(m+1) K[m, g2_2];
+        K[m, g2_2] is row m at genus g2_2."""
+        K = cut(self.row, c)
         return Poly.sum([
-            (2 * n2 - 1) * (_SUM3 * K(n2 - 1, g2_2) - K(n2 - 1, g2_2 - 1)),
-            ((2 * n2 - 1) * (2 * n2 - 3) * n2) * K(n2 - 2, g2_2 - 2),
-            (-6 * (n2 - 1)) * (_DIFF3 * K(n2 - 2, g2_2 - 1)),
-            -_psi(n2) * K(n2 - 2, g2_2),
-            2 * self.q[n2, g2_2],
-            _BOUNDARY.get((n2, g2_2), Poly.zero()),
+            lift(K(m - 1), 1, -(2 * m - 1)),
+            lift(K(m - 2), 2, (2 * m - 1) * (2 * m - 3) * m),
+            join(_BOUNDARY.get(m, ())),
+            Poly.dot([(2 * m - 1, _SUM3, K(m - 1)), (-6 * (m - 1), lift(_DIFF3, 1), K(m - 2)),
+                      (-1, _psi(m), K(m - 2))]
+                     + square_sum(K, m, lambda n3, n4: 2 * (6 * n3 * n4 - 2 * (n3 + n4) + 1))),
         ])
 
 
-def bip_rec(n: int, g2: int, table: BipTable) -> Poly:
-    """One recurrence step for K[n, g2] (n > 2, dependencies filled)."""
+def bip_row(n: int, top: int, table: BipTable) -> list:
+    """One recurrence step for row n of K, cut at top (n > 2, lower rows
+    filled): core over n+1, minus the shift sum over (n-2)(n+1)."""
     if n <= 2:
         raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
-    shift = Poly.dot((1, table.shift_weight[n1, g2_1], table.bracket[n - n1, g2_2])
-                     for g2_1, g2_2 in _genus_splits(g2) for n1 in range(1, n))
-    return (table.core[n, g2].scale(Fraction(1, n + 1))
-            - shift.scale(Fraction(1, (n - 2) * (n + 1))))
+    weight, bracket = cut(table.shift_weight, top), cut(table.bracket, top)
+    shift = Poly.dot((1, weight(n1), bracket(n - n1)) for n1 in range(1, n))
+    return split(table.core[n, top].scale(Fraction(1, n + 1))
+                 - shift.scale(Fraction(1, (n - 2) * (n + 1))), top)
 
 
 class BipOneFaceTable(Table):

@@ -28,8 +28,10 @@ bip-oneface and scalar maps records: they are checked the same way and
 otherwise ignored.  Coefficients stay ints all the way from the file to
 a row's `Poly` and back.  A cached row that a table already holds, one
 of its seeds, must equal it.  Storing a table compares every record the
-file holds for its rows, coefficients and totals, with the recomputed
-row, and builds records only for the rows it does not hold whole.
+file holds for its other rows, coefficients and totals, with the
+recomputed row, and builds records only for the rows it does not hold
+whole; a row the cache itself served is built from its records and is
+not compared again.
 
 Each append holds an exclusive `flock` on the file, so runs sharing one
 file write one header and never interleave their records.  A run that
@@ -158,6 +160,9 @@ class CountCache:
         self.path = Path(path)
         # (model, n, g2) -> {indices: value}, indices None for the count
         self._cells: dict[tuple[str, int, int], dict] = {}
+        # (model, n, g2) -> the row `load` put into a table, built from
+        # exactly the records the file holds for it
+        self._served: dict[tuple[str, int, int], Poly] = {}
         if self.path.exists():
             self._load()
 
@@ -233,24 +238,33 @@ class CountCache:
         A row already in entries, one of the table's seeds, must equal its
         cached row, else CacheError names the file and the row.
         """
-        for m, n, g2 in self._cells:
+        for key in self._cells:
+            m, n, g2 = key
             if m != model or n > n_max:
                 continue
             row = self.get_row(model, n, g2)
-            if row is not None and entries.setdefault((n, g2), row) != row:
-                raise CacheError(f"{self.path}: {model}[{n},{g2}]: "
-                                 f"cached {row}, seed {entries[n, g2]}")
+            if row is None:
+                continue
+            held = entries.setdefault((n, g2), row)
+            if held is row:
+                self._served[key] = row
+            elif held != row:
+                raise CacheError(f"{self.path}: {model}[{n},{g2}]: cached {row}, seed {held}")
 
     def store(self, model: str, entries: dict):
         """Append every record of a polynomial table's rows that the file lacks.
 
         Each record the file holds for a row, coefficient or total, must
         equal the recomputed one, else CacheError names the file and the
-        record.  A row the file holds whole builds no records; `_append`
-        drops the ones a partly held row already has.
+        record.  A row that `load` served is skipped: it was built from
+        exactly those records.  A row the file holds whole builds no
+        records; `_append` drops the ones a partly held row already has.
         """
         records = []
+        served = self._served
         for (n, g2), poly in entries.items():
+            if served.get((model, n, g2)) is poly:
+                continue
             held = self._cells.get((model, n, g2), {})
             row = {record_indices(model, exps): c for exps, c in poly.int_items()}
             row[None] = sum(row.values())

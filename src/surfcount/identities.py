@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, lcm
 
 from .bipartite import BipOneFaceTable, BipTable, bip_oneface_series, eta_series
 from .errors import IntegralityError, WindowError
@@ -331,21 +331,44 @@ _ONEFACE_ODE = {
 }
 
 
-def oneface_relation(model: str, m: int):
-    """The t^m coefficient of the model's one-face ODE, as ({j: P_j}, inhom):
-    sum_j P_j f_j + inhom, where f_j is the t^j coefficient of the series.
+def oneface_relation(model: str):
+    """The model's one-face ODE as a recurrence: a function of m giving the
+    t^m coefficient of the ODE as ({j: P_j}, inhom): sum_j P_j f_j +
+    inhom, where f_j is the t^j coefficient of the series.
 
     The t^m coefficient of c t^a f^(k) is c (j)_k f_j, with j = m - a + k
     and (j)_k the falling factorial, so P_j sums c (j)_k over the terms of
     one shift k - a = j - m: a recurrence with coefficients polynomial in m.
+    The terms are grouped by shift and monomial once, here, so each P_j is
+    built as one polynomial.
     """
     rows, inhom = _ONEFACE_ODE[model]
-    terms = {}
+    by_shift: dict[int, list] = {}
     for k, row in rows.items():
         for a, c in row.items():
-            j = m - a + k
-            terms[j] = terms.get(j, ZERO) + c.scale(prod(range(j - k + 1, j + 1)))
-    return terms, inhom.get(m, ZERO)
+            by_shift.setdefault(k - a, []).append((k, c))
+    # shift -> (the largest k, denominator, {monomial: [(k, numerator)]})
+    groups = {}
+    for shift, terms in by_shift.items():
+        den = lcm(*(c.den for _, c in terms))
+        monos: dict[int, list] = {}
+        for k, c in terms:
+            for key, num in c.terms.items():
+                monos.setdefault(key, []).append((k, num * (den // c.den)))
+        groups[shift] = max(k for k, _ in terms), den, monos
+
+    def relation(m: int):
+        out = {}
+        for shift, (k_max, den, monos) in groups.items():
+            j = m + shift
+            falling = [1]   # falling[k] = (j)_k
+            for i in range(k_max):
+                falling.append(falling[-1] * (j - i))
+            out[j] = Poly({key: sum(num * falling[k] for k, num in terms)
+                           for key, terms in monos.items()}, den)
+        return out, inhom.get(m, ZERO)
+
+    return relation
 
 
 def _oneface_lag(model: str) -> int:
@@ -365,9 +388,10 @@ def verify_oneface_ode(model: str, series: TSeries) -> TSeries:
     lag = _oneface_lag(model)
     lo = min(0, series.min_order + lag, min(_ONEFACE_ODE[model][1]))
     hi = series.max_order + lag
+    relation = oneface_relation(model)
     coeffs = []
     for m in range(lo, hi + 1):
-        terms, inhom = oneface_relation(model, m)
+        terms, inhom = relation(m)
         coeffs.append(Poly.dot([(1, p, series.coeff(j)) for j, p in terms.items()]) + inhom)
     return TSeries(lo, coeffs, hi)
 
@@ -380,10 +404,10 @@ _ONEFACE_TABLES = {
 }
 
 
-def _oneface_step(model: str, top: int):
+def _oneface_step(model: str, relation, top: int):
     """The relation that first reaches f_top, as (lead, {j: P_j} with j <
     top, inhom); lead, the coefficient of f_top, is a nonzero constant."""
-    terms, inhom = oneface_relation(model, top + _oneface_lag(model))
+    terms, inhom = relation(top + _oneface_lag(model))
     lead = terms.pop(top)
     if lead.is_zero() or not lead.is_homogeneous(0):
         raise IntegralityError(f"{model} t^{top}: leading coefficient {lead} "
@@ -405,9 +429,10 @@ def oneface_ode_fill(model: str, n_max: int):
     tab = table()
     seeds = series(tab, 3 * step)
     rows = {step * n: seeds.coeff(step * n).scale(2 * step * n) for n in range(1, 4)}
+    relation = oneface_relation(model)
     for n in range(4, n_max + 1):
         top = step * n
-        lead, terms, inhom = _oneface_step(model, top)
+        lead, terms, inhom = _oneface_step(model, relation, top)
         num = Poly.dot([(Fraction(top, j), p, rows[j]) for j, p in terms.items() if j >= 1]
                        + [(2 * top, ONE, inhom)])
         rows[top] = num.scale(-1 / lead)

@@ -21,20 +21,24 @@ that every coefficient is an integer, and ends in one exact division by
 The one-face counts (maps whose complement is a single disk) obey a
 separate linear recursion, filled in OneFaceTable.
 
-In MapsTable, building blocks that do not depend on the target cell
-are Memo dicts, filled on first read:
+MapsTable fills a row, every genus of it, at a time (`table.PolyTable`).
+Its building blocks are Memo rows, keyed (m, c) for a fill cut at
+genus c, each one polynomial with g2 in its genus field:
 
-* q1[m, g2], the quadratic sum (`table.square_sum`);
-* shift_weight[n1, g2_1], the charge-shift weight, summed over g2_0
-  into one polynomial, so the double sum multiplies it once by each
-  bracket: `table.charge_shift` for "cc", a u-only kernel for "kz";
-* core[n2, g2_2], the engine's inner bracket without its own term
-  -(n2+1)/d H[n2, g2_2], d = 2 for "kz" and 4 for "cc"; the boundary
-  terms of "kz" are data, _BOUNDARY_KZ, added by (n2, g2_2);
-* bracket[n2, g2_2], core plus that term (`table.PolyTable`).
+* shift_weight[n1, c], the charge-shift weights of row n1, each summed
+  over g2_0 into one polynomial, so the shift sum multiplies it once by
+  each bracket: `table.charge_shift` for "cc", a u-only kernel for "kz";
+* core[m, c], the engine's inner bracket without its own term
+  -(m+1)/d H[m, g2_2], d = 2 for "kz" and 4 for "cc": one `Poly.dot`
+  over the products by linear factors and the quadratic sum
+  (`table.square_sum`), plus the genus moves, which are re-keyings; the
+  boundary terms of "kz" are data, _BOUNDARY_KZ, by row and genus;
+* bracket[m, c], core plus that term, and row[m, c], the cells.
 
-Each step is 2n times core[n, g2], minus the shift sum of weights times
-brackets.
+Each row step is 2n times core[n], minus the shift sum of weights times
+brackets, one `Poly.dot` over n1.  In "kz" the piece n1 = n reads the
+cells of row n below the one it is for, so that engine finishes the row
+by a sweep up the genera.
 
 MapsCounts keeps none: it computes each row from genus convolutions of
 lower rows; see table.py.
@@ -46,10 +50,10 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import IntegralityError
-from .poly import Poly, U, Z, _pack, _unpack
+from .poly import _GENUS, _SHIFT, Poly, U, Z, _pack, _unpack
 from .table import (
-    Memo, PolyTable, Table, _genus_splits, _grid, _sub_genus, charge_shift, convolve,
-    convolve_square, row_series, shift_weight, square_sum,
+    Memo, PolyTable, Table, _sub_genus, charge_shift, convolve, convolve_square, cut, join,
+    lift, row_series, shift_weight, split, square_sum,
 )
 from .tseries import TSeries
 
@@ -57,14 +61,11 @@ _UZ = U * Z
 _4U_Z = 4 * U + Z
 _U_Z = U + Z
 
-# the "kz" bracket's boundary terms, by (n2, g2_2)
+# the "kz" bracket's boundary terms of row n2, by g2_2
 _BOUNDARY_KZ = {
-    (0, 0): Fraction(3, 2) * (U * U),
-    (0, 1): Fraction(-3, 2) * U,
-    (1, 0): _UZ * _4U_Z,
-    (1, 1): -2 * _UZ,
-    (2, 0): 3 * _UZ * _UZ,
-    (2, 2): 6 * _UZ,
+    0: (Fraction(3, 2) * (U * U), Fraction(-3, 2) * U),
+    1: (_UZ * _4U_Z, -2 * _UZ),
+    2: (3 * _UZ * _UZ, Poly.zero(), 6 * _UZ),
 }
 
 
@@ -87,7 +88,6 @@ class MapsTable(PolyTable):
         kz = engine == "kz"
         super().__init__(MapsTable._core_kz if kz else MapsTable._core_cc, 2 if kz else 4)
         self.engine = engine
-        self.q1 = Memo(MapsTable._q1, self)
         self.shift_weight = Memo(MapsTable._weight_kz if kz else MapsTable._weight_cc, self)
 
     def poly(self, n: int, g2: int) -> Poly:
@@ -99,103 +99,94 @@ class MapsTable(PolyTable):
         return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "MapsTable":
-        rec = _rec_kz if self.engine == "kz" else _rec_cc
-        return self._sweep(_grid(3, n_max, g2_max), lambda n, g2: self._step(rec, n, g2))
+        return self._fill(_row_kz if self.engine == "kz" else _row_cc, n_max, g2_max)
 
-    # building blocks for the memos, all keyed on this table's own entries
+    # building blocks for the memos, rows keyed (m, c), all read off this
+    # table's own entries
 
-    def _q1(self, m: int, g2: int) -> Poly:
-        """Sum of (2n3-1)(2n4-1) H[n3-1] H[n4-1] over n3+n4 = m, g3+g4 = g2."""
-        return square_sum(self.poly, m, g2, lambda n3, n4: (2 * n3 - 1) * (2 * n4 - 1))
+    def _weight_cc(self, n1: int, c: int) -> Poly:
+        """Engine-"cc" charge-shift weights: u and z shift together."""
+        return charge_shift(self.poly, n1, c, 1)
 
-    def _weight_cc(self, n1: int, g2_1: int) -> Poly:
-        """Engine-"cc" charge-shift weight: u and z shift together."""
-        return charge_shift(self.poly, n1, g2_1, 1)
+    def _weight_kz(self, n1: int, c: int) -> Poly:
+        """Engine-"kz" charge-shift weights of row n1, cut at c."""
+        return _kz_weights([self.poly(n1, g2) for g2 in range(c + 1)], n1, range(c + 1), True)
 
-    def _weight_kz(self, n1: int, g2_1: int, top: int | None = None) -> Poly:
-        """Engine-"kz" charge-shift weight, u shifting alone: the sum over
-        g2_0 in _sub_genus(g2_1), up to top (default g2_1), of
-        2^r C(p, r) H[n1,g2_0]^{(p,j)} u^{m-j} z^j over the monomials
-        u^p z^j of H[n1, g2_0] with j <= m, r = 2 + g2_1 - g2_0 and
-        m = n1 - g2_1."""
-        m = n1 - g2_1
-        if m < 0:
-            return Poly.zero()
-        polys = [(g2_0, self.poly(n1, g2_0))
-                 for g2_0 in _sub_genus(g2_1) if top is None or g2_0 <= top]
-        den = lcm(*(H.den for _, H in polys))
-        acc: dict[int, int] = {}
-        get = acc.get
-        for g2_0, H in polys:
-            r = 2 + g2_1 - g2_0
+    def _core_kz(self, m: int, c: int) -> Poly:
+        """Engine-"kz" inner bracket with its boundary terms, without its
+        -(m+1)/2 H[m, g2_2] term; H[m, g2_2] is row m at genus g2_2."""
+        H = cut(self.row, c)
+        return Poly.sum([
+            lift(H(m - 1), 1, -2 * (2 * m - 1)),
+            lift(H(m - 2), 2, 2 * (2 * m - 3) * (2 * m - 1) * (m - 1)),
+            join(_BOUNDARY_KZ.get(m, ())),
+            Poly.dot([(2 * m - 1, _4U_Z, H(m - 1)), (6 * (2 * m - 3), _UZ, H(m - 2))]
+                     + square_sum(H, m, lambda n3, n4: 3 * (2 * n3 - 1) * (2 * n4 - 1))),
+        ])
+
+    def _core_cc(self, m: int, c: int) -> Poly:
+        """Engine-"cc" inner bracket without its -(m+1)/4 H[m, g2_2] term."""
+        H = cut(self.row, c)
+        return Poly.sum([
+            lift(H(m - 2), 2, Fraction((2 * m - 1) * (2 * m - 2) * (2 * m - 3), 2)),
+            lift(H(m - 1), 1, Fraction(2 * m - 1, 2)),
+            Poly.dot([(Fraction(2 * m - 1, 2), _U_Z, H(m - 1))] + square_sum(
+                H, m, lambda n3, n4: Fraction(3 * (2 * n3 - 1) * (2 * n4 - 1), 2))),
+        ])
+
+
+def _kz_weights(cells, n1: int, genera, lifted: bool) -> Poly:
+    """Engine-"kz" charge-shift weights, u shifting alone: at each g2_1 in
+    genera the sum over g2_0 in _sub_genus(g2_1) of 2^r C(p, r) c
+    u^(m-j) z^j over the monomials c u^p z^j of cells[g2_0] with j <= m,
+    r = 2 + g2_1 - g2_0 and m = n1 - g2_1, with g2_1 in the genus field
+    if lifted."""
+    den = lcm(*(H.den for H in cells))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for g2_1 in genera:
+        m, gkey = n1 - g2_1, g2_1 << _GENUS if lifted else 0
+        for g2_0 in _sub_genus(g2_1):
+            H, r = cells[g2_0], 2 + g2_1 - g2_0
             factor = (den // H.den) << r
             for e, c in H.terms.items():
                 p, j, _ = _unpack(e)
                 if j <= m:
-                    k = _pack(m - j, j, 0)
+                    k = _pack(m - j, j, 0) + gkey
                     acc[k] = get(k, 0) + comb(p, r) * factor * c
-        return Poly(acc, den)
-
-    def _core_kz(self, n2: int, g2_2: int) -> Poly:
-        """Engine-"kz" inner bracket with its boundary terms, without its
-        -(n2+1)/2 H[n2, g2_2] term."""
-        H = self.poly
-        return Poly.sum([
-            (2 * n2 - 1) * (_4U_Z * H(n2 - 1, g2_2) - 2 * H(n2 - 1, g2_2 - 1)),
-            (2 * (2 * n2 - 3)) * (
-                ((2 * n2 - 1) * (n2 - 1)) * H(n2 - 2, g2_2 - 2)
-                + 3 * _UZ * H(n2 - 2, g2_2)
-            ),
-            3 * self.q1[n2, g2_2],
-            _BOUNDARY_KZ.get((n2, g2_2), Poly.zero()),
-        ])
-
-    def _core_cc(self, n2: int, g2_2: int) -> Poly:
-        """Engine-"cc" inner bracket without its -(n2+1)/4 H[n2, g2_2] term."""
-        H = self.poly
-        return Poly.sum([
-            Fraction((2 * n2 - 1) * (2 * n2 - 2) * (2 * n2 - 3), 2) * H(n2 - 2, g2_2 - 2),
-            Fraction(2 * n2 - 1, 2) * (_U_Z * H(n2 - 1, g2_2) + H(n2 - 1, g2_2 - 1)),
-            Fraction(6, 4) * self.q1[n2, g2_2],
-        ])
+    return Poly(acc, den)
 
 
-def _rec_kz(n: int, g2: int, tab: MapsTable) -> Poly:
-    """Engine "kz" step: 2n times core[n, g2], the bracket without H[n, g2],
-    minus the shift sum, then the diagonal operator n(n+1) + 3 i(i-1)
-    inverted on each u^i z^j coefficient."""
-    double = []
-    for g2_1, g2_2 in _genus_splits(g2):
-        for n1 in range(1, n + 1):
-            bracket = tab.bracket[n - n1, g2_2]
-            if bracket.is_zero():
-                continue
-            # the self piece g2_0 = g2, the unknown cell, has a bracket
-            # that vanishes identically: its weight stops below it
-            weight = (tab._weight_kz(n, g2, top=g2 - 2) if n1 == n and g2_1 == g2
-                      else tab.shift_weight[n1, g2_1])
-            double.append((1, weight, bracket))
-    rhs = tab.core[n, g2].scale(2 * n) - Poly.dot(double)
-    nn1 = n * (n + 1)
-    out = {}
-    for (i, j, _), c in rhs.items():
-        out[(i, j, 0)] = c / (nn1 + 3 * i * (i - 1))
-    return Poly.from_terms(out)
+def _row_kz(n: int, top: int, tab: MapsTable):
+    """Engine "kz" step for row n, cut at top, by ascending genus: 2n
+    times core, the bracket without H[n], minus the shift sum, then the
+    diagonal operator n(n+1) + 3 i(i-1) inverted on each u^i z^j
+    coefficient.  The shift sum's self piece n1 = n reads the cells of
+    row n below g2, which the caller has written before the next cell
+    is read; the unknown cell's own term, g2_0 = g2_1 = g2, is left out."""
+    weight, bracket = cut(tab.shift_weight, top), cut(tab.bracket, top)
+    shift = Poly.dot((1, weight(n1), bracket(n - n1)) for n1 in range(1, n))
+    rhs = split(tab.core[n, top].scale(2 * n) - shift, top)
+    nn1, u = n * (n + 1), 2 * _SHIFT
+    for g2 in range(top + 1):
+        # row 0's bracket is its boundary terms, at genus 0 and 1
+        known = [tab.poly(n, g2_0) for g2_0 in range(g2)] + [Poly.zero()]
+        own = Poly.dot((1, _kz_weights(known, n, (g2_1,), False), _BOUNDARY_KZ[0][g2 - g2_1])
+                       for g2_1 in (g2, g2 - 1) if g2_1 >= 0)
+        cell = rhs[g2] - own
+        divisor = {k: nn1 + 3 * (k >> u) * ((k >> u) - 1) for k in cell.terms}
+        den = lcm(*divisor.values())
+        yield Poly({k: c * (den // divisor[k]) for k, c in cell.terms.items()}, cell.den * den)
 
 
-def _rec_cc(n: int, g2: int, tab: MapsTable) -> Poly:
-    """Engine "cc" step, prefactor 2/((n+1)(n-2)): 2n times core[n, g2],
-    the bracket without H[n, g2], minus the shift sum."""
-    own = tab.core[n, g2]
-    double = []
-    for g2_1, g2_2 in _genus_splits(g2):
-        for n1 in range(0, n):
-            # with n1 = g2_1 = 0, H[n - n1, g2_2] is the unknown cell itself
-            bracket = tab.bracket[n - n1, g2_2] if n1 or g2_1 else own
-            if not bracket.is_zero():
-                double.append((1, tab.shift_weight[n1, g2_1], bracket))
-    rhs = own.scale(2 * n) - Poly.dot(double)
-    return rhs.scale(Fraction(2, (n + 1) * (n - 2)))
+def _row_cc(n: int, top: int, tab: MapsTable) -> list:
+    """Engine "cc" step for row n, cut at top, prefactor 2/((n+1)(n-2)):
+    2n times core, the bracket without H[n], minus the shift sum."""
+    own = tab.core[n, top]
+    weight, bracket = cut(tab.shift_weight, top), cut(tab.bracket, top)
+    # at n1 = 0, where only g2_1 = 0 has a weight, the bracket is core
+    shift = Poly.dot((1, weight(n1), bracket(n - n1) if n1 else own) for n1 in range(n))
+    return split((own.scale(2 * n) - shift).scale(Fraction(2, (n + 1) * (n - 2))), top)
 
 
 class MapsCounts(Table):
@@ -288,7 +279,8 @@ class OneFaceTable(Table):
         return self.entries[n, g2]
 
     def fill(self, n_max: int) -> "OneFaceTable":
-        return self._sweep(_grid(4, n_max), lambda n, g2: ledoux(n, g2, self))
+        cells = ((n, g2) for n in range(4, n_max + 1) for g2 in range(n + 1))
+        return self._sweep(cells, lambda n, g2: ledoux(n, g2, self))
 
 
 def ledoux(n: int, g2: int, table: OneFaceTable) -> int:

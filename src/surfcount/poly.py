@@ -4,13 +4,18 @@ Coefficients are rationals, stored as integer numerators over a single
 positive denominator per polynomial.  Integer polynomials (the common
 case: every final count table is integral) therefore multiply in pure
 int arithmetic.  Exponent triples are packed into one int so that
-monomial multiplication is a single addition.
+monomial multiplication is a single addition: three 21-bit fields, u
+above z above v.  The polynomial table engines (`table.py`) put the
+doubled genus g2 in a fourth field above them, at bit _GENUS, so that a
+product of two rows adds genera as it adds degrees; that field never
+leaves the engines, and every cell they store is free of it.
 
 All multiplication goes through one kernel, `Poly.dot`: the sum of
 c * a * b over (c, Poly a, Poly b) triples with rational weights c,
 accumulated in ints over one common denominator, with a single Poly
 built (and reduced) at the end.  A product is the one-triple case; a
-sum of products never builds its products or partial sums.
+sum of products never builds its products or partial sums, and a square
+(both factors one object) multiplies each unordered pair of terms once.
 
 Instances are immutable values; every operation allocates a fresh
 polynomial, which makes sharing across threads safe.  Integer rows go in
@@ -28,6 +33,8 @@ from .errors import IntegralityError, NonDivisibleError
 
 _SHIFT = 21
 _MASK = (1 << _SHIFT) - 1
+# the engines' genus field, above the three exponent fields
+_GENUS = 3 * _SHIFT
 
 
 def _pack(eu: int, ez: int, ev: int) -> int:
@@ -121,7 +128,8 @@ class Poly:
         a Fraction.
 
         Every product is brought over the lcm of the c.denominator * a.den
-        * b.den and added term by term into one int accumulator.
+        * b.den and added term by term into one int accumulator.  When a
+        and b are one object, the product visits term pairs i <= j only.
         """
         triples = [(c.numerator, c.denominator * a.den * b.den, a.terms, b.terms)
                    for c, a, b in triples if c and a.terms and b.terms]
@@ -135,6 +143,17 @@ class Poly:
         get = acc.get
         for c, d, x, y in triples:
             f = c * (den // d)
+            if x is y:
+                items = list(x.items())
+                for i, (k1, c1) in enumerate(items, 1):
+                    cf = c1 * f
+                    k = k1 + k1
+                    acc[k] = get(k, 0) + cf * c1
+                    cf += cf    # each pair i < j stands for itself and its mirror
+                    for k2, c2 in items[i:]:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + cf * c2
+                continue
             if len(x) > len(y):
                 x, y = y, x
             y = y.items()

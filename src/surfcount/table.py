@@ -1,18 +1,24 @@
 """Scaffolding shared by the recurrence tables.
 
 Every table keeps its filled cells in `entries`, seeded from the class's
-SEEDS; reading a cell that is not there raises MissingEntryError.  The
-polynomial and one-face tables fill with one sweep that skips the cells
-already there (seeds, and rows of the polynomial tables loaded from the
-count cache) and keep building blocks in Memo dicts, computed on first
-read.  PolyTable derives `bracket` from each engine's `core` and checks
-each new cell in one `_step`: integral, homogeneous, non-negative.  The
-scalar tables recompute each row from genus convolutions of lower rows.
-Beside the scalar `shift_weight`, two polynomial kernels live here:
-`square_sum`, the quadratic sum of the map and bipartite brackets, and
-`charge_shift`, the charge-shift weight of engine "cc" and of the
-bipartite engine.  The other formulas, the zero region of each table
-and its `fill` stay in the model modules.
+SEEDS; reading a cell that is not there raises MissingEntryError.  Every
+table but the one-face ones fills a row, every genus of it, at a time.
+The scalar tables recompute each row from genus convolutions of lower
+rows.  The polynomial tables (PolyTable) write the missing cells of a
+row, keeping those already there (seeds, and cells loaded from the
+count cache): row n of every genus is one polynomial whose keys carry g2
+in a genus field above the exponent fields (`join`, `split`), so a
+product of two rows adds genera, a move to g2 + k is a re-keying
+(`lift`), and each step is a few `Poly.dot` calls per row, not per
+cell.  Their building blocks are Memo rows, computed on first read;
+each new cell is checked (`PolyTable._check`: integral, homogeneous,
+non-negative) before it is written.  The one-face tables fill with one
+sweep over the cells that skips the seeds.  Beside the scalar
+`shift_weight`, two polynomial kernels live here: `square_sum`, the
+quadratic sum of the map and bipartite brackets, and `charge_shift`,
+the charge-shift weights of engine "cc" and of the bipartite engine.
+The other formulas, the zero region of each table and its `fill` stay
+in the model modules.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import IntegralityError, MissingEntryError
-from .poly import Poly, _pack, _unpack
+from .poly import _GENUS, Poly, _pack, _unpack
 from .tseries import TSeries
 
 
@@ -60,8 +66,9 @@ class Table:
 
     A subclass sets NAME (its symbol in error messages) and SEEDS, reads
     cells through its own `value` or `poly`, which owns the zero region,
-    and defines `fill` in its own body: a call to `_sweep`, or for the
-    scalar tables a row loop that writes each cell into `entries`.
+    and defines `fill` in its own body: a call to `_sweep` or to
+    `PolyTable._fill`, or for the scalar tables a row loop that writes
+    each cell into `entries`.
     """
 
     NAME = ""
@@ -81,23 +88,46 @@ class Table:
 
 
 class PolyTable(Table):
-    """A table of polynomials in the cell (n, g2), counted at all ones.
+    """A table of polynomials in the cell (n, g2), counted at all ones,
+    filled one row at a time.
 
-    The subclass passes core(table, n2, g2_2), its bracket without the
-    term -(n2+1)/d cell(n2, g2_2), and d; `bracket` adds the term back.
+    Row n of every genus at once is one polynomial with g2 in its genus
+    field (`join`), so a product of rows adds genera and a genus move is
+    a re-keying (`lift`).  The building blocks are memos of such rows,
+    keyed (m, c) with c = min(m, cap) for the fill's genus cap (`cut`):
+    `row`, the cells themselves; `core`, the subclass's bracket without
+    the term -(m+1)/d cell(m, g2), its parts above genus c dropped;
+    `bracket`, core plus that term.
     """
 
     def __init__(self, core, d: int):
         super().__init__()
-        self.core = Memo(core, self)
+        self.row = Memo(PolyTable._row, self)
+        self.core = Memo(lambda tab, m, c: below(core(tab, m, c), c), self)
         self.bracket = Memo(PolyTable._bracket, self)
         self.d = d
 
-    def _bracket(self, n2: int, g2_2: int) -> Poly:
-        return self.core[n2, g2_2] + self.poly(n2, g2_2).scale(Fraction(-(n2 + 1), self.d))
+    def _row(self, m: int, c: int) -> Poly:
+        return join([self.poly(m, g2) for g2 in range(c + 1)])
 
-    def _step(self, rec, n: int, g2: int) -> Poly:
-        poly = rec(n, g2, self)
+    def _bracket(self, m: int, c: int) -> Poly:
+        return self.core[m, c] + self.row[m, c].scale(Fraction(-(m + 1), self.d))
+
+    def _fill(self, rec, n_max: int, g2_max: int | None):
+        """Rows 3..n_max, cut at g2_max: each row with a cell missing is
+        rec(n, top, self), its cells by ascending g2 up to top, and only the
+        missing ones are checked and written, each before the next is read."""
+        entries = self.entries
+        for n in range(3, n_max + 1):
+            top = n if g2_max is None else min(n, g2_max)
+            if all((n, g2) in entries for g2 in range(top + 1)):
+                continue
+            for g2, poly in enumerate(rec(n, top, self)):
+                if (n, g2) not in entries:
+                    entries[n, g2] = self._check(n, g2, poly)
+        return self
+
+    def _check(self, n: int, g2: int, poly: Poly) -> Poly:
         if not (poly.is_integral() and poly.is_homogeneous(n + 2 - g2)
                 and poly.has_nonnegative_coeffs()):
             raise IntegralityError(f"{self.NAME}[{n},{g2}] is not integral, homogeneous "
@@ -111,35 +141,64 @@ class PolyTable(Table):
         return val.numerator
 
 
-def _grid(n_min: int, n_max: int, g2_max: int | None = None):
-    """Cells (n, g2) with n_min <= n <= n_max and 0 <= g2 <= n, capped at
-    g2_max, row by row."""
-    for n in range(n_min, n_max + 1):
-        top = n if g2_max is None else min(n, g2_max)
-        for g2 in range(top + 1):
-            yield n, g2
+def cut(memo: Memo, c: int):
+    """m -> memo[m, min(m, c)]: the rows of a building block that a row
+    cut at genus c reads."""
+    return lambda m: memo[m, min(m, c)]
 
 
-def _genus_splits(g2):
-    """Pairs (g2_1, g2_2) with g2_1 + g2_2 = g2, both >= 0, half-int steps."""
-    return ((a, g2 - a) for a in range(g2 + 1))
+_MONO = (1 << _GENUS) - 1
 
 
-def square_sum(poly, m: int, g2: int, weight) -> Poly:
-    """Sum of weight(n3, n4) poly(n3-1, ga) poly(n4-1, gb) over n3 + n4 = m,
-    ga + gb = g2 with n3 > ga and n4 > gb (else a factor is zero), for a
-    weight symmetric in (n3, n4): one product per mirrored pair of splits,
-    at double weight unless it is its own mirror."""
-    return Poly.dot((weight(n3, m - n3) * (2 if (n3, ga) != (m - n3, gb) else 1),
-                     poly(n3 - 1, ga), poly(m - n3 - 1, gb))
-                    for ga, gb in _genus_splits(g2)
-                    for n3 in range(ga + 1, min(m // 2, m - gb - 1) + 1)
-                    if (n3, ga) <= (m - n3, gb))
+def join(cells) -> Poly:
+    """The row of cells[g2] over g2: each cell with g2 in its genus field."""
+    den = lcm(*(p.den for p in cells))
+    acc = {}
+    for g2, p in enumerate(cells):
+        f, gkey = den // p.den, g2 << _GENUS
+        for k, c in p.terms.items():
+            acc[k + gkey] = c * f
+    return Poly(acc, den)
+
+
+def split(row: Poly, top: int) -> list:
+    """The cells of a row for g2 = 0..top, genus field stripped; parts
+    above top are dropped."""
+    parts = [{} for _ in range(top + 1)]
+    for k, c in row.terms.items():
+        g2 = k >> _GENUS
+        if g2 <= top:
+            parts[g2][k & _MONO] = c
+    return [Poly(part, row.den) for part in parts]
+
+
+def lift(poly: Poly, g2: int, c=1) -> Poly:
+    """c poly with its genus field raised by g2: a genus move."""
+    f, gkey = Fraction(c), g2 << _GENUS
+    return Poly({k + gkey: v * f.numerator for k, v in poly.terms.items()},
+                poly.den * f.denominator)
+
+
+def below(row: Poly, c: int) -> Poly:
+    """The row without its parts of genus above c."""
+    limit = (c + 1) << _GENUS
+    if max(row.terms, default=0) < limit:
+        return row
+    return Poly({k: v for k, v in row.terms.items() if k < limit}, row.den)
 
 
 def _sub_genus(g2_1):
     """Values g2_0 <= g2_1 with g1 - g0 a non-negative integer."""
     return range(g2_1 % 2, g2_1 + 1, 2)
+
+
+def square_sum(rows, m: int, weight) -> list:
+    """The Poly.dot triples of the sum of weight(n3, n4) rows(n3-1)
+    rows(n4-1) over n3 + n4 = m, n3, n4 >= 1, for a weight symmetric in
+    (n3, n4): one triple per mirrored pair, at double weight unless
+    n3 = n4, where both factors are one row and the product a square."""
+    return [(weight(n3, m - n3) * (2 if 2 * n3 != m else 1), rows(n3 - 1), rows(m - n3 - 1))
+            for n3 in range(1, m // 2 + 1)]
 
 
 def shift_weight(n1: int, g2_1: int, row) -> int:
@@ -152,34 +211,35 @@ def shift_weight(n1: int, g2_1: int, row) -> int:
                for g2_0 in _sub_genus(g2_1))
 
 
-def charge_shift(poly, n1: int, g2_1: int, slot: int) -> Poly:
-    """The polynomial charge-shift weight, zero when n1 < g2_1: the sum over
-    g2_0 in _sub_genus(g2_1) and over the monomials c u^p w^q x^k of
-    poly(n1, g2_0) of 2^(2+g2_1-g2_0) C(p, i) C(q, m-k-i) c u^i w^(m-k-i) x^k,
-    m = n1 - g2_1.  u shifts together with w, the variable of exponent slot
-    `slot` (1: z, engine "cc"; 2: v, bipartite), and x passes through.  At
-    all ones it is shift_weight of the row, by Vandermonde's identity."""
-    m = n1 - g2_1
-    if m < 0:
-        return Poly.zero()
-    polys = [(g2_0, poly(n1, g2_0)) for g2_0 in _sub_genus(g2_1)]
-    den = lcm(*(p.den for _, p in polys))
+def charge_shift(poly, n1: int, top: int, slot: int) -> Poly:
+    """The polynomial charge-shift weights of row n1, as a row cut at top:
+    at g2_1 <= min(n1, top) the sum over g2_0 in _sub_genus(g2_1) and over
+    the monomials c u^p w^q x^k of poly(n1, g2_0) of 2^(2+g2_1-g2_0)
+    C(p, i) C(q, m-k-i) c u^i w^(m-k-i) x^k, m = n1 - g2_1.  u shifts
+    together with w, the variable of exponent slot `slot` (1: z, engine
+    "cc"; 2: v, bipartite), and x passes through.  At all ones each is
+    shift_weight of the row, by Vandermonde's identity."""
+    cells = [poly(n1, g2_0) for g2_0 in range(min(n1, top) + 1)]
+    den = lcm(*(p.den for p in cells))
     # packed keys are linear in the exponents: base is the key of w^(m-k) x^k,
     # and moving one power from w to u adds step
     unit_u, unit_w = _pack(1, 0, 0), _pack(0, 1, 0) if slot == 1 else _pack(0, 0, 1)
     step = unit_u - unit_w
     acc: dict[int, int] = {}
     get = acc.get
-    for g2_0, p in polys:
-        factor = (den // p.den) << (2 + g2_1 - g2_0)
-        for e, c in p.terms.items():
-            exps = _unpack(e)
-            eu, ew, top = exps[0], exps[slot], m - exps[3 - slot]
-            base = e - eu * unit_u + (top - ew) * unit_w
-            c *= factor
-            for i in range(max(0, top - ew), min(eu, top) + 1):
-                k = base + i * step
-                acc[k] = get(k, 0) + comb(eu, i) * comb(ew, top - i) * c
+    for g2_1 in range(len(cells)):
+        m, gkey = n1 - g2_1, g2_1 << _GENUS
+        for g2_0 in _sub_genus(g2_1):
+            p = cells[g2_0]
+            factor = (den // p.den) << (2 + g2_1 - g2_0)
+            for e, c in p.terms.items():
+                exps = _unpack(e)
+                eu, ew, top_w = exps[0], exps[slot], m - exps[3 - slot]
+                base = e - eu * unit_u + (top_w - ew) * unit_w + gkey
+                c *= factor
+                for i in range(max(0, top_w - ew), min(eu, top_w) + 1):
+                    k = base + i * step
+                    acc[k] = get(k, 0) + comb(eu, i) * comb(ew, top_w - i) * c
     return Poly(acc, den)
 
 

@@ -7,7 +7,7 @@ from surfcount.bipartite import (
     BipOneFaceTable,
     BipTable,
     bip_oneface,
-    bip_rec,
+    bip_row,
     bip_oneface_series,
     eta_series,
 )
@@ -49,7 +49,8 @@ def test_planar_row_closed_form(bip_16):
 
 
 def test_single_step_entry_point(bip8):
-    assert bip_rec(5, 2, bip8) == bip8.poly(5, 2)
+    for top in (5, 2):
+        assert bip_row(5, top, bip8) == [bip8.poly(5, g2) for g2 in range(top + 1)]
     fresh = BipTable()
     with pytest.raises(MissingEntryError):
         fresh.poly(4, 0)

@@ -14,8 +14,8 @@ from surfcount.bipartite import BipOneFaceTable
 from surfcount.cache import CountCache, HEADER, _parse_record
 from surfcount.cli import main
 from surfcount.errors import CacheError, IntegralityError
-from surfcount.maps import MapsCounts, OneFaceTable
-from surfcount.poly import U, Z
+from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
+from surfcount.poly import Poly, U, Z
 from surfcount.triangulations import TriTable
 
 
@@ -331,12 +331,13 @@ def test_cli_corrupt_cached_cell_exit_code(tmp_path):
 
 def _break_h50(monkeypatch):
     """Make engine cc's H[5,0] fail the integrality check: scaled by 1/3."""
-    rec_cc = surfcount.maps._rec_cc
+    row_cc = surfcount.maps._row_cc
 
-    def broken(n, g2, tab):
-        poly = rec_cc(n, g2, tab)
-        return poly.scale(Fraction(1, 3)) if (n, g2) == (5, 0) else poly
-    monkeypatch.setattr(surfcount.maps, "_rec_cc", broken)
+    def broken(n, top, tab):
+        cells = row_cc(n, top, tab)
+        return [poly.scale(Fraction(1, 3)) if (n, g2) == (5, 0) else poly
+                for g2, poly in enumerate(cells)]
+    monkeypatch.setattr(surfcount.maps, "_row_cc", broken)
 
 
 def test_fill_failure_without_cached_rows_is_no_cache_fault(tmp_path, monkeypatch):
@@ -363,12 +364,13 @@ def test_fill_failure_from_cached_rows_exit_code(tmp_path, monkeypatch):
 
 
 def test_engine_mismatch_stores_nothing(tmp_path, monkeypatch):
-    rec_kz = surfcount.maps._rec_kz
+    row_kz = surfcount.maps._row_kz
 
-    def skewed(n, g2, tab):
-        poly = rec_kz(n, g2, tab)
-        return poly + U * Z * Z * Z * Z if (n, g2) == (5, 2) else poly
-    monkeypatch.setattr(surfcount.maps, "_rec_kz", skewed)
+    def skewed(n, top, tab):
+        # lazily: engine kz's sweep up the row reads each cell once written
+        for g2, poly in enumerate(row_kz(n, top, tab)):
+            yield poly + U * Z * Z * Z * Z if (n, g2) == (5, 2) else poly
+    monkeypatch.setattr(surfcount.maps, "_row_kz", skewed)
     path = tmp_path / "counts.ndjson"
     res = CliRunner().invoke(main, ["maps", "--n-max", "5", "--engine", "both",
                                     "--cache", str(path)])
@@ -543,3 +545,42 @@ def test_store_writes_exactly_the_missing_records(tmp_path, command):
     again = path.read_bytes()
     assert CliRunner().invoke(main, args).stdout == cold.stdout
     assert path.read_bytes() == again
+
+
+@pytest.mark.parametrize("g_max", [[], ["--g-max", "3"]], ids=["all-genera", "g-max-3"])
+@pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
+def test_deleted_cell_of_a_middle_row_is_refilled(tmp_path, command, g_max):
+    # every record of one genus cell of row 5 goes: the warm run computes
+    # that row again, writes only the missing cell, and prints the cold run
+    path = tmp_path / "counts.ndjson"
+    model = command.split()[0]
+    args = command.split() + ["--n-max", "8", *g_max, "--format", "csv", "--cache", str(path)]
+    cold = CliRunner().invoke(main, args)
+    assert cold.exit_code == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    cell = b'{"model": "%s", "n": 5, "g2": 2, ' % model.encode()
+    kept = [line for line in lines if not line.startswith(cell)]
+    dropped = [line for line in lines if line.startswith(cell)]
+    assert dropped
+    path.write_bytes(b"".join(kept))
+    warm = CliRunner().invoke(main, args)
+    assert warm.exit_code == 0 and warm.stdout == cold.stdout
+    assert path.read_bytes() == b"".join(kept + dropped)
+
+
+def test_store_skips_the_rows_it_served(tmp_path, monkeypatch):
+    # a warm run's rows come from the file's own records: storing them
+    # again reads the coefficients of the seed rows only, still compared
+    path = tmp_path / "counts.ndjson"
+    args = ["maps", "--engine", "cc", "--n-max", "7", "--cache", str(path)]
+    cold = CliRunner().invoke(main, args)
+    assert cold.exit_code == 0
+    before = path.read_bytes()
+    read = []
+    int_items = Poly.int_items
+    monkeypatch.setattr(Poly, "int_items", lambda self: read.append(self) or int_items(self))
+    warm = CliRunner().invoke(main, args)
+    assert warm.exit_code == 0 and warm.stdout == cold.stdout
+    seeds = list(MapsTable.SEEDS.values())
+    assert len(read) == len(seeds) and all(any(p is s for s in seeds) for p in read)
+    assert path.read_bytes() == before

@@ -279,7 +279,7 @@ def test_bivariate_cache_warms_after_scalar_run(runner, tmp_path, monkeypatch):
 
     def recompute(*_):
         raise AssertionError("cached row recomputed")
-    monkeypatch.setattr(surfcount.maps, "_rec_cc", recompute)
+    monkeypatch.setattr(surfcount.maps, "_row_cc", recompute)
     warm = invoke(runner, args + ["--cache", cache])
     assert warm.exit_code == 0
     assert warm.output == no_cache.output

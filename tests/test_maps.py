@@ -10,8 +10,8 @@ from surfcount.maps import (
     OneFaceTable,
     ledoux,
     maps_count,
-    _rec_cc,
-    _rec_kz,
+    _row_cc,
+    _row_kz,
     maps_count_univariate,
     oneface_series,
     theta_series,
@@ -65,9 +65,12 @@ def test_engines_agree(kz8, cc8):
 
 
 def test_single_step_entry_points(cc8, kz8):
-    # one recurrence step over a filled table reproduces the stored cell
-    assert _rec_cc(5, 2, cc8) == cc8.poly(5, 2)
-    assert _rec_kz(5, 2, kz8) == kz8.poly(5, 2)
+    # one row step over a filled table reproduces the stored cells, all
+    # genera of the row or those up to a cut
+    for top in (5, 2):
+        cells = [cc8.poly(5, g2) for g2 in range(top + 1)]
+        assert _row_cc(5, top, cc8) == cells
+        assert list(_row_kz(5, top, kz8)) == cells
 
 
 def test_duality_homogeneity_positivity(cc8):

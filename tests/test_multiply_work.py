@@ -2,9 +2,9 @@
 
 The digests pin `str` of every cell, in insertion order, so regrouping
 the products of a recurrence cannot change a table.  The budgets count
-`Poly.dot` term pairs, the schoolbook multiply work, so a change that
-brings back a duplicated product fails here deterministically, without
-timing anything.
+`Poly.dot` term pairs, the schoolbook multiply work, and the calls of
+one row fill, so a change that brings back a duplicated product or a
+product per cell fails here deterministically, without timing anything.
 """
 
 import hashlib
@@ -37,15 +37,19 @@ def test_table_cells_are_pinned(fill, digest):
 
 
 @pytest.fixture
-def term_pairs(monkeypatch):
-    """Counts the term pairs every `Poly.dot` call multiplies."""
-    count = [0]
+def dot_work(monkeypatch):
+    """Counts the term pairs every `Poly.dot` call multiplies, a square
+    (both factors one object) over pairs i <= j, and the calls."""
+    count = {"pairs": 0, "calls": 0}
     dot = Poly.dot.__func__
 
     def counted(cls, triples):
         triples = list(triples)
-        count[0] += sum(len(a.terms) * len(b.terms) for c, a, b in triples
-                        if c and a.terms and b.terms)
+        count["calls"] += 1
+        for c, a, b in triples:
+            if c and a.terms and b.terms:
+                n = len(a.terms)
+                count["pairs"] += n * (n + 1) // 2 if a is b else n * len(b.terms)
         return dot(cls, triples)
 
     monkeypatch.setattr(Poly, "dot", classmethod(counted))
@@ -53,13 +57,20 @@ def term_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("run, pairs", [
-    (lambda: MapsTable("cc").fill(12), 19861),
-    (lambda: MapsTable("kz").fill(12), 16416),
-    (lambda: BipTable().fill(10), 14737),
-    (lambda: run_identity("ode-bipartite", 8), 68087),
+    (lambda: MapsTable("cc").fill(12), 19791),
+    (lambda: MapsTable("kz").fill(12), 16346),
+    (lambda: BipTable().fill(10), 14653),
+    (lambda: run_identity("ode-bipartite", 8), 66978),
     (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
 ], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8",
         "ode-oneface-bipartite-12"])
-def test_multiply_work_budget(term_pairs, run, pairs):
+def test_multiply_work_budget(dot_work, run, pairs):
     run()
-    assert term_pairs[0] == pairs
+    assert dot_work["pairs"] == pairs
+
+
+def test_row_fill_calls(dot_work):
+    # one core and one shift sum per row: the call overhead the row fill
+    # removes comes back with any per-cell product
+    MapsTable("cc").fill(12)
+    assert dot_work["calls"] == 22

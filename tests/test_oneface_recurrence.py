@@ -21,7 +21,9 @@ import pytest
 
 from surfcount.bipartite import BipOneFaceTable, bip_oneface, bip_oneface_series
 from surfcount.errors import IntegralityError
-from surfcount.identities import _ONEFACE_ODE, _oneface_step, oneface_ode_fill, verify_oneface_ode
+from surfcount.identities import (
+    _ONEFACE_ODE, _oneface_step, oneface_ode_fill, oneface_relation, verify_oneface_ode,
+)
 from surfcount.maps import OneFaceTable, ledoux, oneface_series
 from surfcount.poly import ONE, U
 from surfcount.tseries import TSeries
@@ -37,7 +39,7 @@ def _derived_coefficients(model: str, top: int, n: int, cell_of):
     coefficient * history cell, read off the ODE: C_top = -(top / lead)
     sum_j P_j C_j / j.  cell_of(j, exps) names the history cell a
     monomial of P_j multiplies."""
-    lead, terms, inhom = _oneface_step(model, top)
+    lead, terms, inhom = _oneface_step(model, oneface_relation(model), top)
     assert inhom.is_zero()
     out = {}
     for j, p in terms.items():

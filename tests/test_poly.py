@@ -149,6 +149,16 @@ def test_dot_matches_sum_of_scaled_products(ts):
     assert gone.is_zero() and gone.den == 1 and gone == Poly.zero()
 
 
+@settings(max_examples=40)
+@given(st.lists(st.tuples(weights, polys), max_size=3), triples)
+def test_dot_square_is_the_product_by_itself(squares, ts):
+    # a triple whose factors are one object takes the square path, which
+    # visits each unordered pair of terms once; beside other triples too
+    want = Poly.sum([schoolbook(a, a).scale(c) for c, a in squares]
+                    + [schoolbook(a, b).scale(c) for c, a, b in ts])
+    assert Poly.dot([(c, a, a) for c, a in squares] + ts) == want
+
+
 def test_dot_common_denominator():
     half, third = U.scale(Fraction(1, 2)), Z.scale(Fraction(1, 3))
     p = Poly.dot([(3, half, third), (Fraction(1, 4), U, U), (2, ONE, ONE)])

@@ -13,7 +13,7 @@ from surfcount.bipartite import BipOneFaceTable, BipTable
 from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
 from surfcount.poly import Poly
-from surfcount.table import Memo, charge_shift, shift_weight, square_sum
+from surfcount.table import Memo, charge_shift, join, shift_weight, split, square_sum
 from surfcount.triangulations import TriTable
 
 # one cell of each table that a fresh table has not filled
@@ -33,6 +33,8 @@ def test_each_table_defines_fill_and_entries():
     for cls in UNFILLED:
         assert "fill" in cls.__dict__, cls.__name__
         assert isinstance(cls().entries, dict), cls.__name__
+    # and it names the maps fill's metric by the table's engine
+    assert [MapsTable(engine).engine for engine in ("cc", "kz")] == ["cc", "kz"]
 
 
 @pytest.mark.parametrize("cls", list(UNFILLED), ids=lambda cls: cls.__name__)
@@ -110,30 +112,39 @@ def test_charge_shift(slot):
         return HAND_ROWS.get((n, g2), Poly.zero())
 
     for n1 in range(4):
-        for g2_1 in range(6):
-            weight = charge_shift(rows, n1, g2_1, slot)
-            assert weight == _expand(rows, n1, g2_1, slot), (n1, g2_1)
-            if n1 < g2_1:
-                assert weight.is_zero()
+        for top in range(6):
+            weights = split(charge_shift(rows, n1, top, slot), 6)
+            for g2_1, weight in enumerate(weights):
+                expected = _expand(rows, n1, g2_1, slot) if g2_1 <= top else Poly.zero()
+                assert weight == expected, (n1, top, g2_1)
+                if n1 < g2_1:
+                    assert weight.is_zero()
     if slot == 1:
         # at all ones the (u, z) shift is the scalar weight: Vandermonde
         cc, h = MapsTable("cc").fill(10), MapsCounts().fill(10)
         for n1 in range(11):
             row = [h.value(n1, g) for g in range(n1 + 1)]
+            weights = split(charge_shift(cc.poly, n1, n1, 1), n1)
             for g2_1 in range(n1 + 1):
-                assert (charge_shift(cc.poly, n1, g2_1, 1).evaluate()
-                        == shift_weight(n1, g2_1, row)), (n1, g2_1)
+                assert weights[g2_1].evaluate() == shift_weight(n1, g2_1, row), (n1, g2_1)
 
 
 def test_square_sum_reads_only_nonzero_splits():
-    # equal to the plain sum over every split, reading no cell outside
-    # 0 <= g2 <= n, where a factor would be zero
-    def rows(n, g2):
-        assert 0 <= g2 <= n, (n, g2)
+    # the row square is the plain sum over every split of (m, g2), and it
+    # reads no row below 0, where a factor would be zero
+    def cells(n, g2):
         return HAND_ROWS.get((n, g2), Poly.const(n + g2 + 1))
 
+    held = {}
+
+    def rows(n):
+        assert n >= 0, n
+        if n not in held:
+            held[n] = join([cells(n, g2) for g2 in range(n + 1)])
+        return held[n]
+
     def every_split(m, g2):
-        return Poly.sum(weight(n3, m - n3) * rows(n3 - 1, ga) * rows(m - n3 - 1, g2 - ga)
+        return Poly.sum(weight(n3, m - n3) * cells(n3 - 1, ga) * cells(m - n3 - 1, g2 - ga)
                         for ga in range(g2 + 1) for n3 in range(m + 1)
                         if ga < n3 and g2 - ga < m - n3)
 
@@ -141,8 +152,9 @@ def test_square_sum_reads_only_nonzero_splits():
         return n3 * n4 + 1
 
     for m in range(8):
+        square = split(Poly.dot(square_sum(rows, m, weight)), 6)
         for g2 in range(6):
-            assert square_sum(rows, m, g2, weight) == every_split(m, g2), (m, g2)
+            assert square[g2] == every_split(m, g2), (m, g2)
 
 
 # cells of degree 5, the degree of row (5, 2), each failing one check
@@ -155,17 +167,47 @@ BAD_CELLS = {
 
 @pytest.mark.parametrize("bad", list(BAD_CELLS))
 @pytest.mark.parametrize("table, module, rec", [
-    (lambda: MapsTable("cc"), maps, "_rec_cc"),
-    (lambda: MapsTable("kz"), maps, "_rec_kz"),
-    (BipTable, bipartite, "bip_rec"),
+    (lambda: MapsTable("cc"), maps, "_row_cc"),
+    (lambda: MapsTable("kz"), maps, "_row_kz"),
+    (BipTable, bipartite, "bip_row"),
 ], ids=["MapsTable-cc", "MapsTable-kz", "BipTable"])
 def test_polynomial_step_checks_each_cell(monkeypatch, table, module, rec, bad):
     step = getattr(module, rec)
-    monkeypatch.setattr(module, rec, lambda n, g2, tab: (
-        BAD_CELLS[bad] if (n, g2) == (5, 2) else step(n, g2, tab)))
+
+    def broken(n, top, tab):
+        # lazily, so that engine kz's sweep up the row still reads each
+        # cell after it is written
+        for g2, poly in enumerate(step(n, top, tab)):
+            yield BAD_CELLS[bad] if (n, g2) == (5, 2) else poly
+    monkeypatch.setattr(module, rec, broken)
     tab = table()
     with pytest.raises(IntegralityError, match=rf"^{tab.NAME}\[5,2\] "):
         tab.fill(5)
+    assert (5, 1) in tab.entries and (5, 2) not in tab.entries
+
+
+POLY_TABLES = [lambda: MapsTable("cc"), lambda: MapsTable("kz"), BipTable]
+POLY_IDS = ["MapsTable-cc", "MapsTable-kz", "BipTable"]
+
+
+@pytest.mark.parametrize("table", POLY_TABLES, ids=POLY_IDS)
+def test_polynomial_fill_bounds(table):
+    # a fill cut at g2_max holds the uncapped cells up to it, in the same
+    # order, and no cell above it but the seeds
+    full = table().fill(9)
+    for cap in (0, 1, 3):
+        capped = table().fill(9, cap)
+        kept = [(cell, poly) for cell, poly in full.entries.items()
+                if cell[1] <= cap or cell in capped.SEEDS]
+        assert list(capped.entries.items()) == kept, cap
+    # growing the bound later fills the rest, and the cells are the same
+    assert table().fill(9, 1).fill(9).entries == full.entries
+
+
+@pytest.mark.parametrize("table", POLY_TABLES, ids=POLY_IDS)
+def test_stored_cells_carry_no_genus_field(table):
+    tab = table().fill(8)
+    assert all(k < 1 << 63 for poly in tab.entries.values() for k in poly.terms)
 
 
 def _double_factorial(m):
