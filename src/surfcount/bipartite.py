@@ -5,9 +5,10 @@ vertex is black by convention), v white vertices, z faces.  One
 recurrence engine fills the table; every right-hand side entry has
 strictly smaller edge count, so the fill is a plain sweep in n.
 
-BipTable fills a row, every genus of it, at a time (`table.PolyTable`),
-from Memo rows keyed (m, c) for a fill cut at genus c, each one
-polynomial with g2 in its genus field: shift_weight[n1, c]
+BipTable fills a row, every genus of it, at a time (`table.PolyTable`).
+Genus is degree: K[n, g2] is homogeneous of degree n + 2 - g2, so a row
+of every genus is the sum of its cells.  The building blocks are Memo
+rows keyed (m, c) for a fill cut at genus c: shift_weight[n1, c]
 (`table.charge_shift`, u and v shifting together), core[m, c], the
 bracket without its term -(m+1) K[m, g2_2] and with its boundary terms,
 data in _BOUNDARY, its products and its quadratic sum
@@ -27,7 +28,7 @@ from fractions import Fraction
 from .errors import IntegralityError
 from .poly import Poly, U, V, Z, _pack
 from .table import (
-    Memo, PolyTable, Table, charge_shift, cut, join, lift, row_series, split, square_sum,
+    Memo, PolyTable, Table, charge_shift, cut, row_series, split, square_sum,
 )
 from .tseries import TSeries
 
@@ -87,10 +88,10 @@ class BipTable(PolyTable):
         K[m, g2_2] is row m at genus g2_2."""
         K = cut(self.row, c)
         return Poly.sum([
-            lift(K(m - 1), 1, -(2 * m - 1)),
-            lift(K(m - 2), 2, (2 * m - 1) * (2 * m - 3) * m),
-            join(_BOUNDARY.get(m, ())),
-            Poly.dot([(2 * m - 1, _SUM3, K(m - 1)), (-6 * (m - 1), lift(_DIFF3, 1), K(m - 2)),
+            K(m - 1).scale(-(2 * m - 1)),
+            K(m - 2).scale((2 * m - 1) * (2 * m - 3) * m),
+            *_BOUNDARY.get(m, ()),
+            Poly.dot([(2 * m - 1, _SUM3, K(m - 1)), (-6 * (m - 1), _DIFF3, K(m - 2)),
                       (-1, _psi(m), K(m - 2))]
                      + square_sum(K, m, lambda n3, n4: 2 * (6 * n3 * n4 - 2 * (n3 + n4) + 1))),
         ])
@@ -104,7 +105,7 @@ def bip_row(n: int, top: int, table: BipTable) -> list:
     weight, bracket = cut(table.shift_weight, top), cut(table.bracket, top)
     shift = Poly.dot((1, weight(n1), bracket(n - n1)) for n1 in range(1, n))
     return split(table.core[n, top].scale(Fraction(1, n + 1))
-                 - shift.scale(Fraction(1, (n - 2) * (n + 1))), top)
+                 - shift.scale(Fraction(1, (n - 2) * (n + 1))), n + 2, top)
 
 
 class BipOneFaceTable(Table):
@@ -186,9 +187,9 @@ def bip_oneface(n: int, i: int, j: int, table: BipOneFaceTable) -> int:
 
 
 def eta_series(table: BipTable, order: int) -> TSeries:
-    """Bipartite generating series: sum over n of (sum_g K[n, g2]) / (2n) t^n."""
-    return row_series(order, 1, lambda n: Poly.sum(
-        table.poly(n, g2) for g2 in range(n + 1)).scale(Fraction(1, 2 * n)))
+    """Bipartite generating series: sum over n of row n, sum_g K[n, g2],
+    over 2n, times t^n."""
+    return row_series(order, 1, lambda n: table.row[n, n].scale(Fraction(1, 2 * n)))
 
 
 def bip_oneface_series(table: BipOneFaceTable, order: int) -> TSeries:

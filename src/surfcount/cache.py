@@ -26,8 +26,9 @@ none for totals and scalar cells) and a decimal string value.  Files
 written when every table was cached also hold triangulations, oneface,
 bip-oneface and scalar maps records: they are checked the same way and
 otherwise ignored.  Coefficients stay ints all the way from the file to
-a row's `Poly` and back.  A cached row that a table already holds, one
-of its seeds, must equal it.  Storing a table compares every record the
+a row's `Poly` and back.  A served row must be homogeneous of degree
+n + 2 - g2, and a cached row that a table already holds, one of its
+seeds, must equal it.  Storing a table compares every record the
 file holds for its other rows, coefficients and totals, with the
 recomputed row, and builds records only for the rows it does not hold
 whole; a row the cache itself served is built from its records and is
@@ -40,9 +41,9 @@ prefix of a record is invalid JSON, so loading drops a last line that
 does not parse (with a warning on stderr), and the next append cuts it
 off the file under the lock; a complete last record only gets its
 newline.  Such a line anywhere else, a record that parses but fails
-the shape check anywhere in the file, and a stored record that differs
-from its recomputed or seeded value raise CacheError naming the file
-and the line or record.
+the shape check anywhere in the file, a stored record that differs
+from its recomputed or seeded value, and a served row of another degree
+raise CacheError naming the file and the line, record or row.
 """
 
 from __future__ import annotations
@@ -235,8 +236,10 @@ class CountCache:
         """Copy the complete cached rows of model with n <= n_max into a
         polynomial table's entries, keyed (n, g2).
 
-        A row already in entries, one of the table's seeds, must equal its
-        cached row, else CacheError names the file and the row.
+        A served row must be homogeneous of degree n + 2 - g2, the degree
+        of every cell of these tables, which read genus off degree; and a
+        row already in entries, one of the table's seeds, must equal its
+        cached row.  Else CacheError names the file and the row.
         """
         for key in self._cells:
             m, n, g2 = key
@@ -245,6 +248,9 @@ class CountCache:
             row = self.get_row(model, n, g2)
             if row is None:
                 continue
+            if not row.is_homogeneous(n + 2 - g2):
+                raise CacheError(f"{self.path}: {model}[{n},{g2}]: cached row is not "
+                                 f"homogeneous of degree {n + 2 - g2}")
             held = entries.setdefault((n, g2), row)
             if held is row:
                 self._served[key] = row

@@ -22,23 +22,26 @@ The one-face counts (maps whose complement is a single disk) obey a
 separate linear recursion, filled in OneFaceTable.
 
 MapsTable fills a row, every genus of it, at a time (`table.PolyTable`).
-Its building blocks are Memo rows, keyed (m, c) for a fill cut at
-genus c, each one polynomial with g2 in its genus field:
+Genus is degree: H[n, g2] is homogeneous of degree n + 2 - g2, so a row
+of every genus is the sum of its cells.  The building blocks are Memo
+rows, keyed (m, c) for a fill cut at genus c:
 
 * shift_weight[n1, c], the charge-shift weights of row n1, each summed
   over g2_0 into one polynomial, so the shift sum multiplies it once by
-  each bracket: `table.charge_shift` for "cc", a u-only kernel for "kz";
+  each bracket: `table.charge_shift` for "cc", a u-only kernel,
+  `_kz_weight` per cell, for "kz";
 * core[m, c], the engine's inner bracket without its own term
   -(m+1)/d H[m, g2_2], d = 2 for "kz" and 4 for "cc": one `Poly.dot`
   over the products by linear factors and the quadratic sum
-  (`table.square_sum`), plus the genus moves, which are re-keyings; the
+  (`table.square_sum`), plus the genus moves, which are scalings; the
   boundary terms of "kz" are data, _BOUNDARY_KZ, by row and genus;
 * bracket[m, c], core plus that term, and row[m, c], the cells.
 
 Each row step is 2n times core[n], minus the shift sum of weights times
 brackets, one `Poly.dot` over n1.  In "kz" the piece n1 = n reads the
 cells of row n below the one it is for, so that engine finishes the row
-by a sweep up the genera.
+by a sweep up the genera, which adds each cell's weights as it is
+written and leaves the row's shift_weight behind.
 
 MapsCounts keeps none: it computes each row from genus convolutions of
 lower rows; see table.py.
@@ -50,10 +53,10 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import IntegralityError
-from .poly import _GENUS, _SHIFT, Poly, U, Z, _pack, _unpack
+from .poly import _SHIFT, Poly, U, Z, _pack, _unpack
 from .table import (
-    Memo, PolyTable, Table, _sub_genus, charge_shift, convolve, convolve_square, cut, join,
-    lift, row_series, shift_weight, split, square_sum,
+    Memo, PolyTable, Table, _sub_genus, charge_shift, convolve, convolve_square, cut, row_series,
+    shift_weight, split, square_sum,
 )
 from .tseries import TSeries
 
@@ -110,16 +113,17 @@ class MapsTable(PolyTable):
 
     def _weight_kz(self, n1: int, c: int) -> Poly:
         """Engine-"kz" charge-shift weights of row n1, cut at c."""
-        return _kz_weights([self.poly(n1, g2) for g2 in range(c + 1)], n1, range(c + 1), True)
+        return Poly.sum(_kz_weight(self.poly(n1, g2_0), n1, g2_0, g2_1)
+                        for g2_1 in range(c + 1) for g2_0 in _sub_genus(g2_1))
 
     def _core_kz(self, m: int, c: int) -> Poly:
         """Engine-"kz" inner bracket with its boundary terms, without its
         -(m+1)/2 H[m, g2_2] term; H[m, g2_2] is row m at genus g2_2."""
         H = cut(self.row, c)
         return Poly.sum([
-            lift(H(m - 1), 1, -2 * (2 * m - 1)),
-            lift(H(m - 2), 2, 2 * (2 * m - 3) * (2 * m - 1) * (m - 1)),
-            join(_BOUNDARY_KZ.get(m, ())),
+            H(m - 1).scale(-2 * (2 * m - 1)),
+            H(m - 2).scale(2 * (2 * m - 3) * (2 * m - 1) * (m - 1)),
+            *_BOUNDARY_KZ.get(m, ()),
             Poly.dot([(2 * m - 1, _4U_Z, H(m - 1)), (6 * (2 * m - 3), _UZ, H(m - 2))]
                      + square_sum(H, m, lambda n3, n4: 3 * (2 * n3 - 1) * (2 * n4 - 1))),
         ])
@@ -128,33 +132,27 @@ class MapsTable(PolyTable):
         """Engine-"cc" inner bracket without its -(m+1)/4 H[m, g2_2] term."""
         H = cut(self.row, c)
         return Poly.sum([
-            lift(H(m - 2), 2, Fraction((2 * m - 1) * (2 * m - 2) * (2 * m - 3), 2)),
-            lift(H(m - 1), 1, Fraction(2 * m - 1, 2)),
+            H(m - 2).scale(Fraction((2 * m - 1) * (2 * m - 2) * (2 * m - 3), 2)),
+            H(m - 1).scale(Fraction(2 * m - 1, 2)),
             Poly.dot([(Fraction(2 * m - 1, 2), _U_Z, H(m - 1))] + square_sum(
                 H, m, lambda n3, n4: Fraction(3 * (2 * n3 - 1) * (2 * n4 - 1), 2))),
         ])
 
 
-def _kz_weights(cells, n1: int, genera, lifted: bool) -> Poly:
-    """Engine-"kz" charge-shift weights, u shifting alone: at each g2_1 in
-    genera the sum over g2_0 in _sub_genus(g2_1) of 2^r C(p, r) c
-    u^(m-j) z^j over the monomials c u^p z^j of cells[g2_0] with j <= m,
-    r = 2 + g2_1 - g2_0 and m = n1 - g2_1, with g2_1 in the genus field
-    if lifted."""
-    den = lcm(*(H.den for H in cells))
+def _kz_weight(cell: Poly, n1: int, g2_0: int, g2_1: int) -> Poly:
+    """The engine-"kz" charge-shift weight that cell (n1, g2_0) gives at
+    g2_1, u shifting alone: the sum of 2^r C(p, r) c u^(m-j) z^j over the
+    monomials c u^p z^j of the cell with j <= m, r = 2 + g2_1 - g2_0 and
+    m = n1 - g2_1, the weight's degree."""
+    m, r = n1 - g2_1, 2 + g2_1 - g2_0
     acc: dict[int, int] = {}
     get = acc.get
-    for g2_1 in genera:
-        m, gkey = n1 - g2_1, g2_1 << _GENUS if lifted else 0
-        for g2_0 in _sub_genus(g2_1):
-            H, r = cells[g2_0], 2 + g2_1 - g2_0
-            factor = (den // H.den) << r
-            for e, c in H.terms.items():
-                p, j, _ = _unpack(e)
-                if j <= m:
-                    k = _pack(m - j, j, 0) + gkey
-                    acc[k] = get(k, 0) + comb(p, r) * factor * c
-    return Poly(acc, den)
+    for e, c in cell.terms.items():
+        p, j, _ = _unpack(e)
+        if j <= m and p >= r:
+            k = _pack(m - j, j, 0)
+            acc[k] = get(k, 0) + (comb(p, r) * c << r)
+    return Poly(acc, cell.den)
 
 
 def _row_kz(n: int, top: int, tab: MapsTable):
@@ -163,20 +161,32 @@ def _row_kz(n: int, top: int, tab: MapsTable):
     diagonal operator n(n+1) + 3 i(i-1) inverted on each u^i z^j
     coefficient.  The shift sum's self piece n1 = n reads the cells of
     row n below g2, which the caller has written before the next cell
-    is read; the unknown cell's own term, g2_0 = g2_1 = g2, is left out."""
+    is read; the unknown cell's own term, g2_0 = g2_1 = g2, is left out.
+    Each cell's weights are added once, when the next step reads it, and
+    once the last cell is written they are the row's shift_weight."""
     weight, bracket = cut(tab.shift_weight, top), cut(tab.bracket, top)
     shift = Poly.dot((1, weight(n1), bracket(n - n1)) for n1 in range(1, n))
-    rhs = split(tab.core[n, top].scale(2 * n) - shift, top)
+    rhs = split(tab.core[n, top].scale(2 * n) - shift, n + 2, top)
     nn1, u = n * (n + 1), 2 * _SHIFT
+    # own_weight[g2_1]: the weights at g2_1 of the cells of row n written so far
+    own_weight = [Poly.zero()] * (top + 1)
+
+    def written(g2_0):
+        cell = tab.poly(n, g2_0)
+        for g2_1 in range(g2_0, top + 1, 2):
+            own_weight[g2_1] += _kz_weight(cell, n, g2_0, g2_1)
+
     for g2 in range(top + 1):
+        if g2:
+            written(g2 - 1)
         # row 0's bracket is its boundary terms, at genus 0 and 1
-        known = [tab.poly(n, g2_0) for g2_0 in range(g2)] + [Poly.zero()]
-        own = Poly.dot((1, _kz_weights(known, n, (g2_1,), False), _BOUNDARY_KZ[0][g2 - g2_1])
-                       for g2_1 in (g2, g2 - 1) if g2_1 >= 0)
-        cell = rhs[g2] - own
+        cell = rhs[g2] - Poly.dot((1, own_weight[g2_1], _BOUNDARY_KZ[0][g2 - g2_1])
+                                  for g2_1 in (g2, g2 - 1) if g2_1 >= 0)
         divisor = {k: nn1 + 3 * (k >> u) * ((k >> u) - 1) for k in cell.terms}
         den = lcm(*divisor.values())
         yield Poly({k: c * (den // divisor[k]) for k, c in cell.terms.items()}, cell.den * den)
+    written(top)
+    tab.shift_weight[n, top] = Poly.sum(own_weight)
 
 
 def _row_cc(n: int, top: int, tab: MapsTable) -> list:
@@ -186,7 +196,7 @@ def _row_cc(n: int, top: int, tab: MapsTable) -> list:
     weight, bracket = cut(tab.shift_weight, top), cut(tab.bracket, top)
     # at n1 = 0, where only g2_1 = 0 has a weight, the bracket is core
     shift = Poly.dot((1, weight(n1), bracket(n - n1) if n1 else own) for n1 in range(n))
-    return split((own.scale(2 * n) - shift).scale(Fraction(2, (n + 1) * (n - 2))), top)
+    return split((own.scale(2 * n) - shift).scale(Fraction(2, (n + 1) * (n - 2))), n + 2, top)
 
 
 class MapsCounts(Table):
@@ -310,9 +320,8 @@ def ledoux(n: int, g2: int, table: OneFaceTable) -> int:
 
 def theta_series(table: MapsTable, order: int) -> TSeries:
     """The map generating series in t up to the given order (t^2 marks an edge,
-    each coefficient is sum_g H[n, g2] / (4n))."""
-    return row_series(order, 2, lambda n: Poly.sum(
-        table.poly(n, g2) for g2 in range(n + 1)).scale(Fraction(1, 4 * n)))
+    each coefficient is row n, sum_g H[n, g2], over 4n)."""
+    return row_series(order, 2, lambda n: table.row[n, n].scale(Fraction(1, 4 * n)))
 
 
 def oneface_series(table: OneFaceTable, order: int) -> TSeries:

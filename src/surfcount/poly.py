@@ -5,10 +5,8 @@ positive denominator per polynomial.  Integer polynomials (the common
 case: every final count table is integral) therefore multiply in pure
 int arithmetic.  Exponent triples are packed into one int so that
 monomial multiplication is a single addition: three 21-bit fields, u
-above z above v.  The polynomial table engines (`table.py`) put the
-doubled genus g2 in a fourth field above them, at bit _GENUS, so that a
-product of two rows adds genera as it adds degrees; that field never
-leaves the engines, and every cell they store is free of it.
+above z above v.  A key carries exponents only: in the polynomial tables
+(`table.py`) every cell is homogeneous, and its degree is its genus.
 
 All multiplication goes through one kernel, `Poly.dot`: the sum of
 c * a * b over (c, Poly a, Poly b) triples with rational weights c,
@@ -33,8 +31,6 @@ from .errors import IntegralityError, NonDivisibleError
 
 _SHIFT = 21
 _MASK = (1 << _SHIFT) - 1
-# the engines' genus field, above the three exponent fields
-_GENUS = 3 * _SHIFT
 
 
 def _pack(eu: int, ez: int, ev: int) -> int:
@@ -186,7 +182,8 @@ class Poly:
         return Fraction(self.terms.get(_pack(*exps), 0), self.den)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(_unpack(k)) == degree for k in self.terms)
+        return all((k >> 2 * _SHIFT) + ((k >> _SHIFT) & _MASK) + (k & _MASK) == degree
+                   for k in self.terms)
 
     def is_integral(self) -> bool:
         return self.den == 1

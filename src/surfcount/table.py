@@ -6,10 +6,11 @@ table but the one-face ones fills a row, every genus of it, at a time.
 The scalar tables recompute each row from genus convolutions of lower
 rows.  The polynomial tables (PolyTable) write the missing cells of a
 row, keeping those already there (seeds, and cells loaded from the
-count cache): row n of every genus is one polynomial whose keys carry g2
-in a genus field above the exponent fields (`join`, `split`), so a
-product of two rows adds genera, a move to g2 + k is a re-keying
-(`lift`), and each step is a few `Poly.dot` calls per row, not per
+count cache).  Genus is degree there: by Euler's relation cell (n, g2)
+is homogeneous of degree n + 2 - g2, so row n of every genus is the
+plain sum of its cells and comes back apart by degree (`split`).  A
+product of two rows adds genera as it adds degrees, a move to g2 + k
+is a scaling, and each step is a few `Poly.dot` calls per row, not per
 cell.  Their building blocks are Memo rows, computed on first read;
 each new cell is checked (`PolyTable._check`: integral, homogeneous,
 non-negative) before it is written.  The one-face tables fill with one
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import IntegralityError, MissingEntryError
-from .poly import _GENUS, Poly, _pack, _unpack
+from .poly import _MASK, _SHIFT, Poly, _pack, _unpack
 from .tseries import TSeries
 
 
@@ -91,9 +92,9 @@ class PolyTable(Table):
     """A table of polynomials in the cell (n, g2), counted at all ones,
     filled one row at a time.
 
-    Row n of every genus at once is one polynomial with g2 in its genus
-    field (`join`), so a product of rows adds genera and a genus move is
-    a re-keying (`lift`).  The building blocks are memos of such rows,
+    Row n of every genus at once is the sum of its cells, each term's g2
+    read off its degree (`split`), so a product of rows adds genera and a
+    genus move is a scaling.  The building blocks are memos of such rows,
     keyed (m, c) with c = min(m, cap) for the fill's genus cap (`cut`):
     `row`, the cells themselves; `core`, the subclass's bracket without
     the term -(m+1)/d cell(m, g2), its parts above genus c dropped;
@@ -103,12 +104,12 @@ class PolyTable(Table):
     def __init__(self, core, d: int):
         super().__init__()
         self.row = Memo(PolyTable._row, self)
-        self.core = Memo(lambda tab, m, c: below(core(tab, m, c), c), self)
+        self.core = Memo(lambda tab, m, c: below(core(tab, m, c), m, c), self)
         self.bracket = Memo(PolyTable._bracket, self)
         self.d = d
 
     def _row(self, m: int, c: int) -> Poly:
-        return join([self.poly(m, g2) for g2 in range(c + 1)])
+        return Poly.sum(self.poly(m, g2) for g2 in range(c + 1))
 
     def _bracket(self, m: int, c: int) -> Poly:
         return self.core[m, c] + self.row[m, c].scale(Fraction(-(m + 1), self.d))
@@ -147,44 +148,26 @@ def cut(memo: Memo, c: int):
     return lambda m: memo[m, min(m, c)]
 
 
-_MONO = (1 << _GENUS) - 1
-
-
-def join(cells) -> Poly:
-    """The row of cells[g2] over g2: each cell with g2 in its genus field."""
-    den = lcm(*(p.den for p in cells))
-    acc = {}
-    for g2, p in enumerate(cells):
-        f, gkey = den // p.den, g2 << _GENUS
-        for k, c in p.terms.items():
-            acc[k + gkey] = c * f
-    return Poly(acc, den)
-
-
-def split(row: Poly, top: int) -> list:
-    """The cells of a row for g2 = 0..top, genus field stripped; parts
-    above top are dropped."""
+def split(row: Poly, d: int, top: int) -> list:
+    """The cells of a row for g2 = 0..top, each term's g2 read as d minus
+    its degree (d = m + 2 for row m, n1 for the charge-shift weights of
+    row n1); parts above top are dropped."""
     parts = [{} for _ in range(top + 1)]
     for k, c in row.terms.items():
-        g2 = k >> _GENUS
+        g2 = d - (k >> 2 * _SHIFT) - ((k >> _SHIFT) & _MASK) - (k & _MASK)
         if g2 <= top:
-            parts[g2][k & _MONO] = c
+            parts[g2][k] = c
     return [Poly(part, row.den) for part in parts]
 
 
-def lift(poly: Poly, g2: int, c=1) -> Poly:
-    """c poly with its genus field raised by g2: a genus move."""
-    f, gkey = Fraction(c), g2 << _GENUS
-    return Poly({k + gkey: v * f.numerator for k, v in poly.terms.items()},
-                poly.den * f.denominator)
-
-
-def below(row: Poly, c: int) -> Poly:
-    """The row without its parts of genus above c."""
-    limit = (c + 1) << _GENUS
-    if max(row.terms, default=0) < limit:
+def below(row: Poly, m: int, c: int) -> Poly:
+    """Row m without its parts of genus above c: the terms of degree at
+    least m + 2 - c.  A bracket of row m >= 1 has no genus above m."""
+    if c >= m:
         return row
-    return Poly({k: v for k, v in row.terms.items() if k < limit}, row.den)
+    low = m + 2 - c
+    return Poly({k: v for k, v in row.terms.items()
+                 if (k >> 2 * _SHIFT) + ((k >> _SHIFT) & _MASK) + (k & _MASK) >= low}, row.den)
 
 
 def _sub_genus(g2_1):
@@ -215,10 +198,10 @@ def charge_shift(poly, n1: int, top: int, slot: int) -> Poly:
     """The polynomial charge-shift weights of row n1, as a row cut at top:
     at g2_1 <= min(n1, top) the sum over g2_0 in _sub_genus(g2_1) and over
     the monomials c u^p w^q x^k of poly(n1, g2_0) of 2^(2+g2_1-g2_0)
-    C(p, i) C(q, m-k-i) c u^i w^(m-k-i) x^k, m = n1 - g2_1.  u shifts
-    together with w, the variable of exponent slot `slot` (1: z, engine
-    "cc"; 2: v, bipartite), and x passes through.  At all ones each is
-    shift_weight of the row, by Vandermonde's identity."""
+    C(p, i) C(q, m-k-i) c u^i w^(m-k-i) x^k, m = n1 - g2_1, its degree.
+    u shifts together with w, the variable of exponent slot `slot` (1: z,
+    engine "cc"; 2: v, bipartite), and x passes through.  At all ones each
+    is shift_weight of the row, by Vandermonde's identity."""
     cells = [poly(n1, g2_0) for g2_0 in range(min(n1, top) + 1)]
     den = lcm(*(p.den for p in cells))
     # packed keys are linear in the exponents: base is the key of w^(m-k) x^k,
@@ -228,14 +211,14 @@ def charge_shift(poly, n1: int, top: int, slot: int) -> Poly:
     acc: dict[int, int] = {}
     get = acc.get
     for g2_1 in range(len(cells)):
-        m, gkey = n1 - g2_1, g2_1 << _GENUS
+        m = n1 - g2_1
         for g2_0 in _sub_genus(g2_1):
             p = cells[g2_0]
             factor = (den // p.den) << (2 + g2_1 - g2_0)
             for e, c in p.terms.items():
                 exps = _unpack(e)
                 eu, ew, top_w = exps[0], exps[slot], m - exps[3 - slot]
-                base = e - eu * unit_u + (top_w - ew) * unit_w + gkey
+                base = e - eu * unit_u + (top_w - ew) * unit_w
                 c *= factor
                 for i in range(max(0, top_w - ew), min(eu, top_w) + 1):
                     k = base + i * step

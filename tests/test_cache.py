@@ -432,6 +432,32 @@ def test_cli_corrupt_cached_seed_row_exit_code(tmp_path):
     assert str(path) in res.stderr and "maps[2,1]: cached " in res.stderr
 
 
+def test_cli_cached_row_of_another_degree_exit_code(tmp_path):
+    # a coefficient of u z, degree 2, added to H[4,1], of degree 5, with the
+    # row's total raised by the same value: the row is complete, and every
+    # row that reads it is cached too, so no recomputation sees it
+    path = tmp_path / "counts.ndjson"
+    args = ["maps", "--bivariate", "--format", "csv", "--cache", str(path), "--n-max"]
+    assert CliRunner().invoke(main, args + ["6"]).exit_code == 0
+    value = 25401600000
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines[1:], 1):
+        rec = json.loads(line)
+        if (rec["model"], rec["n"], rec["g2"]) == ("maps", 4, 1) and "i" not in rec:
+            rec["value"] = str(int(rec["value"]) + value)
+            lines[k] = json.dumps(rec)
+    lines.append(json.dumps({"model": "maps", "n": 4, "g2": 1, "i": 1, "j": 1,
+                             "value": str(value)}))
+    path.write_text("\n".join(lines) + "\n")
+    assert CountCache(path).get_row("maps", 4, 1) is not None
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, args + ["5"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {path}: maps[4,1]: cached row is not homogeneous of degree 5\n"
+    assert path.read_bytes() == before
+
+
 # -- the loader reads every line exactly as json.loads does ---------------
 
 def _reference_load(path):

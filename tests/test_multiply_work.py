@@ -62,8 +62,13 @@ def dot_work(monkeypatch):
     (lambda: BipTable().fill(10), 14653),
     (lambda: run_identity("ode-bipartite", 8), 66978),
     (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
+    # a cut fill multiplies no part above the cap
+    (lambda: MapsTable("cc").fill(12, 2), 10134),
+    (lambda: MapsTable("kz").fill(12, 2), 8966),
+    (lambda: BipTable().fill(10, 2), 11469),
 ], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8",
-        "ode-oneface-bipartite-12"])
+        "ode-oneface-bipartite-12", "MapsTable-cc-12-cut-2", "MapsTable-kz-12-cut-2",
+        "BipTable-10-cut-2"])
 def test_multiply_work_budget(dot_work, run, pairs):
     run()
     assert dot_work["pairs"] == pairs

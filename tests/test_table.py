@@ -13,7 +13,7 @@ from surfcount.bipartite import BipOneFaceTable, BipTable
 from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
 from surfcount.poly import Poly
-from surfcount.table import Memo, charge_shift, join, shift_weight, split, square_sum
+from surfcount.table import Memo, charge_shift, shift_weight, split, square_sum
 from surfcount.triangulations import TriTable
 
 # one cell of each table that a fresh table has not filled
@@ -82,10 +82,11 @@ def test_scalar_fill_bounds(cls):
     assert list(vars(grown)) == ["entries"], "a scalar table holds only its cells"
 
 
-# small rows by (n, g2), exponents (u, z, v); one has a denominator
+# small cells by (n, g2), exponents (u, z, v), each of degree n + 2 - g2;
+# one has a denominator
 HAND_ROWS = {
     (1, 0): Poly.from_terms({(2, 1, 0): 3, (1, 1, 1): -1, (0, 2, 1): 2}),
-    (1, 1): Poly.from_terms({(1, 0, 2): Fraction(1, 3), (0, 1, 1): Fraction(5, 2)}),
+    (1, 1): Poly.from_terms({(1, 0, 1): Fraction(1, 3), (0, 1, 1): Fraction(5, 2)}),
     (2, 0): Poly.from_terms({(3, 1, 0): 1, (1, 2, 1): 4, (2, 0, 2): -7}),
     (2, 2): Poly.from_terms({(1, 1, 0): 6, (0, 0, 2): 1}),
 }
@@ -113,7 +114,7 @@ def test_charge_shift(slot):
 
     for n1 in range(4):
         for top in range(6):
-            weights = split(charge_shift(rows, n1, top, slot), 6)
+            weights = split(charge_shift(rows, n1, top, slot), n1, 6)
             for g2_1, weight in enumerate(weights):
                 expected = _expand(rows, n1, g2_1, slot) if g2_1 <= top else Poly.zero()
                 assert weight == expected, (n1, top, g2_1)
@@ -124,7 +125,7 @@ def test_charge_shift(slot):
         cc, h = MapsTable("cc").fill(10), MapsCounts().fill(10)
         for n1 in range(11):
             row = [h.value(n1, g) for g in range(n1 + 1)]
-            weights = split(charge_shift(cc.poly, n1, n1, 1), n1)
+            weights = split(charge_shift(cc.poly, n1, n1, 1), n1, n1)
             for g2_1 in range(n1 + 1):
                 assert weights[g2_1].evaluate() == shift_weight(n1, g2_1, row), (n1, g2_1)
 
@@ -133,14 +134,14 @@ def test_square_sum_reads_only_nonzero_splits():
     # the row square is the plain sum over every split of (m, g2), and it
     # reads no row below 0, where a factor would be zero
     def cells(n, g2):
-        return HAND_ROWS.get((n, g2), Poly.const(n + g2 + 1))
+        return HAND_ROWS.get((n, g2), Poly.from_terms({(n + 2 - g2, 0, 0): n + g2 + 1}))
 
     held = {}
 
     def rows(n):
         assert n >= 0, n
         if n not in held:
-            held[n] = join([cells(n, g2) for g2 in range(n + 1)])
+            held[n] = Poly.sum(cells(n, g2) for g2 in range(n + 1))
         return held[n]
 
     def every_split(m, g2):
@@ -152,7 +153,7 @@ def test_square_sum_reads_only_nonzero_splits():
         return n3 * n4 + 1
 
     for m in range(8):
-        square = split(Poly.dot(square_sum(rows, m, weight)), 6)
+        square = split(Poly.dot(square_sum(rows, m, weight)), m + 2, 6)
         for g2 in range(6):
             assert square[g2] == every_split(m, g2), (m, g2)
 
@@ -204,10 +205,22 @@ def test_polynomial_fill_bounds(table):
     assert table().fill(9, 1).fill(9).entries == full.entries
 
 
+@pytest.mark.parametrize("cap", [None, 2], ids=["uncut", "cut-2"])
 @pytest.mark.parametrize("table", POLY_TABLES, ids=POLY_IDS)
-def test_stored_cells_carry_no_genus_field(table):
-    tab = table().fill(8)
-    assert all(k < 1 << 63 for poly in tab.entries.values() for k in poly.terms)
+def test_rows_split_back_into_their_cells(table, cap):
+    # genus is degree: each row memo is its cells summed, and split by
+    # degree gives them back
+    tab = table().fill(9, cap)
+    assert len(tab.row) > 9
+    for (m, c), row in tab.row.items():
+        assert split(row, m + 2, c) == [tab.poly(m, g2) for g2 in range(c + 1)], (m, c)
+    if getattr(tab, "engine", None) == "kz":
+        # engine kz's sweep leaves the weights of each row it fills, and
+        # they are the ones computed afresh from the cells
+        swept = {(n, n if cap is None else min(n, cap)) for n in range(3, 10)}
+        assert swept <= tab.shift_weight.keys()
+        for (n, c), weight in tab.shift_weight.items():
+            assert weight == MapsTable._weight_kz(tab, n, c), (n, c)
 
 
 def _double_factorial(m):
