@@ -16,6 +16,13 @@ data in _BOUNDARY, its products and its quadratic sum
 that term.  Each row step is core[n] over n+1, minus the shift sum, one
 `Poly.dot` over n1, over (n-2)(n+1).
 
+BipTable(v_is_u=True) fills the same recurrence at v = u, in (u, z),
+which is all the scalar counts need.  Every step is ring operations plus
+the charge-shift weight, and the substitution v -> u commutes with
+both: with the weights by Vandermonde's identity, sum_i C(p, i) C(q, m-i)
+= C(p+q, m).  So the table substitutes into its seeds and constants
+once, at construction, and runs the engine unchanged.
+
 The one-face numbers b[n, i, j] (i black, j white vertices) satisfy
 their own linear recursion with history depth 4, filled in
 BipOneFaceTable.
@@ -44,10 +51,6 @@ _INITIAL_ZERO = {(1, 1), (2, 2)}
 _PSI = U * U + V * V + Z * Z - 14 * _UV - 2 * U * Z - 2 * V * Z
 
 
-def _psi(n: int) -> Poly:
-    return (n - 2) * _PSI - 12 * _UV
-
-
 # the bracket's boundary terms of row n2, by g2_2
 _BOUNDARY = {
     1: (2 * _UVZ,),
@@ -56,7 +59,7 @@ _BOUNDARY = {
 
 
 class BipTable(PolyTable):
-    """Trivariate table of K[n, g2]."""
+    """Trivariate table of K[n, g2], or with v_is_u its values at v = u."""
 
     NAME = "K"
     SEEDS = {
@@ -65,9 +68,13 @@ class BipTable(PolyTable):
         (2, 1): _UVZ,
     }
 
-    def __init__(self):
+    def __init__(self, v_is_u: bool = False):
         super().__init__(BipTable._core, 1)
         self.shift_weight = Memo(BipTable._weight, self)
+        sub = Poly.v_to_u if v_is_u else (lambda p: p)
+        self.entries.update((key, sub(p)) for key, p in self.SEEDS.items())
+        self.sum3, self.diff3, self.psi, self.uv = map(sub, (_SUM3, _DIFF3, _PSI, _UV))
+        self.boundary = {m: tuple(map(sub, terms)) for m, terms in _BOUNDARY.items()}
 
     def poly(self, n: int, g2: int) -> Poly:
         if n <= 0 or g2 < 0 or n < g2:
@@ -87,12 +94,13 @@ class BipTable(PolyTable):
         """Inner bracket with its boundary terms, without -(m+1) K[m, g2_2];
         K[m, g2_2] is row m at genus g2_2."""
         K = cut(self.row, c)
+        psi = (m - 2) * self.psi - 12 * self.uv
         return Poly.sum([
             K(m - 1).scale(-(2 * m - 1)),
             K(m - 2).scale((2 * m - 1) * (2 * m - 3) * m),
-            *_BOUNDARY.get(m, ()),
-            Poly.dot([(2 * m - 1, _SUM3, K(m - 1)), (-6 * (m - 1), _DIFF3, K(m - 2)),
-                      (-1, _psi(m), K(m - 2))]
+            *self.boundary.get(m, ()),
+            Poly.dot([(2 * m - 1, self.sum3, K(m - 1)), (-6 * (m - 1), self.diff3, K(m - 2)),
+                      (-1, psi, K(m - 2))]
                      + square_sum(K, m, lambda n3, n4: 2 * (6 * n3 * n4 - 2 * (n3 + n4) + 1))),
         ])
 

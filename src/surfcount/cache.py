@@ -15,17 +15,25 @@ layout stays inside this module: a table's `entries` go in through
 `load` and out through `store`, which writes every new record of a run
 in one append.
 
-Loading parses each line once, straight into the in-memory index, with
-the scan that `json.loads` itself ends in (`JSONDecoder.scan_once`); a
-line that scan does not consume whole (blank or padded, a BOM, invalid
-or torn) goes through `json.loads`, which reads it, or says why not,
-exactly as it always has.  Each record's shape is then checked: a known
-model, non-negative integers n, g2 and indices (two for maps
-coefficients and bip-oneface cells, three for bipartite coefficients,
-none for totals and scalar cells) and a decimal string value.  Files
-written when every table was cached also hold triangulations, oneface,
-bip-oneface and scalar maps records: they are checked the same way and
-otherwise ignored.  Coefficients stay ints all the way from the file to
+A table run loads the view of one model up to one n: it skips, unparsed,
+each line that is a whole record (ending in `}`) with the canonical
+start `{"model": "<m>", "n": <digits>, "g2": <digits>,` of another model
+or a larger n.  The header and the last line, which may be torn, are
+always read, and so is every line of another shape, so a malformed line
+is still loud; a value corrupted in a skipped line is caught by the
+first run that reads that row.  Loading parses each line it reads once,
+straight into the in-memory index, with the scan that `json.loads`
+itself ends in (`JSONDecoder.scan_once`); a line that scan does not
+consume whole (blank or padded, a BOM, invalid or torn) goes through
+`json.loads`, which reads it, or says why not, exactly as it always
+has.  Each record's shape is then checked: a known model, non-negative
+integers n, g2 and indices (two for maps coefficients and bip-oneface
+cells, three for bipartite coefficients, none for totals and scalar
+cells) and a decimal string value, and the view keeps the records of
+its model and range.  Files written when every table was cached also
+hold triangulations, oneface, bip-oneface and scalar maps records: the
+first three are other models to every run, and the scalar maps ones are
+row totals.  Coefficients stay ints all the way from the file to
 a row's `Poly` and back.  A served row must be homogeneous of degree
 n + 2 - g2, and a cached row that a table already holds, one of its
 seeds, must equal it.  Storing a table compares every record the
@@ -41,7 +49,7 @@ prefix of a record is invalid JSON, so loading drops a last line that
 does not parse (with a warning on stderr), and the next append cuts it
 off the file under the lock; a complete last record only gets its
 newline.  Such a line anywhere else, a record that parses but fails
-the shape check anywhere in the file, a stored record that differs
+the shape check on any line read, a stored record that differs
 from its recomputed or seeded value, and a served row of another degree
 raise CacheError naming the file and the line, record or row.
 """
@@ -51,6 +59,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -109,6 +118,11 @@ _INDICES = {
     "oneface": {4: None},
 }
 
+# the start of a record as json.dumps writes it: model and n, read off a
+# line that a request may skip unparsed
+_CANONICAL = re.compile('{"model": "(%s)", "n": (0|[1-9][0-9]*), "g2": (?:0|[1-9][0-9]*),'
+                        % "|".join(map(re.escape, _INDICES))).match
+
 
 def _parse_record(obj) -> tuple[tuple[str, int, int], tuple[int, ...] | None, int]:
     """Check one parsed record's shape; ValueError says what is wrong."""
@@ -157,15 +171,20 @@ def _mend_last_line(fh):
 class CountCache:
     """In-memory view over the append-only record file."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, model: str | None = None, n_max: int | None = None):
+        """Load the file at path, every record of it.  Given model and
+        n_max, the view of the table runs: it keeps only the records of
+        model with n <= n_max, and skips the lines of other records
+        unparsed where their start is canonical."""
         self.path = Path(path)
+        self.model = model
         # (model, n, g2) -> {indices: value}, indices None for the count
         self._cells: dict[tuple[str, int, int], dict] = {}
         # (model, n, g2) -> the row `load` put into a table, built from
         # exactly the records the file holds for it
         self._served: dict[tuple[str, int, int], Poly] = {}
         if self.path.exists():
-            self._load()
+            self._load(model, n_max)
 
     @property
     def records(self) -> dict[tuple, int]:
@@ -176,12 +195,19 @@ class CountCache:
     def _add(self, rec: CountRecord):
         self._cells.setdefault((rec.model, rec.n, rec.g2), {})[rec.indices] = rec.value
 
-    def _load(self):
+    def _load(self, model, n_max):
         data = self.path.read_bytes()
         # split leaves "" last unless the last line lacks its newline
         lines = data.decode(errors="replace").split("\n")
+        last = len(lines)
         cells = self._cells
         for lineno, line in enumerate(lines, 1):
+            # skip a whole canonical record of another model or a larger n;
+            # the header and the last line, maybe torn, are always read
+            if model is not None and 1 < lineno < last and line[-1:] == "}":
+                head = _CANONICAL(line)
+                if head and (head[1] != model or int(head[2]) > n_max):
+                    continue
             try:
                 obj, end = _scan(line, 0)
             except (StopIteration, ValueError):
@@ -207,7 +233,8 @@ class CountCache:
                 key, indices, value = _parse_record(obj)
             except ValueError as exc:
                 raise CacheError(f"{self.path}:{lineno}: malformed cache record: {exc}") from None
-            cells.setdefault(key, {})[indices] = value
+            if model is None or key[0] == model and key[1] <= n_max:
+                cells.setdefault(key, {})[indices] = value
 
     def _append(self, records):
         """Write the records the file lacks, all in one locked append.
@@ -232,18 +259,19 @@ class CountCache:
 
     # -- tables ----------------------------------------------------------
 
-    def load(self, model: str, entries: dict, n_max: int):
-        """Copy the complete cached rows of model with n <= n_max into a
-        polynomial table's entries, keyed (n, g2).
+    def load(self, entries: dict, n_max: int):
+        """Copy the complete cached rows of the view's model with n <= n_max
+        into a polynomial table's entries, keyed (n, g2).
 
         A served row must be homogeneous of degree n + 2 - g2, the degree
         of every cell of these tables, which read genus off degree; and a
         row already in entries, one of the table's seeds, must equal its
         cached row.  Else CacheError names the file and the row.
         """
+        model = self.model
         for key in self._cells:
-            m, n, g2 = key
-            if m != model or n > n_max:
+            _, n, g2 = key
+            if n > n_max:
                 continue
             row = self.get_row(model, n, g2)
             if row is None:
@@ -257,8 +285,8 @@ class CountCache:
             elif held != row:
                 raise CacheError(f"{self.path}: {model}[{n},{g2}]: cached {row}, seed {held}")
 
-    def store(self, model: str, entries: dict):
-        """Append every record of a polynomial table's rows that the file lacks.
+    def store(self, entries: dict):
+        """Append every record of a table's rows, of the view's model, that the file lacks.
 
         Each record the file holds for a row, coefficient or total, must
         equal the recomputed one, else CacheError names the file and the
@@ -266,6 +294,7 @@ class CountCache:
         exactly those records.  A row the file holds whole builds no
         records; `_append` drops the ones a partly held row already has.
         """
+        model = self.model
         records = []
         served = self._served
         for (n, g2), poly in entries.items():

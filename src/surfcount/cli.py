@@ -11,8 +11,10 @@ fails an integrality check, or a stored coefficient or total differs
 from the value its recomputed row gives (the message names the file and
 the row).  A fill with no cached row loaded that fails an integrality
 check is no cache fault: its IntegralityError propagates.  Only `maps
---bivariate`, `maps --engine cc|both` and `bipartite` use the cache; the
-other table commands take `--cache` and `--no-cache` and ignore them.
+--bivariate`, `maps --engine cc|both` and `bipartite --trivariate` use the
+cache, and each reads only the records of its own model up to its
+`--n-max`; the other table commands take `--cache` and `--no-cache` and
+ignore them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def cache_options(fn):
     fn = click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
                       default=None, help="count cache file (default: user cache dir); "
                       "holds polynomial rows only, so maps without --bivariate or "
-                      "--engine, triangulations, oneface and bip-oneface ignore it")(fn)
+                      "--engine, bipartite without --trivariate, triangulations, "
+                      "oneface and bip-oneface ignore it")(fn)
     fn = click.option("--no-cache", is_flag=True, help="disable the count cache")(fn)
     return fn
 
@@ -70,13 +73,16 @@ def _fill_rows(model, tables, n_max, g2_max, cache_path, no_cache):
     recomputed value, is one stderr line, exit code 3.
     """
     *checks, tab = tables
+    # the cache reads the rows of model that this run loads or stores: up
+    # to n_max, and the seed rows
+    rows = max([n_max] + [n for n, _ in tab.entries])
     try:
-        cache = None if no_cache else CountCache(cache_path or default_cache_path())
+        cache = None if no_cache else CountCache(cache_path or default_cache_path(), model, rows)
         for check in checks:
             check.fill(n_max, g2_max)
         seeds = len(tab.entries)
         if cache:
-            cache.load(model, tab.entries, n_max)
+            cache.load(tab.entries, n_max)
         loaded = len(tab.entries) > seeds
         try:
             tab.fill(n_max, g2_max)
@@ -91,7 +97,7 @@ def _fill_rows(model, tables, n_max, g2_max, cache_path, no_cache):
                         _echo(f"engine mismatch at n={n}, g={genus_label(g2)}", err=True)
                         sys.exit(1)
         if cache:
-            cache.store(model, tab.entries)
+            cache.store(tab.entries)
     except CacheError as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(3)
@@ -198,8 +204,13 @@ def maps_cmd(n_max, g_max, bivariate, engine, fmt, cache_path, no_cache):
 def bipartite_cmd(n_max, g_max, trivariate, fmt, cache_path, no_cache):
     """Rooted bipartite maps by edge count and genus."""
     top = _genus_top(g_max, n_max)
+    if not trivariate:
+        # the counts are the table at v = u: no cached row holds it, and it
+        # fills in a fraction of the trivariate table's time
+        _emit_grid("bipartite", BipTable(v_is_u=True).fill(n_max, top).count, n_max, top, fmt)
+        return
     tab = _fill_rows("bipartite", [BipTable()], n_max, top, cache_path, no_cache)
-    _emit_rows("bipartite", tab, n_max, top, fmt, trivariate)
+    _emit_rows("bipartite", tab, n_max, top, fmt, True)
 
 
 @main.command("triangulations")

@@ -268,6 +268,17 @@ class Poly:
                 out[kk] = out.get(kk, 0) + add
         return Poly(out, self.den)
 
+    def v_to_u(self) -> "Poly":
+        """Substitute v -> u.  Monomials it merges sum their coefficients:
+        u^2 v and u v^2 both become u^3."""
+        out: dict[int, int] = {}
+        get = out.get
+        for k, c in self.terms.items():
+            ev = k & _MASK
+            k += (ev << 2 * _SHIFT) - ev
+            out[k] = get(k, 0) + c
+        return Poly(out, self.den)
+
     def div_z(self) -> "Poly":
         """Exact division by z; every monomial must carry a z."""
         out = {}

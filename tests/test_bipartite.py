@@ -110,3 +110,17 @@ def test_bip_oneface_series():
     s = bip_oneface_series(one, 4)
     assert s.coeff(1) == (U * V).scale(Fraction(1, 2))
     assert s.coeff(4).coeff((1, 0, 1)) == Fraction(20, 8)
+
+
+@pytest.mark.parametrize("g2_max", [None, 2], ids=["uncut", "g-max-2"])
+def test_v_is_u_table_is_the_trivariate_table_at_v_equals_u(bip_16, g2_max):
+    # the substitution v -> u commutes with every step of the engine, the
+    # charge-shift weights included (Vandermonde), so the table filled at
+    # v = u is the trivariate table with v merged into u, cell for cell
+    full = bip_16 if g2_max is None else BipTable().fill(16, g2_max)
+    merged = BipTable(v_is_u=True).fill(16, g2_max)
+    assert merged.entries.keys() == full.entries.keys()
+    for (n, g2), poly in full.entries.items():
+        assert merged.poly(n, g2) == poly.v_to_u(), (n, g2)
+        assert not any(e[2] for e, _ in merged.poly(n, g2).int_items())
+        assert merged.count(n, g2) == full.count(n, g2)

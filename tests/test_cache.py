@@ -1,6 +1,7 @@
 import fcntl
 import hashlib
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import surfcount.cli
 import surfcount.maps
 from surfcount.bipartite import BipOneFaceTable
 from surfcount.cache import CountCache, HEADER, _parse_record
@@ -222,7 +224,8 @@ def test_kz_engine_leaves_the_cache_unread(tmp_path):
     assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("command", ["maps", "triangulations", "oneface", "bip-oneface"])
+@pytest.mark.parametrize("command", ["maps", "triangulations", "oneface", "bip-oneface",
+                                     "bipartite"])
 def test_uncached_commands_leave_the_cache_alone(tmp_path, command):
     # these tables recompute faster than their records parse: --cache is
     # accepted and ignored, so a file that is no cache is no error
@@ -236,6 +239,24 @@ def test_uncached_commands_leave_the_cache_alone(tmp_path, command):
     missing = tmp_path / "missing" / "counts.ndjson"
     assert CliRunner().invoke(main, args + ["--cache", str(missing)]).exit_code == 0
     assert not missing.parent.exists()
+
+
+def test_scalar_bipartite_leaves_a_trivariate_cache_alone(tmp_path):
+    # the counts come from the table at v = u, which the trivariate records
+    # cannot serve: the file is neither read nor written
+    path = tmp_path / "counts.ndjson"
+    args = ["bipartite", "--n-max", "10"]
+    plain = CliRunner().invoke(main, args + ["--no-cache"])
+    assert plain.exit_code == 0
+    res = CliRunner().invoke(main, args + ["--cache", str(path)])
+    assert res.exit_code == 0 and res.stdout == plain.stdout
+    assert not path.exists()
+    assert CliRunner().invoke(main, ["bipartite", "--trivariate", "--n-max", "10",
+                                     "--cache", str(path)]).exit_code == 0
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, args + ["--cache", str(path)])
+    assert res.exit_code == 0 and res.stderr == "" and res.stdout == plain.stdout
+    assert path.read_bytes() == before
 
 
 def _all_tables_cache(path):
@@ -272,6 +293,27 @@ def test_all_tables_cache_file_still_loads(tmp_path):
     res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "5", "--cache", str(path)])
     assert res.exit_code == 3 and res.stdout == ""
     assert res.stderr.count("\n") == 1 and f":{lineno}: malformed" in res.stderr
+
+
+def test_stale_records_are_not_loaded(tmp_path, monkeypatch):
+    # a maps run skips the records of the tables that are no longer
+    # cached, and of the rows above its --n-max, without parsing them
+    path = tmp_path / "counts.ndjson"
+    _all_tables_cache(path)
+    caches = []
+
+    class Recorded(CountCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+    monkeypatch.setattr(surfcount.cli, "CountCache", Recorded)
+    res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "3", "--cache", str(path)])
+    assert res.exit_code == 0 and res.stderr == ""
+    (cache,) = caches
+    assert {(model, n) for model, n, *_ in cache.records} == {
+        ("maps", n) for n in range(1, 4)}
+    models = {json.loads(line)["model"] for line in path.read_text().splitlines()[1:]}
+    assert models == {"maps", "triangulations", "oneface", "bip-oneface"}
 
 
 def test_row_completes_after_its_total(tmp_path):
@@ -573,6 +615,21 @@ def test_store_writes_exactly_the_missing_records(tmp_path, command):
     assert path.read_bytes() == again
 
 
+@pytest.mark.parametrize("n_max", ["0", "1"])
+@pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
+def test_warm_run_below_the_seed_rows_appends_nothing(tmp_path, command, n_max):
+    # the table stores its seed rows above n_max too, so the run reads them
+    path = tmp_path / "counts.ndjson"
+    args = command.split() + ["--n-max", n_max, "--cache", str(path)]
+    cold = CliRunner().invoke(main, args)
+    assert cold.exit_code == 0
+    before = path.read_bytes()
+    assert b'"n": 2, ' in before
+    warm = CliRunner().invoke(main, args)
+    assert warm.exit_code == 0 and warm.stdout == cold.stdout
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("g_max", [[], ["--g-max", "3"]], ids=["all-genera", "g-max-3"])
 @pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
 def test_deleted_cell_of_a_middle_row_is_refilled(tmp_path, command, g_max):
@@ -610,3 +667,107 @@ def test_store_skips_the_rows_it_served(tmp_path, monkeypatch):
     seeds = list(MapsTable.SEEDS.values())
     assert len(read) == len(seeds) and all(any(p is s for s in seeds) for p in read)
     assert path.read_bytes() == before
+
+
+# -- a request reads only the lines it needs ------------------------------
+
+_MODELS = ("maps", "bipartite", "bip-oneface", "triangulations", "oneface")
+
+
+def _skipped(line, lineno, last, model, n_max):
+    """The documented rule: an inner line that is a whole record with the
+    canonical start, of another model or of n above n_max."""
+    head = re.match('{"model": "([a-z-]+)", "n": (0|[1-9][0-9]*), "g2": (0|[1-9][0-9]*),',
+                    line)
+    return (1 < lineno < last and line.endswith("}") and head is not None
+            and head[1] in _MODELS and (head[1] != model or int(head[2]) > n_max))
+
+
+@pytest.mark.parametrize("place", ["header", "inner", "last", "last-newline", "other-model"])
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+def test_selective_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, place):
+    # the records of maps with n <= 3 are those of the full load; a line
+    # the request reads raises what the full load raises on it
+    spell = _SPELLINGS[spelling]
+    lines = [json.dumps(obj).encode() for obj in [HEADER] + _RECORDS]
+    if place == "header":
+        lines[0] = spell(HEADER)
+    elif place == "inner":
+        lines[2] = spell(_RECORDS[1])
+    elif place == "other-model":
+        lines[3] = spell(_RECORDS[2])
+    else:
+        lines.append(spell({"model": "oneface", "n": 4, "g2": 2, "value": "93"}))
+    path = tmp_path / "counts.ndjson"
+    path.write_bytes(b"\n".join(lines) + (b"" if place == "last" else b"\n"))
+    # the lines it skips, blanked, are lines the reference skips too
+    text = path.read_bytes().decode(errors="replace").split("\n")
+    read = tmp_path / "read.ndjson"
+    read.write_bytes("\n".join(
+        "" if _skipped(line, k, len(text), "maps", 3) else line
+        for k, line in enumerate(text, 1)).encode())
+
+    def outcome(load):
+        try:
+            got = ("records", load())
+        except CacheError as exc:
+            got = ("error", str(exc).replace(str(read), str(path)))
+        return got, capsys.readouterr().err.replace(str(read), str(path))
+
+    def reference():
+        return {key: value for key, value in _reference_load(read).items()
+                if key[0] == "maps" and key[1] <= 3}
+    assert outcome(lambda: CountCache(path, "maps", 3).records) == outcome(reference)
+
+
+def test_selective_load_reads_the_first_line(tmp_path):
+    # a file that starts with a record, not the header, is no cache, even
+    # when that record is one a request would skip
+    path = tmp_path / "counts.ndjson"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in _RECORDS[::-1]))
+    with pytest.raises(CacheError, match="not a surfcount cache"):
+        CountCache(path, "maps", 3)
+
+
+def _maps_cache_with(path, line, last=False):
+    """A maps --bivariate cache for n <= 4 with line put before its last
+    record, or with last after it, without a newline; the line's number."""
+    assert CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4",
+                                     "--cache", str(path)]).exit_code == 0
+    lines = path.read_text().splitlines()
+    if last:
+        path.write_text("\n".join(lines) + "\n" + line)
+        return len(lines) + 1
+    path.write_text("\n".join(lines[:-1] + [line, lines[-1]]) + "\n")
+    return len(lines)
+
+
+@pytest.mark.parametrize("line, error", [
+    ('{"model": "bipartite", "n": 9, "g2": 0, "i": 1, "j": 1, "k": 1, "value": "1"',
+     "unparsable cache record"),
+    ('{"model": "bipartite", "n": "4", "g2": 0, "i": 1, "j": 1, "k": 1, "value": "1"}',
+     "malformed cache record"),
+], ids=["torn-before-its-brace", "n-a-string"])
+def test_cli_malformed_line_of_another_model_exit_code(tmp_path, line, error):
+    # a line whose start or end is not canonical is read, whatever its model
+    path = tmp_path / "counts.ndjson"
+    lineno = _maps_cache_with(path, line)
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4",
+                                    "--cache", str(path)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and f":{lineno}: {error}" in res.stderr
+    assert path.read_bytes() == before
+
+
+def test_cli_torn_last_line_of_another_model_is_dropped_and_cut(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    lineno = _maps_cache_with(path, '{"model": "bipartite", "n": 9, "g2": 0, "val', last=True)
+    args = ["maps", "--bivariate", "--format", "csv", "--n-max"]
+    res = CliRunner().invoke(main, args + ["5", "--cache", str(path)])
+    assert res.exit_code == 0
+    assert res.stdout == CliRunner().invoke(main, args + ["5", "--no-cache"]).stdout
+    assert res.stderr == f"warning: dropping torn last line {lineno} of {path}\n"
+    assert '"bipartite"' not in path.read_text()
+    assert CountCache(path).records == CountCache(path, "maps", 5).records

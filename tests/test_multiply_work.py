@@ -31,7 +31,9 @@ def cells_digest(table):
      "fde9f83dff359fd885a1ae4a074be22cb413d9af6b0017997e4d0128121d18b2"),
     (lambda: BipTable().fill(13),
      "85098c99628a7b9d86dbb5807dc9f42e5eb99bd9a61f10604a37e0fb4b02f1d4"),
-], ids=["MapsTable-cc-16", "MapsTable-kz-16", "BipTable-13"])
+    (lambda: BipTable(v_is_u=True).fill(13),
+     "6b5203a73ca57b2cc5457dac890b03b45dc137643fd7874a494821c59abc0888"),
+], ids=["MapsTable-cc-16", "MapsTable-kz-16", "BipTable-13", "BipTable-v-is-u-13"])
 def test_table_cells_are_pinned(fill, digest):
     assert cells_digest(fill()) == digest
 
@@ -66,9 +68,12 @@ def dot_work(monkeypatch):
     (lambda: MapsTable("cc").fill(12, 2), 10134),
     (lambda: MapsTable("kz").fill(12, 2), 8966),
     (lambda: BipTable().fill(10, 2), 11469),
+    # at v = u a row has a term per (u, z) monomial, not per (u, v, z)
+    # one: the trivariate fill(13) multiplies 81493 pairs
+    (lambda: BipTable(v_is_u=True).fill(13), 14545),
 ], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8",
         "ode-oneface-bipartite-12", "MapsTable-cc-12-cut-2", "MapsTable-kz-12-cut-2",
-        "BipTable-10-cut-2"])
+        "BipTable-10-cut-2", "BipTable-v-is-u-13"])
 def test_multiply_work_budget(dot_work, run, pairs):
     run()
     assert dot_work["pairs"] == pairs

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcount.errors import IntegralityError, NonDivisibleError
-from surfcount.poly import ONE, Poly, U, Z
+from surfcount.poly import ONE, Poly, U, V, Z
 
 UZ = U * Z
 
@@ -175,3 +175,20 @@ def test_int_scale_matches_fraction_scale(k):
     for q in (p, UZ + ONE):
         got, want = q.scale(k), q.scale(Fraction(k))
         assert (got.terms, got.den) == (want.terms, want.den)
+
+
+def test_v_to_u_sums_the_monomials_it_merges():
+    # an overwriting substitution would keep one of the two u^3 terms
+    assert (U * U * V + U * V * V).v_to_u() == 2 * U * U * U
+    assert (U * V - V * U).v_to_u().is_zero()
+    assert (3 * V * Z - U * Z).v_to_u() == 2 * U * Z
+    assert Poly.zero().v_to_u().is_zero()
+
+
+@settings(max_examples=60)
+@given(polys, polys, points)
+def test_v_to_u_is_a_ring_homomorphism(p, q, point):
+    assert (p * q).v_to_u() == p.v_to_u() * q.v_to_u()
+    assert (p + q).v_to_u() == p.v_to_u() + q.v_to_u()
+    u, z, _ = point
+    assert p.v_to_u().evaluate(u, z, 1) == p.evaluate(u, z, u)
