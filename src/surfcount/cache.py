@@ -175,7 +175,10 @@ class CountCache:
         """Load the file at path, every record of it.  Given model and
         n_max, the view of the table runs: it keeps only the records of
         model with n <= n_max, and skips the lines of other records
-        unparsed where their start is canonical."""
+        unparsed where their start is canonical.  A model needs its
+        n_max (ValueError)."""
+        if model is not None and n_max is None:
+            raise ValueError(f"the view of {model!r} needs n_max")
         self.path = Path(path)
         self.model = model
         # (model, n, g2) -> {indices: value}, indices None for the count
@@ -259,6 +262,12 @@ class CountCache:
 
     # -- tables ----------------------------------------------------------
 
+    def _view_model(self) -> str:
+        if self.model is None:
+            raise ValueError("load and store need the view of one model: "
+                             "CountCache(path, model, n_max)")
+        return self.model
+
     def load(self, entries: dict, n_max: int):
         """Copy the complete cached rows of the view's model with n <= n_max
         into a polynomial table's entries, keyed (n, g2).
@@ -266,9 +275,10 @@ class CountCache:
         A served row must be homogeneous of degree n + 2 - g2, the degree
         of every cell of these tables, which read genus off degree; and a
         row already in entries, one of the table's seeds, must equal its
-        cached row.  Else CacheError names the file and the row.
+        cached row.  Else CacheError names the file and the row.  A view
+        of every model has no table to load into (ValueError).
         """
-        model = self.model
+        model = self._view_model()
         for key in self._cells:
             _, n, g2 = key
             if n > n_max:
@@ -293,8 +303,9 @@ class CountCache:
         record.  A row that `load` served is skipped: it was built from
         exactly those records.  A row the file holds whole builds no
         records; `_append` drops the ones a partly held row already has.
+        A view of every model has no table to store (ValueError).
         """
-        model = self.model
+        model = self._view_model()
         records = []
         served = self._served
         for (n, g2), poly in entries.items():

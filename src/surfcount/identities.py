@@ -32,6 +32,15 @@ evaluates the residual through it, and `oneface_ode_fill` fills the
 one-face tables from it, a second engine beside `ledoux` and
 `bip_oneface`.
 
+The bipartite series and every bipartite constant are symmetric in the
+two vertex colours u and v, so the bipartite F[lam], KP combinations and
+ODE are computed in the basis (s, z, p), s = u + v and p = uv
+(`poly.to_sp`), on about half the terms; `verify_ode` maps the residual
+back to (u, z, v).  A bipartite table whose series is not symmetric has
+no such form, and its context carries the colour defect eta -
+eta|u<->v instead: nonzero, so `verify_ode` returns it as the residual
+and the identity fails at the first row that breaks the symmetry.
+
 Each F[lam] step and each KP combination is one `TSeries.dot` over
 (weight, series, series) triples; a lone series is paired with a
 constant series (1, z or the linear factor).  Each coefficient of a
@@ -48,7 +57,7 @@ from math import comb, lcm
 from .bipartite import BipOneFaceTable, BipTable, bip_oneface_series, eta_series
 from .errors import IntegralityError, WindowError
 from .maps import MapsTable, OneFaceTable, oneface_series, theta_series
-from .poly import ONE, U, V, Z, ZERO, Poly
+from .poly import ONE, P, S, U, V, Z, ZERO, Poly, from_sp, to_sp
 from .triangulations import TriTable, xi_series
 from .tseries import TSeries
 
@@ -92,11 +101,17 @@ def _canon(parts) -> tuple[int, ...]:
 
 @dataclass
 class SeriesContext:
-    """One model's series plus the memo of computed F[lam]."""
+    """One model's series plus the memo of computed F[lam].
+
+    A bipartite series is in (s, z, p); one that is not colour-symmetric
+    stays in (u, z, v), with its nonzero colour defect, and builds no
+    F[lam].
+    """
 
     model: str                     # "maps" | "bipartite" | "triangulations"
     theta: TSeries
     memo: dict = field(default_factory=dict)
+    defect: TSeries | None = None
 
 
 def maps_context(order: int, table: MapsTable | None = None) -> SeriesContext:
@@ -105,7 +120,11 @@ def maps_context(order: int, table: MapsTable | None = None) -> SeriesContext:
 
 def bipartite_context(order: int, table: BipTable | None = None) -> SeriesContext:
     table = table or BipTable().fill(order)
-    return SeriesContext("bipartite", eta_series(table, order))
+    eta = eta_series(table, order)
+    defect = eta - eta.map(Poly.swap_uv)
+    if not defect.is_zero():
+        return SeriesContext("bipartite", eta, defect=defect)
+    return SeriesContext("bipartite", eta.map(to_sp))
 
 def triangulations_context(order: int, table: TriTable | None = None) -> SeriesContext:
     table = table or TriTable().fill(order // 6)
@@ -123,7 +142,7 @@ _U_U1 = (U * (U + ONE)).scale(_HALF)
 _LOOP = {
     "maps": (2, 2 * U + ONE, {(-1, (1,)): U.scale(_HALF), (-1, ()): _UZ.scale(_HALF),
                               (0, ()): _U_U1}, 9),
-    "bipartite": (1, U + V, {(0, ()): _UV.scale(_HALF)}, 9),
+    "bipartite": (1, S, {(0, ()): P.scale(_HALF)}, 9),   # in (s, z, p)
     "triangulations": (3, 2 * U + ONE, {(-1, (1,)): U.scale(_HALF), (0, ()): _U_U1}, 10),
 }
 
@@ -136,6 +155,8 @@ def ftheta(ctx: SeriesContext, lam) -> TSeries:
 
 def _F(ctx: SeriesContext, parts: tuple[int, ...]) -> TSeries:
     if not parts:
+        if ctx.defect is not None:
+            raise ValueError("the bipartite series is not colour-symmetric")
         return ctx.theta
     hit = ctx.memo.get(parts)
     if hit is None:
@@ -255,9 +276,9 @@ def verify_shifted_bkp1(ctx: SeriesContext) -> TSeries:
 _ODE = {
     "maps": (6, ONE, 2, lambda kp2: kp2.scale(_HALF),
              {4: _UZ - 4 * ONE, 2: 3 * U + ONE - Z}),
-    "bipartite": (4, ONE, 4,
-                  lambda kp2: kp2 * TSeries.exact({1: U + V + ONE - Z, 0: ONE}).scale(_HALF),
-                  {2: 3 * _UV, 1: -(U + V)}),
+    "bipartite": (4, ONE, 4,   # in (s, z, p)
+                  lambda kp2: kp2 * TSeries.exact({1: S + ONE - Z, 0: ONE}).scale(_HALF),
+                  {2: 3 * P, 1: -S}),
     "triangulations": (10, Z * Z, 5, lambda kp2: kp2.div_z().shift_t(-2).scale(_HALF),
                        {8: (4 * (U * U + U)) * Z * Z, 2: U}),
 }
@@ -269,11 +290,16 @@ def verify_ode(model: str, ctx: SeriesContext) -> TSeries:
     With D(f) = w (f'' t^s + c f' t^(s-1)) and the model's row of _ODE:
     w KP1'^2 t^s - KP2^2 + KP1 (KP3 - kp2_term(KP2) - D(KP1)
     - KP1 (2 D(theta) + exact)).
+
+    The bipartite residual is computed in (s, z, p) and returned in (u,
+    z, v); a context with a colour defect returns the defect.
     """
     if ctx.model != model:
         raise ValueError(f"context is for {ctx.model!r}, not {model!r}")
     if model not in _ODE:
         raise ValueError(f"unknown model {model!r}")
+    if ctx.defect is not None:
+        return ctx.defect
     s, w, c, kp2_term, exact = _ODE[model]
 
     def weight(f):
@@ -286,7 +312,8 @@ def verify_ode(model: str, ctx: SeriesContext) -> TSeries:
     d1 = kp1.dt()
     cof = _series_sum([D(ctx.theta.dt()).scale(2), TSeries.exact(exact)])
     inner = kp3 - kp2_term(kp2) - (D(d1) + kp1 * cof)
-    return weight((d1 * d1).shift_t(s)) - kp2 * kp2 + kp1 * inner
+    res = weight((d1 * d1).shift_t(s)) - kp2 * kp2 + kp1 * inner
+    return res.map(from_sp) if model == "bipartite" else res
 
 
 _DMV2 = (U - V) * (U - V)

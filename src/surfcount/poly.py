@@ -20,6 +20,13 @@ polynomial, which makes sharing across threads safe.  Integer rows go in
 and out without a Fraction per coefficient: `from_terms` packs int
 coefficients as they are, `int_items` reads them back, and `evaluate`
 at u = z = v = 1 is one sum of numerators.
+
+A polynomial symmetric in u and v is one in s = u + v and p = uv, z
+passing through.  `to_sp` writes it in that basis, in the same packed
+form with s in the u slot and p in the v slot (`S` and `P`), and
+`from_sp` expands it back; both are exact and linear, and `to_sp` is a
+ring isomorphism onto its image, so products and sums computed in
+(s, z, p) map back to the ones computed in (u, z, v).
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from .errors import IntegralityError, NonDivisibleError
 
 _SHIFT = 21
 _MASK = (1 << _SHIFT) - 1
+
+
+# k + (e_v - e_u) * _UV_SWAP swaps the u and v fields of key k
+_UV_SWAP = (1 << 2 * _SHIFT) - 1
 
 
 def _pack(eu: int, ez: int, ev: int) -> int:
@@ -279,6 +290,11 @@ class Poly:
             out[k] = get(k, 0) + c
         return Poly(out, self.den)
 
+    def swap_uv(self) -> "Poly":
+        """Substitute u <-> v."""
+        return Poly({k + ((k & _MASK) - (k >> 2 * _SHIFT)) * _UV_SWAP: c
+                     for k, c in self.terms.items()}, self.den)
+
     def div_z(self) -> "Poly":
         """Exact division by z; every monomial must carry a z."""
         out = {}
@@ -333,3 +349,52 @@ ONE = Poly.const(1)
 U = Poly({_pack(1, 0, 0): 1})
 Z = Poly({_pack(0, 1, 0): 1})
 V = Poly({_pack(0, 0, 1): 1})
+
+# the colour-symmetric basis: s = u + v in the u slot, p = uv in the v slot
+S, P = U, V
+
+
+def to_sp(f: Poly) -> Poly:
+    """f, symmetric in u and v, in (s, z, p); ValueError if it is not.
+
+    Each pair u^a v^b + u^b v^a (a > b) is p^b P_(a-b), with P_k = u^k +
+    v^k = sum_j (-1)^j k / (k - j) C(k - j, j) s^(k - 2j) p^j by Waring's
+    formula, and u^a v^a is p^a.
+    """
+    terms = f.terms
+    waring: dict[int, list] = {}
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in terms.items():
+        a, b = k >> 2 * _SHIFT, k & _MASK
+        if a != b and terms.get(k + (b - a) * _UV_SWAP) != c:
+            raise ValueError(f"not symmetric in u and v: {f}")
+        if a < b:
+            continue
+        base = (k & (_MASK << _SHIFT)) + b     # z^e_z p^b
+        d = a - b
+        if not d:
+            out[base] = get(base, 0) + c
+            continue
+        if d not in waring:
+            waring[d] = [(((d - 2 * j) << 2 * _SHIFT) + j,       # s^(d - 2j) p^j
+                          (-1) ** j * d * comb(d - j, j) // (d - j))
+                         for j in range(d // 2 + 1)]
+        for step, w in waring[d]:
+            key = base + step
+            out[key] = get(key, 0) + c * w
+    return Poly(out, f.den)
+
+
+def from_sp(f: Poly) -> Poly:
+    """f in (s, z, p) expanded back to (u, z, v): s^i p^j is
+    sum_r C(i, r) u^(r + j) v^(i - r + j)."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in f.terms.items():
+        i, j = k >> 2 * _SHIFT, k & _MASK
+        base = (k & (_MASK << _SHIFT)) + (j << 2 * _SHIFT) + j + i   # u^j z^e_z v^(i + j)
+        for r in range(i + 1):
+            key = base + r * _UV_SWAP
+            out[key] = get(key, 0) + c * comb(i, r)
+    return Poly(out, f.den)

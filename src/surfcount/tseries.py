@@ -262,11 +262,16 @@ class TSeries:
         hi = None if self.max_order is None else self.max_order + k
         return TSeries(self.min_order + k, list(self.coeffs), hi)
 
+    def map(self, fn) -> "TSeries":
+        """fn applied to every coefficient, window kept: fn is linear, such
+        as a substitution or a change of basis."""
+        return TSeries(self.min_order, [fn(p) for p in self.coeffs], self.max_order)
+
     def div_z(self) -> "TSeries":
-        return TSeries(self.min_order, [p.div_z() for p in self.coeffs], self.max_order)
+        return self.map(Poly.div_z)
 
     def shift_u(self, delta: int) -> "TSeries":
-        return TSeries(self.min_order, [p.shift_u(delta) for p in self.coeffs], self.max_order)
+        return self.map(lambda p: p.shift_u(delta))
 
     # -- comparisons -------------------------------------------------------
 

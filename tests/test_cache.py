@@ -771,3 +771,26 @@ def test_cli_torn_last_line_of_another_model_is_dropped_and_cut(tmp_path):
     assert res.stderr == f"warning: dropping torn last line {lineno} of {path}\n"
     assert '"bipartite"' not in path.read_text()
     assert CountCache(path).records == CountCache(path, "maps", 5).records
+
+
+def test_model_view_needs_n_max(tmp_path):
+    # without n_max the view could not tell which lines to skip
+    path = tmp_path / "counts.ndjson"
+    CountCache(path).put_scalar("maps", 1, 0, 2)
+    with pytest.raises(ValueError, match="n_max"):
+        CountCache(path, "maps")
+
+
+def test_full_view_does_not_load(tmp_path):
+    # a view of every model has no model whose rows it could serve
+    path = tmp_path / "counts.ndjson"
+    CountCache(path, "maps", 3).store(MapsTable("cc").fill(3).entries)
+    with pytest.raises(ValueError, match="one model"):
+        CountCache(path).load({}, 3)
+
+
+def test_full_view_does_not_store(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    with pytest.raises(ValueError, match="one model"):
+        CountCache(path).store(MapsTable("cc").fill(3).entries)
+    assert not path.exists()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from surfcount import identities
-from surfcount.bipartite import BipOneFaceTable, bip_oneface_series
+from surfcount.bipartite import BipOneFaceTable, BipTable, bip_oneface_series
 from surfcount.errors import WindowError
 from surfcount.identities import (
     LambdaIndex,
@@ -22,7 +22,7 @@ from surfcount.identities import (
 )
 from surfcount.maps import MapsTable, OneFaceTable, oneface_series
 from surfcount.oracle import marked_face_coefficient
-from surfcount.poly import ONE, Poly, U, V, Z
+from surfcount.poly import ONE, Poly, U, V, Z, from_sp
 from surfcount.tseries import TSeries
 
 
@@ -78,8 +78,9 @@ def test_kp1_lowest_order(ctx10):
 def test_kp1_bipartite_lowest_order(bip_16):
     ctx = bipartite_context(8, bip_16)
     kp1, _, _ = kp_combinations(ctx)
-    assert kp1.coeff(4) == U * V * (U - ONE) * (V - ONE)
-    assert kp1.coeff(5) == (U * V * (U - ONE) * (V - ONE) * Z).scale(4)
+    # the bipartite combinations are computed in (s, z, p)
+    assert from_sp(kp1.coeff(4)) == U * V * (U - ONE) * (V - ONE)
+    assert from_sp(kp1.coeff(5)) == (U * V * (U - ONE) * (V - ONE) * Z).scale(4)
 
 
 def test_shifted_residual_zero(ctx10):
@@ -167,6 +168,37 @@ def test_mutation_detected_in_fixed_charge(maps_cc_12):
     assert not res.is_zero()
 
 
+def _bip_corrupted(table, n, g2, delta):
+    broken = BipTable()
+    broken.entries.update(table.entries)
+    broken.entries[n, g2] = broken.entries[n, g2] + Poly.from_terms(delta)
+    return broken
+
+
+@pytest.mark.parametrize("n, g2, delta, digest", [
+    (4, 1, {(2, 1, 2): 1}, "1c02ab3e5a3445f4d91323741170c866bd3d125507e7ca377fadee9caf63725f"),
+    (5, 0, {(3, 2, 2): 1, (2, 2, 3): 1},
+     "2b6be38d481c494f0aa50fd825b2a1ae6ea152203d2534f912cdc5df236a62af"),
+    (6, 2, {(2, 2, 2): 1}, "2ee37ec1e4d5fedfc8f4f257c050ce4a4baaa519c818a970f6eb4c58a568a722"),
+], ids=["K-4-1", "K-5-0", "K-6-2"])
+def test_bipartite_ode_fail_path_is_pinned(bip_16, n, g2, delta, digest):
+    # a colour-symmetric +1 corruption: the residual, window included, is
+    # the one the ODE gave when computed in (u, z, v)
+    broken = _bip_corrupted(bip_16, n, g2, delta)
+    res = verify_ode("bipartite", bipartite_context(n + 6, broken))
+    assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
+
+
+def test_asymmetric_bipartite_table_fails_at_its_row(bip_16):
+    # +1 on u^3 z v and -1 on u z v^3 break the colour symmetry at t^4: the
+    # residual is the colour defect, and no F[lam] is built
+    broken = _bip_corrupted(bip_16, 4, 1, {(3, 1, 1): 1, (1, 1, 3): -1})
+    rep = run_identity("ode-bipartite", 10, {"bipartite": broken})
+    assert rep.status == "fail" and rep.first_failure["order"] == 4
+    with pytest.raises(ValueError):
+        ftheta(bipartite_context(10, broken), (1,))
+
+
 def test_run_identity_reports():
     rep = run_identity("ode-oneface-maps", 8)
     assert rep.status == "pass"
@@ -209,10 +241,13 @@ def test_raised_order_residuals(name, order):
 
 
 def memo_digest(ctx):
+    # the bipartite memo is in (s, z, p): hashed mapped back to (u, z, v)
+    back = from_sp if ctx.model == "bipartite" else (lambda p: p)
     h = hashlib.sha256()
     for key, value in ctx.memo.items():
         for s in (value if key == "__kp__" else (value,)):
-            h.update(repr((key, s.min_order, s.max_order, [str(p) for p in s.coeffs])).encode())
+            h.update(repr((key, s.min_order, s.max_order,
+                           [str(back(p)) for p in s.coeffs])).encode())
     return h.hexdigest()
 
 

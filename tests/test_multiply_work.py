@@ -62,7 +62,8 @@ def dot_work(monkeypatch):
     (lambda: MapsTable("cc").fill(12), 19791),
     (lambda: MapsTable("kz").fill(12), 16346),
     (lambda: BipTable().fill(10), 14653),
-    (lambda: run_identity("ode-bipartite", 8), 66978),
+    # the F[lam] and KP products run in (s, z, p): 66978 pairs in (u, z, v)
+    (lambda: run_identity("ode-bipartite", 8), 35598),
     (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
     # a cut fill multiplies no part above the cap
     (lambda: MapsTable("cc").fill(12, 2), 10134),

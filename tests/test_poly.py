@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcount.errors import IntegralityError, NonDivisibleError
-from surfcount.poly import ONE, Poly, U, V, Z
+from surfcount.poly import ONE, P, S, Poly, U, V, Z, from_sp, to_sp
 
 UZ = U * Z
 
@@ -192,3 +192,41 @@ def test_v_to_u_is_a_ring_homomorphism(p, q, point):
     assert (p + q).v_to_u() == p.v_to_u() + q.v_to_u()
     u, z, _ = point
     assert p.v_to_u().evaluate(u, z, 1) == p.evaluate(u, z, u)
+
+
+def test_swap_uv():
+    assert (U * U * V + 3 * V * Z).swap_uv() == U * V * V + 3 * U * Z
+    assert (U * V - ONE).swap_uv() == U * V - ONE
+
+
+def test_to_sp_by_hand():
+    # s = u + v and p = uv sit in the u and v slots
+    assert to_sp(U + V) == S and to_sp(U * V) == P
+    assert to_sp(U * U + V * V) == S * S - 2 * P
+    assert to_sp(U * U * U * U + V * V * V * V) == S * S * S * S - 4 * S * S * P + 2 * P * P
+    assert to_sp((U * U * V + U * V * V) * Z + 3 * ONE) == S * P * Z + 3 * ONE
+
+
+@pytest.mark.parametrize("f", [U, V, U * V * V, U * U + 2 * V * V, U + V + U * Z],
+                         ids=["u", "v", "u-v2", "u2-2v2", "u-v-uz"])
+def test_to_sp_rejects_asymmetric(f):
+    with pytest.raises(ValueError):
+        to_sp(f)
+
+
+symmetric_polys = polys.map(lambda p: p + p.swap_uv())
+
+
+@settings(max_examples=60)
+@given(symmetric_polys, symmetric_polys)
+def test_to_sp_is_an_exact_ring_map(p, q):
+    assert from_sp(to_sp(p)) == p
+    assert to_sp(p * q) == to_sp(p) * to_sp(q)
+    assert to_sp(p + q) == to_sp(p) + to_sp(q)
+
+
+@settings(max_examples=60)
+@given(polys, points)
+def test_from_sp_substitutes_s_and_p(f, point):
+    u, z, v = point
+    assert from_sp(f).evaluate(u, z, v) == f.evaluate(u + v, z, u * v)
