@@ -31,70 +31,39 @@ fixing its root but the identity (Tutte 1963).  Walsh and Lehman
 way.  The tallies are therefore rooted counts as they stand: no
 symmetry factor and no division.
 
+The counts are kept up to date as the pairs are set, so a leaf reads
+them off instead of walking the orbits.  While the map is built, the
+s2 and s1 pairs split the flags into paths and cycles, the vertices
+being the cycles, and the s0 and s1 pairs likewise for faces.  Every
+flag whose s1 is unset ends a path, and each path end holds the
+other end (and, for faces, the path's number of s0 pairs, that is the
+face degree so far).  Pairing x with y either closes a cycle, when y
+is the other end of x's path (one more vertex; a face whose degree is
+pushed on a stack), or joins two paths, rewriting the entries at their
+two far ends; the backtrack restores them.  The bipartite colouring
+goes the same way: the root vertex is black, an edge k opened from
+flag x gives flags 4k, 4k+1 the colour of x and 4k+2, 4k+3 the other
+one, a pair of differently coloured flags is a conflict, and a vertex
+that closes black adds one black vertex.  The map is bipartite exactly
+when no pair conflicts.
+
 This module is ground truth for coefficients no published table prints
-(the full vertex/face split); it is itself validated against the n = 1
-and n = 2 rows before its higher output is trusted.  The number of
-leaves grows super-exponentially (3, 24, 297, 4 896, 100 278 for
-n = 1..5), so n <= MAX_EDGES is enforced.
+(the full vertex/face split, and at n = 6 the genus split); it is
+itself validated against the n = 1 and n = 2 rows before its higher
+output is trusted.  The number of leaves grows super-exponentially (3,
+24, 297, 4 896, 100 278, 2 450 304 for n = 1..6), so n <= MAX_EDGES is
+enforced.
 """
 
 from __future__ import annotations
 
 from .errors import IntegralityError
 
-MAX_EDGES = 5
+MAX_EDGES = 6
 
 
-def _rooted_maps(n: int):
-    """Yield s1 of each rooted map with n edges, once, canonically labelled.
-
-    The same list is yielded every time: read it before the next step.
-    """
-    s1 = [-1] * (4 * n)
-
-    def grow(x: int, opened: int):
-        top = 4 * opened
-        while x < top and s1[x] >= 0:
-            x += 1
-        if x == top:
-            if opened == n:
-                yield s1
-            return
-        for y in range(x + 1, top):
-            if s1[y] < 0:
-                s1[x], s1[y] = y, x
-                yield from grow(x + 1, opened)
-                s1[y] = -1
-        if opened < n:
-            s1[x], s1[top] = top, x
-            yield from grow(x + 1, opened + 1)
-            s1[top] = -1
-        s1[x] = -1
-
-    return grow(0, 1)
-
-
-def _orbits(s1: list[int], mask: int):
-    """Orbit labels and sizes of <s1, x -> x ^ mask> on the flags.
-
-    Each orbit of two involutions is a cycle alternating between them,
-    so one walk covers it.
-    """
-    labels = [-1] * len(s1)
-    sizes = []
-    for start in range(len(s1)):
-        if labels[start] >= 0:
-            continue
-        k = len(sizes)
-        size = 0
-        x = start
-        while labels[x] < 0:
-            y = x ^ mask
-            labels[x] = labels[y] = k
-            size += 2
-            x = s1[y]
-        sizes.append(size)
-    return labels, sizes
+def _add(tally: dict, key, count: int) -> None:
+    tally[key] = tally.get(key, 0) + count
 
 
 def scan(n: int) -> dict:
@@ -108,42 +77,77 @@ def scan(n: int) -> dict:
     """
     if not (1 <= n <= MAX_EDGES):
         raise ValueError(f"oracle supports 1 <= edges <= {MAX_EDGES}, got {n}")
+    size = 4 * n
+    paired = [False] * size
+    # vend[x] / fend[x]: the other end of the vertex / face path that ends
+    # at x; flen[x]: that face path's number of s0 pairs
+    vend = [x ^ 1 for x in range(size)]
+    fend = [x ^ 2 for x in range(size)]
+    flen = [1] * size
+    colour = [0, 0, 1, 1] + [0] * (size - 4)
+    degs: list[int] = []
+    # one tally over the leaves, keyed (vertices, black vertices or -1
+    # when the colouring conflicts, face degrees in closing order); the
+    # four tallies are folded from it after the scan
+    leaves: dict[tuple[int, int, tuple[int, ...]], int] = {}
+
+    def grow(x: int, opened: int, v: int, blacks: int, conflicts: int):
+        top = 4 * opened
+        while x < top and paired[x]:
+            x += 1
+        if x == top:
+            if opened == n:
+                key = (v, -1 if conflicts else blacks, tuple(degs))
+                leaves[key] = leaves.get(key, 0) + 1
+            return
+        a, c, cx = vend[x], fend[x], colour[x]
+        for y in range(x + 1, top + (opened < n)):
+            if paired[y]:
+                continue
+            paired[y] = True
+            if y == top:
+                colour[y] = colour[y + 1] = cx
+                colour[y + 2] = colour[y + 3] = 1 - cx
+            if a == y:
+                next_v, next_blacks = v + 1, blacks + (cx == 0)
+            else:
+                b = vend[y]
+                vend[a], vend[b] = b, a
+                next_v, next_blacks = v, blacks
+            if c == y:
+                degs.append(flen[x])
+            else:
+                d = fend[y]
+                fend[c], fend[d] = d, c
+                flen[c] = flen[d] = flen[x] + flen[y]
+            grow(x + 1, opened + (y == top), next_v, next_blacks,
+                 conflicts + (colour[y] != cx))
+            if a != y:
+                vend[a], vend[b] = x, y
+            if c == y:
+                degs.pop()
+            else:
+                fend[c], fend[d] = x, y
+                flen[c], flen[d] = flen[x], flen[y]
+            paired[y] = False
+
+    grow(0, 1, 0, 0, 0)
+
     maps_tally: dict[tuple[int, int], int] = {}
     bip_tally: dict[tuple[int, int, int], int] = {}
     tri_tally: dict[int, int] = {}
     prof_tally: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    for s1 in _rooted_maps(n):
-        vlab, vsizes = _orbits(s1, 1)
-        _, fsizes = _orbits(s1, 2)
-        v, f = len(vsizes), len(fsizes)
+    for (v, blacks, closed), count in leaves.items():
+        f = len(closed)
         g2 = 2 - v + n - f
         if g2 < 0:
             raise IntegralityError(f"negative genus at n={n}: v={v}, f={f}")
-        key = (v, f)
-        maps_tally[key] = maps_tally.get(key, 0) + 1
-
-        degs = tuple(sorted(s // 2 for s in fsizes))
-        pkey = (v, degs)
-        prof_tally[pkey] = prof_tally.get(pkey, 0) + 1
-        if n % 3 == 0 and all(d == 3 for d in degs):
-            tri_tally[g2] = tri_tally.get(g2, 0) + 1
-
-        # bipartite: colour the root vertex black and walk the edges in
-        # label order; flag 4k shares its vertex with its s1-mate on an
-        # earlier edge, so that end of edge k is always coloured already
-        colors = [-1] * v
-        colors[vlab[0]] = 0
-        for k in range(0, 4 * n, 4):
-            a, b = colors[vlab[k]], vlab[k + 2]
-            if colors[b] < 0:
-                colors[b] = 1 - a
-            elif colors[b] == a:
-                break
-        else:
-            blacks = colors.count(0)
-            bkey = (blacks, v - blacks, f)
-            bip_tally[bkey] = bip_tally.get(bkey, 0) + 1
+        _add(maps_tally, (v, f), count)
+        _add(prof_tally, (v, tuple(sorted(closed))), count)
+        if n % 3 == 0 and all(d == 3 for d in closed):
+            _add(tri_tally, g2, count)
+        if blacks >= 0:
+            _add(bip_tally, (blacks, v - blacks, f), count)
 
     return {
         "maps": maps_tally,

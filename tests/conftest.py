@@ -39,3 +39,13 @@ def oracle3():
 @pytest.fixture(scope="session")
 def oracle4():
     return scan(4)
+
+
+@pytest.fixture(scope="session")
+def oracle5():
+    return scan(5)
+
+
+@pytest.fixture(scope="session")
+def oracle6():
+    return scan(6)

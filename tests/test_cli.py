@@ -11,6 +11,7 @@ import surfcount.bipartite
 import surfcount.cli
 import surfcount.maps
 from surfcount.cli import main
+from surfcount.oracle import MAX_EDGES
 
 
 @pytest.fixture()
@@ -222,8 +223,9 @@ def test_oracle_cli(runner):
     rows = json.loads(res.output)["rows"]
     vals = {(r["i"], r["j"]): int(r["value"]) for r in rows}
     assert vals[(2, 2)] == 5
-    res = runner.invoke(main, ["oracle", "--edges", "9"])
+    res = runner.invoke(main, ["oracle", "--edges", str(MAX_EDGES + 1)])
     assert res.exit_code == 2
+    assert f"--edges must be between 1 and {MAX_EDGES}" in res.output
     res = runner.invoke(main, ["oracle", "--edges", "2", "--filter", "triangulation"])
     assert res.exit_code == 2
 

@@ -43,10 +43,15 @@ def test_leaf_counts_match_maps_counts(oracle4):
 @pytest.mark.parametrize("n, digest", [
     (3, "552402d4c84cc2a0b232aa4dd195205cac5522b9259deb69a95d34eac7da3aec"),
     (4, "7ab214952372b91ffd5ba5a099f36b04f4137ca918ddea5bb6415206233650c0"),
+    pytest.param(5, "92b44420708dd1673d4dd80cb5501c3517e819c59217a581a0cc73bc53673967",
+                 marks=pytest.mark.slow),
+    pytest.param(6, "95c398296e59a76a2f768a92fe47d71aad28a182bc716b109f468bfdeaf72267",
+                 marks=pytest.mark.slow),
 ])
-def test_scan_is_pinned(n, digest, oracle3, oracle4):
-    # all four tallies, as the former (4n-1)!!-involution scan returned them
-    assert fingerprint({3: oracle3, 4: oracle4}[n]) == digest
+def test_scan_is_pinned(n, digest, request):
+    # all four tallies: n <= 4 as the former (4n-1)!!-involution scan
+    # returned them, n = 5, 6 as the orbit-walking generator did
+    assert fingerprint(request.getfixturevalue(f"oracle{n}")) == digest
 
 
 def test_one_edge_maps():
@@ -138,3 +143,20 @@ def test_five_edge_ground_truth(maps_cc_12):
                 (3, 2, 1, 1)]:
         got = {(i, j): c for (i, j, _), c in ftheta(ctx, lam).coeff(10).items()}
         assert got == marked_face_coefficient(result["profiles"], 5, lam), lam
+
+
+@pytest.mark.slow
+def test_six_edge_ground_truth(oracle6, maps_cc_12, bip_16, tri_15):
+    counts = MapsCounts().fill(6, 6)
+    assert sum(oracle6["maps"].values()) == 2450304
+    assert 2450304 == sum(counts.value(6, g2) for g2 in range(7))
+    assert oracle6["maps"] == _maps_split(maps_cc_12, 6)
+    assert oracle6["bipartite"] == _bip_split(bip_16, 6)
+    # 4 triangles glued into 6 edges: row 2 of the triangulation table
+    assert oracle6["triangulations"] == {0: 32, 1: 118, 2: 202, 3: 128}
+    assert oracle6["triangulations"] == {g2: tri_15.value(2, g2) for g2 in range(4)}
+    ctx = maps_context(14, maps_cc_12)
+    for lam in [(1,), (6,), (2, 1), (3, 3), (4, 1, 1), (2, 2, 2), (9, 1),
+                (3, 2, 1, 1)]:
+        got = {(i, j): c for (i, j, _), c in ftheta(ctx, lam).coeff(12).items()}
+        assert got == marked_face_coefficient(oracle6["profiles"], 6, lam), lam
