@@ -24,15 +24,14 @@ both: with the weights by Vandermonde's identity, sum_i C(p, i) C(q, m-i)
 once, at construction, and runs the engine unchanged.
 
 The one-face numbers b[n, i, j] (i black, j white vertices) satisfy
-their own linear recursion with history depth 4, filled in
-BipOneFaceTable.
+their own linear recursion with history depth 4, which BipOneFaceTable
+runs a row at a time (`table.Table._fill_linear`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IntegralityError
 from .poly import Poly, U, V, Z, _pack
 from .table import (
     Memo, PolyTable, Table, charge_shift, cut, row_series, split, square_sum,
@@ -149,49 +148,56 @@ class BipOneFaceTable(Table):
         return ((i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i))
 
     def fill(self, n_max: int) -> "BipOneFaceTable":
-        cells = ((n, i, j) for n in range(4, n_max + 1) for i, j in self.row_cells(n))
-        return self._sweep(cells, lambda n, i, j: bip_oneface(n, i, j, self))
+        # rows as grids [i][j], with at least four zeros past the last cell
+        # in each direction, which an index down to -4 reads (from the end);
+        # the all-zero rows are one shared list, as grids are only read
+        width = n_max + 5
+        zeros = [0] * width
+
+        def grid(n, row):
+            # row holds, for i = 1..n in turn, the cells j = 1..count,
+            # count = n + 1 - i (`row_cells`)
+            out, start = [zeros], 0
+            for count in range(n, 0, -1):
+                out.append([0, *row[start:start + count], *zeros[count + 1:]])
+                start += count
+            return out + [zeros] * (width - n - 1)
+        return self._fill_linear(n_max, lambda n: [(n, *c) for c in self.row_cells(n)],
+                                 bip_oneface, grid)
 
 
-def bip_oneface(n: int, i: int, j: int, table: BipOneFaceTable) -> int:
-    """One step of the bipartite one-face recursion; division by n+1 exact.
+def bip_oneface(n: int, b1: list, b2: list, b3: list, b4: list) -> list:
+    """Row n of the bipartite one-face recursion times n + 1, cell by cell
+    in the order of `BipOneFaceTable.row_cells`, from rows n-1..n-4:
+    br[i][j] is b[n - r, i, j], and an index from -4 to -1 reads the
+    row's zero padding.
 
     Every coefficient, signs included, is the one derived from the
     bipartite one-face ODE (`identities._ONEFACE_ODE`), which
     tests/test_oneface_recurrence.py checks for n = 4..20.
     """
-    b = table.value
-    total = (
-        (4 * n - 1) * (b(n - 1, i - 1, j) + b(n - 1, i, j - 1) - b(n - 1, i, j))
-        + (5 * n**3 - 16 * n**2 + 13 * n - 1) * b(n - 2, i, j)
-        + (2 * n - 3) * (
-            4 * b(n - 2, i - 1, j) + 4 * b(n - 2, i, j - 1)
-            - 3 * b(n - 2, i - 2, j) - 3 * b(n - 2, i, j - 2)
-            - 2 * b(n - 2, i - 1, j - 1)
-        )
-        + (10 * n**3 - 68 * n**2 + 150 * n - 107) * (
-            b(n - 3, i, j) - b(n - 3, i - 1, j) - b(n - 3, i, j - 1)
-        )
-        + (4 * n - 11) * (
-            b(n - 3, i - 3, j) + b(n - 3, i, j - 3)
-            - b(n - 3, i - 2, j - 1) - b(n - 3, i - 1, j - 2)
-            - b(n - 3, i - 2, j) - b(n - 3, i, j - 2)
-            + 2 * b(n - 3, i - 1, j - 1)
-        )
-        + (4 - n) * (
-            (2 * n - 7) ** 2 * (n - 2) ** 2 * b(n - 4, i, j)
-            - (5 * n**2 - 32 * n + 53) * (
-                b(n - 4, i - 2, j) + b(n - 4, i, j - 2) - 2 * b(n - 4, i - 1, j - 1)
-            )
-            + b(n - 4, i - 4, j) + b(n - 4, i, j - 4)
-            - 4 * b(n - 4, i - 3, j - 1) - 4 * b(n - 4, i - 1, j - 3)
-            + 6 * b(n - 4, i - 2, j - 2)
-        )
-    )
-    quot, rem = divmod(total, n + 1)
-    if rem:
-        raise IntegralityError(f"bip-oneface[{n},{i},{j}]: {total} not divisible by {n + 1}")
-    return quot
+    c1, c2, c3 = 4 * n - 1, 5 * n**3 - 16 * n**2 + 13 * n - 1, 2 * n - 3
+    c4, c5, c6 = 10 * n**3 - 68 * n**2 + 150 * n - 107, 4 * n - 11, 4 - n
+    c7, c8 = c6 * (2 * n - 7) ** 2 * (n - 2) ** 2, c6 * (5 * n**2 - 32 * n + 53)
+    out = []
+    for i in range(1, n + 1):
+        # br_p[j] is b[n - r, i - p, j]
+        b1_0, b1_1 = b1[i], b1[i - 1]
+        b2_0, b2_1, b2_2 = b2[i], b2[i - 1], b2[i - 2]
+        b3_0, b3_1, b3_2, b3_3 = b3[i], b3[i - 1], b3[i - 2], b3[i - 3]
+        b4_0, b4_1, b4_2, b4_3, b4_4 = b4[i], b4[i - 1], b4[i - 2], b4[i - 3], b4[i - 4]
+        for j in range(1, n + 2 - i):
+            j1, j2, j3, j4 = j - 1, j - 2, j - 3, j - 4
+            out.append(
+                c1 * (b1_1[j] + b1_0[j1] - b1_0[j])
+                + c2 * b2_0[j]
+                + c3 * (4 * (b2_1[j] + b2_0[j1]) - 3 * (b2_2[j] + b2_0[j2]) - 2 * b2_1[j1])
+                + c4 * (b3_0[j] - b3_1[j] - b3_0[j1])
+                + c5 * (b3_3[j] + b3_0[j3] - b3_2[j1] - b3_1[j2] - b3_2[j] - b3_0[j2]
+                        + 2 * b3_1[j1])
+                + c7 * b4_0[j] - c8 * (b4_2[j] + b4_0[j2] - 2 * b4_1[j1])
+                + c6 * (b4_4[j] + b4_0[j4] - 4 * (b4_3[j1] + b4_1[j3]) + 6 * b4_2[j2]))
+    return out
 
 
 def eta_series(table: BipTable, order: int) -> TSeries:

@@ -138,8 +138,8 @@ def _emit_text(header, lines, fmt):
     if fmt == "csv":
         _echo("\n".join(",".join(row) for row in rows))
         return
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
-    _echo("\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows))
+    line = "  ".join(f"{{:>{max(map(len, col))}}}" for col in zip(*rows))
+    _echo("\n".join(line.format(*row) for row in rows))
 
 
 def _emit_grid(model, value, n_max, g2_max, fmt):

@@ -19,7 +19,8 @@ that every coefficient is an integer, and ends in one exact division by
 2(n+1)(n-2) whose remainder must be zero.
 
 The one-face counts (maps whose complement is a single disk) obey a
-separate linear recursion, filled in OneFaceTable.
+separate linear recursion, which OneFaceTable runs a row at a time
+(`table.Table._fill_linear`).
 
 MapsTable fills a row, every genus of it, at a time (`table.PolyTable`).
 Genus is degree: H[n, g2] is homogeneous of degree n + 2 - g2, so a row
@@ -289,33 +290,33 @@ class OneFaceTable(Table):
         return self.entries[n, g2]
 
     def fill(self, n_max: int) -> "OneFaceTable":
-        cells = ((n, g2) for n in range(4, n_max + 1) for g2 in range(n + 1))
-        return self._sweep(cells, lambda n, g2: ledoux(n, g2, self))
+        # rows as lists by g2, with at least four zeros past the last
+        # cell, which a g2 down to -4 reads (from the end)
+        width = n_max + 5
+        return self._fill_linear(n_max, lambda n: [(n, g2) for g2 in range(n + 1)], ledoux,
+                                 lambda n, row: row + [0] * (width - n - 1))
 
 
-def ledoux(n: int, g2: int, table: OneFaceTable) -> int:
-    """One step of the linear one-face recursion; division by n+1 is exact.
+def ledoux(n: int, u1: list, u2: list, u3: list, u4: list) -> list:
+    """Row n of the linear one-face recursion times n + 1, by g2 = 0..n,
+    from rows n-1..n-4: ur[g2] is u[n - r, g2], and a g2 from -4 to -1
+    reads the row's zero padding.
 
     This is Ledoux's recursion (2009).  For n >= 5 every coefficient is
     the one derived from the one-face ODE (`identities._ONEFACE_ODE`),
     which tests/test_oneface_recurrence.py checks; at n = 4 the seed
     u[0, 0] = 1 stands for the ODE's inhomogeneous part.
     """
-    u = table.value
-    total = (
-        (8 * n - 2) * u(n - 1, g2)
-        - (4 * n - 1) * u(n - 1, g2 - 1)
-        + n * (2 * n - 3) * (10 * n - 9) * u(n - 2, g2 - 2)
-        - 8 * (2 * n - 3) * u(n - 2, g2)
-        - 10 * (2 * n - 3) * (2 * n - 4) * (2 * n - 5) * u(n - 3, g2 - 2)
-        + 5 * (2 * n - 3) * (2 * n - 4) * (2 * n - 5) * u(n - 3, g2 - 3)
-        + 8 * (2 * n - 3) * u(n - 2, g2 - 1)
-        - 2 * (2 * n - 3) * (2 * n - 4) * (2 * n - 5) * (2 * n - 6) * (2 * n - 7) * u(n - 4, g2 - 4)
-    )
-    quot, rem = divmod(total, n + 1)
-    if rem:
-        raise IntegralityError(f"oneface[{n},{g2}]: {total} not divisible by {n + 1}")
-    return quot
+    # kr_s multiplies u[n - r, g2 - s]
+    f = (2 * n - 3) * (2 * n - 4) * (2 * n - 5)
+    k1_0, k1_1 = 8 * n - 2, -(4 * n - 1)
+    k2_0, k2_1, k2_2 = -8 * (2 * n - 3), 8 * (2 * n - 3), n * (2 * n - 3) * (10 * n - 9)
+    k3_2, k3_3 = -10 * f, 5 * f
+    k4_4 = -2 * f * (2 * n - 6) * (2 * n - 7)
+    return [k1_0 * u1[g2] + k1_1 * u1[g2 - 1]
+            + k2_0 * u2[g2] + k2_1 * u2[g2 - 1] + k2_2 * u2[g2 - 2]
+            + k3_2 * u3[g2 - 2] + k3_3 * u3[g2 - 3] + k4_4 * u4[g2 - 4]
+            for g2 in range(n + 1)]
 
 
 def theta_series(table: MapsTable, order: int) -> TSeries:

@@ -2,9 +2,11 @@
 
 Every table keeps its filled cells in `entries`, seeded from the class's
 SEEDS; reading a cell that is not there raises MissingEntryError.  Every
-table but the one-face ones fills a row, every genus of it, at a time.
-The scalar tables recompute each row from genus convolutions of lower
-rows.  The polynomial tables (PolyTable) write the missing cells of a
+table fills a row, every genus of it, at a time.  The scalar tables
+recompute each row from genus convolutions of lower rows.  The one-face
+tables run a linear recursion of depth 4 (`Table._fill_linear`): row n
+is one step over rows n-1..n-4, held as zero-padded int lists local to
+the fill.  The polynomial tables (PolyTable) write the missing cells of a
 row, keeping those already there (seeds, and cells loaded from the
 count cache).  Genus is degree there: by Euler's relation cell (n, g2)
 is homogeneous of degree n + 2 - g2, so row n of every genus is the
@@ -13,13 +15,12 @@ product of two rows adds genera as it adds degrees, a move to g2 + k
 is a scaling, and each step is a few `Poly.dot` calls per row, not per
 cell.  Their building blocks are Memo rows, computed on first read;
 each new cell is checked (`PolyTable._check`: integral, homogeneous,
-non-negative) before it is written.  The one-face tables fill with one
-sweep over the cells that skips the seeds.  Beside the scalar
-`shift_weight`, two polynomial kernels live here: `square_sum`, the
-quadratic sum of the map and bipartite brackets, and `charge_shift`,
-the charge-shift weights of engine "cc" and of the bipartite engine.
-The other formulas, the zero region of each table and its `fill` stay
-in the model modules.
+non-negative) before it is written.  Beside the scalar `shift_weight`,
+two polynomial kernels live here: `square_sum`, the quadratic sum of
+the map and bipartite brackets, and `charge_shift`, the charge-shift
+weights of engine "cc" and of the bipartite engine.  The other
+formulas, the zero region of each table and its `fill` stay in the
+model modules.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ class Memo(dict):
 
 
 class Table:
-    """Seeded entries and the fill sweep.
+    """Seeded entries, filled a row at a time.
 
     A subclass sets NAME (its symbol in error messages) and SEEDS, reads
     cells through its own `value` or `poly`, which owns the zero region,
-    and defines `fill` in its own body: a call to `_sweep` or to
+    and defines `fill` in its own body: a call to `_fill_linear` or to
     `PolyTable._fill`, or for the scalar tables a row loop that writes
     each cell into `entries`.
     """
@@ -79,12 +80,27 @@ class Table:
         self.entries = Entries(self.SEEDS)
         self.entries.name = self.NAME
 
-    def _sweep(self, cells, step):
-        """entries[cell] = step(*cell) for each cell not filled yet, in order."""
+    def _fill_linear(self, n_max: int, keys, step, layout):
+        """Rows 4..n_max of a linear recursion of depth 4, whose row n is
+        step(n, *history) over n + 1.  keys(n) lists the cells of row n,
+        step gives one total per cell in that order, and history holds
+        rows n-1..n-4, each laid out by layout(m, values of row m at
+        keys(m)).  A cell already in entries is kept, and it is what later
+        rows read; each missing one is written once its division is
+        checked exact.  A row with no missing cell is not computed."""
         entries = self.entries
-        for cell in cells:
-            if cell not in entries:
-                entries[cell] = step(*cell)
+        history = [layout(m, [self.value(*key) for key in keys(m)]) for m in (3, 2, 1, 0)]
+        for n in range(4, n_max + 1):
+            row = keys(n)
+            if not all(key in entries for key in row):
+                for key, total in zip(row, step(n, *history)):
+                    if key not in entries:
+                        quot, rem = divmod(total, n + 1)
+                        if rem:
+                            raise IntegralityError(f"{self.NAME}[{','.join(map(str, key))}]: "
+                                                   f"{total} not divisible by {n + 1}")
+                        entries[key] = quot
+            history = [layout(n, [entries[key] for key in row])] + history[:3]
         return self
 
 

@@ -26,9 +26,14 @@ from .table import Table, convolve, convolve_square, row_series, shift_weight
 from .tseries import TSeries
 
 
+def double_denominator(n: int, g2: int) -> int:
+    """2 D(n, g) with g = g2/2, an int."""
+    return 4 * n * n + 2 * (3 - g2) * n + (2 - g2) * (1 - g2)
+
+
 def prefactor_denominator(n: int, g2: int) -> Fraction:
     """D(n, g) with g = g2/2, exact."""
-    return Fraction(4 * n * n + 2 * (3 - g2) * n + (2 - g2) * (1 - g2), 2)
+    return Fraction(double_denominator(n, g2), 2)
 
 
 class TriTable(Table):
@@ -45,7 +50,7 @@ class TriTable(Table):
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "TriTable":
         """Rows 3..n_max; each cell is one exact division of its scaled sum
-        by 2 Dnum, Dnum = 2 D(n, g)."""
+        by 2 Dnum, Dnum = 2 D(n, g) (`double_denominator`)."""
         top = n_max + 1 if g2_max is None else g2_max
         t = self.value
         # by row m: (3m+2) t[m], the shift weights of t[m] and 8 x its bracket
@@ -64,7 +69,7 @@ class TriTable(Table):
                                  ((weight[n1], bracket[n - n1]) for n1 in range(1, n)))
                 row = [0] * len(genera)
                 for g2 in genera:
-                    Dnum = int(2 * prefactor_denominator(n, g2))
+                    Dnum = double_denominator(n, g2)
                     if Dnum == 0:
                         raise ArithmeticError(
                             f"prefactor denominator vanishes at (n={n}, g2={g2})")

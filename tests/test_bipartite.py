@@ -96,8 +96,10 @@ def test_one_face_symmetry():
 
 
 def test_one_face_single_step():
+    # the step over rows 4..1, padded with zeros, is 6 times row 5
     one = BipOneFaceTable().fill(5)
-    assert bip_oneface(5, 1, 1, one) == one.value(5, 1, 1)
+    rows = [[[one.value(m, i, j) for j in range(10)] for i in range(10)] for m in (4, 3, 2, 1)]
+    assert bip_oneface(5, *rows) == [6 * one.value(5, i, j) for i, j in one.row_cells(5)]
 
 
 def test_eta_series(bip8):

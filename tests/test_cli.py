@@ -162,7 +162,17 @@ def test_oneface_engines_print_the_same_bytes(runner, command, n_top):
 def test_oneface_engine_mismatch(runner, monkeypatch, command, step, cell, where):
     module = surfcount.maps if command == "oneface" else surfcount.bipartite
     hand = getattr(module, step)
-    monkeypatch.setattr(module, step, lambda *c: hand(*c) + (c[:-1] == cell))
+    # the cell's place in the step's row
+    place = cell[1] if command == "oneface" else list(
+        module.BipOneFaceTable.row_cells(5)).index(cell[1:])
+
+    def one_more(n, *rows):
+        # the step's totals are n + 1 times the row
+        totals = hand(n, *rows)
+        if n == cell[0]:
+            totals[place] += n + 1
+        return totals
+    monkeypatch.setattr(module, step, one_more)
     res = runner.invoke(main, [command, "--n-max", "5", "--engine", "both", "--no-cache"])
     assert res.exit_code == 1 and res.stdout == ""
     assert res.stderr == f"engine mismatch at {where}\n"

@@ -158,8 +158,11 @@ def test_ledoux_matches_one_face_slice(cc8):
 
 
 def test_ledoux_single_step():
+    # the step over rows 3..0, padded with zeros, is 5 times row 4
     table = OneFaceTable().fill(5)
-    assert ledoux(4, 4, table) == 509
+    rows = [[table.value(m, g2) for g2 in range(9)] for m in (3, 2, 1, 0)]
+    assert ledoux(4, *rows) == [5 * table.value(4, g2) for g2 in range(5)]
+    assert table.value(4, 4) == 509
 
 
 def test_oneface_series():

@@ -11,11 +11,13 @@ row of the table as a polynomial:
 The tests compare it with the hand-written steps `ledoux` and
 `bip_oneface`, coefficient by coefficient, check that the ODE fill run
 from rows 1..3 rebuilds the tables, and that the residual regrouped by
-relation equals the sum of the operator terms.
+relation equals the sum of the operator terms.  Both tables are also
+anchored by closed row sums, and pinned by digests of their cells.
 """
 
+import hashlib
 from fractions import Fraction
-from types import SimpleNamespace
+from math import prod
 
 import pytest
 
@@ -29,9 +31,19 @@ from surfcount.poly import ONE, U
 from surfcount.tseries import TSeries
 
 
-def _only(cell, value):
-    """A stand-in table whose one nonzero cell holds value."""
-    return SimpleNamespace(value=lambda *c: value if c == cell else 0)
+def _one_hot(n, cell):
+    """Rows n-1..n-4 as the one-face steps read them, zero-padded to n + 5
+    in each direction, all zero but for a 1 at cell = (m, *index); an
+    index below 0 lands in the padding, which is where a step reads it."""
+    m, *index = cell
+    width = n + 5
+    rows = [[0] * width if len(index) == 1 else [[0] * width for _ in range(width)]
+            for _ in range(4)]
+    target = rows[n - m - 1]
+    for k in index[:-1]:
+        target = target[k]
+    target[index[-1]] = 1
+    return rows
 
 
 def _derived_coefficients(model: str, top: int, n: int, cell_of):
@@ -63,7 +75,7 @@ def test_ledoux_is_the_derived_recurrence(n):
     for r in range(1, 5):
         for e in range(-1, 6):
             cell = (n - r, g2 + e - r)
-            c = ledoux(n, g2, _only(cell, n + 1))
+            c = ledoux(n, *_one_hot(n, cell))[g2]
             if c:
                 hand[cell] = c
     assert derived == hand
@@ -72,8 +84,9 @@ def test_ledoux_is_the_derived_recurrence(n):
 @pytest.mark.parametrize("n", range(4, 21))
 def test_bip_oneface_is_the_derived_recurrence(n):
     # row n of b is the series coefficient j = n; u^p v^q of P_j moves a
-    # cell of row j from (i - p, j' - q) to (i, j')
-    i = jj = 6
+    # cell of row j from (i - p, j' - q) to (i, j'), a cell of row n
+    i = jj = min(6, (n + 1) // 2)
+    place = list(BipOneFaceTable.row_cells(n)).index((i, jj))
     derived = _derived_coefficients(
         "bip-oneface", n, n, lambda j, exps: (j, i - exps[0], jj - exps[2]))
     hand = {}
@@ -81,17 +94,43 @@ def test_bip_oneface_is_the_derived_recurrence(n):
         for p in range(-1, 6):
             for q in range(-1, 6):
                 cell = (n - r, i - p, jj - q)
-                c = bip_oneface(n, i, jj, _only(cell, n + 1))
+                c = bip_oneface(n, *_one_hot(n, cell))[place]
                 if c:
                     hand[cell] = c
     assert derived == hand
 
 
 @pytest.mark.parametrize("model, table, rows", [
-    ("oneface", OneFaceTable, 40), ("bip-oneface", BipOneFaceTable, 20),
+    ("oneface", OneFaceTable, 40), ("bip-oneface", BipOneFaceTable, 30),
 ], ids=["oneface", "bip-oneface"])
 def test_derived_recurrence_fills_the_table(model, table, rows):
     assert oneface_ode_fill(model, rows).entries == table().fill(rows).entries
+
+
+def _odd_factorial(n):
+    """(2n-1)!!, the pairings of 2n sides."""
+    return prod(range(2 * n - 1, 0, -2))
+
+
+def test_oneface_row_sums():
+    # a rooted one-face map glues the sides of a 2n-gon in pairs, each pair
+    # straight or twisted; a bipartite one alternates the colours round
+    # the polygon, so each pair glues one way only
+    u, b = OneFaceTable().fill(60), BipOneFaceTable().fill(30)
+    for n in range(61):
+        assert sum(u.value(n, g2) for g2 in range(n + 1)) == _odd_factorial(n) << n, n
+    for n in range(1, 31):
+        assert sum(b.value(n, i, j) for i, j in b.row_cells(n)) == _odd_factorial(n), n
+
+
+@pytest.mark.parametrize("table, rows, digest", [
+    (OneFaceTable, 60, "5baa1101756a58a7fb647ec1fb0340d0533282cdc9c48d825e0027c62b77e5f2"),
+    (BipOneFaceTable, 30, "c1c69a2e04fe30f8b00d060b1ba3d5e296c693d5e5f2e144a37ec2577f745095"),
+], ids=["oneface", "bip-oneface"])
+def test_oneface_tables_are_pinned(table, rows, digest):
+    # sha256 of the sorted cells, as the former cell-by-cell sweep gave them
+    cells = sorted(table().fill(rows).entries.items())
+    assert hashlib.sha256(repr(cells).encode()).hexdigest() == digest
 
 
 def test_ode_fill_raises_on_a_wrong_seed_or_a_zero_lead(monkeypatch):

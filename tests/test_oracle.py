@@ -133,16 +133,15 @@ def test_four_edge_ground_truth(oracle4, maps_cc_12, bip_16):
 
 
 @pytest.mark.slow
-def test_five_edge_ground_truth(maps_cc_12):
-    result = scan(5)
-    assert sum(result["maps"].values()) == 100278
-    assert result["maps"] == _maps_split(maps_cc_12, 5)
-    assert result["bipartite"] == _bip_split(BipTable().fill(5), 5)
+def test_five_edge_ground_truth(oracle5, maps_cc_12):
+    assert sum(oracle5["maps"].values()) == 100278
+    assert oracle5["maps"] == _maps_split(maps_cc_12, 5)
+    assert oracle5["bipartite"] == _bip_split(BipTable().fill(5), 5)
     ctx = maps_context(12, maps_cc_12)
     for lam in [(1,), (5,), (2, 1), (3, 3), (4, 1, 1), (2, 2, 2), (9, 1),
                 (3, 2, 1, 1)]:
         got = {(i, j): c for (i, j, _), c in ftheta(ctx, lam).coeff(10).items()}
-        assert got == marked_face_coefficient(result["profiles"], 5, lam), lam
+        assert got == marked_face_coefficient(oracle5["profiles"], 5, lam), lam
 
 
 @pytest.mark.slow

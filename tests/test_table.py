@@ -82,6 +82,55 @@ def test_scalar_fill_bounds(cls):
     assert list(vars(grown)) == ["entries"], "a scalar table holds only its cells"
 
 
+ONEFACE_TABLES = [OneFaceTable, BipOneFaceTable]
+
+
+@pytest.mark.parametrize("cls", ONEFACE_TABLES, ids=lambda cls: cls.__name__)
+def test_oneface_fill_bounds(cls):
+    # a grown fill reads the rows it has, and the table holds only its cells
+    full = cls().fill(30)
+    grown = cls().fill(12).fill(30)
+    assert list(grown.entries.items()) == list(full.entries.items())
+    assert list(vars(grown)) == ["entries"], "a one-face table holds only its cells"
+
+
+# a cell, and the cells of row 6 that read it, by the coefficient each
+# step gives it: (8n-2) and -(4n-1) for u[n-1, g2] and u[n-1, g2-1]; -(4n-1),
+# (4n-1), (4n-1) for b[n-1, i, j], b[n-1, i-1, j] and b[n-1, i, j-1]
+READERS = {
+    OneFaceTable: ((5, 2), {(6, 2): 46, (6, 3): -23}),
+    BipOneFaceTable: ((5, 2, 1), {(6, 2, 1): -23, (6, 3, 1): 23, (6, 2, 2): 23}),
+}
+
+
+@pytest.mark.parametrize("cls", ONEFACE_TABLES, ids=lambda cls: cls.__name__)
+def test_oneface_fill_keeps_a_filled_cell(cls):
+    # a cell already in entries stays, and the next row reads it: 7 more
+    # there moves row 6 by 7 times its coefficients over n + 1 = 7
+    cell, readers = READERS[cls]
+    true = cls().fill(6).entries
+    tab = cls()
+    tab.entries[cell] = true[cell] + 7
+    tab.fill(6)
+    moved = {key: tab.entries[key] - v for key, v in true.items() if tab.entries[key] != v}
+    assert moved == {cell: 7, **readers}
+
+
+@pytest.mark.parametrize("cls, seed, message, last, bad", [
+    (OneFaceTable, ((3, 3), 42), r"oneface\[5,3\]: 43072 not divisible by 6", (5, 2), (5, 3)),
+    (BipOneFaceTable, ((3, 1, 1), 5), r"bip-oneface\[5,1,1\]: 1234 not divisible by 6",
+     (4, 4, 1), (5, 1, 1)),
+], ids=["OneFaceTable", "BipOneFaceTable"])
+def test_oneface_fill_checks_each_division(cls, seed, message, last, bad):
+    # a wrong seed breaks an exact division two rows up; the cells before
+    # it are written, in order, and it is not
+    tab = cls()
+    tab.entries[seed[0]] = seed[1]
+    with pytest.raises(IntegralityError, match=rf"^{message}$"):
+        tab.fill(8)
+    assert list(tab.entries)[-1] == last and bad not in tab.entries
+
+
 # small cells by (n, g2), exponents (u, z, v), each of degree n + 2 - g2;
 # one has a denominator
 HAND_ROWS = {
