@@ -9,19 +9,20 @@ BipTable fills a row, every genus of it, at a time (`table.PolyTable`).
 Genus is degree: K[n, g2] is homogeneous of degree n + 2 - g2, so a row
 of every genus is the sum of its cells.  The building blocks are Memo
 rows keyed (m, c) for a fill cut at genus c: shift_weight[n1, c]
-(`table.charge_shift`, u and v shifting together), core[m, c], the
-bracket without its term -(m+1) K[m, g2_2] and with its boundary terms,
-data in _BOUNDARY, its products and its quadratic sum
+(`Poly.charge_shift` of the row, u and v shifting together),
+core[m, c], the bracket without its term -(m+1) K[m, g2_2] and with its
+boundary terms, data in _BOUNDARY, its products and its quadratic sum
 (`table.square_sum`) in one `Poly.dot`, and bracket[m, c], core plus
 that term.  Each row step is core[n] over n+1, minus the shift sum, one
 `Poly.dot` over n1, over (n-2)(n+1).
 
 BipTable(v_is_u=True) fills the same recurrence at v = u, in (u, z),
 which is all the scalar counts need.  Every step is ring operations plus
-the charge-shift weight, and the substitution v -> u commutes with
-both: with the weights by Vandermonde's identity, sum_i C(p, i) C(q, m-i)
-= C(p+q, m).  So the table substitutes into its seeds and constants
-once, at construction, and runs the engine unchanged.
+the charge shift, and the substitution v -> u commutes with both: to
+move u and v together by +-2 and then set v = u is to set v = u and
+then move u.  So the table substitutes into its seeds and constants
+once, at construction, and runs the engine unchanged; its cells have no
+v, and the shift of u with v is the shift of u alone.
 
 The one-face numbers b[n, i, j] (i black, j white vertices) satisfy
 their own linear recursion with history depth 4, which BipOneFaceTable
@@ -33,9 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly, U, V, Z, _pack
-from .table import (
-    Memo, PolyTable, Table, charge_shift, cut, row_series, split, square_sum,
-)
+from .table import PolyTable, Table, cut, row_series, split, square_sum
 from .tseries import TSeries
 
 _UVZ = U * V * Z
@@ -68,8 +67,7 @@ class BipTable(PolyTable):
     }
 
     def __init__(self, v_is_u: bool = False):
-        super().__init__(BipTable._core, 1)
-        self.shift_weight = Memo(BipTable._weight, self)
+        super().__init__(BipTable._core, 1, 2)
         sub = Poly.v_to_u if v_is_u else (lambda p: p)
         self.entries.update((key, sub(p)) for key, p in self.SEEDS.items())
         self.sum3, self.diff3, self.psi, self.uv = map(sub, (_SUM3, _DIFF3, _PSI, _UV))
@@ -84,10 +82,6 @@ class BipTable(PolyTable):
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "BipTable":
         return self._fill(bip_row, n_max, g2_max)
-
-    def _weight(self, n1: int, c: int) -> Poly:
-        """Charge-shift weights of the simultaneous (u, v) shift; z passes through."""
-        return charge_shift(self.poly, n1, c, 2)
 
     def _core(self, m: int, c: int) -> Poly:
         """Inner bracket with its boundary terms, without -(m+1) K[m, g2_2];

@@ -265,7 +265,8 @@ def bip_oneface_cmd(n_max, engine, fmt, cache_path, no_cache):
     """Rooted one-face bipartite maps by edges and vertex colours."""
     tab = _oneface_fill("bip-oneface", BipOneFaceTable, n_max, engine,
                         lambda n, i, j: f"n={n}, i={i}, j={j}")
-    rows = [(n, n + 1 - i - j, (i, j), tab.value(n, i, j))
+    entries = tab.entries
+    rows = [(n, n + 1 - i - j, (i, j), entries[n, i, j])
             for n in range(1, n_max + 1) for i, j in tab.row_cells(n)]
     _emit_records("bip-oneface", rows, fmt, 2)
 

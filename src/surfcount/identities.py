@@ -260,13 +260,14 @@ def _series_sum(terms) -> TSeries:
 
 def verify_shifted_bkp1(ctx: SeriesContext) -> TSeries:
     """Shifted first identity for the maps model: the charge-moved second
-    difference of the series times KP1 equals (d/dt - 4/t) KP1."""
+    difference of the series, theta(u+2) + theta(u-2) - 2 theta = twice
+    its `Poly.charge_shift`, times KP1 equals (d/dt - 4/t) KP1."""
     if ctx.model != "maps":
         raise ValueError("the shifted identity is implemented for the maps model")
     theta = ctx.theta
     kp = ctx.memo.get("__kp__")
     kp1 = kp[0] if kp else formal_eval(ctx, KP1_FORMAL)
-    nabla2 = theta.shift_u(2) + theta.shift_u(-2) - theta.scale(2)
+    nabla2 = theta.map(Poly.charge_shift).scale(2)
     lhs = nabla2.dt() * kp1
     rhs = kp1.dt() - kp1.shift_t(-1).scale(4)
     return lhs - rhs

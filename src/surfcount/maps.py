@@ -27,10 +27,10 @@ Genus is degree: H[n, g2] is homogeneous of degree n + 2 - g2, so a row
 of every genus is the sum of its cells.  The building blocks are Memo
 rows, keyed (m, c) for a fill cut at genus c:
 
-* shift_weight[n1, c], the charge-shift weights of row n1, each summed
-  over g2_0 into one polynomial, so the shift sum multiplies it once by
-  each bracket: `table.charge_shift` for "cc", a u-only kernel,
-  `_kz_weight` per cell, for "kz";
+* shift_weight[n1, c], the charge-shift weights of row n1 as one
+  polynomial, so the shift sum multiplies it once by each bracket:
+  `Poly.charge_shift` of the row, u and z shifting together for "cc"
+  and u alone for "kz";
 * core[m, c], the engine's inner bracket without its own term
   -(m+1)/d H[m, g2_2], d = 2 for "kz" and 4 for "cc": one `Poly.dot`
   over the products by linear factors and the quadratic sum
@@ -51,13 +51,12 @@ lower rows; see table.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .errors import IntegralityError
-from .poly import _SHIFT, Poly, U, Z, _pack, _unpack
+from .poly import _SHIFT, Poly, U, Z, _pack
 from .table import (
-    Memo, PolyTable, Table, _sub_genus, charge_shift, convolve, convolve_square, cut, row_series,
-    shift_weight, split, square_sum,
+    PolyTable, Table, convolve, convolve_square, cut, row_series, shift_weight, split, square_sum,
 )
 from .tseries import TSeries
 
@@ -90,9 +89,9 @@ class MapsTable(PolyTable):
         if engine not in ("kz", "cc"):
             raise ValueError(f"unknown engine {engine!r}")
         kz = engine == "kz"
-        super().__init__(MapsTable._core_kz if kz else MapsTable._core_cc, 2 if kz else 4)
+        super().__init__(MapsTable._core_kz if kz else MapsTable._core_cc, 2 if kz else 4,
+                         None if kz else 1)
         self.engine = engine
-        self.shift_weight = Memo(MapsTable._weight_kz if kz else MapsTable._weight_cc, self)
 
     def poly(self, n: int, g2: int) -> Poly:
         """H[n, g2] with this engine's boundary conventions."""
@@ -107,15 +106,6 @@ class MapsTable(PolyTable):
 
     # building blocks for the memos, rows keyed (m, c), all read off this
     # table's own entries
-
-    def _weight_cc(self, n1: int, c: int) -> Poly:
-        """Engine-"cc" charge-shift weights: u and z shift together."""
-        return charge_shift(self.poly, n1, c, 1)
-
-    def _weight_kz(self, n1: int, c: int) -> Poly:
-        """Engine-"kz" charge-shift weights of row n1, cut at c."""
-        return Poly.sum(_kz_weight(self.poly(n1, g2_0), n1, g2_0, g2_1)
-                        for g2_1 in range(c + 1) for g2_0 in _sub_genus(g2_1))
 
     def _core_kz(self, m: int, c: int) -> Poly:
         """Engine-"kz" inner bracket with its boundary terms, without its
@@ -140,22 +130,6 @@ class MapsTable(PolyTable):
         ])
 
 
-def _kz_weight(cell: Poly, n1: int, g2_0: int, g2_1: int) -> Poly:
-    """The engine-"kz" charge-shift weight that cell (n1, g2_0) gives at
-    g2_1, u shifting alone: the sum of 2^r C(p, r) c u^(m-j) z^j over the
-    monomials c u^p z^j of the cell with j <= m, r = 2 + g2_1 - g2_0 and
-    m = n1 - g2_1, the weight's degree."""
-    m, r = n1 - g2_1, 2 + g2_1 - g2_0
-    acc: dict[int, int] = {}
-    get = acc.get
-    for e, c in cell.terms.items():
-        p, j, _ = _unpack(e)
-        if j <= m and p >= r:
-            k = _pack(m - j, j, 0)
-            acc[k] = get(k, 0) + (comb(p, r) * c << r)
-    return Poly(acc, cell.den)
-
-
 def _row_kz(n: int, top: int, tab: MapsTable):
     """Engine "kz" step for row n, cut at top, by ascending genus: 2n
     times core, the bracket without H[n], minus the shift sum, then the
@@ -173,9 +147,9 @@ def _row_kz(n: int, top: int, tab: MapsTable):
     own_weight = [Poly.zero()] * (top + 1)
 
     def written(g2_0):
-        cell = tab.poly(n, g2_0)
-        for g2_1 in range(g2_0, top + 1, 2):
-            own_weight[g2_1] += _kz_weight(cell, n, g2_0, g2_1)
+        weights = tab.poly(n, g2_0).charge_shift(None, n - top)
+        for g2_1, part in enumerate(split(weights, n, top)):
+            own_weight[g2_1] += part
 
     for g2 in range(top + 1):
         if g2:

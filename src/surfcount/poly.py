@@ -21,6 +21,12 @@ and out without a Fraction per coefficient: `from_terms` packs int
 coefficients as they are, `int_items` reads them back, and `evaluate`
 at u = z = v = 1 is one sum of numerators.
 
+`charge_shift` is the one charge-shift operator of the package: the
+shift of the charge parameter by +-2, averaged, minus f, in u alone or
+in u together with z or v.  The charge-shift weights of every
+polynomial table and the shifted identity's second difference are this
+operator.
+
 A polynomial symmetric in u and v is one in s = u + v and p = uv, z
 passing through.  `to_sp` writes it in that basis, in the same packed
 form with s in the u slot and p in the v slot (`S` and `P`), and
@@ -265,19 +271,47 @@ class Poly:
 
     # -- structural operations ------------------------------------------
 
-    def shift_u(self, delta: int) -> "Poly":
-        """Substitute u -> u + delta, expanded exactly."""
-        if delta == 0 or not self.terms:
-            return self
-        out: dict[int, int] = {}
+    def charge_shift(self, slot: int | None = None, floor: int = 0) -> "Poly":
+        """The charge shift (f|x->x+2 + f|x->x-2)/2 - f, where x is u alone
+        (slot None) or u together with the variable of exponent slot
+        `slot` (1: z, 2: v); the others pass through.  Terms of degree
+        below `floor` are left out.
+
+        The odd powers of 2 cancel in the sum, so a monomial u^p w^q y of
+        degree D gives, for each even drop r >= 2, 2^r C(p, i) C(q, j)
+        u^i w^j y over i + j = p + q - r: a term of degree D - r.  The
+        substitution itself is never formed, nor any term below the floor.
+        """
+        unit_u = 1 << 2 * _SHIFT
+        acc: dict[int, int] = {}
+        get = acc.get
+        if slot is None:
+            # u alone (q = 0): one term per drop; the two-slot loop below
+            # gives the same terms about twice as slowly
+            for k, c in self.terms.items():
+                p = k >> 2 * _SHIFT
+                top = min(p, p + ((k >> _SHIFT) & _MASK) + (k & _MASK) - floor)
+                for r in range(2, top + 1, 2):
+                    key = k - r * unit_u
+                    acc[key] = get(key, 0) + (comb(p, r) * c << r)
+            return Poly(acc, self.den)
+        at = (2 - slot) * _SHIFT
+        unit_w = 1 << at
+        step = unit_u - unit_w
         for k, c in self.terms.items():
-            e = k >> (2 * _SHIFT)
-            base = k - (e << (2 * _SHIFT))
-            for i in range(e + 1):
-                add = c * comb(e, i) * delta ** (e - i)
-                kk = base + (i << (2 * _SHIFT))
-                out[kk] = out.get(kk, 0) + add
-        return Poly(out, self.den)
+            p, q = k >> 2 * _SHIFT, (k >> at) & _MASK
+            pq = p + q
+            # the pass-through part's key, and the highest drop above the floor
+            rest = k - p * unit_u - q * unit_w
+            top = min(pq, p + ((k >> _SHIFT) & _MASK) + (k & _MASK) - floor)
+            for r in range(2, top + 1, 2):
+                s = pq - r
+                base = rest + s * unit_w     # u^0 w^s; each power moved to u adds step
+                cr = c << r
+                for i in range(max(0, s - q), min(p, s) + 1):
+                    key = base + i * step
+                    acc[key] = get(key, 0) + comb(p, i) * comb(q, s - i) * cr
+        return Poly(acc, self.den)
 
     def v_to_u(self) -> "Poly":
         """Substitute v -> u.  Monomials it merges sum their coefficients:

@@ -15,22 +15,23 @@ product of two rows adds genera as it adds degrees, a move to g2 + k
 is a scaling, and each step is a few `Poly.dot` calls per row, not per
 cell.  Their building blocks are Memo rows, computed on first read;
 each new cell is checked (`PolyTable._check`: integral, homogeneous,
-non-negative) before it is written.  Beside the scalar `shift_weight`,
-two polynomial kernels live here: `square_sum`, the quadratic sum of
-the map and bipartite brackets, and `charge_shift`, the charge-shift
-weights of engine "cc" and of the bipartite engine.  The other
-formulas, the zero region of each table and its `fill` stay in the
-model modules.
+non-negative) before it is written.  The charge-shift weights of every
+polynomial table are `Poly.charge_shift` of its rows, the one
+charge-shift operator; the scalar tables read it at all ones through the
+int kernel `shift_weight`.  One polynomial kernel lives here:
+`square_sum`, the quadratic sum of the map and bipartite brackets.  The
+other formulas, the zero region of each table and its `fill` stay in
+the model modules.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import IntegralityError, MissingEntryError
-from .poly import _MASK, _SHIFT, Poly, _pack, _unpack
+from .poly import _MASK, _SHIFT, Poly
 from .tseries import TSeries
 
 
@@ -114,14 +115,18 @@ class PolyTable(Table):
     keyed (m, c) with c = min(m, cap) for the fill's genus cap (`cut`):
     `row`, the cells themselves; `core`, the subclass's bracket without
     the term -(m+1)/d cell(m, g2), its parts above genus c dropped;
-    `bracket`, core plus that term.
+    `bracket`, core plus that term; `shift_weight`, the charge-shift
+    weights of row m (`Poly.charge_shift` of the row, slot `slot`), its
+    weight at g2_1 of degree m - g2_1, so that cutting at c is the floor
+    m - c.
     """
 
-    def __init__(self, core, d: int):
+    def __init__(self, core, d: int, slot: int | None):
         super().__init__()
         self.row = Memo(PolyTable._row, self)
         self.core = Memo(lambda tab, m, c: below(core(tab, m, c), m, c), self)
         self.bracket = Memo(PolyTable._bracket, self)
+        self.shift_weight = Memo(lambda tab, m, c: tab.row[m, c].charge_shift(slot, m - c), self)
         self.d = d
 
     def _row(self, m: int, c: int) -> Poly:
@@ -203,43 +208,16 @@ def square_sum(rows, m: int, weight) -> list:
 def shift_weight(n1: int, g2_1: int, row) -> int:
     """Sum over g2_0 in _sub_genus(g2_1) of C(n1+2-g2_0, n1-g2_1)
     2^(2+g2_1-g2_0) row[g2_0], where row holds the cells of row n1 by
-    genus: the univariate charge-shift weight, zero when n1 < g2_1."""
+    genus: the univariate charge-shift weight, zero when n1 < g2_1.
+
+    It is `Poly.charge_shift` of u^(n1+2-g2_0), its term of degree
+    n1 - g2_1 read at u = 1, summed over the cells.  By Vandermonde's
+    identity it is also engine "cc"'s weight at all ones, where no
+    variable passes through the shift."""
     if n1 < g2_1:
         return 0
     return sum((comb(n1 + 2 - g2_0, n1 - g2_1) * row[g2_0]) << (2 + g2_1 - g2_0)
                for g2_0 in _sub_genus(g2_1))
-
-
-def charge_shift(poly, n1: int, top: int, slot: int) -> Poly:
-    """The polynomial charge-shift weights of row n1, as a row cut at top:
-    at g2_1 <= min(n1, top) the sum over g2_0 in _sub_genus(g2_1) and over
-    the monomials c u^p w^q x^k of poly(n1, g2_0) of 2^(2+g2_1-g2_0)
-    C(p, i) C(q, m-k-i) c u^i w^(m-k-i) x^k, m = n1 - g2_1, its degree.
-    u shifts together with w, the variable of exponent slot `slot` (1: z,
-    engine "cc"; 2: v, bipartite), and x passes through.  At all ones each
-    is shift_weight of the row, by Vandermonde's identity."""
-    cells = [poly(n1, g2_0) for g2_0 in range(min(n1, top) + 1)]
-    den = lcm(*(p.den for p in cells))
-    # packed keys are linear in the exponents: base is the key of w^(m-k) x^k,
-    # and moving one power from w to u adds step
-    unit_u, unit_w = _pack(1, 0, 0), _pack(0, 1, 0) if slot == 1 else _pack(0, 0, 1)
-    step = unit_u - unit_w
-    acc: dict[int, int] = {}
-    get = acc.get
-    for g2_1 in range(len(cells)):
-        m = n1 - g2_1
-        for g2_0 in _sub_genus(g2_1):
-            p = cells[g2_0]
-            factor = (den // p.den) << (2 + g2_1 - g2_0)
-            for e, c in p.terms.items():
-                exps = _unpack(e)
-                eu, ew, top_w = exps[0], exps[slot], m - exps[3 - slot]
-                base = e - eu * unit_u + (top_w - ew) * unit_w
-                c *= factor
-                for i in range(max(0, top_w - ew), min(eu, top_w) + 1):
-                    k = base + i * step
-                    acc[k] = get(k, 0) + comb(eu, i) * comb(ew, top_w - i) * c
-    return Poly(acc, den)
 
 
 def convolve(acc: list, pairs) -> list:

@@ -270,9 +270,6 @@ class TSeries:
     def div_z(self) -> "TSeries":
         return self.map(Poly.div_z)
 
-    def shift_u(self, delta: int) -> "TSeries":
-        return self.map(lambda p: p.shift_u(delta))
-
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):

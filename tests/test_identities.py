@@ -23,6 +23,7 @@ from surfcount.identities import (
 from surfcount.maps import MapsTable, OneFaceTable, oneface_series
 from surfcount.oracle import marked_face_coefficient
 from surfcount.poly import ONE, Poly, U, V, Z, from_sp
+from surfcount.triangulations import TriTable
 from surfcount.tseries import TSeries
 
 
@@ -230,14 +231,46 @@ def test_all_identities_pass_small_orders(maps_cc_12, bip_16, tri_15):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name, order", [
-    ("shifted-bkp1", 30), ("ode-maps", 24), ("ode-bipartite", 16),
-    ("ode-triangulations", 60), ("fixed-charge", 20),
+    ("shifted-bkp1", 30), ("ode-maps", 40), ("ode-bipartite", 16),
+    ("ode-triangulations", 150), ("fixed-charge", 20),
 ])
 def test_raised_order_residuals(name, order):
     # each residual constrains every genus of its table up to the order
     rep = run_identity(name, order)
     assert rep.status == "pass", rep.first_failure
     assert rep.window[1] >= order
+
+
+@pytest.fixture(scope="module")
+def top_rows():
+    # the tables that ode-maps at order 40 and ode-triangulations at 150 read
+    return {"maps": MapsTable("cc").fill(20), "triangulations": TriTable().fill(25)}
+
+
+# identity, order, mutated cell, order of the first nonzero residual coefficient
+TOP_ROW_MUTATIONS = [
+    ("ode-maps", 40, (20, 2), 48), ("ode-maps", 40, (20, 10), 48),
+    ("ode-maps", 40, (20, 12), 48), ("ode-triangulations", 150, (25, 3), 154),
+    ("ode-triangulations", 150, (25, 11), 154), ("ode-triangulations", 150, (25, 18), 154),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, order, cell, at", TOP_ROW_MUTATIONS,
+                         ids=[f"{name}-{n},{g2}" for name, _, (n, g2), _ in TOP_ROW_MUTATIONS])
+def test_raised_order_residuals_see_the_top_row(top_rows, name, order, cell, at):
+    # +1 on one coefficient of a cell in the top row the raised order reads
+    model = identities.IDENTITIES[name][0]
+    table = top_rows[model]
+    broken = type(table)()
+    broken.entries.update(table.entries)
+    old = broken.entries[cell]
+    if isinstance(old, Poly):
+        broken.entries[cell] = old + Poly.from_terms({min(e for e, _ in old.int_items()): 1})
+    else:
+        broken.entries[cell] = old + 1
+    rep = run_identity(name, order, {model: broken})
+    assert rep.status == "fail" and rep.first_failure["order"] == at, rep.first_failure
 
 
 def memo_digest(ctx):

@@ -10,26 +10,6 @@ from surfcount.poly import ONE, P, S, Poly, U, V, Z, from_sp, to_sp
 UZ = U * Z
 
 
-def test_shift_u_binomial():
-    # (u + 2)^2 = u^2 + 4u + 4
-    p = U * U
-    assert p.shift_u(2) == Poly.from_terms({(2, 0, 0): 1, (1, 0, 0): 4, (0, 0, 0): 4})
-
-
-def test_shift_u_substitution():
-    # uz(u+z) with u -> u-2 equals (u-2)z(u-2+z)
-    p = UZ * (U + Z)
-    shifted = p.shift_u(-2)
-    direct = (U - 2 * ONE) * Z * (U - 2 * ONE + Z)
-    assert shifted == direct
-
-
-def test_shift_then_evaluate():
-    # uz(u+z) with u -> u+2, evaluated at u=0, z=1: 2 * 1 * 3 = 6
-    p = UZ * (U + Z)
-    assert p.shift_u(2).evaluate(u=0, z=1) == 6
-
-
 def test_rational_coefficients_normalize():
     p = Poly.from_terms({(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 3)})
     assert p.coeff((1, 0, 0)) == Fraction(1, 2)
@@ -69,13 +49,6 @@ polys = st.dictionaries(exps, small_frac, max_size=5).map(Poly.from_terms)
 
 
 @settings(max_examples=60)
-@given(polys, polys)
-def test_shift_roundtrip_and_product_rule(p, q):
-    assert p.shift_u(2).shift_u(-2) == p
-    assert (p * q).shift_u(2) == p.shift_u(2) * q.shift_u(2)
-
-
-@settings(max_examples=60)
 @given(polys, polys, polys)
 def test_ring_axioms(p, q, r):
     assert p + q == q + p
@@ -103,6 +76,35 @@ def test_from_terms_int_path(mapping):
     p = Poly.from_terms(mapping)
     assert p == Poly.from_terms({e: Fraction(c) for e, c in mapping.items()})
     assert dict(p.int_items()) == {e: c for e, c in mapping.items() if c}
+
+
+def _moved(f, slot, point, delta):
+    """f at point, with u and the variable of slot `slot` (if any) moved by delta."""
+    moved = list(point)
+    for i in (0,) if slot is None else (0, slot):
+        moved[i] += delta
+    return f.evaluate(*moved)
+
+
+@settings(max_examples=80)
+@given(polys, points, st.sampled_from([None, 1, 2]), st.integers(min_value=0, max_value=9))
+def test_charge_shift_is_its_definition(f, point, slot, floor):
+    delta = f.charge_shift(slot)
+    literal = (_moved(f, slot, point, 2) + _moved(f, slot, point, -2)) / 2 - f.evaluate(*point)
+    assert delta.evaluate(*point) == literal
+    # a floor drops the terms of degree below it, and nothing else
+    assert f.charge_shift(slot, floor) == Poly.from_terms(
+        {exps: c for exps, c in delta.items() if sum(exps) >= floor})
+
+
+def test_charge_shift_by_hand():
+    # ((u+2)^4 + (u-2)^4)/2 - u^4 = 24u^2 + 16; z and v pass through
+    assert (U * U * U * U * Z).charge_shift() == (24 * U * U + 16 * ONE) * Z
+    # ((u+2)(z+2) + (u-2)(z-2))/2 - uz = 4, and v passes through
+    assert (UZ * V).charge_shift(1) == 4 * V
+    assert (UZ * V).charge_shift(2) == 4 * Z
+    assert (UZ * V).charge_shift(1, floor=2).is_zero()
+    assert (U + Z + ONE).charge_shift(1).is_zero()
 
 
 @settings(max_examples=60)

@@ -3,6 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, prod
 
 import pytest
@@ -13,7 +14,7 @@ from surfcount.bipartite import BipOneFaceTable, BipTable
 from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
 from surfcount.poly import Poly
-from surfcount.table import Memo, charge_shift, shift_weight, split, square_sum
+from surfcount.table import Memo, shift_weight, split, square_sum
 from surfcount.triangulations import TriTable
 
 # one cell of each table that a fresh table has not filled
@@ -142,7 +143,10 @@ HAND_ROWS = {
 
 
 def _expand(rows, n1, g2_1, slot):
-    """charge_shift's docstring formula, term by term."""
+    """The charge-shift weight at g2_1 of row n1, u and the variable of
+    slot `slot` shifting together, term by term: 2^(2+g2_1-g2_0) C(p, i)
+    C(q, m-k-i) c u^i w^(m-k-i) x^k for the monomials c u^p w^q x^k of
+    each cell (n1, g2_0), m = n1 - g2_1."""
     m, out = n1 - g2_1, {}
     for g2_0 in range(g2_1 % 2, g2_1 + 1, 2):
         for exps, c in rows(n1, g2_0).items():
@@ -156,25 +160,41 @@ def _expand(rows, n1, g2_1, slot):
     return Poly.from_terms(out)
 
 
-@pytest.mark.parametrize("slot", [1, 2], ids=["z", "v"])
+def _expand_u(rows, n1, g2_1):
+    """The same weight with u shifting alone, cell by cell: 2^r C(p, r) c
+    u^(p-r) y for the monomials c u^p y of each cell (n1, g2_0), r = 2 +
+    g2_1 - g2_0."""
+    out = {}
+    for g2_0 in range(g2_1 % 2, g2_1 + 1, 2):
+        r = 2 + g2_1 - g2_0
+        for (p, j, k), c in rows(n1, g2_0).items():
+            if p >= r:
+                out[p - r, j, k] = out.get((p - r, j, k), 0) + 2**r * comb(p, r) * c
+    return Poly.from_terms(out)
+
+
+@pytest.mark.parametrize("slot", [None, 1, 2], ids=["u", "z", "v"])
 def test_charge_shift(slot):
+    # the weights of a row cut at c are the row's charge shift with floor
+    # n1 - c, split by degree
     def rows(n, g2):
         return HAND_ROWS.get((n, g2), Poly.zero())
 
+    expand = _expand_u if slot is None else partial(_expand, slot=slot)
     for n1 in range(4):
         for top in range(6):
-            weights = split(charge_shift(rows, n1, top, slot), n1, 6)
+            c = min(n1, top)
+            row = Poly.sum(rows(n1, g2) for g2 in range(c + 1))
+            weights = split(row.charge_shift(slot, n1 - c), n1, 6)
             for g2_1, weight in enumerate(weights):
-                expected = _expand(rows, n1, g2_1, slot) if g2_1 <= top else Poly.zero()
+                expected = expand(rows, n1, g2_1) if g2_1 <= c else Poly.zero()
                 assert weight == expected, (n1, top, g2_1)
-                if n1 < g2_1:
-                    assert weight.is_zero()
     if slot == 1:
         # at all ones the (u, z) shift is the scalar weight: Vandermonde
         cc, h = MapsTable("cc").fill(10), MapsCounts().fill(10)
         for n1 in range(11):
             row = [h.value(n1, g) for g in range(n1 + 1)]
-            weights = split(charge_shift(cc.poly, n1, n1, 1), n1, n1)
+            weights = split(cc.shift_weight[n1, n1], n1, n1)
             for g2_1 in range(n1 + 1):
                 assert weights[g2_1].evaluate() == shift_weight(n1, g2_1, row), (n1, g2_1)
 
@@ -269,7 +289,7 @@ def test_rows_split_back_into_their_cells(table, cap):
         swept = {(n, n if cap is None else min(n, cap)) for n in range(3, 10)}
         assert swept <= tab.shift_weight.keys()
         for (n, c), weight in tab.shift_weight.items():
-            assert weight == MapsTable._weight_kz(tab, n, c), (n, c)
+            assert weight == tab.row[n, c].charge_shift(None, n - c), (n, c)
 
 
 def _double_factorial(m):
