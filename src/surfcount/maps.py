@@ -14,9 +14,8 @@ doubled genus.  Two independent recurrence engines fill the same table:
 The engines share no formulas, so exact polynomial agreement of their
 outputs is a strong end-to-end check.  A third path, MapsCounts,
 computes the univariate counts h[n, g2] = H[n, g2](1, 1) directly in
-plain ints: its step is the "cc" recurrence at u = z = 1 scaled by 4, so
-that every coefficient is an integer, and ends in one exact division by
-2(n+1)(n-2) whose remainder must be zero.
+plain ints: the "cc" recurrence at u = z = 1, scaled by 4 so that every
+coefficient is an integer, run by `table.Table._fill_convolution`.
 
 The one-face counts (maps whose complement is a single disk) obey a
 separate linear recursion, which OneFaceTable runs a row at a time
@@ -43,9 +42,6 @@ brackets, one `Poly.dot` over n1.  In "kz" the piece n1 = n reads the
 cells of row n below the one it is for, so that engine finishes the row
 by a sweep up the genera, which adds each cell's weights as it is
 written and leaves the row's shift_weight behind.
-
-MapsCounts keeps none: it computes each row from genus convolutions of
-lower rows; see table.py.
 """
 
 from __future__ import annotations
@@ -53,11 +49,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import IntegralityError
 from .poly import _SHIFT, Poly, U, Z, _pack
-from .table import (
-    PolyTable, Table, convolve, convolve_square, cut, row_series, shift_weight, split, square_sum,
-)
+from .table import PolyTable, Table, cut, row_series, split, square_sum
 from .tseries import TSeries
 
 _UZ = U * Z
@@ -177,14 +170,12 @@ def _row_cc(n: int, top: int, tab: MapsTable) -> list:
 class MapsCounts(Table):
     """Integer-only fast path for h[n, g2] = H[n, g2](1, 1).
 
-    Mirrors engine "cc" at u = z = 1, where the bivariate shift kernel
-    collapses to a single binomial coefficient.  The step is scaled by 4,
-    which makes every bracket coefficient an integer; the cell is then one
-    exact division of the scaled sum by 2(n+1)(n-2), and a remainder raises
-    IntegralityError.  Row n reads only rows below it (the n1 = 0 shift
-    weight is 4 at genus 0 and 0 above), so `fill` computes a whole row at
-    once from genus convolutions of lower rows, held in lists local to the
-    call.  Every row from 3 up is recomputed and written into `entries`.
+    Engine "cc" at u = z = 1, where the bivariate shift kernel collapses
+    to a single binomial coefficient, scaled by 4 so that every bracket
+    coefficient is an integer: a genus-convolution recurrence
+    (`Table._fill_convolution`) whose cell is one checked division by
+    2(n+1)(n-2).  Row 0 is h[0, 0] = 1: its shift weight, 4 at genus 0,
+    gives the n1 = 0 piece, and its bracket is zero.
     """
 
     NAME = "h"
@@ -198,35 +189,15 @@ class MapsCounts(Table):
         return self.entries[n, g2]
 
     def fill(self, n_max: int, g2_max: int | None = None) -> "MapsCounts":
-        top = n_max if g2_max is None else g2_max
         h = self.value
-        # by row m: (2m+1) h[m], the shift weights of h[m] and 4 x its bracket
-        odd, weight, bracket = [[1]], [[4]], [[]]
-        for n in range(1, n_max + 1):
-            genera = range(min(n, top) + 1)
-            # q1[g2]: sum of (2n3-1)(2n4-1) h[n3-1] h[n4-1] over n3+n4 = n, g3+g4 = g2
-            q1 = convolve_square(odd, n - 2, len(genera))
-            # 4 x the bracket of row n without its -(n+1)/4 h[n] term
-            core = [2 * (2 * n - 1) * ((2 * n - 2) * (2 * n - 3) * h(n - 2, g - 2)
-                                       + 2 * h(n - 1, g) + h(n - 1, g - 1)) + 6 * q1[g]
-                    for g in genera]
-            if n >= 3:
-                # the first part, 4 x (n(2n-1)(...) + ... + 3n q1), is 2n core;
-                # at n1 = 0 the bracket lacks the h[n] term, the unknown cell
-                shift = convolve([0] * len(genera), ((weight[n1], bracket[n - n1] if n1 else core)
-                                                     for n1 in range(n)))
-                div = 2 * (n + 1) * (n - 2)
-                for g2 in genera:
-                    total4 = 2 * n * core[g2] - shift[g2]
-                    quot, rem = divmod(total4, div)
-                    if rem:
-                        raise IntegralityError(f"h[{n},{g2}]: {total4} not divisible by {div}")
-                    self.entries[n, g2] = quot
-            row = [h(n, g) for g in genera]
-            odd.append([(2 * n + 1) * v for v in row])
-            weight.append([shift_weight(n, g, row) for g in genera])
-            bracket.append([b - (n + 1) * v for b, v in zip(core, row)])
-        return self
+        # core: 4 x the bracket of row n without its -(n+1)/4 h[n] term, q
+        # the sum of (2n3-1)(2n4-1) h[n3-1] h[n4-1] over g3 + g4 = g2; the
+        # step, 4 x (n(2n-1)(...) + ... + 3n q), is 2n core
+        return self._fill_convolution(
+            n_max, g2_max, 0, lambda m: 2 * m + 1,
+            lambda n, g, q: 2 * (2 * n - 1) * ((2 * n - 2) * (2 * n - 3) * h(n - 2, g - 2)
+                                               + 2 * h(n - 1, g) + h(n - 1, g - 1)) + 6 * q,
+            lambda n: 2 * n, lambda n, g2: 2 * (n + 1) * (n - 2), {})
 
 
 def maps_count(n: int, g2: int, table: MapsTable | None = None) -> int:

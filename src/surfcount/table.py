@@ -2,15 +2,18 @@
 
 Every table keeps its filled cells in `entries`, seeded from the class's
 SEEDS; reading a cell that is not there raises MissingEntryError.  Every
-table fills a row, every genus of it, at a time.  The scalar tables
-recompute each row from genus convolutions of lower rows.  The one-face
-tables run a linear recursion of depth 4 (`Table._fill_linear`): row n
-is one step over rows n-1..n-4, held as zero-padded int lists local to
-the fill.  The polynomial tables (PolyTable) write the missing cells of a
-row, keeping those already there (seeds, and cells loaded from the
-count cache).  Genus is degree there: by Euler's relation cell (n, g2)
-is homogeneous of degree n + 2 - g2, so row n of every genus is the
-plain sum of its cells and comes back apart by degree (`split`).  A
+table fills a row, every genus of it, at a time, by one method per kind
+of table.  The scalar tables (`Table._fill_convolution`) recompute each
+row from genus convolutions of lower rows, held as int lists local to
+the fill.  The one-face tables run a linear recursion of depth 4
+(`Table._fill_linear`): row n is one step over rows n-1..n-4, held as
+zero-padded int lists local to the fill.  Both check each new int cell
+in one place (`Table._cell`: an exact division, then a non-negative
+result).  The polynomial tables (`PolyTable._fill`) write the missing
+cells of a row, keeping those already there (seeds, and cells loaded
+from the count cache).  Genus is degree there: by Euler's relation cell
+(n, g2) is homogeneous of degree n + 2 - g2, so row n of every genus is
+the plain sum of its cells and comes back apart by degree (`split`).  A
 product of two rows adds genera as it adds degrees, a move to g2 + k
 is a scaling, and each step is a few `Poly.dot` calls per row, not per
 cell.  Their building blocks are Memo rows, computed on first read;
@@ -20,8 +23,8 @@ polynomial table are `Poly.charge_shift` of its rows, the one
 charge-shift operator; the scalar tables read it at all ones through the
 int kernel `shift_weight`.  One polynomial kernel lives here:
 `square_sum`, the quadratic sum of the map and bipartite brackets.  The
-other formulas, the zero region of each table and its `fill` stay in
-the model modules.
+formulas themselves, the zero region of each table and its `fill` stay
+in the model modules.
 """
 
 from __future__ import annotations
@@ -69,9 +72,8 @@ class Table:
 
     A subclass sets NAME (its symbol in error messages) and SEEDS, reads
     cells through its own `value` or `poly`, which owns the zero region,
-    and defines `fill` in its own body: a call to `_fill_linear` or to
-    `PolyTable._fill`, or for the scalar tables a row loop that writes
-    each cell into `entries`.
+    and defines `fill` in its own body: a call to `_fill_convolution`,
+    `_fill_linear` or `PolyTable._fill` with its formulas.
     """
 
     NAME = ""
@@ -87,8 +89,8 @@ class Table:
         step gives one total per cell in that order, and history holds
         rows n-1..n-4, each laid out by layout(m, values of row m at
         keys(m)).  A cell already in entries is kept, and it is what later
-        rows read; each missing one is written once its division is
-        checked exact.  A row with no missing cell is not computed."""
+        rows read; each missing one is written once `_cell` has checked
+        it.  A row with no missing cell is not computed."""
         entries = self.entries
         history = [layout(m, [self.value(*key) for key in keys(m)]) for m in (3, 2, 1, 0)]
         for n in range(4, n_max + 1):
@@ -96,13 +98,65 @@ class Table:
             if not all(key in entries for key in row):
                 for key, total in zip(row, step(n, *history)):
                     if key not in entries:
-                        quot, rem = divmod(total, n + 1)
-                        if rem:
-                            raise IntegralityError(f"{self.NAME}[{','.join(map(str, key))}]: "
-                                                   f"{total} not divisible by {n + 1}")
-                        entries[key] = quot
+                        entries[key] = self._cell(key, total, n + 1)
             history = [layout(n, [entries[key] for key in row])] + history[:3]
         return self
+
+    def _fill_convolution(self, n_max: int, g2_max: int | None, reach: int, scale, core,
+                          lead, divisor, boundary: dict):
+        """Rows 3..n_max of a genus-convolution recurrence, cut at g2_max,
+        every row recomputed; row m holds g2 = 0..m + reach, and rows 0..2
+        are read through `value`.
+
+        The fill keeps, for every row m from 0 up and as lists by genus,
+        scale(m) times the row, its charge-shift weights (`shift_weight`)
+        and its bracket: core less (m + 1) times the row, plus the
+        corrections boundary[m]; row 0's bracket is boundary[0] alone.
+        core(n, g2, q) is the bracket of row n without its cell term, q
+        the quadratic sum of the scaled rows n3 - 1 and n4 - 1 over
+        n3 + n4 = n.  Cell (n, g2) is lead(n) core less the shift sum,
+        over divisor(n, g2), checked by `_cell`.  The shift sum convolves
+        the weights of row n1 with the bracket of row n - n1 for
+        n1 = 0..n: at n1 = 0 that bracket is core, the unknown cell left
+        out, and at n1 = n the weights are those of the cells of row n
+        written so far."""
+        top = n_max + reach if g2_max is None else g2_max
+        value = self.value
+        scaled, weight, bracket = [], [], [list(boundary.get(0, ()))]
+        for n in range(n_max + 1):
+            genera = range(min(n + reach, top) + 1)
+            if n:
+                q = convolve_square(scaled, n - 2, len(genera))
+                own = [core(n, g2, q[g2]) for g2 in genera]
+            if n >= 3:
+                shift = convolve([0] * len(genera),
+                                 ((weight[n1], bracket[n - n1] if n1 else own) for n1 in range(n)))
+                row, first, last = [0] * len(genera), lead(n), list(enumerate(bracket[0]))
+                for g2 in genera:
+                    total = first * own[g2] - shift[g2]
+                    for g, b in last:   # n1 = n, over the cells written so far
+                        total -= b * shift_weight(n, g2 - g, row)
+                    row[g2] = self.entries[n, g2] = self._cell((n, g2), total, divisor(n, g2))
+            row = [value(n, g2) for g2 in genera]
+            scaled.append([scale(n) * v for v in row])
+            weight.append([shift_weight(n, g2, row) for g2 in genera])
+            if n:
+                full = [b - (n + 1) * v for b, v in zip(own, row)]
+                for g2, c in zip(genera, boundary.get(n, ())):
+                    full[g2] += c
+                bracket.append(full)
+        return self
+
+    def _cell(self, key: tuple, total: int, div: int) -> int:
+        """total / div, the new int cell at key: IntegralityError unless
+        the division is exact and the result non-negative."""
+        quot, rem = divmod(total, div)
+        if rem:
+            raise IntegralityError(f"{self.NAME}[{','.join(map(str, key))}]: "
+                                   f"{total} not divisible by {div}")
+        if quot < 0:
+            raise IntegralityError(f"{self.NAME}[{','.join(map(str, key))}] = {quot} is negative")
+        return quot
 
 
 class PolyTable(Table):

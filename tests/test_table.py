@@ -132,6 +132,22 @@ def test_oneface_fill_checks_each_division(cls, seed, message, last, bad):
     assert list(tab.entries)[-1] == last and bad not in tab.entries
 
 
+@pytest.mark.parametrize("cls, seed, drop, message, bad", [
+    (MapsCounts, (2, 0), 8, r"h\[3,0\] = -58", (3, 0)),
+    (TriTable, (2, 1), 320, r"t\[3,1\] = -2227", (3, 1)),
+    (OneFaceTable, (3, 0), 60, r"oneface\[4,0\] = -346", (4, 0)),
+    (BipOneFaceTable, (3, 1, 1), 60, r"bip-oneface\[4,1,2\] = -159", (4, 1, 2)),
+], ids=["MapsCounts", "TriTable", "OneFaceTable", "BipOneFaceTable"])
+def test_int_fill_checks_each_sign(cls, seed, drop, message, bad):
+    # a lowered seed makes an exact division come out negative one row
+    # up; the shared cell check raises before that cell is written
+    tab = cls()
+    tab.entries[seed] -= drop
+    with pytest.raises(IntegralityError, match=rf"^{message} is negative$"):
+        tab.fill(5)
+    assert bad not in tab.entries
+
+
 # small cells by (n, g2), exponents (u, z, v), each of degree n + 2 - g2;
 # one has a denominator
 HAND_ROWS = {
@@ -296,6 +312,37 @@ def _double_factorial(m):
     return prod(range(m, 0, -2))
 
 
+def exponential_row_sums(model: str, n_max: int) -> list:
+    """Rows 1..n_max of the scalar table of model ("maps" or
+    "triangulations") summed over the genus, from the exponential
+    formula: with c = log A, maps give 4n c_n / 4^n for A(x) = sum over
+    n of (4n-1)!! x^n / n!, and triangulations 12n c_2n for A(y) = sum
+    over even m of (3m-1)!! 2^(3m/2) y^m / (m! 6^m).  The log runs its
+    recurrence m c_m = m a_m - sum over k < m of k c_k a_(m-k) in
+    Fractions only."""
+    maps = model == "maps"
+    order = n_max if maps else 2 * n_max
+    if maps:
+        a = [Fraction(_double_factorial(4 * m - 1), factorial(m)) for m in range(order + 1)]
+    else:
+        a = [Fraction(_double_factorial(3 * m - 1) * 2 ** (3 * m // 2), factorial(m) * 6**m)
+             if m % 2 == 0 else Fraction(0) for m in range(order + 1)]
+    c = [Fraction(0)] * (order + 1)
+    for m in range(1, order + 1):
+        c[m] = a[m] - sum((k * c[k] * a[m - k] for k in range(1, m)), Fraction(0)) / m
+    return [4 * n * c[n] / 4**n if maps else 12 * n * c[2 * n] for n in range(1, n_max + 1)]
+
+
+def _row_sums(table, n_max: int) -> list:
+    return [sum(table.value(n, g2) for g2 in range(n + 2)) for n in range(1, n_max + 1)]
+
+
+def test_scalar_row_sums():
+    # every genus of maps rows 1..40 and triangulation rows 1..24
+    assert _row_sums(MapsCounts().fill(40), 40) == exponential_row_sums("maps", 40)
+    assert _row_sums(TriTable().fill(24), 24) == exponential_row_sums("triangulations", 24)
+
+
 @pytest.mark.slow
 def test_scalar_tables_far_out():
     # every exact division passes up to maps 100 and triangulations 60
@@ -307,3 +354,5 @@ def test_scalar_tables_far_out():
         assert lhs == 2 ** (2 * n + 1) * _double_factorial(3 * n), n
     assert {cell: h.value(*cell) for cell in MAPS} == MAPS
     assert {cell: t.value(*cell) for cell in TRIANGULATIONS} == TRIANGULATIONS
+    assert _row_sums(h, 100) == exponential_row_sums("maps", 100)
+    assert _row_sums(t, 60) == exponential_row_sums("triangulations", 60)

@@ -4,7 +4,7 @@ from math import factorial, prod
 import pytest
 
 from surfcount.errors import IntegralityError, MissingEntryError
-from surfcount.triangulations import TriTable, prefactor_denominator, xi_series
+from surfcount.triangulations import TriTable, double_denominator, xi_series
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +38,10 @@ def test_support_bound(tri10):
 
 
 def test_prefactor_denominator_positive():
-    # not proved nonzero in general; checked over the visited range
+    # 2 D(n, g) > 0 exactly when D(n, g) > 0, over the visited range
     for n in range(1, 60):
         for g2 in range(n + 2):
-            assert prefactor_denominator(n, g2) > 0
+            assert double_denominator(n, g2) > 0
 
 
 def test_single_step_and_missing(tri10):
