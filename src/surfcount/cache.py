@@ -17,30 +17,38 @@ in one append.
 
 A table run loads the view of one model up to one n: it skips, unparsed,
 each line that is a whole record (ending in `}`) with the canonical
-start `{"model": "<m>", "n": <digits>, "g2": <digits>,` of another model
-or a larger n.  The header and the last line, which may be torn, are
+start `{"model": "<m>", "n": <digits>, "g2": <digits>,` (at most 640
+digits each) of another model or a larger n.  The header and the last line, which may be torn, are
 always read, and so is every line of another shape, so a malformed line
 is still loud; a value corrupted in a skipped line is caught by the
-first run that reads that row.  Loading parses each line it reads once,
-straight into the in-memory index, with the scan that `json.loads`
-itself ends in (`JSONDecoder.scan_once`); a line that scan does not
-consume whole (blank or padded, a BOM, invalid or torn) goes through
-`json.loads`, which reads it, or says why not, exactly as it always
-has.  Each record's shape is then checked: a known model, non-negative
-integers n, g2 and indices (two for maps coefficients and bip-oneface
-cells, three for bipartite coefficients, none for totals and scalar
-cells) and a decimal string value, and the view keeps the records of
-its model and range.  Files written when every table was cached also
-hold triangulations, oneface, bip-oneface and scalar maps records: the
-first three are other models to every run, and the scalar maps ones are
-row totals.  Coefficients stay ints all the way from the file to
-a row's `Poly` and back.  A served row must be homogeneous of degree
-n + 2 - g2, and a cached row that a table already holds, one of its
-seeds, must equal it.  Storing a table compares every record the
-file holds for its other rows, coefficients and totals, with the
-recomputed row, and builds records only for the rows it does not hold
-whole; a row the cache itself served is built from its records and is
-not compared again.
+first run that reads that row.  A line the view keeps that is exactly
+what the writer writes (the canonical start, then `"value":
+"<digits>"` and the indices `i`, `j`[, `k`], as many as the model's
+records carry) is read by one regular-expression match of its rest.
+Every other line goes through `json.loads`, which reads it, or says
+why not, exactly as it always has (blank or padded, a BOM, other key
+orders or spellings, invalid or torn).  Each record's shape is then
+checked: a known model, non-negative integers n, g2 and indices (two
+for maps coefficients and bip-oneface cells, three for bipartite
+coefficients, none for totals and scalar cells) and a decimal string
+value, and the view keeps the records of its model and range.  Files
+written when every table was cached also hold triangulations, oneface,
+bip-oneface and scalar maps records: the first three are other models
+to every run, and the scalar maps ones are row totals.
+
+Coefficients stay ints all the way from the file to a row's `Poly` and
+back: a served row's record indices pack straight into its `Poly` keys,
+and `coefficient_records` reads a row's keys back as its records, in
+record order (by exponents, which is the order of the packed keys);
+`store` and the CLI's coefficient output both go through it.  Every
+record line is written by `record_line`, which builds exactly what
+`json.dumps` writes for the record's dict.  A served row must be
+homogeneous of degree n + 2 - g2, and a cached row that a table already
+holds, one of its seeds, must equal it.  Storing a table compares every
+record the file holds for its other rows, coefficients and totals, with
+the recomputed row, and appends only the records the file lacks; a row
+the cache itself served is built from its records and is not compared
+again.
 
 Each append holds an exclusive `flock` on the file, so runs sharing one
 file write one header and never interleave their records.  A run that
@@ -61,46 +69,46 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import CacheError
-from .poly import Poly
+from .poly import _MASK, _SHIFT, Poly
 
 HEADER = {"format": "surfcount-cache", "version": 1}
 
 # the keys of a record's indices, in order
 INDEX_NAMES = "ijk"
 
-# The row layout: SLOTS[model][c] is the slot, of a Poly's exponents (u,
-# z, v), that a coefficient record's index c holds.  Maps rows are indexed
-# (i, j) = (u, z), bipartite rows (i, j, k) = (u, v, z).
-SLOTS = {"maps": (0, 1), "bipartite": (0, 2, 1)}
-_TO_INDICES = {model: itemgetter(*slots) for model, slots in SLOTS.items()}
-# and back: exponent slot s reads the index that holds it, or else a 0
-# appended to the indices
-_TO_EXPS = {model: itemgetter(*(slots.index(s) if s in slots else len(slots) for s in range(3)))
-            for model, slots in SLOTS.items()}
+# the number of indices each model's records carry: none for totals and
+# scalar cells
+_WIDTHS = {"maps": (0, 2), "bipartite": (0, 3), "bip-oneface": (2,),
+           "triangulations": (0,), "oneface": (0,)}
+# and their getters, by model and record length
+_INDICES = {model: {4 + w: itemgetter(*INDEX_NAMES[:w]) if w else None for w in widths}
+            for model, widths in _WIDTHS.items()}
 
-# json.loads(s) is this scan at the start of s, plus whitespace and
-# BOM handling around it
-_scan = json.JSONDecoder().scan_once
+# The row layout: a coefficient record's indices are exponents of its
+# Poly key, maps (i, j) = (u, z) and bipartite (i, j, k) = (u, v, z).
+_U, _Z = 2 * _SHIFT, _SHIFT
+_TO_KEY = {"maps": lambda i, j: i << _U | j << _Z,
+           "bipartite": lambda i, j, k: i << _U | k << _Z | j}
+_TO_INDICES = {"maps": lambda key: (key >> _U, key >> _Z & _MASK),
+               "bipartite": lambda key: (key >> _U, key & _MASK, key >> _Z & _MASK)}
+# the number of indices of a polynomial row's coefficient records
+ROW_WIDTH = {model: max(_WIDTHS[model]) for model in _TO_KEY}
 
-
-@dataclass(frozen=True)
-class CountRecord:
-    model: str                       # maps | bipartite | triangulations | oneface | bip-oneface
-    n: int
-    g2: int
-    value: int
-    indices: tuple[int, ...] | None = None   # (i, j) or (i, j, k) for coefficients
-
-    def as_dict(self) -> dict:
-        out = {"model": self.model, "n": self.n, "g2": self.g2,
-               "value": str(self.value)}
-        out.update(zip(INDEX_NAMES, self.indices or ()))
-        return out
+# A number as json.dumps writes it, of at most 640 digits: int() reads
+# those under any limit on its digits (640 is the lowest one Python
+# accepts), and a line with a longer one goes through json.loads.
+_NAT = "(0|[1-9][0-9]{0,639})"
+# the start of a record as json.dumps writes it: model, n and g2, read off
+# a line that a request may skip unparsed
+_CANONICAL = re.compile('{"model": "(%s)", "n": %s, "g2": %s,'
+                        % ("|".join(map(re.escape, _WIDTHS)), _NAT, _NAT)).match
+# and the rest of it: value, then the indices
+_REST = re.compile(' "value": "([0-9]{1,640})"(?:, "i": %s, "j": %s(?:, "k": %s)?)?}'
+                   % (_NAT, _NAT, _NAT)).fullmatch
 
 
 def default_cache_path() -> Path:
@@ -108,20 +116,11 @@ def default_cache_path() -> Path:
     return Path(base) / "surfcount" / "counts.ndjson"
 
 
-# index getters by model and record length: a polynomial row's coefficient
-# records carry its exponents, its total record none
-_INDICES = {
-    **{model: {4: None, 4 + len(slots): itemgetter(*INDEX_NAMES[:len(slots)])}
-       for model, slots in SLOTS.items()},
-    "bip-oneface": {6: itemgetter("i", "j")},
-    "triangulations": {4: None},
-    "oneface": {4: None},
-}
-
-# the start of a record as json.dumps writes it: model and n, read off a
-# line that a request may skip unparsed
-_CANONICAL = re.compile('{"model": "(%s)", "n": (0|[1-9][0-9]*), "g2": (?:0|[1-9][0-9]*),'
-                        % "|".join(map(re.escape, _INDICES))).match
+def record_line(model: str, n: int, g2: int, indices: tuple[int, ...] | None, value: int) -> str:
+    """One record's line: json.dumps of its dict (model, n, g2, value as a
+    string, then the indices as i, j, k) and a newline."""
+    tail = "".join([f', "{name}": {x}' for name, x in zip(INDEX_NAMES, indices or ())])
+    return f'{{"model": "{model}", "n": {n}, "g2": {g2}, "value": "{value}"{tail}}}\n'
 
 
 def _parse_record(obj) -> tuple[tuple[str, int, int], tuple[int, ...] | None, int]:
@@ -140,13 +139,13 @@ def _parse_record(obj) -> tuple[tuple[str, int, int], tuple[int, ...] | None, in
     return (model, n, g2), indices, int(value)
 
 
-def record_indices(model: str, exps: tuple[int, int, int]) -> tuple[int, ...]:
-    """A polynomial row's exponents (u, z, v) as its record indices."""
-    return _TO_INDICES[model](exps)
-
-
-def _poly_exps(model: str, indices: tuple[int, ...]) -> tuple[int, int, int]:
-    return _TO_EXPS[model](indices + (0,))
+def coefficient_records(model: str, row: Poly) -> list[tuple[tuple[int, ...], int]]:
+    """A polynomial row's coefficient records, (indices, value), in record
+    order: by exponents (u, z, v), the order of the packed keys.
+    IntegralityError unless the row is integral."""
+    row.int_items()   # raises IntegralityError for a row over a denominator
+    indices = _TO_INDICES[model]
+    return [(indices(key), c) for key, c in sorted(row.terms.items())]
 
 
 def _mend_last_line(fh):
@@ -195,9 +194,6 @@ class CountCache:
         return {(*key, indices): value
                 for key, cells in self._cells.items() for indices, value in cells.items()}
 
-    def _add(self, rec: CountRecord):
-        self._cells.setdefault((rec.model, rec.n, rec.g2), {})[rec.indices] = rec.value
-
     def _load(self, model, n_max):
         data = self.path.read_bytes()
         # split leaves "" last unless the last line lacks its newline
@@ -205,29 +201,33 @@ class CountCache:
         last = len(lines)
         cells = self._cells
         for lineno, line in enumerate(lines, 1):
-            # skip a whole canonical record of another model or a larger n;
-            # the header and the last line, maybe torn, are always read
-            if model is not None and 1 < lineno < last and line[-1:] == "}":
-                head = _CANONICAL(line)
-                if head and (head[1] != model or int(head[2]) > n_max):
+            head = lineno > 1 and _CANONICAL(line)
+            if head:
+                m = head[1]
+                if model is None or m == model and int(head[2]) <= n_max:
+                    # a kept line as the writer writes it
+                    rest = _REST(line, head.end())
+                    if rest:
+                        value, i, j, k = rest.groups()
+                        indices = (None if i is None else (int(i), int(j)) if k is None
+                                   else (int(i), int(j), int(k)))
+                        if len(indices or ()) in _WIDTHS[m]:
+                            cells.setdefault((m, int(head[2]), int(head[3])), {})[indices] = int(value)
+                            continue
+                elif lineno < last and line[-1:] == "}":
+                    # a whole record of another model or a larger n; the
+                    # last line, maybe torn, is always read
                     continue
+            if not line.strip():
+                continue
             try:
-                obj, end = _scan(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line):
-                # not one bare JSON value: blank, padded, a BOM, invalid or torn
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    if lineno < len(lines):
-                        raise CacheError(
-                            f"{self.path}:{lineno}: unparsable cache record") from None
-                    print(f"warning: dropping torn last line {lineno} of {self.path}",
-                          file=sys.stderr)
-                    return
+                obj = json.loads(line)
+            except ValueError:
+                if lineno < last:
+                    raise CacheError(f"{self.path}:{lineno}: unparsable cache record") from None
+                print(f"warning: dropping torn last line {lineno} of {self.path}",
+                      file=sys.stderr)
+                return
             if lineno == 1:
                 if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
                     raise CacheError(f"not a surfcount cache: {self.path}")
@@ -239,26 +239,32 @@ class CountCache:
             if model is None or key[0] == model and key[1] <= n_max:
                 cells.setdefault(key, {})[indices] = value
 
-    def _append(self, records):
-        """Write the records the file lacks, all in one locked append.
+    def _append(self, rows: dict):
+        """Write the records of rows, {(model, n, g2): [(indices, value)]},
+        that the file lacks, all in one locked append.
 
         Under the lock: mend the last line, then write the header if the
         file is empty.
         """
-        records = [rec for rec in records
-                   if self.get_scalar(rec.model, rec.n, rec.g2, rec.indices) is None]
-        if not records:
+        new = {}
+        for key, records in rows.items():
+            held = self._cells.get(key, {})
+            missing = {indices: value for indices, value in records if indices not in held}
+            if missing:
+                new[key] = missing
+        if not new:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps(rec.as_dict()) + "\n" for rec in records]
+        lines = [record_line(*key, indices, value)
+                 for key, cells in new.items() for indices, value in cells.items()]
         with self.path.open("ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)   # released when the file closes
             _mend_last_line(fh)
             if not fh.seek(0, os.SEEK_END):
                 lines.insert(0, json.dumps(HEADER) + "\n")
             fh.write("".join(lines).encode())
-        for rec in records:
-            self._add(rec)
+        for key, cells in new.items():
+            self._cells.setdefault(key, {}).update(cells)
 
     # -- tables ----------------------------------------------------------
 
@@ -300,29 +306,29 @@ class CountCache:
 
         Each record the file holds for a row, coefficient or total, must
         equal the recomputed one, else CacheError names the file and the
-        record.  A row that `load` served is skipped: it was built from
-        exactly those records.  A row the file holds whole builds no
-        records; `_append` drops the ones a partly held row already has.
-        A view of every model has no table to store (ValueError).
+        record, and nothing is appended.  A row that `load` served is
+        skipped: it was built from exactly those records.  A view of
+        every model has no table to store (ValueError).
         """
         model = self._view_model()
-        records = []
-        served = self._served
+        rows = {}
         for (n, g2), poly in entries.items():
-            if served.get((model, n, g2)) is poly:
+            key = (model, n, g2)
+            if self._served.get(key) is poly:
                 continue
-            held = self._cells.get((model, n, g2), {})
-            row = {record_indices(model, exps): c for exps, c in poly.int_items()}
-            row[None] = sum(row.values())
-            for indices, value in held.items():
-                recomputed = row.get(indices, 0)
-                if recomputed != value:
-                    cell = ",".join(map(str, (n, g2, *(indices or ()))))
-                    raise CacheError(f"{self.path}: {model}[{cell}]: "
-                                     f"cached {value}, recomputed {recomputed}")
-            if not row.keys() <= held.keys():
-                records += self._row_records(model, n, g2, poly, row[None])
-        self._append(records)
+            records = coefficient_records(model, poly)
+            records.append((None, sum(poly.terms.values())))
+            held = self._cells.get(key)
+            if held:
+                row = dict(records)
+                for indices, value in held.items():
+                    recomputed = row.get(indices, 0)
+                    if recomputed != value:
+                        cell = ",".join(map(str, (n, g2, *(indices or ()))))
+                        raise CacheError(f"{self.path}: {model}[{cell}]: "
+                                         f"cached {value}, recomputed {recomputed}")
+            rows[key] = records
+        self._append(rows)
 
     # -- single cells and rows ---------------------------------------------
 
@@ -333,24 +339,17 @@ class CountCache:
 
     def put_scalar(self, model: str, n: int, g2: int, value: int,
                    indices: tuple[int, ...] | None = None):
-        self._append([CountRecord(model, n, g2, value, indices)])
+        self._append({(model, n, g2): [(indices, value)]})
 
     def get_row(self, model: str, n: int, g2: int) -> Poly | None:
         """Rebuild a stored polynomial row; None unless it is complete."""
         cells = self._cells.get((model, n, g2), {})
         total = cells.get(None)
-        coeffs = {_poly_exps(model, idx): value
-                  for idx, value in cells.items() if idx is not None}
-        if total is None or sum(coeffs.values()) != total:
+        if total is None:
             return None
-        return Poly.from_terms(coeffs)
+        key = _TO_KEY[model]
+        terms = {key(*indices): value for indices, value in cells.items() if indices is not None}
+        return Poly(terms) if sum(terms.values()) == total else None
 
     def put_row(self, model: str, n: int, g2: int, poly: Poly, total: int):
-        self._append(self._row_records(model, n, g2, poly, total))
-
-    @staticmethod
-    def _row_records(model, n, g2, poly, total):
-        records = [CountRecord(model, n, g2, c, record_indices(model, exps))
-                   for exps, c in sorted(poly.int_items())]
-        records.append(CountRecord(model, n, g2, int(total)))
-        return records
+        self._append({(model, n, g2): coefficient_records(model, poly) + [(None, int(total))]})

@@ -25,7 +25,7 @@ import sys
 import click
 
 from .bipartite import BipOneFaceTable, BipTable
-from .cache import INDEX_NAMES, SLOTS, CountCache, default_cache_path, record_indices
+from .cache import INDEX_NAMES, ROW_WIDTH, CountCache, coefficient_records, default_cache_path
 from .errors import CacheError, IntegralityError, WindowError
 from .genus import genus_label, parse_genus
 from .identities import IDENTITIES, oneface_ode_fill, run_identity
@@ -120,46 +120,40 @@ def _genus_top(g_max, reach):
         raise click.UsageError(str(exc))
 
 
-def _record(model, n, g2, indices, value):
-    """One JSON output record: model, n, g2, the indices as i, j, k, then value."""
-    rec = {"model": model, "n": n, "g2": g2}
-    rec.update(zip(INDEX_NAMES, indices))
-    rec["value"] = str(value)
-    return rec
-
-
-def _emit_json(model, records):
-    _echo(json.dumps({"model": model, "rows": records}))
-
-
-def _emit_text(header, lines, fmt):
-    """header and lines are rows of strings: CSV, or a right-aligned table."""
-    rows = [header] + lines
+def _emit_text(header, rows, fmt):
+    """header: the column names; rows: tuples of ints, one line each.  CSV,
+    or a table right-aligned to each column's longest entry."""
     if fmt == "csv":
-        _echo("\n".join(",".join(row) for row in rows))
-        return
-    line = "  ".join(f"{{:>{max(map(len, col))}}}" for col in zip(*rows))
-    _echo("\n".join(line.format(*row) for row in rows))
+        line = ",".join(["%s"] * len(header))
+    else:
+        # the longest entry of a column of ints is its largest or smallest
+        widths = ([max(len(name), len(str(max(col))), len(str(min(col))))
+                   for name, col in zip(header, zip(*rows))] if rows else map(len, header))
+        line = "  ".join([f"%{w}s" for w in widths])
+    _echo("\n".join([line % tuple(header), *[line % row for row in rows]]))
 
 
 def _emit_grid(model, value, n_max, g2_max, fmt):
     """value(n, g2) for n in 1..n_max and g2 in 0..g2_max, a row per n."""
     ns, genera = range(1, n_max + 1), range(g2_max + 1)
     if fmt == "json":
-        _emit_records(model, [(n, g2, (), value(n, g2)) for n in ns for g2 in genera], fmt, 0)
+        _emit_records(model, [(n, g2, value(n, g2)) for n in ns for g2 in genera], fmt, 0)
         return
     _emit_text(["n"] + [f"g={genus_label(g2)}" for g2 in genera],
-               [[str(n)] + [str(value(n, g2)) for g2 in genera] for n in ns], fmt)
+               [(n, *[value(n, g2) for g2 in genera]) for n in ns], fmt)
 
 
 def _emit_records(model, rows, fmt, width):
-    """rows: (n, g2, indices, value), one record each, with `width` indices."""
+    """rows: (n, g2, *indices, value), one record each, with `width` indices."""
+    keys = ["n", "g2", *INDEX_NAMES[:width]]
     if fmt == "json":
-        _emit_json(model, [_record(model, *row) for row in rows])
+        # json.dumps of {"model": model, "rows": records}, each record
+        # model, n, g2, the indices as i, j, k, then value as a string
+        fields = "".join(f', "{key}": %s' for key in keys)
+        record = f'{{"model": "{model}"{fields}, "value": "%s"}}'
+        _echo(f'{{"model": "{model}", "rows": [{", ".join([record % row for row in rows])}]}}')
         return
-    _emit_text(["n", "g2", *INDEX_NAMES[:width], "value"],
-               [[str(n), str(g2), *map(str, indices), str(value)]
-                for n, g2, indices, value in rows], fmt)
+    _emit_text(keys + ["value"], rows, fmt)
 
 
 def _emit_rows(model, tab, n_max, g2_max, fmt, coefficients):
@@ -168,10 +162,10 @@ def _emit_rows(model, tab, n_max, g2_max, fmt, coefficients):
     if not coefficients:
         _emit_grid(model, tab.count, n_max, g2_max, fmt)
         return
-    rows = [(n, g2, record_indices(model, exps), c)
+    rows = [(n, g2, *indices, c)
             for n in range(1, n_max + 1) for g2 in range(g2_max + 1)
-            for exps, c in sorted(tab.poly(n, g2).int_items())]
-    _emit_records(model, rows, fmt, len(SLOTS[model]))
+            for indices, c in coefficient_records(model, tab.poly(n, g2))]
+    _emit_records(model, rows, fmt, ROW_WIDTH[model])
 
 
 @main.command("maps")
@@ -266,7 +260,7 @@ def bip_oneface_cmd(n_max, engine, fmt, cache_path, no_cache):
     tab = _oneface_fill("bip-oneface", BipOneFaceTable, n_max, engine,
                         lambda n, i, j: f"n={n}, i={i}, j={j}")
     entries = tab.entries
-    rows = [(n, n + 1 - i - j, (i, j), entries[n, i, j])
+    rows = [(n, n + 1 - i - j, i, j, entries[n, i, j])
             for n in range(1, n_max + 1) for i, j in tab.row_cells(n)]
     _emit_records("bip-oneface", rows, fmt, 2)
 
@@ -329,14 +323,14 @@ def oracle_cmd(edges, model_filter, fmt):
         raise click.UsageError("triangulations need an edge count divisible by 3")
     result = scan(edges)
     if model_filter == "triangulation":
-        rows = [(edges // 3, g2, (), c) for g2, c in sorted(result["triangulations"].items())]
+        rows = [(edges // 3, g2, c) for g2, c in sorted(result["triangulations"].items())]
         _emit_records("triangulations", rows, fmt, 0)
         return
     model = model_filter or "maps"
     # keyed by vertex counts then faces, the record indices: by Euler's
     # formula g2 = 2 + edges - their sum
-    rows = [(edges, 2 + edges - sum(key), key, c) for key, c in sorted(result[model].items())]
-    _emit_records(model, rows, fmt, len(SLOTS[model]))
+    rows = [(edges, 2 + edges - sum(key), *key, c) for key, c in sorted(result[model].items())]
+    _emit_records(model, rows, fmt, ROW_WIDTH[model])
 
 
 if __name__ == "__main__":

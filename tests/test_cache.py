@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfcount.cli
 import surfcount.maps
 from surfcount.bipartite import BipOneFaceTable
-from surfcount.cache import CountCache, HEADER, _parse_record
+from surfcount.cache import CountCache, HEADER, _parse_record, record_line
 from surfcount.cli import main
 from surfcount.errors import CacheError, IntegralityError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
@@ -761,6 +763,28 @@ def test_cli_malformed_line_of_another_model_exit_code(tmp_path, line, error):
     assert path.read_bytes() == before
 
 
+_HUGE = "9" * 5000   # beyond int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("line, error", [
+    ('{"model": "maps", "n": 3, "g2": 1, "value": "%s", "i": 2, "j": 3}' % _HUGE,
+     "malformed cache record"),
+    ('{"model": "maps", "n": %s, "g2": 1, "value": "1", "i": 2, "j": 3}' % _HUGE,
+     "unparsable cache record"),
+    ('{"model": "bipartite", "n": 3, "g2": %s, "value": "1"}' % _HUGE,
+     "unparsable cache record"),
+], ids=["value", "n", "g2-of-another-model"])
+def test_cli_number_beyond_the_digit_limit_exit_code(tmp_path, line, error):
+    # a line with a number too long for the writer's form is read by
+    # json.loads, and is one stderr line, whatever its model
+    path = tmp_path / "counts.ndjson"
+    lineno = _maps_cache_with(path, line)
+    res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4",
+                                    "--cache", str(path)])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr.count("\n") == 1 and f":{lineno}: {error}" in res.stderr
+
+
 def test_cli_torn_last_line_of_another_model_is_dropped_and_cut(tmp_path):
     path = tmp_path / "counts.ndjson"
     lineno = _maps_cache_with(path, '{"model": "bipartite", "n": 9, "g2": 0, "val', last=True)
@@ -794,3 +818,72 @@ def test_full_view_does_not_store(tmp_path):
     with pytest.raises(ValueError, match="one model"):
         CountCache(path).store(MapsTable("cc").fill(3).entries)
     assert not path.exists()
+
+
+# -- the record writer and the files the CLI writes -------------------------
+
+# the number of indices each model's records carry
+_WIDTHS = {"maps": (0, 2), "bipartite": (0, 3), "bip-oneface": (2,),
+           "triangulations": (0,), "oneface": (0,)}
+_SMALL = st.integers(min_value=0, max_value=12)
+_NATURALS = st.one_of(_SMALL, st.integers(min_value=0, max_value=10**30))
+
+
+@st.composite
+def _records(draw):
+    model = draw(st.sampled_from(_MODELS))
+    width = draw(st.sampled_from(_WIDTHS[model]))
+    indices = tuple(draw(_NATURALS) for _ in range(width)) or None
+    value = draw(st.one_of(_SMALL, st.integers(min_value=0, max_value=10**45)))
+    return model, draw(_NATURALS), draw(_NATURALS), indices, value
+
+
+def _views(path, n_maxes):
+    """Each view of path, and the reference load filtered to it."""
+    everything = _reference_load(path)
+    yield CountCache(path).records, everything
+    for model in _MODELS:
+        for n_max in n_maxes:
+            yield (CountCache(path, model, n_max).records,
+                   {key: value for key, value in everything.items()
+                    if key[0] == model and key[1] <= n_max})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_records(), max_size=12), _SMALL)
+def test_record_line_is_json_dumps(tmp_path_factory, records, n_max):
+    # every line is what json.dumps writes for the record's dict, and a
+    # file of them loads the same through the writer's form and json.loads
+    lines = []
+    for model, n, g2, indices, value in records:
+        obj = {"model": model, "n": n, "g2": g2, "value": str(value)}
+        obj.update(zip("ijk", indices or ()))
+        lines.append(record_line(model, n, g2, indices, value))
+        assert lines[-1] == json.dumps(obj) + "\n"
+    path = tmp_path_factory.getbasetemp() / "writer.ndjson"
+    path.write_text(json.dumps(HEADER) + "\n" + "".join(lines))
+    for got, expected in _views(path, [n_max]):
+        assert got == expected
+
+
+# one cache file through a short session of polynomial-row requests
+_SESSION = ["maps --bivariate --n-max 4", "bipartite --trivariate --n-max 3",
+            "maps --engine both --n-max 4", "maps --bivariate --n-max 6",
+            "bipartite --trivariate --n-max 5", "maps --engine both --n-max 6",
+            "maps --bivariate --n-max 5", "bipartite --trivariate --n-max 4",
+            "maps --engine both --n-max 5"]
+
+
+def test_session_file_loads_as_json_loads(tmp_path):
+    # every view of the file the CLI writes reads what json.loads reads,
+    # after every request; each request prints what it prints uncached
+    path = tmp_path / "counts.ndjson"
+    for k, command in enumerate(_SESSION):
+        args = command.split() + ["--format", ("table", "csv", "json")[k % 3]]
+        res = CliRunner().invoke(main, args + ["--cache", str(path)])
+        assert res.exit_code == 0 and res.stderr == ""
+        assert res.stdout == CliRunner().invoke(main, args + ["--no-cache"]).stdout
+        for got, expected in _views(path, range(8)):
+            assert got == expected
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "08390c13bd0d83e90b71a53980e9a5bf8b4e2b936d0e41c7b208288ddf59f39b")

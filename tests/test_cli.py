@@ -10,8 +10,9 @@ from click.testing import CliRunner
 import surfcount.bipartite
 import surfcount.cli
 import surfcount.maps
-from surfcount.cli import main
+from surfcount.cli import _emit_records, _emit_rows, main
 from surfcount.oracle import MAX_EDGES
+from surfcount.poly import Poly
 
 
 @pytest.fixture()
@@ -304,3 +305,84 @@ def test_cache_options_only_on_table_commands(runner, tmp_path):
         assert res.exit_code == 2
         assert not cache.exists()
         assert runner.invoke(main, args + ["--no-cache"]).exit_code == 2
+
+
+# -- the coefficient output, against the builders it replaced -------------
+
+def _reference_records(model, rows, fmt, width):
+    """rows: (n, g2, indices, value): a dict per JSON record through
+    json.dumps, or rows of strings right-aligned or joined by commas."""
+    if fmt == "json":
+        records = []
+        for n, g2, indices, value in rows:
+            rec = {"model": model, "n": n, "g2": g2}
+            rec.update(zip("ijk", indices))
+            rec["value"] = str(value)
+            records.append(rec)
+        return json.dumps({"model": model, "rows": records}) + "\n"
+    lines = [["n", "g2", *"ijk"[:width], "value"]] + [
+        [str(n), str(g2), *map(str, indices), str(value)] for n, g2, indices, value in rows]
+    if fmt == "csv":
+        return "\n".join(",".join(line) for line in lines) + "\n"
+    line = "  ".join(f"{{:>{max(map(len, col))}}}" for col in zip(*lines))
+    return "\n".join(line.format(*row) for row in lines) + "\n"
+
+
+_BIG = 3 ** 90   # 43 digits
+_OUTPUT_ROWS = {
+    "empty": [],
+    "one-cell": [(1, 0, 2)],
+    "many": [(1, 0, 2), (12, 3, _BIG), (3, 11, 0), (130, 2, _BIG * 7 + 1)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("rows", _OUTPUT_ROWS)
+@pytest.mark.parametrize("model, width", [("triangulations", 0), ("bip-oneface", 2),
+                                          ("bipartite", 3)])
+def test_records_print_as_their_dicts_and_strings(capsys, model, width, rows, fmt):
+    # a row (n, g2, value) of the cases gets indices 10 + n, 11 + n, ...
+    rows = [(n, g2, tuple(range(10 + n, 10 + n + width)), value)
+            for n, g2, value in _OUTPUT_ROWS[rows]]
+    _emit_records(model, [(n, g2, *indices, value) for n, g2, indices, value in rows],
+                  fmt, width)
+    assert capsys.readouterr().out == _reference_records(model, rows, fmt, width)
+
+
+class _Rows:
+    """A polynomial table with given rows, zero elsewhere."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def poly(self, n, g2):
+        return self.rows.get((n, g2), Poly.zero())
+
+
+# exponents (u, z, v) as record indices: maps (u, z), bipartite (u, v, z)
+_INDICES = {"maps": lambda e: (e[0], e[1]), "bipartite": lambda e: (e[0], e[2], e[1])}
+_TABLES = {
+    # (u, z, v); maps rows take z + v for z, which keeps these cells apart
+    "empty": (0, 0, {}),
+    "one-cell": (1, 0, {(1, 0): {(2, 1, 0): _BIG}}),
+    "many": (3, 2, {(1, 0): {(2, 1, 0): 1, (1, 1, 1): _BIG},
+                    (3, 1): {(0, 2, 2): 5, (3, 0, 1): _BIG * 3, (2, 2, 0): 4, (1, 1, 2): 6},
+                    (3, 2): {(1, 1, 1): 1}}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("table", _TABLES)
+@pytest.mark.parametrize("model", ["maps", "bipartite"])
+def test_coefficients_print_as_their_dicts_and_strings(capsys, model, table, fmt):
+    n_max, g2_max, cells = _TABLES[table]
+    if model == "maps":
+        cells = {key: {(u, z + v, 0): c for (u, z, v), c in row.items()}
+                 for key, row in cells.items()}
+    tab = _Rows({key: Poly.from_terms(row) for key, row in cells.items()})
+    _emit_rows(model, tab, n_max, g2_max, fmt, True)
+    rows = [(n, g2, _INDICES[model](exps), c)
+            for n in range(1, n_max + 1) for g2 in range(g2_max + 1)
+            for exps, c in sorted(tab.poly(n, g2).int_items())]
+    width = 2 if model == "maps" else 3
+    assert capsys.readouterr().out == _reference_records(model, rows, fmt, width)
