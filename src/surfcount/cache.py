@@ -38,6 +38,7 @@ to every run, and the scalar maps ones are row totals.
 
 Coefficients stay ints all the way from the file to a row's `Poly` and
 back: a served row's record indices pack straight into its `Poly` keys,
+unless a z or v index is above `poly.EXP_MAX`, which raises CacheError,
 and `coefficient_records` reads a row's keys back as its records, in
 record order (by exponents, which is the order of the packed keys);
 `store` and the CLI's coefficient output both go through it.  Every
@@ -73,7 +74,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import CacheError
-from .poly import _MASK, _SHIFT, Poly
+from .poly import _MASK, _SHIFT, EXP_MAX, Poly
 
 HEADER = {"format": "surfcount-cache", "version": 1}
 
@@ -91,8 +92,9 @@ _INDICES = {model: {4 + w: itemgetter(*INDEX_NAMES[:w]) if w else None for w in 
 # The row layout: a coefficient record's indices are exponents of its
 # Poly key, maps (i, j) = (u, z) and bipartite (i, j, k) = (u, v, z).
 _U, _Z = 2 * _SHIFT, _SHIFT
-_TO_KEY = {"maps": lambda i, j: i << _U | j << _Z,
-           "bipartite": lambda i, j, k: i << _U | k << _Z | j}
+# A z or v index above EXP_MAX would alias another monomial: it packs to None.
+_TO_KEY = {"maps": lambda i, j: i << _U | j << _Z if j <= EXP_MAX else None,
+           "bipartite": lambda i, j, k: i << _U | k << _Z | j if (j | k) <= EXP_MAX else None}
 _TO_INDICES = {"maps": lambda key: (key >> _U, key >> _Z & _MASK),
                "bipartite": lambda key: (key >> _U, key & _MASK, key >> _Z & _MASK)}
 # the number of indices of a polynomial row's coefficient records
@@ -342,13 +344,20 @@ class CountCache:
         self._append({(model, n, g2): [(indices, value)]})
 
     def get_row(self, model: str, n: int, g2: int) -> Poly | None:
-        """Rebuild a stored polynomial row; None unless it is complete."""
+        """Rebuild a stored polynomial row; None unless it is complete.
+        CacheError names the file and the row if one of its z or v indices
+        is above EXP_MAX."""
         cells = self._cells.get((model, n, g2), {})
         total = cells.get(None)
         if total is None:
             return None
         key = _TO_KEY[model]
         terms = {key(*indices): value for indices, value in cells.items() if indices is not None}
+        if None in terms:
+            # the z and v indices are every index after i
+            top = max(max(indices[1:]) for indices in cells if indices)
+            raise CacheError(f"{self.path}: {model}[{n},{g2}]: z or v index {top} "
+                             f"is above {EXP_MAX}, out of range")
         return Poly(terms) if sum(terms.values()) == total else None
 
     def put_row(self, model: str, n: int, g2: int, poly: Poly, total: int):

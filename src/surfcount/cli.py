@@ -14,7 +14,10 @@ check is no cache fault: its IntegralityError propagates.  Only `maps
 --bivariate`, `maps --engine cc|both` and `bipartite --trivariate` use the
 cache, and each reads only the records of its own model up to its
 `--n-max`; the other table commands take `--cache` and `--no-cache` and
-ignore them.
+ignore them.  A request whose polynomials would hold a z or v exponent
+above 511 (`poly.EXP_MAX`; only `bip-oneface --engine ode` at n >= 511
+and very high `verify` orders reach it) is a usage error like an
+`--edges` out of range: one stderr line, exit code 2.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import click
 
 from .bipartite import BipOneFaceTable, BipTable
 from .cache import INDEX_NAMES, ROW_WIDTH, CountCache, coefficient_records, default_cache_path
-from .errors import CacheError, IntegralityError, WindowError
+from .errors import CacheError, ExponentRangeError, IntegralityError, WindowError
 from .genus import genus_label, parse_genus
 from .identities import IDENTITIES, oneface_ode_fill, run_identity
 from .maps import MapsCounts, MapsTable, OneFaceTable
@@ -104,7 +107,16 @@ def _fill_rows(model, tables, n_max, g2_max, cache_path, no_cache):
     return tab
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ExponentRangeError as exc:
+            _echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact counts of rooted maps on surfaces, orientable or not."""
 

@@ -23,3 +23,9 @@ class IntegralityError(Exception):
 
 class CacheError(ValueError):
     """The count cache file is not a readable surfcount cache."""
+
+
+class ExponentRangeError(Exception):
+    """A polynomial would hold a z or v exponent above `poly.EXP_MAX` (511),
+    past the 10-bit fields of its packed keys.  Raised where the key is
+    made, so an out-of-range monomial never aliases another one."""

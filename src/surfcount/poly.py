@@ -4,9 +4,26 @@ Coefficients are rationals, stored as integer numerators over a single
 positive denominator per polynomial.  Integer polynomials (the common
 case: every final count table is integral) therefore multiply in pure
 int arithmetic.  Exponent triples are packed into one int so that
-monomial multiplication is a single addition: three 21-bit fields, u
-above z above v.  A key carries exponents only: in the polynomial tables
-(`table.py`) every cell is homogeneous, and its degree is its genus.
+monomial multiplication is a single addition: e_u << 20 | e_z << 10 |
+e_v, u on top and unbounded above 10-bit z and v fields.  A key carries
+exponents only: in the polynomial tables (`table.py`) every cell is
+homogeneous, and its degree is its genus.
+
+The z and v exponents range over 0..EXP_MAX = 511, so a key is a
+single-digit CPython int (below 2^30) while e_u < 1024, and adding and
+hashing keys costs one digit.  Bit 9 of each low field is a guard bit,
+clear in every stored key.  The sum of two stored keys never carries
+from one field into the next (511 + 511 < 1024) and sets a guard bit
+exactly where its z or v exponent passed 511.  A z or v exponent above
+511 raises ExponentRangeError where its key would be made, never a
+wrong result: `Poly.dot` ORs its output keys once, `_pack` (so
+`from_terms`, `const`, `coeff` and the series builders) checks its
+arguments, `from_sp` the v exponents it makes (i + j) and `swap_uv` the
+u exponents it moves into v.  The other operations only lower z or v
+exponents or move them into u, and need no check: `charge_shift`,
+`to_sp`, `div_z`, `v_to_u`, and `split` and `below` in `table.py`
+(`to_sp` calls a u exponent above 511, which no mirror can match, not
+symmetric).
 
 All multiplication goes through one kernel, `Poly.dot`: the sum of
 c * a * b over (c, Poly a, Poly b) triples with rational weights c,
@@ -38,19 +55,31 @@ ring isomorphism onto its image, so products and sums computed in
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
+from operator import or_
 
-from .errors import IntegralityError, NonDivisibleError
+from .errors import ExponentRangeError, IntegralityError, NonDivisibleError
 
-_SHIFT = 21
+_SHIFT = 10
 _MASK = (1 << _SHIFT) - 1
+# the largest z or v exponent, and the guard bits (bit 9 of the z and v fields)
+EXP_MAX = (1 << _SHIFT - 1) - 1
+_GUARD = (EXP_MAX + 1) * ((1 << _SHIFT) + 1)
 
 
 # k + (e_v - e_u) * _UV_SWAP swaps the u and v fields of key k
 _UV_SWAP = (1 << 2 * _SHIFT) - 1
 
 
+def _out_of_range(what: str, eu: int, ez: int, ev: int) -> ExponentRangeError:
+    return ExponentRangeError(f"{what} u^{eu} z^{ez} v^{ev}: a z or v exponent "
+                              f"above {EXP_MAX} is out of range")
+
+
 def _pack(eu: int, ez: int, ev: int) -> int:
+    if ez > EXP_MAX or ev > EXP_MAX:
+        raise _out_of_range("monomial", eu, ez, ev)
     return (eu << (2 * _SHIFT)) | (ez << _SHIFT) | ev
 
 
@@ -175,6 +204,8 @@ class Poly:
                 for k2, c2 in y:
                     k = k1 + k2
                     acc[k] = get(k, 0) + c1 * c2
+        if reduce(or_, acc) & _GUARD:
+            raise _out_of_range("product term", *_unpack(next(k for k in acc if k & _GUARD)))
         return cls(acc, den)
 
     # -- inspection ----------------------------------------------------
@@ -326,6 +357,10 @@ class Poly:
 
     def swap_uv(self) -> "Poly":
         """Substitute u <-> v."""
+        if self.terms:
+            top = max(self.terms)     # the largest u exponent is the largest key's
+            if top >> 2 * _SHIFT > EXP_MAX:
+                raise _out_of_range("u <-> v of", *_unpack(top))
         return Poly({k + ((k & _MASK) - (k >> 2 * _SHIFT)) * _UV_SWAP: c
                      for k, c in self.terms.items()}, self.den)
 
@@ -401,7 +436,8 @@ def to_sp(f: Poly) -> Poly:
     get = out.get
     for k, c in terms.items():
         a, b = k >> 2 * _SHIFT, k & _MASK
-        if a != b and terms.get(k + (b - a) * _UV_SWAP) != c:
+        # a term with e_u above EXP_MAX has no mirror a key can hold
+        if a != b and (a > EXP_MAX or terms.get(k + (b - a) * _UV_SWAP) != c):
             raise ValueError(f"not symmetric in u and v: {f}")
         if a < b:
             continue
@@ -427,6 +463,8 @@ def from_sp(f: Poly) -> Poly:
     get = out.get
     for k, c in f.terms.items():
         i, j = k >> 2 * _SHIFT, k & _MASK
+        if i + j > EXP_MAX:
+            raise _out_of_range("(s, z, p) expansion of", j, (k >> _SHIFT) & _MASK, i + j)
         base = (k & (_MASK << _SHIFT)) + (j << 2 * _SHIFT) + j + i   # u^j z^e_z v^(i + j)
         for r in range(i + 1):
             key = base + r * _UV_SWAP

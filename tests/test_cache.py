@@ -19,7 +19,7 @@ from surfcount.cache import CountCache, HEADER, _parse_record, record_line
 from surfcount.cli import main
 from surfcount.errors import CacheError, IntegralityError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
-from surfcount.poly import Poly, U, Z
+from surfcount.poly import EXP_MAX, Poly, U, Z
 from surfcount.triangulations import TriTable
 
 
@@ -212,6 +212,42 @@ def test_cli_malformed_record_exit_code(tmp_path, command, edit, last):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and f":{lineno}: malformed" in res.stderr
+
+
+@pytest.mark.parametrize("index, top", [('"i": 0, "j": 2097155', 2097155),
+                                        ('"i": 1, "j": 512', 512)],
+                         ids=["aliases-u-z3", "first-past-range"])
+def test_cli_index_out_of_exponent_range_exit_code(tmp_path, index, top):
+    # a z index past its field would alias another monomial: with 21-bit
+    # fields j = 2^21 + 3 at i = 0 was served as u z^3, the record it replaced
+    path = tmp_path / "counts.ndjson"
+    args = ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    text = path.read_text()
+    record = '{"model": "maps", "n": 3, "g2": 1, "value": "22", "i": 1, "j": 3}'
+    assert record in text
+    path.write_text(text.replace(record, record.replace('"i": 1, "j": 3', index)))
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == (f"error: {path}: maps[3,1]: z or v index {top} "
+                          f"is above {EXP_MAX}, out of range\n")
+
+
+@pytest.mark.parametrize("model, indices", [("maps", (0, 512)), ("bipartite", (0, 512, 0)),
+                                            ("bipartite", (0, 0, 512))])
+def test_get_row_rejects_indices_past_the_exponent_range(tmp_path, model, indices):
+    path = tmp_path / "counts.ndjson"
+    cache = CountCache(path)
+    cache.put_scalar(model, 1, 0, 5, indices)
+    cache.put_scalar(model, 1, 0, 5)
+    with pytest.raises(CacheError, match=r"\[1,0\]: z or v index 512 is above 511"):
+        CountCache(path).get_row(model, 1, 0)
+    # one below the range is a row
+    cache = CountCache(tmp_path / "ok.ndjson")
+    cache.put_scalar(model, 1, 0, 5, tuple(min(x, EXP_MAX) for x in indices))
+    cache.put_scalar(model, 1, 0, 5)
+    assert cache.get_row(model, 1, 0).evaluate() == 5
 
 
 def test_kz_engine_leaves_the_cache_unread(tmp_path):

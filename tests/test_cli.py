@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import surfcount.bipartite
 import surfcount.cli
 import surfcount.maps
+import surfcount.poly
 from surfcount.cli import _emit_records, _emit_rows, main
 from surfcount.oracle import MAX_EDGES
 from surfcount.poly import Poly
@@ -227,6 +228,21 @@ def test_verify_all_fails_if_one_fails(runner, monkeypatch):
     blocks = res.output.split("\n\n")
     assert len(blocks) == 7 and "status: FAIL" in blocks[1]
     assert "first failing coefficient: t^3: u" in blocks[1]
+
+
+@pytest.mark.parametrize("args", [["bip-oneface", "--engine", "ode", "--n-max", "6"],
+                                  ["verify", "ode-oneface-bipartite", "--order", "8"]])
+def test_exponent_out_of_range_is_a_usage_error(runner, monkeypatch, args):
+    # with the range cut to 0..3 (guard bit 2 of the z and v fields), the
+    # v exponents of the one-face bipartite polynomials pass it
+    assert invoke(runner, args).exit_code == 0
+    monkeypatch.setattr(surfcount.poly, "EXP_MAX", 3)
+    monkeypatch.setattr(surfcount.poly, "_GUARD", 4 << 10 | 4)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith("error: ") and "above 3 is out of range" in res.stderr
 
 
 def test_oracle_cli(runner):

@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from surfcount.bipartite import BipTable
-from surfcount.identities import run_identity
+from surfcount.identities import bipartite_context, maps_context, run_identity, verify_ode
 from surfcount.maps import MapsTable
 from surfcount.poly import Poly
 
@@ -24,7 +24,7 @@ def cells_digest(table):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("fill, digest", [
+PINNED = [
     (lambda: MapsTable("cc").fill(16),
      "fde9f83dff359fd885a1ae4a074be22cb413d9af6b0017997e4d0128121d18b2"),
     (lambda: MapsTable("kz").fill(16),
@@ -33,9 +33,36 @@ def cells_digest(table):
      "85098c99628a7b9d86dbb5807dc9f42e5eb99bd9a61f10604a37e0fb4b02f1d4"),
     (lambda: BipTable(v_is_u=True).fill(13),
      "6b5203a73ca57b2cc5457dac890b03b45dc137643fd7874a494821c59abc0888"),
-], ids=["MapsTable-cc-16", "MapsTable-kz-16", "BipTable-13", "BipTable-v-is-u-13"])
+]
+PINNED_IDS = ["MapsTable-cc-16", "MapsTable-kz-16", "BipTable-13", "BipTable-v-is-u-13"]
+
+
+@pytest.mark.parametrize("fill, digest", PINNED, ids=PINNED_IDS)
 def test_table_cells_are_pinned(fill, digest):
     assert cells_digest(fill()) == digest
+
+
+# A key below 2^30 is one CPython digit: adding and hashing keys, the
+# multiply's per-pair work, costs one digit.  A layout that gives these
+# polynomials multi-digit keys fails here, without timing anything.
+SINGLE_DIGIT = 1 << 30
+
+
+@pytest.mark.parametrize("fill", [fill for fill, _ in PINNED], ids=PINNED_IDS)
+def test_table_keys_are_single_digit(fill):
+    assert max(k for poly in fill().entries.values() for k in poly.terms) < SINGLE_DIGIT
+
+
+@pytest.mark.parametrize("model, context, order", [("maps", maps_context, 24),
+                                                   ("bipartite", bipartite_context, 12)],
+                         ids=["ode-maps-24", "ode-bipartite-12"])
+def test_memo_keys_are_single_digit(model, context, order):
+    ctx = context(order)
+    verify_ode(model, ctx)
+    series = [ctx.theta] + [s for key, value in ctx.memo.items()
+                            for s in (value if key == "__kp__" else (value,))]
+    assert len(series) > 20
+    assert max(k for s in series for poly in s.coeffs for k in poly.terms) < SINGLE_DIGIT
 
 
 @pytest.fixture
