@@ -17,14 +17,8 @@ from .identities import (
     kp_combinations,
     run_identity,
 )
-from .maps import (
-    MapsCounts,
-    MapsTable,
-    OneFaceTable,
-    maps_count,
-    maps_count_univariate,
-)
-from .oracle import oracle_count, oracle_count_bipartite, scan
+from .maps import MapsCounts, MapsTable, OneFaceTable
+from .oracle import oracle_count, scan
 from .poly import Poly, U, V, Z
 from .triangulations import TriTable
 from .tseries import TSeries
@@ -49,10 +43,7 @@ __all__ = [
     "Z",
     "ftheta",
     "kp_combinations",
-    "maps_count",
-    "maps_count_univariate",
     "oracle_count",
-    "oracle_count_bipartite",
     "run_identity",
     "scan",
     "__version__",

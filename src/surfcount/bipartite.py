@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, U, V, Z, _pack
-from .table import PolyTable, Table, cut, row_series, split, square_sum
+from .poly import Poly, U, V, Z
+from .table import PolyTable, Table, cut, row_series, square_sum
 from .tseries import TSeries
 
 _UVZ = U * V * Z
@@ -105,8 +105,8 @@ def bip_row(n: int, top: int, table: BipTable) -> list:
         raise ValueError("the recurrence starts at n = 3; smaller n are seeds")
     weight, bracket = cut(table.shift_weight, top), cut(table.bracket, top)
     shift = Poly.dot((1, weight(n1), bracket(n - n1)) for n1 in range(1, n))
-    return split(table.core[n, top].scale(Fraction(1, n + 1))
-                 - shift.scale(Fraction(1, (n - 2) * (n + 1))), n + 2, top)
+    return (table.core[n, top].scale(Fraction(1, n + 1))
+            - shift.scale(Fraction(1, (n - 2) * (n + 1)))).parts_by_degree(n + 2, top)
 
 
 class BipOneFaceTable(Table):
@@ -202,8 +202,5 @@ def eta_series(table: BipTable, order: int) -> TSeries:
 
 def bip_oneface_series(table: BipOneFaceTable, order: int) -> TSeries:
     """One-face bipartite series: sum b[n,i,j]/(2n) t^n u^i v^j."""
-    return row_series(order, 1, lambda n: Poly({
-        _pack(i, 0, j): table.value(n, i, j)
-        for i, j in table.row_cells(n)
-        if table.value(n, i, j)
-    }, 2 * n))
+    return row_series(order, 1, lambda n: Poly.from_terms(
+        {(i, 0, j): table.value(n, i, j) for i, j in table.row_cells(n)}, 2 * n))

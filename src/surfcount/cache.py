@@ -37,19 +37,20 @@ bip-oneface and scalar maps records: the first three are other models
 to every run, and the scalar maps ones are row totals.
 
 Coefficients stay ints all the way from the file to a row's `Poly` and
-back: a served row's record indices pack straight into its `Poly` keys,
-unless a z or v index is above `poly.EXP_MAX`, which raises CacheError,
-and `coefficient_records` reads a row's keys back as its records, in
-record order (by exponents, which is the order of the packed keys);
-`store` and the CLI's coefficient output both go through it.  Every
-record line is written by `record_line`, which builds exactly what
-`json.dumps` writes for the record's dict.  A served row must be
-homogeneous of degree n + 2 - g2, and a cached row that a table already
-holds, one of its seeds, must equal it.  Storing a table compares every
-record the file holds for its other rows, coefficients and totals, with
-the recomputed row, and appends only the records the file lacks; a row
-the cache itself served is built from its records and is not compared
-again.
+back.  The packed key layout is `poly`'s; this module decides only the
+index order of a coefficient record, maps (i, j) = (u, z) and bipartite
+(i, j, k) = (u, v, z).  A served row is `Poly.from_records` of its
+records, and a z or v index above `poly.EXP_MAX` raises CacheError;
+`coefficient_records` is `Poly.to_records`, a row's records in record
+order (by exponents (u, z, v)), and `store` and the CLI's coefficient
+output both go through it.  Every record line is written by
+`record_line`, which builds exactly what `json.dumps` writes for the
+record's dict.  A served row must be homogeneous of degree n + 2 - g2,
+and a cached row that a table already holds, one of its seeds, must
+equal it.  Storing a table compares every record the file holds for its
+other rows, coefficients and totals, with the recomputed row, and
+appends only the records the file lacks; a row the cache itself served
+is built from its records and is not compared again.
 
 Each append holds an exclusive `flock` on the file, so runs sharing one
 file write one header and never interleave their records.  A run that
@@ -73,8 +74,8 @@ import sys
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import CacheError
-from .poly import _MASK, _SHIFT, EXP_MAX, Poly
+from .errors import CacheError, ExponentRangeError
+from .poly import EXP_MAX, Poly
 
 HEADER = {"format": "surfcount-cache", "version": 1}
 
@@ -89,16 +90,10 @@ _WIDTHS = {"maps": (0, 2), "bipartite": (0, 3), "bip-oneface": (2,),
 _INDICES = {model: {4 + w: itemgetter(*INDEX_NAMES[:w]) if w else None for w in widths}
             for model, widths in _WIDTHS.items()}
 
-# The row layout: a coefficient record's indices are exponents of its
-# Poly key, maps (i, j) = (u, z) and bipartite (i, j, k) = (u, v, z).
-_U, _Z = 2 * _SHIFT, _SHIFT
-# A z or v index above EXP_MAX would alias another monomial: it packs to None.
-_TO_KEY = {"maps": lambda i, j: i << _U | j << _Z if j <= EXP_MAX else None,
-           "bipartite": lambda i, j, k: i << _U | k << _Z | j if (j | k) <= EXP_MAX else None}
-_TO_INDICES = {"maps": lambda key: (key >> _U, key >> _Z & _MASK),
-               "bipartite": lambda key: (key >> _U, key & _MASK, key >> _Z & _MASK)}
+# the index order of a polynomial row's coefficient records, by model
+_ORDER = {"maps": "uz", "bipartite": "uvz"}
 # the number of indices of a polynomial row's coefficient records
-ROW_WIDTH = {model: max(_WIDTHS[model]) for model in _TO_KEY}
+ROW_WIDTH = {model: len(order) for model, order in _ORDER.items()}
 
 # A number as json.dumps writes it, of at most 640 digits: int() reads
 # those under any limit on its digits (640 is the lowest one Python
@@ -143,11 +138,9 @@ def _parse_record(obj) -> tuple[tuple[str, int, int], tuple[int, ...] | None, in
 
 def coefficient_records(model: str, row: Poly) -> list[tuple[tuple[int, ...], int]]:
     """A polynomial row's coefficient records, (indices, value), in record
-    order: by exponents (u, z, v), the order of the packed keys.
-    IntegralityError unless the row is integral."""
-    row.int_items()   # raises IntegralityError for a row over a denominator
-    indices = _TO_INDICES[model]
-    return [(indices(key), c) for key, c in sorted(row.terms.items())]
+    order: by exponents (u, z, v).  IntegralityError unless the row is
+    integral."""
+    return row.to_records(_ORDER[model])
 
 
 def _mend_last_line(fh):
@@ -351,14 +344,14 @@ class CountCache:
         total = cells.get(None)
         if total is None:
             return None
-        key = _TO_KEY[model]
-        terms = {key(*indices): value for indices, value in cells.items() if indices is not None}
-        if None in terms:
+        try:
+            row = Poly.from_records(_ORDER[model], cells)
+        except ExponentRangeError:
             # the z and v indices are every index after i
             top = max(max(indices[1:]) for indices in cells if indices)
             raise CacheError(f"{self.path}: {model}[{n},{g2}]: z or v index {top} "
-                             f"is above {EXP_MAX}, out of range")
-        return Poly(terms) if sum(terms.values()) == total else None
+                             f"is above {EXP_MAX}, out of range") from None
+        return row if sum(row.terms.values()) == total else None
 
     def put_row(self, model: str, n: int, g2: int, poly: Poly, total: int):
         self._append({(model, n, g2): coefficient_records(model, poly) + [(None, int(total))]})

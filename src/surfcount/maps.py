@@ -47,10 +47,9 @@ written and leaves the row's shift_weight behind.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .poly import _SHIFT, Poly, U, Z, _pack
-from .table import PolyTable, Table, cut, row_series, split, square_sum
+from .poly import Poly, U, Z
+from .table import PolyTable, Table, cut, row_series, square_sum
 from .tseries import TSeries
 
 _UZ = U * Z
@@ -134,14 +133,15 @@ def _row_kz(n: int, top: int, tab: MapsTable):
     once the last cell is written they are the row's shift_weight."""
     weight, bracket = cut(tab.shift_weight, top), cut(tab.bracket, top)
     shift = Poly.dot((1, weight(n1), bracket(n - n1)) for n1 in range(1, n))
-    rhs = split(tab.core[n, top].scale(2 * n) - shift, n + 2, top)
-    nn1, u = n * (n + 1), 2 * _SHIFT
+    rhs = (tab.core[n, top].scale(2 * n) - shift).parts_by_degree(n + 2, top)
+    # the operator's eigenvalue on u^i; the cells of row n have degree n + 2 at most
+    divisors = [n * (n + 1) + 3 * i * (i - 1) for i in range(n + 3)]
     # own_weight[g2_1]: the weights at g2_1 of the cells of row n written so far
     own_weight = [Poly.zero()] * (top + 1)
 
     def written(g2_0):
         weights = tab.poly(n, g2_0).charge_shift(None, n - top)
-        for g2_1, part in enumerate(split(weights, n, top)):
+        for g2_1, part in enumerate(weights.parts_by_degree(n, top)):
             own_weight[g2_1] += part
 
     for g2 in range(top + 1):
@@ -150,9 +150,7 @@ def _row_kz(n: int, top: int, tab: MapsTable):
         # row 0's bracket is its boundary terms, at genus 0 and 1
         cell = rhs[g2] - Poly.dot((1, own_weight[g2_1], _BOUNDARY_KZ[0][g2 - g2_1])
                                   for g2_1 in (g2, g2 - 1) if g2_1 >= 0)
-        divisor = {k: nn1 + 3 * (k >> u) * ((k >> u) - 1) for k in cell.terms}
-        den = lcm(*divisor.values())
-        yield Poly({k: c * (den // divisor[k]) for k, c in cell.terms.items()}, cell.den * den)
+        yield cell.div_u(divisors)
     written(top)
     tab.shift_weight[n, top] = Poly.sum(own_weight)
 
@@ -164,7 +162,8 @@ def _row_cc(n: int, top: int, tab: MapsTable) -> list:
     weight, bracket = cut(tab.shift_weight, top), cut(tab.bracket, top)
     # at n1 = 0, where only g2_1 = 0 has a weight, the bracket is core
     shift = Poly.dot((1, weight(n1), bracket(n - n1) if n1 else own) for n1 in range(n))
-    return split((own.scale(2 * n) - shift).scale(Fraction(2, (n + 1) * (n - 2))), n + 2, top)
+    row = (own.scale(2 * n) - shift).scale(Fraction(2, (n + 1) * (n - 2)))
+    return row.parts_by_degree(n + 2, top)
 
 
 class MapsCounts(Table):
@@ -198,19 +197,6 @@ class MapsCounts(Table):
             lambda n, g, q: 2 * (2 * n - 1) * ((2 * n - 2) * (2 * n - 3) * h(n - 2, g - 2)
                                                + 2 * h(n - 1, g) + h(n - 1, g - 1)) + 6 * q,
             lambda n: 2 * n, lambda n, g2: 2 * (n + 1) * (n - 2), {})
-
-
-def maps_count(n: int, g2: int, table: MapsTable | None = None) -> int:
-    """Number of rooted maps (orientable or not) with n edges and genus g2/2,
-    as the all-ones evaluation of the bivariate "cc" table."""
-    table = table or MapsTable("cc").fill(n)
-    return table.count(n, g2)
-
-
-def maps_count_univariate(n: int, g2: int, counts: MapsCounts | None = None) -> int:
-    """Same number through the integer-only recurrence (fast path)."""
-    counts = counts or MapsCounts().fill(n)
-    return counts.value(n, g2)
 
 
 class OneFaceTable(Table):
@@ -272,5 +258,5 @@ def theta_series(table: MapsTable, order: int) -> TSeries:
 
 def oneface_series(table: OneFaceTable, order: int) -> TSeries:
     """Generating series of one-face maps: sum u[n,g2]/(4n) t^{2n} u^{n+1-g2}."""
-    return row_series(order, 2, lambda n: Poly(
-        {_pack(n + 1 - g2, 0, 0): table.value(n, g2) for g2 in range(n + 1)}, 4 * n))
+    return row_series(order, 2, lambda n: Poly.from_terms(
+        {(n + 1 - g2, 0, 0): table.value(n, g2) for g2 in range(n + 1)}, 4 * n))

@@ -197,7 +197,3 @@ def oracle_count(n: int, filter: str | None = None) -> dict:
     if key == "triangulations" and n % 3:
         raise ValueError("triangulations need an edge count divisible by 3")
     return scan(n)[key]
-
-
-def oracle_count_bipartite(n: int) -> dict:
-    return oracle_count(n, "bipartite")

@@ -17,13 +17,15 @@ from one field into the next (511 + 511 < 1024) and sets a guard bit
 exactly where its z or v exponent passed 511.  A z or v exponent above
 511 raises ExponentRangeError where its key would be made, never a
 wrong result: `Poly.dot` ORs its output keys once, `_pack` (so
-`from_terms`, `const`, `coeff` and the series builders) checks its
-arguments, `from_sp` the v exponents it makes (i + j) and `swap_uv` the
-u exponents it moves into v.  The other operations only lower z or v
-exponents or move them into u, and need no check: `charge_shift`,
-`to_sp`, `div_z`, `v_to_u`, and `split` and `below` in `table.py`
-(`to_sp` calls a u exponent above 511, which no mirror can match, not
-symmetric).
+`from_terms`, `const`, `coeff` and the series builders) and
+`from_records` check their arguments, `from_sp` the v exponents it
+makes (i + j) and `swap_uv` the u exponents it moves into v.  The other
+operations only lower z or v exponents or move them into u, and need no
+check: `charge_shift`, `to_sp`, `div_z`, `div_u`, `v_to_u`,
+`parts_by_degree` and `degree_at_least` (`to_sp` calls a u exponent
+above 511, which no mirror can match, not symmetric).  No other module
+reads or makes a key: integer records, indices and value, go in through
+`from_records` and out through `to_records`, one pass each.
 
 All multiplication goes through one kernel, `Poly.dot`: the sum of
 c * a * b over (c, Poly a, Poly b) triples with rational weights c,
@@ -35,8 +37,9 @@ sum of products never builds its products or partial sums, and a square
 Instances are immutable values; every operation allocates a fresh
 polynomial, which makes sharing across threads safe.  Integer rows go in
 and out without a Fraction per coefficient: `from_terms` packs int
-coefficients as they are, `int_items` reads them back, and `evaluate`
-at u = z = v = 1 is one sum of numerators.
+coefficients as they are, over one denominator for a whole row,
+`int_items` reads them back, and `evaluate` at u = z = v = 1 is one sum
+of numerators.
 
 `charge_shift` is the one charge-shift operator of the package: the
 shift of the charge parameter by +-2, averaged, minus f, in u alone or
@@ -87,6 +90,18 @@ def _unpack(key: int) -> tuple[int, int, int]:
     return key >> (2 * _SHIFT), (key >> _SHIFT) & _MASK, key & _MASK
 
 
+# The index orders of integer records, "uz" (e_u, e_z) and "uvz" (e_u,
+# e_v, e_z): for each, the key of a record's indices and the indices of a
+# key.  Indices out of range go to `_pack`, which raises.
+_RECORD_KEYS = {
+    "uz": (lambda i, j: i << 2 * _SHIFT | j << _SHIFT if j <= EXP_MAX else _pack(i, j, 0),
+           lambda k: (k >> 2 * _SHIFT, k >> _SHIFT & _MASK)),
+    "uvz": (lambda i, j, k: i << 2 * _SHIFT | k << _SHIFT | j if (j | k) <= EXP_MAX
+            else _pack(i, k, j),
+            lambda k: (k >> 2 * _SHIFT, k & _MASK, k >> _SHIFT & _MASK)),
+}
+
+
 def _grlex_key(exps: tuple[int, int, int]):
     # graded lexicographic on (e_u, e_z, e_v), largest first when printing
     return (sum(exps), exps)
@@ -135,18 +150,27 @@ class Poly:
         return cls({_pack(0, 0, 0): f.numerator}, f.denominator)
 
     @classmethod
-    def from_terms(cls, mapping) -> "Poly":
-        """Build from {(e_u, e_z, e_v): rational}; int values stay ints."""
+    def from_terms(cls, mapping, den: int = 1) -> "Poly":
+        """Build from {(e_u, e_z, e_v): rational} over den; int values stay
+        ints, so a row of int cells over one denominator makes no Fraction."""
         terms = {}
         for exps, c in mapping.items():
             if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             terms[_pack(*exps)] = c
         if all(type(c) is int for c in terms.values()):
-            return cls(terms)
+            return cls(terms, den)
         fracs = {k: Fraction(c) for k, c in terms.items()}
-        den = lcm(*(f.denominator for f in fracs.values()))
-        return cls({k: int(f * den) for k, f in fracs.items()}, den)
+        lcd = lcm(*(f.denominator for f in fracs.values()))
+        return cls({k: int(f * lcd) for k, f in fracs.items()}, den * lcd)
+
+    @classmethod
+    def from_records(cls, order: str, records: dict) -> "Poly":
+        """The integral polynomial of {indices: int}, indices a term's
+        exponents in `order`, "uz" or "uvz"; a record keyed None is no
+        term.  ExponentRangeError if a z or v index is above EXP_MAX."""
+        key = _RECORD_KEYS[order][0]
+        return cls({key(*indices): c for indices, c in records.items() if indices is not None})
 
     @classmethod
     def sum(cls, polys) -> "Poly":
@@ -225,6 +249,15 @@ class Poly:
         if self.den != 1:
             raise IntegralityError(f"coefficients over denominator {self.den} are not integers")
         return ((_unpack(k), c) for k, c in self.terms.items())
+
+    def to_records(self, order: str) -> list[tuple[tuple[int, ...], int]]:
+        """The terms as (indices, int) records, indices in `order` as in
+        `from_records`, sorted by exponents (e_u, e_z, e_v);
+        IntegralityError if a coefficient is not an integer."""
+        if self.den != 1:
+            raise IntegralityError(f"coefficients over denominator {self.den} are not integers")
+        indices = _RECORD_KEYS[order][1]
+        return [(indices(k), c) for k, c in sorted(self.terms.items())]
 
     def coeff(self, exps: tuple[int, int, int]) -> Fraction:
         return Fraction(self.terms.get(_pack(*exps), 0), self.den)
@@ -363,6 +396,27 @@ class Poly:
                 raise _out_of_range("u <-> v of", *_unpack(top))
         return Poly({k + ((k & _MASK) - (k >> 2 * _SHIFT)) * _UV_SWAP: c
                      for k, c in self.terms.items()}, self.den)
+
+    def div_u(self, weights) -> "Poly":
+        """Each term u^i z^j v^k divided by weights[i], a positive int."""
+        weight = {k: weights[k >> 2 * _SHIFT] for k in self.terms}
+        den = lcm(*weight.values())
+        return Poly({k: c * (den // weight[k]) for k, c in self.terms.items()}, self.den * den)
+
+    def parts_by_degree(self, d: int, top: int) -> list["Poly"]:
+        """The parts of degree d, d - 1, ..., d - top, in that order; terms
+        of any other degree are left out."""
+        parts = [{} for _ in range(top + 1)]
+        for k, c in self.terms.items():
+            g = d - (k >> 2 * _SHIFT) - ((k >> _SHIFT) & _MASK) - (k & _MASK)
+            if 0 <= g <= top:
+                parts[g][k] = c
+        return [Poly(part, self.den) for part in parts]
+
+    def degree_at_least(self, low: int) -> "Poly":
+        """The terms of degree low and up."""
+        return Poly({k: c for k, c in self.terms.items()
+                     if (k >> 2 * _SHIFT) + ((k >> _SHIFT) & _MASK) + (k & _MASK) >= low}, self.den)
 
     def div_z(self) -> "Poly":
         """Exact division by z; every monomial must carry a z."""

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import IntegralityError, MissingEntryError
-from .poly import _MASK, _SHIFT, Poly
+from .poly import Poly
 from .tseries import TSeries
 
 
@@ -164,8 +164,8 @@ class PolyTable(Table):
     filled one row at a time.
 
     Row n of every genus at once is the sum of its cells, each term's g2
-    read off its degree (`split`), so a product of rows adds genera and a
-    genus move is a scaling.  The building blocks are memos of such rows,
+    read off its degree (`Poly.parts_by_degree` from n + 2), so a product
+    of rows adds genera and a genus move is a scaling.  The building blocks are memos of such rows,
     keyed (m, c) with c = min(m, cap) for the fill's genus cap (`cut`):
     `row`, the cells themselves; `core`, the subclass's bracket without
     the term -(m+1)/d cell(m, g2), its parts above genus c dropped;
@@ -223,26 +223,10 @@ def cut(memo: Memo, c: int):
     return lambda m: memo[m, min(m, c)]
 
 
-def split(row: Poly, d: int, top: int) -> list:
-    """The cells of a row for g2 = 0..top, each term's g2 read as d minus
-    its degree (d = m + 2 for row m, n1 for the charge-shift weights of
-    row n1); parts above top are dropped."""
-    parts = [{} for _ in range(top + 1)]
-    for k, c in row.terms.items():
-        g2 = d - (k >> 2 * _SHIFT) - ((k >> _SHIFT) & _MASK) - (k & _MASK)
-        if g2 <= top:
-            parts[g2][k] = c
-    return [Poly(part, row.den) for part in parts]
-
-
 def below(row: Poly, m: int, c: int) -> Poly:
     """Row m without its parts of genus above c: the terms of degree at
     least m + 2 - c.  A bracket of row m >= 1 has no genus above m."""
-    if c >= m:
-        return row
-    low = m + 2 - c
-    return Poly({k: v for k, v in row.terms.items()
-                 if (k >> 2 * _SHIFT) + ((k >> _SHIFT) & _MASK) + (k & _MASK) >= low}, row.den)
+    return row if c >= m else row.degree_at_least(m + 2 - c)
 
 
 def _sub_genus(g2_1):

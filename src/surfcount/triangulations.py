@@ -16,8 +16,6 @@ n1 = n piece of the shift sum.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import Poly
 from .table import Table, row_series
 from .tseries import TSeries
@@ -59,8 +57,5 @@ _BOUNDARY8 = {0: (1, -1), 1: (16, 16, 8), 2: (32, 64, 288, 256)}
 
 def xi_series(table: TriTable, order: int) -> TSeries:
     """Triangulation generating series: sum t[n,g2]/(12n) t^{6n} z^{2n} u^{n+2-g2}."""
-    return row_series(order, 6, lambda n: Poly.from_terms({
-        (n + 2 - g2, 2 * n, 0): Fraction(table.value(n, g2), 12 * n)
-        for g2 in range(n + 2)
-        if table.value(n, g2)
-    }))
+    return row_series(order, 6, lambda n: Poly.from_terms(
+        {(n + 2 - g2, 2 * n, 0): table.value(n, g2) for g2 in range(n + 2)}, 12 * n))

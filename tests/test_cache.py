@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surfcount.cache
 import surfcount.cli
 import surfcount.maps
 from surfcount.bipartite import BipOneFaceTable
@@ -698,8 +699,9 @@ def test_store_skips_the_rows_it_served(tmp_path, monkeypatch):
     assert cold.exit_code == 0
     before = path.read_bytes()
     read = []
-    int_items = Poly.int_items
-    monkeypatch.setattr(Poly, "int_items", lambda self: read.append(self) or int_items(self))
+    records = surfcount.cache.coefficient_records
+    monkeypatch.setattr(surfcount.cache, "coefficient_records",
+                        lambda model, row: read.append(row) or records(model, row))
     warm = CliRunner().invoke(main, args)
     assert warm.exit_code == 0 and warm.stdout == cold.stdout
     seeds = list(MapsTable.SEEDS.values())

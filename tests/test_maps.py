@@ -9,10 +9,8 @@ from surfcount.maps import (
     MapsTable,
     OneFaceTable,
     ledoux,
-    maps_count,
     _row_cc,
     _row_kz,
-    maps_count_univariate,
     oneface_series,
     theta_series,
 )
@@ -86,10 +84,10 @@ def test_fast_path_matches_bivariate(cc8):
     for n in range(1, 9):
         for g2 in range(n + 1):
             assert fast.value(n, g2) == cc8.count(n, g2)
-    assert maps_count(2, 2, cc8) == 5
-    assert maps_count_univariate(2, 2) == 5
-    assert maps_count_univariate(6, 6) == 166377
-    assert maps_count_univariate(1, 3) == 0
+    assert cc8.count(2, 2) == 5
+    assert MapsCounts().fill(2).value(2, 2) == 5
+    assert MapsCounts().fill(6).value(6, 6) == 166377
+    assert MapsCounts().fill(1).value(1, 3) == 0
 
 
 def test_fast_path_values_are_ints():

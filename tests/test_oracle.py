@@ -11,7 +11,6 @@ from surfcount.oracle import (
     MAX_EDGES,
     marked_face_coefficient,
     oracle_count,
-    oracle_count_bipartite,
     scan,
 )
 
@@ -65,12 +64,12 @@ def test_two_edge_maps_and_bipartite():
     # planar row is uz(2u^2 + 5uz + 2z^2); duality symmetric
     assert split[(3, 1)] == 2 and split[(2, 2)] == 5 and split[(1, 3)] == 2
     assert all(split[(v, f)] == split[(f, v)] for (v, f) in split)
-    bip = oracle_count_bipartite(2)
+    bip = oracle_count(2, "bipartite")
     assert bip == {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1, (1, 1, 1): 1}
 
 
 def test_one_edge_bipartite():
-    assert oracle_count_bipartite(1) == {(1, 1, 1): 1}
+    assert oracle_count(1, "bipartite") == {(1, 1, 1): 1}
 
 
 def test_guard():

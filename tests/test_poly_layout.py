@@ -7,17 +7,21 @@ one whose true result holds a z or v exponent above EXP_MAX must raise
 ExponentRangeError instead of returning a result.
 """
 
+import ast
 from collections import defaultdict
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcount.errors import ExponentRangeError, NonDivisibleError
+from surfcount.errors import ExponentRangeError, IntegralityError, NonDivisibleError
 from surfcount.poly import EXP_MAX, Poly, U, V, Z, from_sp, to_sp
-from surfcount.table import below, split
+from surfcount.table import below
+
+split = Poly.parts_by_degree
 
 
 def exponent(top):
@@ -173,6 +177,20 @@ def test_swap_uv_v_to_u_div_z(f):
     else:
         with pytest.raises(NonDivisibleError):
             f.div_z()
+    weights = [i % 7 + 1 for i in range(2001)]
+    agrees(lambda: f.div_u(weights), {e: c / weights[e[0]] for e, c in d.items()})
+    # parts from below the top degree leave the terms above it out
+    top = max((sum(e) for e in d), default=0)
+    assert [ref(p) for p in f.parts_by_degree(top - 1, 1)] == [
+        {e: c for e, c in d.items() if sum(e) == top - 1 - g} for g in (0, 1)]
+    # integer records in both index orders, (u, v, z) and, with v moved
+    # into u, (u, z); sorted by exponents (u, z, v)
+    ints = Poly.from_terms({e: c.numerator for e, c in d.items()})
+    for order, p, indices in (("uvz", ints, lambda eu, ez, ev: (eu, ev, ez)),
+                              ("uz", ints.v_to_u(), lambda eu, ez, ev: (eu, ez))):
+        records = p.to_records(order)
+        assert records == [(indices(*e), c) for e, c in sorted(ref(p).items())]
+        assert Poly.from_records(order, {None: 0, **dict(records)}) == p
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,4 +213,29 @@ def test_packing_checks_its_arguments(exps):
         Poly.from_terms({exps: 1})
     with pytest.raises(ExponentRangeError):
         U.coeff(exps)
-    assert Poly.from_terms({(5000, EXP_MAX, EXP_MAX): 1}).coeff((5000, EXP_MAX, EXP_MAX)) == 1
+    eu, ez, ev = exps
+    with pytest.raises(ExponentRangeError):
+        Poly.from_records("uvz", {(eu, ev, ez): 1})
+    with pytest.raises(ExponentRangeError):
+        Poly.from_records("uz", {(eu, max(ez, ev)): 1})
+    edge = Poly.from_terms({(5000, EXP_MAX, EXP_MAX): 1})
+    assert edge.coeff((5000, EXP_MAX, EXP_MAX)) == 1
+    assert Poly.from_records("uvz", dict(edge.to_records("uvz"))) == edge
+    assert Poly.from_records("uz", {(5000, EXP_MAX): 1}).to_records("uz") == [((5000, EXP_MAX), 1)]
+    with pytest.raises(IntegralityError):
+        edge.scale(Fraction(1, 2)).to_records("uvz")
+
+
+def test_no_module_but_poly_imports_its_private_names():
+    # the packed key layout is poly's alone: nothing else imports a
+    # _-prefixed name from it
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "poly"
+                    and any(alias.name.startswith("_") for alias in node.names)):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []

@@ -14,8 +14,10 @@ from surfcount.bipartite import BipOneFaceTable, BipTable
 from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
 from surfcount.poly import Poly
-from surfcount.table import Memo, shift_weight, split, square_sum
+from surfcount.table import Memo, shift_weight, square_sum
 from surfcount.triangulations import TriTable
+
+split = Poly.parts_by_degree
 
 # one cell of each table that a fresh table has not filled
 UNFILLED = {
