@@ -3,21 +3,24 @@
 Subcommands produce count tables (human table, CSV grid, or JSON records)
 for each model, run the brute-force oracle, and evaluate the functional
 identity checks.  Exit code 0 on success, 1 on a verification failure,
-2 on usage errors, 3 when the count cache file cannot be read or holds
-a malformed record (a one-line message on stderr names the file and
-line) or when the polynomial rows in it are wrong: a cached row differs
-from one of the table's seed rows, a fill that started from cached rows
-fails an integrality check, or a stored coefficient or total differs
-from the value its recomputed row gives (the message names the file and
-the row).  A fill with no cached row loaded that fails an integrality
-check is no cache fault: its IntegralityError propagates.  Only `maps
---bivariate`, `maps --engine cc|both` and `bipartite --trivariate` use the
-cache, and each reads only the records of its own model up to its
-`--n-max`; the other table commands take `--cache` and `--no-cache` and
-ignore them.  A request whose polynomials would hold a z or v exponent
-above 511 (`poly.EXP_MAX`; only `bip-oneface --engine ode` at n >= 511
-and very high `verify` orders reach it) is a usage error like an
-`--edges` out of range: one stderr line, exit code 2.
+2 on usage errors, 3 when the count cache file cannot be read, is of
+another format version (version 1 among them: the message says to
+delete the file) or holds a malformed line (a one-line message on
+stderr names the file and line), or when the polynomial rows in it are
+wrong: a row's coefficients do not sum to its total, two lines of one
+row differ, a served row is not homogeneous or not symmetric, a cached
+row differs from one of the table's seed rows or from its recomputed
+value, or a fill that started from cached rows fails an integrality
+check (the message names the file and the row).  A fill with no cached
+row loaded that fails an integrality check is no cache fault: its
+IntegralityError propagates.  Only `maps --bivariate`, `maps --engine
+cc|both` and `bipartite --trivariate` use the cache, one line per row,
+and each reads only the rows of its own model up to its `--n-max`; the
+other table commands take `--cache` and `--no-cache` and ignore them.  A
+request whose polynomials would hold a z or v exponent above 511
+(`poly.EXP_MAX`; only `bip-oneface --engine ode` at n >= 511 and very
+high `verify` orders reach it) is a usage error like an `--edges` out
+of range: one stderr line, exit code 2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import sys
 import click
 
 from .bipartite import BipOneFaceTable, BipTable
-from .cache import INDEX_NAMES, ROW_WIDTH, CountCache, coefficient_records, default_cache_path
+from .cache import ROW_WIDTH, CountCache, coefficient_records, default_cache_path
 from .errors import CacheError, ExponentRangeError, IntegralityError, WindowError
 from .genus import genus_label, parse_genus
 from .identities import IDENTITIES, oneface_ode_fill, run_identity
@@ -69,10 +72,10 @@ def _fill_rows(model, tables, n_max, g2_max, cache_path, no_cache):
     The tables before it are independent checks (engine kz under
     `--engine both`): a row of one that differs from the last table's is
     one stderr line, exit code 1.  The last table starts from the
-    complete rows the cache holds, and only once every check has passed
-    are its new records stored.  A cache file that cannot be read, a
-    cached row that differs from a seed, a fill from cached rows that
-    fails an integrality check, or a stored record that differs from its
+    rows the cache holds, and only once every check has passed are its
+    new rows stored.  A cache file that cannot be read, a cached row that
+    is wrong or differs from a seed, a fill from cached rows that fails
+    an integrality check, or a stored row that differs from its
     recomputed value, is one stderr line, exit code 3.
     """
     *checks, tab = tables
@@ -153,6 +156,10 @@ def _emit_grid(model, value, n_max, g2_max, fmt):
         return
     _emit_text(["n"] + [f"g={genus_label(g2)}" for g2 in genera],
                [(n, *[value(n, g2) for g2 in genera]) for n in ns], fmt)
+
+
+# the keys of a record's indices, in order
+INDEX_NAMES = "ijk"
 
 
 def _emit_records(model, rows, fmt, width):

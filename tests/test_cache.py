@@ -15,24 +15,30 @@ from hypothesis import strategies as st
 import surfcount.cache
 import surfcount.cli
 import surfcount.maps
-from surfcount.bipartite import BipOneFaceTable
-from surfcount.cache import CountCache, HEADER, _parse_record, record_line
+from surfcount.bipartite import BipTable
+from surfcount.cache import ROW_WIDTH, CountCache, HEADER, _parse_row, coefficient_records
 from surfcount.cli import main
 from surfcount.errors import CacheError, IntegralityError
-from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
-from surfcount.poly import EXP_MAX, Poly, U, Z
-from surfcount.triangulations import TriTable
+from surfcount.maps import MapsTable
+from surfcount.poly import EXP_MAX, Poly, U, V, Z
+
+# H[1,0] = u^2 z + u z^2 and H[2,0] = 2 u z^3 + 5 u^2 z^2 + 2 u^3 z
+H10, H20 = U * U * Z + U * Z * Z, 2 * U * Z * Z * Z + 5 * U * U * Z * Z + 2 * U * U * U * Z
 
 
 def test_round_trip_scalars(tmp_path):
+    # a row's total is its scalar count; nothing but whole rows is stored
     path = tmp_path / "counts.ndjson"
     cache = CountCache(path)
-    cache.put_scalar("triangulations", 5, 3, 123456789012345678901234567890)
-    cache.put_scalar("oneface", 4, 2, 93)
+    big = 123456789012345678901234567890
+    cache.put_row("maps", 5, 3, big * H10, 2 * big)
     reloaded = CountCache(path)
-    assert reloaded.get_scalar("triangulations", 5, 3) == 123456789012345678901234567890
-    assert reloaded.get_scalar("oneface", 4, 2) == 93
-    assert reloaded.get_scalar("oneface", 9, 9) is None
+    assert reloaded.get_scalar("maps", 5, 3) == 2 * big
+    assert reloaded.get_scalar("maps", 9, 9) is None
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="put_row"):
+        cache.put_scalar("oneface", 4, 2, 93)
+    assert path.read_bytes() == before
 
 
 def test_round_trip_rows(tmp_path):
@@ -44,15 +50,17 @@ def test_round_trip_rows(tmp_path):
     assert reloaded.get_row("maps", 3, 1) == poly
     assert reloaded.get_scalar("maps", 3, 1) == 12
     assert reloaded.get_row("maps", 3, 2) is None
+    with pytest.raises(ValueError, match="total 13"):
+        cache.put_row("maps", 3, 2, poly, 13)
 
 
 def test_header_and_format(tmp_path):
     path = tmp_path / "counts.ndjson"
-    CountCache(path).put_scalar("maps", 1, 0, 2)
+    CountCache(path).put_row("maps", 1, 0, H10, 2)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == HEADER
-    rec = json.loads(lines[1])
-    assert rec["value"] == "2" and isinstance(rec["value"], str)
+    assert json.loads(lines[0]) == HEADER == {"format": "surfcount-cache", "version": 2}
+    assert json.loads(lines[1]) == {"model": "maps", "n": 1, "g2": 0, "total": "2",
+                                    "c": [1, 2, "1", 2, 1, "1"]}
 
 
 def test_rejects_foreign_file(tmp_path):
@@ -65,10 +73,12 @@ def test_rejects_foreign_file(tmp_path):
 def test_record_round_trip(tmp_path):
     path = tmp_path / "counts.ndjson"
     cache = CountCache(path)
-    cache.put_scalar("bipartite", 4, 2, 17, (2, 1, 1))
-    cache.put_scalar("maps", 16, 8, 783804517126931727890)
+    cache.put_row("bipartite", 4, 2, 17 * U * U * V * Z, 17)
+    cache.put_row("maps", 16, 8, 783804517126931727890 * U * Z, 783804517126931727890)
     assert CountCache(path).records == cache.records == {
         ("bipartite", 4, 2, (2, 1, 1)): 17,
+        ("bipartite", 4, 2, None): 17,
+        ("maps", 16, 8, (1, 1)): 783804517126931727890,
         ("maps", 16, 8, None): 783804517126931727890,
     }
 
@@ -76,49 +86,55 @@ def test_record_round_trip(tmp_path):
 def test_append_only_dedupe(tmp_path):
     path = tmp_path / "counts.ndjson"
     cache = CountCache(path)
-    cache.put_scalar("maps", 2, 2, 5)
-    cache.put_scalar("maps", 2, 2, 5)   # second write is a no-op
+    cache.put_row("maps", 1, 0, H10, 2)
+    cache.put_row("maps", 1, 0, H10, 2)   # second write is a no-op
     assert sum(1 for line in path.read_text().splitlines() if line) == 2
+    before = path.read_bytes()
+    with pytest.raises(CacheError, match=r"maps\[1,0\]: cached row differs"):
+        cache.put_row("maps", 1, 0, 2 * H10, 4)
+    assert path.read_bytes() == before
 
 
 def test_empty_file_gets_header(tmp_path):
     path = tmp_path / "counts.ndjson"
     path.touch()
-    CountCache(path).put_scalar("maps", 1, 0, 2)
+    CountCache(path).put_row("maps", 1, 0, H10, 2)
     assert json.loads(path.read_text().splitlines()[0]) == HEADER
     assert CountCache(path).get_scalar("maps", 1, 0) == 2
 
 
 def test_torn_last_line_is_dropped_and_cut_off(tmp_path, capsys):
     path = tmp_path / "counts.ndjson"
-    CountCache(path).put_scalar("maps", 1, 0, 2)
+    CountCache(path).put_row("maps", 1, 0, H10, 2)
     with path.open("a") as fh:
-        fh.write('{"model": "maps", "n": 2, "g2"')   # append died mid-record
+        fh.write('{"model": "maps", "n": 2, "g2"')   # append died mid-row
     cache = CountCache(path)
     assert "torn" in capsys.readouterr().err
     assert cache.get_scalar("maps", 1, 0) == 2
     assert cache.get_scalar("maps", 2, 0) is None
-    cache.put_scalar("maps", 2, 0, 9)
+    cache.put_row("maps", 2, 0, H20, 9)
     reloaded = CountCache(path)
     assert capsys.readouterr().err == ""
     assert reloaded.records == cache.records
-    assert path.read_text().endswith('"value": "9"}\n')
+    assert path.read_text().endswith('"total": "9", "c": [1, 3, "2", 2, 2, "5", 3, 1, "2"]}\n')
 
 
 def test_complete_last_record_without_newline_is_kept(tmp_path, capsys):
     path = tmp_path / "counts.ndjson"
-    CountCache(path).put_scalar("maps", 1, 0, 2)
+    CountCache(path).put_row("maps", 1, 0, H10, 2)
     path.write_text(path.read_text().rstrip("\n"))
     cache = CountCache(path)
     assert cache.get_scalar("maps", 1, 0) == 2
-    cache.put_scalar("maps", 1, 1, 1)
+    cache.put_row("maps", 2, 0, H20, 9)
     assert CountCache(path).records == cache.records
     assert capsys.readouterr().err == ""
 
 
 def test_two_writers_on_a_fresh_file_write_one_header(tmp_path, monkeypatch):
     # both writers open the new file before either one locks it: the
-    # interleaving in which a header decided outside the lock is written twice
+    # interleaving in which a header decided outside the lock is written
+    # twice.  Each appends the row its view lacks, so the row is on two
+    # equal lines, and a load keeps one copy.
     path = tmp_path / "counts.ndjson"
     both_open = threading.Barrier(2, timeout=10)
     flock = fcntl.flock
@@ -131,19 +147,21 @@ def test_two_writers_on_a_fresh_file_write_one_header(tmp_path, monkeypatch):
     monkeypatch.setattr(fcntl, "flock", flock_once_both_are_open)
     writers = [CountCache(path), CountCache(path)]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        runs = [pool.submit(w.put_scalar, "oneface", 4, g2, 93) for g2, w in enumerate(writers)]
+        runs = [pool.submit(w.put_row, "maps", 1, 0, H10, 2) for w in writers]
         for run in runs:
             run.result()
     lines = path.read_text().splitlines()
     assert [json.loads(line) == HEADER for line in lines] == [True, False, False]
-    assert CountCache(path).records == {("oneface", 4, 0, None): 93, ("oneface", 4, 1, None): 93}
+    assert lines[1] == lines[2]
+    assert CountCache(path).records == {("maps", 1, 0, (1, 2)): 1, ("maps", 1, 0, (2, 1)): 1,
+                                        ("maps", 1, 0, None): 2}
 
 
 def test_corrupt_inner_line_raises(tmp_path):
     path = tmp_path / "counts.ndjson"
     cache = CountCache(path)
-    cache.put_scalar("maps", 1, 0, 2)
-    cache.put_scalar("maps", 1, 1, 1)
+    cache.put_row("maps", 1, 0, H10, 2)
+    cache.put_row("maps", 2, 0, H20, 9)
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = lines[1][:10] + "\n"
     path.write_text("".join(lines))
@@ -156,78 +174,125 @@ def test_cli_survives_torn_tail(tmp_path):
     args = ["maps", "--bivariate", "--n-max", "5", "--format", "csv"]
     CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)])
     with path.open("a") as fh:
-        fh.write('{"model": "maps", "n": 5, "g2": 0, "val')
+        fh.write('{"model": "maps", "n": 5, "g2": 0, "tot')
     again = CliRunner().invoke(main, args + ["--cache", str(path)])
     assert again.exit_code == 0
     assert again.stdout == CliRunner().invoke(main, args + ["--no-cache"]).stdout
     assert len(again.stderr.splitlines()) == 1
-    CountCache(path)   # the torn line is gone, the new records parse
+    CountCache(path)   # the torn line is gone, the new rows parse
 
 
 def test_cli_corrupt_cache_exit_code(tmp_path):
     path = tmp_path / "counts.ndjson"
     path.write_text(json.dumps(HEADER) + "\n{not json}\n"
-                    + '{"model": "maps", "n": 1, "g2": 0, "value": "2"}\n')
+                    + '{"model": "maps", "n": 1, "g2": 0, "total": "2", "c": [1, 2, "1", 2, 1, "1"]}\n')
     res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "3", "--cache", str(path)])
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and ":2:" in res.stderr
 
 
-def _edit_first_coefficient(path, model, edit, last):
-    """Apply edit to the first coefficient record of model; its line number.
-
-    With last, the edited record moves to the end of the file, without
-    its newline.
-    """
+def _edit_row(path, model, n, g2, edit):
+    """Apply edit to the row dict on the line of model[n,g2]; its line number."""
     lines = path.read_text().splitlines()
     for k, line in enumerate(lines[1:], 2):
         rec = json.loads(line)
-        if rec["model"] == model and "i" in rec:
+        if (rec["model"], rec["n"], rec["g2"]) == (model, n, g2):
             edit(rec)
-            if last:
-                del lines[k - 1]
-                path.write_text("\n".join(lines) + "\n" + json.dumps(rec))
-                return len(lines) + 1
             lines[k - 1] = json.dumps(rec)
             path.write_text("\n".join(lines) + "\n")
             return k
-    raise AssertionError(f"no {model} coefficient record")
+    raise AssertionError(f"no row {model}[{n},{g2}]")
 
 
-@pytest.mark.parametrize("command, edit, last", [
-    ("maps --bivariate", lambda rec: rec.update(i=-1), False),
-    ("maps --bivariate", lambda rec: rec.pop("j"), False),
-    ("bipartite --trivariate", lambda rec: rec.pop("k"), False),
-    ("maps --bivariate", lambda rec: rec.update(j="1"), False),
-    ("bipartite --trivariate", lambda rec: rec.update(value=int(rec["value"])), False),
-    ("maps --bivariate", lambda rec: rec.update(i=-1), True),
+def _bump(rec, indices, by=1):
+    """Add by to the value of rec's term at indices."""
+    c, step = rec["c"], len(indices) + 1
+    k = next(k for k in range(0, len(c), step) if tuple(c[k:k + step - 1]) == indices)
+    c[k + step - 1] = str(int(c[k + step - 1]) + by)
+
+
+def _edit_first_row(path, model, edit, place):
+    """Apply edit to the first row of model; the edited line's number.
+
+    With place "last", the edited row moves to the end of the file,
+    without its newline; with "copy", it is appended after the row.
+    """
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines[1:], 2) if json.loads(line)["model"] == model)
+    rec = json.loads(lines[k - 1])
+    edit(rec)
+    if place == "last":
+        del lines[k - 1]
+        path.write_text("\n".join(lines) + "\n" + json.dumps(rec))
+        return len(lines) + 1
+    if place == "copy":
+        path.write_text("\n".join(lines + [json.dumps(rec)]) + "\n")
+        return len(lines) + 1
+    lines[k - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return k
+
+
+def _negative_index(rec):
+    rec["c"][0] = -1
+
+
+def _string_index(rec):
+    rec["c"][1] = str(rec["c"][1])
+
+
+def _int_value(rec):
+    rec["c"][3] = int(rec["c"][3])
+
+
+def _repeated_indices(rec):
+    rec["c"][3:5] = rec["c"][0:2]
+
+
+def _another_row(rec):
+    # one more at the first coefficient, and at the total: a row that
+    # still sums to its total, and is not the row of the first line
+    rec["c"][2] = str(int(rec["c"][2]) + 1)
+    rec["total"] = str(int(rec["total"]) + 1)
+
+
+@pytest.mark.parametrize("command, edit, place, error", [
+    ("maps --bivariate", _negative_index, "inner", "malformed"),
+    ("maps --bivariate", lambda rec: rec["c"].pop(0), "inner", "malformed"),
+    ("bipartite --trivariate", lambda rec: rec["c"].pop(0), "inner", "malformed"),
+    ("maps --bivariate", _string_index, "inner", "malformed"),
+    ("bipartite --trivariate", _int_value, "inner", "malformed"),
+    ("maps --bivariate", _negative_index, "last", "malformed"),
+    ("maps --bivariate", _repeated_indices, "inner", "malformed cache record: an index tuple repeats"),
+    ("maps --bivariate", _another_row, "copy",
+     "maps[1,0]: row differs from an earlier line of it"),
 ], ids=["negative-index", "maps-one-index", "bipartite-two-indices", "string-index",
-        "value-not-a-string", "last-line-without-newline"])
-def test_cli_malformed_record_exit_code(tmp_path, command, edit, last):
+        "value-not-a-string", "last-line-without-newline", "repeated-indices",
+        "differing-duplicate"])
+def test_cli_malformed_record_exit_code(tmp_path, command, edit, place, error):
     path = tmp_path / "counts.ndjson"
     model, flag = command.split()
     CliRunner().invoke(main, [model, flag, "--n-max", "4", "--cache", str(path)])
-    lineno = _edit_first_coefficient(path, model, edit, last)
+    lineno = _edit_first_row(path, model, edit, place)
     res = CliRunner().invoke(main, [model, flag, "--n-max", "5", "--cache", str(path)])
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr.count("\n") == 1 and f":{lineno}: malformed" in res.stderr
+    assert res.stderr.count("\n") == 1 and f"{path}:{lineno}: {error}" in res.stderr
 
 
-@pytest.mark.parametrize("index, top", [('"i": 0, "j": 2097155', 2097155),
-                                        ('"i": 1, "j": 512', 512)],
+@pytest.mark.parametrize("index, top", [("0, 2097155", 2097155), ("1, 512", 512)],
                          ids=["aliases-u-z3", "first-past-range"])
 def test_cli_index_out_of_exponent_range_exit_code(tmp_path, index, top):
     # a z index past its field would alias another monomial: with 21-bit
-    # fields j = 2^21 + 3 at i = 0 was served as u z^3, the record it replaced
+    # fields j = 2^21 + 3 at i = 0 was served as u z^3, the term it replaced
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)]
     assert CliRunner().invoke(main, args).exit_code == 0
     text = path.read_text()
-    record = '{"model": "maps", "n": 3, "g2": 1, "value": "22", "i": 1, "j": 3}'
-    assert record in text
-    path.write_text(text.replace(record, record.replace('"i": 1, "j": 3', index)))
+    row = '{"model": "maps", "n": 3, "g2": 1, "total": "98", "c": [1, 3, "22", '
+    assert row in text
+    path.write_text(text.replace(row, row.replace("1, 3,", index + ",")))
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
@@ -235,27 +300,30 @@ def test_cli_index_out_of_exponent_range_exit_code(tmp_path, index, top):
                           f"is above {EXP_MAX}, out of range\n")
 
 
+def _row_file(path, model, indices):
+    """A cache file holding one row, model[1,0], of one term 5 at indices."""
+    c = [*indices, "5"]
+    path.write_text(json.dumps(HEADER) + "\n" + json.dumps(
+        {"model": model, "n": 1, "g2": 0, "total": "5", "c": c}) + "\n")
+
+
 @pytest.mark.parametrize("model, indices", [("maps", (0, 512)), ("bipartite", (0, 512, 0)),
                                             ("bipartite", (0, 0, 512))])
 def test_get_row_rejects_indices_past_the_exponent_range(tmp_path, model, indices):
     path = tmp_path / "counts.ndjson"
-    cache = CountCache(path)
-    cache.put_scalar(model, 1, 0, 5, indices)
-    cache.put_scalar(model, 1, 0, 5)
+    _row_file(path, model, indices)
     with pytest.raises(CacheError, match=r"\[1,0\]: z or v index 512 is above 511"):
         CountCache(path).get_row(model, 1, 0)
     # one below the range is a row
-    cache = CountCache(tmp_path / "ok.ndjson")
-    cache.put_scalar(model, 1, 0, 5, tuple(min(x, EXP_MAX) for x in indices))
-    cache.put_scalar(model, 1, 0, 5)
-    assert cache.get_row(model, 1, 0).evaluate() == 5
+    _row_file(path, model, tuple(min(x, EXP_MAX) for x in indices))
+    assert CountCache(path).get_row(model, 1, 0).evaluate() == 5
 
 
 def test_kz_engine_leaves_the_cache_unread(tmp_path):
-    # engine kz never loads or stores cells, so a bad cache file is no error
+    # engine kz never loads or stores rows, so a bad cache file is no error
     path = tmp_path / "counts.ndjson"
     CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)])
-    _edit_first_coefficient(path, "maps", lambda rec: rec.update(i=-1), False)
+    _edit_first_row(path, "maps", _negative_index, "inner")
     before = path.read_bytes()
     res = CliRunner().invoke(main, ["maps", "--n-max", "4", "--engine", "kz",
                                     "--cache", str(path)])
@@ -266,7 +334,7 @@ def test_kz_engine_leaves_the_cache_unread(tmp_path):
 @pytest.mark.parametrize("command", ["maps", "triangulations", "oneface", "bip-oneface",
                                      "bipartite"])
 def test_uncached_commands_leave_the_cache_alone(tmp_path, command):
-    # these tables recompute faster than their records parse: --cache is
+    # these tables recompute faster than their rows parse: --cache is
     # accepted and ignored, so a file that is no cache is no error
     path = tmp_path / "counts.ndjson"
     path.write_text('{"format": "something-else"}\n')
@@ -281,7 +349,7 @@ def test_uncached_commands_leave_the_cache_alone(tmp_path, command):
 
 
 def test_scalar_bipartite_leaves_a_trivariate_cache_alone(tmp_path):
-    # the counts come from the table at v = u, which the trivariate records
+    # the counts come from the table at v = u, which the trivariate rows
     # cannot serve: the file is neither read nor written
     path = tmp_path / "counts.ndjson"
     args = ["bipartite", "--n-max", "10"]
@@ -298,47 +366,46 @@ def test_scalar_bipartite_leaves_a_trivariate_cache_alone(tmp_path):
     assert path.read_bytes() == before
 
 
-def _all_tables_cache(path):
-    """Write the file that `maps --n-max 4`, `triangulations --n-max 3`,
-    `oneface --n-max 4` and `bip-oneface --n-max 4` left, in that order,
-    when every table was cached."""
-    cache = CountCache(path)
-    for model, tab in [("maps", MapsCounts().fill(4)), ("triangulations", TriTable().fill(3)),
-                       ("oneface", OneFaceTable().fill(4))]:
-        for (n, g2), value in tab.entries.items():
-            cache.put_scalar(model, n, g2, value)
-    for (n, i, j), value in BipOneFaceTable().fill(4).entries.items():
-        cache.put_scalar("bip-oneface", n, n + 1 - i - j, value, (i, j))
+def _version_1_lines(model, table):
+    """The record lines that version 1 wrote for table's rows: one per
+    coefficient, value then the indices as i, j[, k], and one per total."""
+    lines = []
+    for (n, g2), poly in table.entries.items():
+        for indices, value in coefficient_records(model, poly) + [((), poly.evaluate())]:
+            lines.append(json.dumps({"model": model, "n": n, "g2": g2, "value": str(value),
+                                     **dict(zip("ijk", indices))}))
+    return lines
 
 
-def test_all_tables_cache_file_still_loads(tmp_path):
+@pytest.mark.parametrize("header, error", [
+    ({"format": "surfcount-cache", "version": 1},
+     "cache file of format version 1, not 2: delete it"),
+    (HEADER, ":2: malformed cache record"),
+    (None, "not a surfcount cache"),
+], ids=["version-1", "record-lines-under-version-2", "record-lines-without-header"])
+@pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
+def test_record_per_line_file_exit_code(tmp_path, command, header, error):
+    # a version-1 file, one record per coefficient, is neither converted
+    # nor read: one stderr line names it, and its bytes stay as they were
     path = tmp_path / "counts.ndjson"
-    _all_tables_cache(path)
-    # the bytes those four runs wrote with every table cached
-    old = path.read_bytes()
-    assert hashlib.sha256(old).hexdigest() == (
-        "db969b697c47593400ff5bb75596b3b284852642ded68b03f3d2244fa8231041")
-    for command in ("maps --bivariate", "bipartite --trivariate"):
-        args = command.split() + ["--n-max", "5", "--format", "csv"]
-        res = CliRunner().invoke(main, args + ["--cache", str(path)])
-        assert res.exit_code == 0 and res.stderr == ""
-        assert res.stdout == CliRunner().invoke(main, args + ["--no-cache"]).stdout
-    # the scalar maps cells are the rows' totals: kept, checked, not written again
-    assert path.read_bytes().startswith(old)
-    assert len(CountCache(path).records) == len(path.read_bytes().splitlines()) - 1
-    with path.open("a") as fh:
-        fh.write('{"model": "oneface", "n": 4, "g2": -1, "value": "3"}\n')
-    lineno = len(path.read_text().splitlines())
-    res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "5", "--cache", str(path)])
+    model, flag = command.split()
+    table = (MapsTable("cc") if model == "maps" else BipTable()).fill(4, 4)
+    lines = ([json.dumps(header)] if header else []) + _version_1_lines(model, table)
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, [model, flag, "--n-max", "5", "--cache", str(path)])
     assert res.exit_code == 3 and res.stdout == ""
-    assert res.stderr.count("\n") == 1 and f":{lineno}: malformed" in res.stderr
+    assert res.stderr.count("\n") == 1 and str(path) in res.stderr and error in res.stderr
+    assert path.read_bytes() == before
 
 
 def test_stale_records_are_not_loaded(tmp_path, monkeypatch):
-    # a maps run skips the records of the tables that are no longer
-    # cached, and of the rows above its --n-max, without parsing them
+    # a maps run skips the rows of bipartite and those above its --n-max
+    # without parsing them
     path = tmp_path / "counts.ndjson"
-    _all_tables_cache(path)
+    for command in ("maps --bivariate", "bipartite --trivariate"):
+        args = command.split() + ["--n-max", "6", "--cache", str(path)]
+        assert CliRunner().invoke(main, args).exit_code == 0
     caches = []
 
     class Recorded(CountCache):
@@ -352,18 +419,7 @@ def test_stale_records_are_not_loaded(tmp_path, monkeypatch):
     assert {(model, n) for model, n, *_ in cache.records} == {
         ("maps", n) for n in range(1, 4)}
     models = {json.loads(line)["model"] for line in path.read_text().splitlines()[1:]}
-    assert models == {"maps", "triangulations", "oneface", "bip-oneface"}
-
-
-def test_row_completes_after_its_total(tmp_path):
-    path = tmp_path / "counts.ndjson"
-    poly = 5 * U * U * Z + 7 * U * Z * Z
-    CountCache(path).put_scalar("maps", 3, 1, 12)   # scalar table's cell
-    cache = CountCache(path)
-    assert cache.get_row("maps", 3, 1) is None
-    cache.put_row("maps", 3, 1, poly, 12)
-    assert CountCache(path).get_row("maps", 3, 1) == poly
-    assert len(path.read_text().splitlines()) == 4   # header, total, two coefficients
+    assert models == {"maps", "bipartite"}
 
 
 def test_cold_store_is_one_append(tmp_path, monkeypatch):
@@ -371,7 +427,7 @@ def test_cold_store_is_one_append(tmp_path, monkeypatch):
     appends = []
     append = CountCache._append
     monkeypatch.setattr(CountCache, "_append",
-                        lambda self, records: appends.append(1) or append(self, records))
+                        lambda self, rows: appends.append(1) or append(self, rows))
     args = ["bipartite", "--trivariate", "--n-max", "10", "--format", "csv"]
     cold = CliRunner().invoke(main, args + ["--cache", str(path)])
     assert cold.exit_code == 0
@@ -381,32 +437,19 @@ def test_cold_store_is_one_append(tmp_path, monkeypatch):
     assert len(CountCache(path).records) == 778
 
 
-def _bump_record(path, model, n, g2, indices=None):
-    """Add 1 to the value of the cached record of model at (n, g2, indices)."""
-    lines = path.read_text().splitlines()
-    for k, line in enumerate(lines[1:], 1):
-        rec = json.loads(line)
-        if ((rec["model"], rec["n"], rec["g2"]) == (model, n, g2)
-                and tuple(rec[c] for c in "ijk" if c in rec) == (indices or ())):
-            rec["value"] = str(int(rec["value"]) + 1)
-            lines[k] = json.dumps(rec)
-            path.write_text("\n".join(lines) + "\n")
-            return int(rec["value"])
-    raise AssertionError(f"no record {model}[{n},{g2}] {indices}")
-
-
 def test_cli_corrupt_cached_cell_exit_code(tmp_path):
-    # a wrong total alone makes the row incomplete, so it is recomputed,
-    # and storing the recomputed row names the record that differs
+    # a row whose coefficients do not sum to its total is an error, not a
+    # row to refill
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--bivariate", "--n-max", "5", "--cache", str(path)]
     assert CliRunner().invoke(main, args).exit_code == 0
-    _bump_record(path, "maps", 4, 1)
+    lineno = _edit_row(path, "maps", 4, 1, lambda rec: rec.update(total="983"))
     before = path.read_bytes()
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr == f"error: {path}: maps[4,1]: cached 983, recomputed 982\n"
+    assert res.stderr == (f"error: {path}:{lineno}: malformed cache record: maps[4,1]: "
+                          "coefficients sum to 982, not to the total 983\n")
     assert path.read_bytes() == before
 
 
@@ -465,46 +508,47 @@ def test_engine_mismatch_stores_nothing(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"],
                          ids=["maps-bivariate", "bipartite-trivariate"])
 def test_store_checks_held_records(tmp_path, command, record):
-    # every record the file holds for a row, coefficient or total, is
-    # compared with the recomputed row, whether or not a later row reads it
+    # every value a row line holds, coefficient or total, is checked
+    # against the others on load, whether or not a later row reads it
     path = tmp_path / "counts.ndjson"
     model, flag = command.split()
     args = [model, flag, "--n-max", "6", "--format", "csv", "--cache", str(path)]
     assert CliRunner().invoke(main, args).exit_code == 0
     n, g2 = (6, 2) if record == "top-row-total" else (4, 1)
-    indices = None
-    if record == "coefficient":
-        rec = next(rec for rec in map(json.loads, path.read_text().splitlines()[1:])
-                   if (rec["model"], rec["n"], rec["g2"]) == (model, n, g2) and "i" in rec)
-        indices = tuple(rec[c] for c in "ijk" if c in rec)
-    cached = _bump_record(path, model, n, g2, indices)
+    sums = []
+
+    def edit(rec):
+        total = int(rec["total"])
+        if record == "coefficient":
+            _bump(rec, tuple(rec["c"][:ROW_WIDTH[model]]))
+            sums.extend([total + 1, total])
+        else:
+            rec["total"] = str(total + 1)
+            sums.extend([total, total + 1])
+    lineno = _edit_row(path, model, n, g2, edit)
     before = path.read_bytes()
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
-    cell = ",".join(map(str, (n, g2, *(indices or ()))))
-    assert res.stderr == f"error: {path}: {model}[{cell}]: cached {cached}, recomputed {cached - 1}\n"
+    assert res.stderr == (f"error: {path}:{lineno}: malformed cache record: {model}[{n},{g2}]: "
+                          f"coefficients sum to {sums[0]}, not to the total {sums[1]}\n")
     assert path.read_bytes() == before
 
 
+def _h21_plus_one_each(rec):
+    # the total and both coefficients of H[2,1] = 5 u^2 z + 5 u z^2: the
+    # row still sums to its total and is symmetric
+    _bump(rec, (1, 2))
+    _bump(rec, (2, 1))
+    rec["total"] = str(int(rec["total"]) + 2)
+
+
 def test_cli_corrupt_cached_seed_row_exit_code(tmp_path):
-    # a coefficient and the total edited together: the row is complete and
-    # is served, and only the comparison with the seed catches it
+    # a row served whole, caught only by the comparison with the seed
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)]
     assert CliRunner().invoke(main, args).exit_code == 0
-    lines = path.read_text().splitlines()
-    bumped = []
-    for k, line in enumerate(lines[1:], 1):
-        rec = json.loads(line)
-        # the total and the u z^2 coefficient of H[2,1] = 5 u^2 z + 5 u z^2
-        if (rec["model"], rec["n"], rec["g2"], rec.get("i")) in [("maps", 2, 1, None),
-                                                                 ("maps", 2, 1, 1)]:
-            rec["value"] = str(int(rec["value"]) + 1)
-            lines[k] = json.dumps(rec)
-            bumped.append(rec.get("i"))
-    assert sorted(bumped, key=str) == [1, None]
-    path.write_text("\n".join(lines) + "\n")
+    _edit_row(path, "maps", 2, 1, _h21_plus_one_each)
     assert CountCache(path).get_row("maps", 2, 1) is not None
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 3
@@ -513,23 +557,35 @@ def test_cli_corrupt_cached_seed_row_exit_code(tmp_path):
     assert str(path) in res.stderr and "maps[2,1]: cached " in res.stderr
 
 
+def test_store_compares_a_held_seed_row_above_n_max(tmp_path):
+    # the seed rows above --n-max are read but not served: storing the
+    # table compares them with the file's lines
+    path = tmp_path / "counts.ndjson"
+    args = ["maps", "--bivariate", "--n-max", "1", "--cache", str(path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    _edit_row(path, "maps", 2, 1, _h21_plus_one_each)
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {path}: maps[2,1]: cached row differs from the recomputed one\n"
+    assert path.read_bytes() == before
+
+
 def test_cli_cached_row_of_another_degree_exit_code(tmp_path):
     # a coefficient of u z, degree 2, added to H[4,1], of degree 5, with the
-    # row's total raised by the same value: the row is complete, and every
-    # row that reads it is cached too, so no recomputation sees it
+    # row's total raised by the same value: the row sums to its total and
+    # is symmetric, and every row that reads it is cached too, so no
+    # recomputation sees it
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--bivariate", "--format", "csv", "--cache", str(path), "--n-max"]
     assert CliRunner().invoke(main, args + ["6"]).exit_code == 0
     value = 25401600000
-    lines = path.read_text().splitlines()
-    for k, line in enumerate(lines[1:], 1):
-        rec = json.loads(line)
-        if (rec["model"], rec["n"], rec["g2"]) == ("maps", 4, 1) and "i" not in rec:
-            rec["value"] = str(int(rec["value"]) + value)
-            lines[k] = json.dumps(rec)
-    lines.append(json.dumps({"model": "maps", "n": 4, "g2": 1, "i": 1, "j": 1,
-                             "value": str(value)}))
-    path.write_text("\n".join(lines) + "\n")
+
+    def edit(rec):
+        rec["c"] += [1, 1, str(value)]
+        rec["total"] = str(int(rec["total"]) + value)
+    _edit_row(path, "maps", 4, 1, edit)
     assert CountCache(path).get_row("maps", 4, 1) is not None
     before = path.read_bytes()
     res = CliRunner().invoke(main, args + ["5"])
@@ -539,12 +595,37 @@ def test_cli_cached_row_of_another_degree_exit_code(tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("command, n, g2, moves, swap", [
+    ("maps --bivariate", 5, 1, {(1, 5): 1, (2, 4): -1}, "u <-> z"),
+    ("bipartite --trivariate", 4, 1, {(1, 3, 1): 1, (1, 2, 2): -1}, "u <-> v"),
+], ids=["maps", "bipartite"])
+def test_cli_asymmetric_cached_row_exit_code(tmp_path, command, n, g2, moves, swap):
+    # one unit moved between two coefficients: the row keeps its total and
+    # its degree, and only the vertex-face (maps) or colour (bipartite)
+    # symmetry catches it
+    path = tmp_path / "counts.ndjson"
+    model, flag = command.split()
+    args = [model, flag, "--n-max", "5", "--cache", str(path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+
+    def edit(rec):
+        for indices, by in moves.items():
+            _bump(rec, indices, by)
+    _edit_row(path, model, n, g2, edit)
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: {path}: {model}[{n},{g2}]: cached row is not symmetric under {swap}\n"
+    assert path.read_bytes() == before
+
+
 # -- the loader reads every line exactly as json.loads does ---------------
 
 def _reference_load(path):
-    """json.loads and _parse_record on every line: records, or CacheError."""
+    """json.loads and _parse_row on every line: records, or CacheError."""
     lines = path.read_bytes().decode(errors="replace").split("\n")
-    records = {}
+    rows = {}
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -554,17 +635,23 @@ def _reference_load(path):
             if lineno < len(lines):
                 raise CacheError(f"{path}:{lineno}: unparsable cache record") from None
             print(f"warning: dropping torn last line {lineno} of {path}", file=sys.stderr)
-            return records
+            break
         if lineno == 1:
             if not isinstance(obj, dict) or obj.get("format") != HEADER["format"]:
                 raise CacheError(f"not a surfcount cache: {path}")
+            if obj.get("version") != HEADER["version"]:
+                raise CacheError(f"{path}: cache file of format version "
+                                 f"{obj.get('version')}, not {HEADER['version']}: delete it")
             continue
         try:
-            key, indices, value = _parse_record(obj)
+            key, cells = _parse_row(obj)
         except ValueError as exc:
             raise CacheError(f"{path}:{lineno}: malformed cache record: {exc}") from None
-        records[(*key, indices)] = value
-    return records
+        if rows.setdefault(key, cells) != cells:
+            raise CacheError(f"{path}:{lineno}: {key[0]}[{key[1]},{key[2]}]: "
+                             "row differs from an earlier line of it")
+    return {(*key, indices): value for key, cells in rows.items()
+            for indices, value in [*cells.items(), (None, sum(cells.values()))]}
 
 
 def _escaped(s):
@@ -576,7 +663,7 @@ def _with_n(text):
     return lambda obj: json.dumps({**obj, "n": None}).replace("null", text).encode()
 
 
-# each spelling turns a header or record dict into one line's bytes
+# each spelling turns a header or row dict into one line's bytes
 _SPELLINGS = {
     "plain": lambda obj: json.dumps(obj).encode(),
     "compact": lambda obj: json.dumps(obj, separators=(",", ":")).encode(),
@@ -588,13 +675,13 @@ _SPELLINGS = {
     "unicode-escapes": lambda obj: ("{" + ", ".join(
         f"{_escaped(k)}: {_escaped(v) if isinstance(v, str) else json.dumps(v)}"
         for k, v in obj.items()) + "}").encode(),
-    "non-ascii-value": lambda obj: json.dumps({**obj, "value": "\u0661\u0662"},
+    "non-ascii-value": lambda obj: json.dumps({**obj, "total": "\u0661\u0662"},
                                               ensure_ascii=False).encode(),
     "bom": lambda obj: "\ufeff".encode() + json.dumps(obj).encode(),
     "n-exponent": _with_n("1e2"),
     "n-true": _with_n("true"),
     "n-minus-zero": _with_n("-0"),
-    "nan-value": lambda obj: json.dumps({**obj, "value": float("nan")}).encode(),
+    "nan-value": lambda obj: json.dumps({**obj, "total": float("nan")}).encode(),
     "duplicate-keys": lambda obj: b'{"n": 7, ' + json.dumps(obj).encode()[1:],
     "duplicate-keys-last-bad": lambda obj: json.dumps(obj).encode()[:-1] + b', "g2": "1"}',
     "invalid-utf8": lambda obj: json.dumps({**obj, "x": "\xff"}).encode("latin-1"),
@@ -604,22 +691,24 @@ _SPELLINGS = {
     "not-an-object": lambda obj: json.dumps(list(obj)).encode(),
     "whitespace-only": lambda obj: b" \t ",
 }
-_RECORDS = [{"model": "maps", "n": 1, "g2": 0, "value": "2"},
-            {"model": "maps", "n": 3, "g2": 1, "i": 2, "j": 3, "value": "12"},
-            {"model": "bipartite", "n": 2, "g2": 1, "i": 1, "j": 1, "k": 1, "value": "1"}]
+_ROWS = [{"model": "maps", "n": 1, "g2": 0, "total": "2", "c": [1, 2, "1", 2, 1, "1"]},
+         {"model": "maps", "n": 3, "g2": 1, "total": "14", "c": [2, 3, "12", 1, 1, "2"]},
+         {"model": "bipartite", "n": 2, "g2": 1, "total": "1", "c": [1, 1, 1, "1"]}]
+# a row for the end of the file, of neither model's view below
+_LAST = {"model": "bipartite", "n": 4, "g2": 2, "total": "93", "c": [1, 2, 1, "90", 0, 0, 6, "3"]}
 
 
 @pytest.mark.parametrize("place", ["header", "inner", "last", "last-newline"])
 @pytest.mark.parametrize("spelling", _SPELLINGS)
 def test_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, place):
     spell = _SPELLINGS[spelling]
-    lines = [json.dumps(obj).encode() for obj in [HEADER] + _RECORDS]
+    lines = [json.dumps(obj).encode() for obj in [HEADER] + _ROWS]
     if place == "header":
         lines[0] = spell(HEADER)
     elif place == "inner":
-        lines[2] = spell(_RECORDS[1])
+        lines[2] = spell(_ROWS[1])
     else:
-        lines.append(spell({"model": "oneface", "n": 4, "g2": 2, "value": "93"}))
+        lines.append(spell(_LAST))
     path = tmp_path / "counts.ndjson"
     path.write_bytes(b"\n".join(lines) + (b"" if place == "last" else b"\n"))
 
@@ -641,10 +730,9 @@ def test_store_writes_exactly_the_missing_records(tmp_path, command):
     assert cold.exit_code == 0
     full = path.read_bytes()
     lines = full.splitlines(keepends=True)
-    # a coefficient record of a row below the top one
+    # the line of a row below the top one
     k = next(k for k, line in enumerate(lines)
-             if line.startswith(b'{"model": "%s", "n": 4, "g2": 1, ' % command.split()[0].encode())
-             and b'"i"' in line)
+             if line.startswith(b'{"model": "%s", "n": 4, "g2": 1, ' % command.split()[0].encode()))
     path.write_bytes(b"".join(lines[:k] + lines[k + 1:]))
     warm = CliRunner().invoke(main, args)
     assert warm.exit_code == 0 and warm.stdout == cold.stdout
@@ -672,8 +760,8 @@ def test_warm_run_below_the_seed_rows_appends_nothing(tmp_path, command, n_max):
 @pytest.mark.parametrize("g_max", [[], ["--g-max", "3"]], ids=["all-genera", "g-max-3"])
 @pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
 def test_deleted_cell_of_a_middle_row_is_refilled(tmp_path, command, g_max):
-    # every record of one genus cell of row 5 goes: the warm run computes
-    # that row again, writes only the missing cell, and prints the cold run
+    # the line of one genus cell of row 5 goes: the warm run computes that
+    # row again, writes only the missing cell, and prints the cold run
     path = tmp_path / "counts.ndjson"
     model = command.split()[0]
     args = command.split() + ["--n-max", "8", *g_max, "--format", "csv", "--cache", str(path)]
@@ -691,7 +779,7 @@ def test_deleted_cell_of_a_middle_row_is_refilled(tmp_path, command, g_max):
 
 
 def test_store_skips_the_rows_it_served(tmp_path, monkeypatch):
-    # a warm run's rows come from the file's own records: storing them
+    # a warm run's rows come from the file's own lines: storing them
     # again reads the coefficients of the seed rows only, still compared
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--engine", "cc", "--n-max", "7", "--cache", str(path)]
@@ -711,11 +799,11 @@ def test_store_skips_the_rows_it_served(tmp_path, monkeypatch):
 
 # -- a request reads only the lines it needs ------------------------------
 
-_MODELS = ("maps", "bipartite", "bip-oneface", "triangulations", "oneface")
+_MODELS = ("maps", "bipartite")
 
 
 def _skipped(line, lineno, last, model, n_max):
-    """The documented rule: an inner line that is a whole record with the
+    """The documented rule: an inner line that is a whole row with the
     canonical start, of another model or of n above n_max."""
     head = re.match('{"model": "([a-z-]+)", "n": (0|[1-9][0-9]*), "g2": (0|[1-9][0-9]*),',
                     line)
@@ -726,18 +814,18 @@ def _skipped(line, lineno, last, model, n_max):
 @pytest.mark.parametrize("place", ["header", "inner", "last", "last-newline", "other-model"])
 @pytest.mark.parametrize("spelling", _SPELLINGS)
 def test_selective_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, place):
-    # the records of maps with n <= 3 are those of the full load; a line
-    # the request reads raises what the full load raises on it
+    # the rows of maps with n <= 3 are those of the full load; a line the
+    # request reads raises what the full load raises on it
     spell = _SPELLINGS[spelling]
-    lines = [json.dumps(obj).encode() for obj in [HEADER] + _RECORDS]
+    lines = [json.dumps(obj).encode() for obj in [HEADER] + _ROWS]
     if place == "header":
         lines[0] = spell(HEADER)
     elif place == "inner":
-        lines[2] = spell(_RECORDS[1])
+        lines[2] = spell(_ROWS[1])
     elif place == "other-model":
-        lines[3] = spell(_RECORDS[2])
+        lines[3] = spell(_ROWS[2])
     else:
-        lines.append(spell({"model": "oneface", "n": 4, "g2": 2, "value": "93"}))
+        lines.append(spell(_LAST))
     path = tmp_path / "counts.ndjson"
     path.write_bytes(b"\n".join(lines) + (b"" if place == "last" else b"\n"))
     # the lines it skips, blanked, are lines the reference skips too
@@ -761,17 +849,17 @@ def test_selective_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, pl
 
 
 def test_selective_load_reads_the_first_line(tmp_path):
-    # a file that starts with a record, not the header, is no cache, even
-    # when that record is one a request would skip
+    # a file that starts with a row, not the header, is no cache, even
+    # when that row is one a request would skip
     path = tmp_path / "counts.ndjson"
-    path.write_text("".join(json.dumps(rec) + "\n" for rec in _RECORDS[::-1]))
+    path.write_text("".join(json.dumps(row) + "\n" for row in _ROWS[::-1]))
     with pytest.raises(CacheError, match="not a surfcount cache"):
         CountCache(path, "maps", 3)
 
 
 def _maps_cache_with(path, line, last=False):
     """A maps --bivariate cache for n <= 4 with line put before its last
-    record, or with last after it, without a newline; the line's number."""
+    row, or with last after it, without a newline; the line's number."""
     assert CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4",
                                      "--cache", str(path)]).exit_code == 0
     lines = path.read_text().splitlines()
@@ -783,9 +871,9 @@ def _maps_cache_with(path, line, last=False):
 
 
 @pytest.mark.parametrize("line, error", [
-    ('{"model": "bipartite", "n": 9, "g2": 0, "i": 1, "j": 1, "k": 1, "value": "1"',
+    ('{"model": "bipartite", "n": 9, "g2": 0, "total": "1", "c": [1, 1, 1, "1"]',
      "unparsable cache record"),
-    ('{"model": "bipartite", "n": "4", "g2": 0, "i": 1, "j": 1, "k": 1, "value": "1"}',
+    ('{"model": "bipartite", "n": "4", "g2": 0, "total": "1", "c": [1, 1, 1, "1"]}',
      "malformed cache record"),
 ], ids=["torn-before-its-brace", "n-a-string"])
 def test_cli_malformed_line_of_another_model_exit_code(tmp_path, line, error):
@@ -805,15 +893,15 @@ _HUGE = "9" * 5000   # beyond int()'s default limit of 4300 digits
 
 
 @pytest.mark.parametrize("line, error", [
-    ('{"model": "maps", "n": 3, "g2": 1, "value": "%s", "i": 2, "j": 3}' % _HUGE,
+    ('{"model": "maps", "n": 3, "g2": 1, "total": "%s", "c": [2, 3, "1"]}' % _HUGE,
      "malformed cache record"),
-    ('{"model": "maps", "n": %s, "g2": 1, "value": "1", "i": 2, "j": 3}' % _HUGE,
+    ('{"model": "maps", "n": %s, "g2": 1, "total": "1", "c": [2, 3, "1"]}' % _HUGE,
      "unparsable cache record"),
-    ('{"model": "bipartite", "n": 3, "g2": %s, "value": "1"}' % _HUGE,
+    ('{"model": "bipartite", "n": 3, "g2": %s, "total": "1", "c": [1, 1, 1, "1"]}' % _HUGE,
      "unparsable cache record"),
 ], ids=["value", "n", "g2-of-another-model"])
 def test_cli_number_beyond_the_digit_limit_exit_code(tmp_path, line, error):
-    # a line with a number too long for the writer's form is read by
+    # a line with a number too long for the canonical start is read by
     # json.loads, and is one stderr line, whatever its model
     path = tmp_path / "counts.ndjson"
     lineno = _maps_cache_with(path, line)
@@ -825,7 +913,7 @@ def test_cli_number_beyond_the_digit_limit_exit_code(tmp_path, line, error):
 
 def test_cli_torn_last_line_of_another_model_is_dropped_and_cut(tmp_path):
     path = tmp_path / "counts.ndjson"
-    lineno = _maps_cache_with(path, '{"model": "bipartite", "n": 9, "g2": 0, "val', last=True)
+    lineno = _maps_cache_with(path, '{"model": "bipartite", "n": 9, "g2": 0, "tot', last=True)
     args = ["maps", "--bivariate", "--format", "csv", "--n-max"]
     res = CliRunner().invoke(main, args + ["5", "--cache", str(path)])
     assert res.exit_code == 0
@@ -838,7 +926,7 @@ def test_cli_torn_last_line_of_another_model_is_dropped_and_cut(tmp_path):
 def test_model_view_needs_n_max(tmp_path):
     # without n_max the view could not tell which lines to skip
     path = tmp_path / "counts.ndjson"
-    CountCache(path).put_scalar("maps", 1, 0, 2)
+    CountCache(path).put_row("maps", 1, 0, H10, 2)
     with pytest.raises(ValueError, match="n_max"):
         CountCache(path, "maps")
 
@@ -858,22 +946,20 @@ def test_full_view_does_not_store(tmp_path):
     assert not path.exists()
 
 
-# -- the record writer and the files the CLI writes -------------------------
+# -- the row writer and the files the CLI writes ----------------------------
 
-# the number of indices each model's records carry
-_WIDTHS = {"maps": (0, 2), "bipartite": (0, 3), "bip-oneface": (2,),
-           "triangulations": (0,), "oneface": (0,)}
 _SMALL = st.integers(min_value=0, max_value=12)
 _NATURALS = st.one_of(_SMALL, st.integers(min_value=0, max_value=10**30))
 
 
 @st.composite
-def _records(draw):
+def _rows(draw):
     model = draw(st.sampled_from(_MODELS))
-    width = draw(st.sampled_from(_WIDTHS[model]))
-    indices = tuple(draw(_NATURALS) for _ in range(width)) or None
-    value = draw(st.one_of(_SMALL, st.integers(min_value=0, max_value=10**45)))
-    return model, draw(_NATURALS), draw(_NATURALS), indices, value
+    index = st.integers(min_value=0, max_value=EXP_MAX)
+    cells = draw(st.dictionaries(st.tuples(*[index] * ROW_WIDTH[model]),
+                                 st.one_of(st.integers(1, 12), st.integers(1, 10**45)),
+                                 max_size=6))
+    return model, draw(_NATURALS), draw(_NATURALS), cells
 
 
 def _views(path, n_maxes):
@@ -888,20 +974,25 @@ def _views(path, n_maxes):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_records(), max_size=12), _SMALL)
-def test_record_line_is_json_dumps(tmp_path_factory, records, n_max):
-    # every line is what json.dumps writes for the record's dict, and a
-    # file of them loads the same through the writer's form and json.loads
-    lines = []
-    for model, n, g2, indices, value in records:
-        obj = {"model": model, "n": n, "g2": g2, "value": str(value)}
-        obj.update(zip("ijk", indices or ()))
-        lines.append(record_line(model, n, g2, indices, value))
-        assert lines[-1] == json.dumps(obj) + "\n"
+@given(st.lists(_rows(), max_size=12, unique_by=lambda row: row[:3]), _SMALL)
+def test_row_line_is_json_dumps(tmp_path_factory, rows, n_max):
+    # every line the cache writes is what json.dumps writes for the row's
+    # dict, and a file of them loads the same through every view and
+    # through json.loads
     path = tmp_path_factory.getbasetemp() / "writer.ndjson"
-    path.write_text(json.dumps(HEADER) + "\n" + "".join(lines))
-    for got, expected in _views(path, [n_max]):
-        assert got == expected
+    path.write_text(json.dumps(HEADER) + "\n")
+    cache = CountCache(path)
+    expected = [json.dumps(HEADER) + "\n"]
+    for model, n, g2, cells in rows:
+        poly = Poly.from_records(surfcount.cache._ORDER[model], cells)
+        cache.put_row(model, n, g2, poly, sum(cells.values()))
+        c = [x for indices, value in coefficient_records(model, poly)
+             for x in (*indices, str(value))]
+        expected.append(json.dumps({"model": model, "n": n, "g2": g2,
+                                    "total": str(sum(cells.values())), "c": c}) + "\n")
+    assert path.read_text() == "".join(expected)
+    for got, reference in _views(path, [n_max]):
+        assert got == reference
 
 
 # one cache file through a short session of polynomial-row requests
@@ -924,4 +1015,4 @@ def test_session_file_loads_as_json_loads(tmp_path):
         for got, expected in _views(path, range(8)):
             assert got == expected
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "08390c13bd0d83e90b71a53980e9a5bf8b4e2b936d0e41c7b208288ddf59f39b")
+        "2bdd607132ebdbdae6f74a2c5557d2ead98cc735d2a4d50e98b775844c160b04")
