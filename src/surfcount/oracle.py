@@ -13,9 +13,10 @@ the root flag is 0, and edge 0 is open from the start.  The generator
 repeatedly takes the smallest flag x whose s1 is unset and pairs it
 either with an unset flag of an edge already opened, or with flag 4k of
 the next unopened edge k.  A branch that runs out of unset flags before
-all n edges are open would leave a piece unreachable from the root and
-is dropped; every other leaf is connected, since each edge is opened
-through s1 from an earlier one.
+all n edges are open would leave a piece unreachable from the root, so
+while edges are unopened the last two unset flags are never paired with
+each other: that branch is not entered.  Every leaf is connected, since
+each edge is opened through s1 from an earlier one.
 
 Each leaf is exactly one rooted map.  Given a rooted map, the rule above
 reads every label off the map itself: the root fixes edge 0's four
@@ -46,6 +47,16 @@ flag x gives flags 4k, 4k+1 the colour of x and 4k+2, 4k+3 the other
 one, a pair of differently coloured flags is a conflict, and a vertex
 that closes black adds one black vertex.  The map is bipartite exactly
 when no pair conflicts.
+
+The last pairing of a leaf is forced, so it is tallied where it is
+found rather than made.  Once every edge is open and only two flags
+are unset, x and its only possible mate y, every other flag is paired:
+x and y are then the two ends of the one remaining vertex path and of
+the one remaining face path (vend[x] = fend[x] = y).  Pairing them
+closes one vertex and one face of degree flen[x]; it is a conflict
+exactly when y's colour differs from x's, and the vertex closes black
+when x is black.  That leaf's key is read off directly, with nothing
+set and nothing restored, so no call is made for a finished map.
 
 This module is ground truth for coefficients no published table prints
 (the full vertex/face split, and at n = 6 the genus split); it is
@@ -91,17 +102,20 @@ def scan(n: int) -> dict:
     # four tallies are folded from it after the scan
     leaves: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
-    def grow(x: int, opened: int, v: int, blacks: int, conflicts: int):
-        top = 4 * opened
-        while x < top and paired[x]:
+    def grow(x: int, opened: int, free: int, v: int, blacks: int, conflicts: int):
+        # free counts the unset flags of the opened edges, never below two
+        while paired[x]:
             x += 1
-        if x == top:
-            if opened == n:
-                key = (v, -1 if conflicts else blacks, tuple(degs))
-                leaves[key] = leaves.get(key, 0) + 1
-            return
         a, c, cx = vend[x], fend[x], colour[x]
-        for y in range(x + 1, top + (opened < n)):
+        if free == 2 and opened == n:
+            # the forced last pairing with y = a = c: one vertex, one face
+            black = -1 if conflicts or colour[a] != cx else blacks + (cx == 0)
+            key = (v + 1, black, (*degs, flen[x]))
+            leaves[key] = leaves.get(key, 0) + 1
+            return
+        top = 4 * opened
+        # with two flags free, pairing them leaves edges unopened: dead
+        for y in range(x + 1 if free > 2 else top, top + (opened < n)):
             if paired[y]:
                 continue
             paired[y] = True
@@ -120,8 +134,8 @@ def scan(n: int) -> dict:
                 d = fend[y]
                 fend[c], fend[d] = d, c
                 flen[c] = flen[d] = flen[x] + flen[y]
-            grow(x + 1, opened + (y == top), next_v, next_blacks,
-                 conflicts + (colour[y] != cx))
+            grow(x + 1, opened + (y == top), free + (2 if y == top else -2),
+                 next_v, next_blacks, conflicts + (colour[y] != cx))
             if a != y:
                 vend[a], vend[b] = x, y
             if c == y:
@@ -131,7 +145,7 @@ def scan(n: int) -> dict:
                 flen[c], flen[d] = flen[x], flen[y]
             paired[y] = False
 
-    grow(0, 1, 0, 0, 0)
+    grow(0, 1, 4, 0, 0, 0)
 
     maps_tally: dict[tuple[int, int], int] = {}
     bip_tally: dict[tuple[int, int, int], int] = {}

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,8 +43,7 @@ def test_leaf_counts_match_maps_counts(oracle4):
 @pytest.mark.parametrize("n, digest", [
     (3, "552402d4c84cc2a0b232aa4dd195205cac5522b9259deb69a95d34eac7da3aec"),
     (4, "7ab214952372b91ffd5ba5a099f36b04f4137ca918ddea5bb6415206233650c0"),
-    pytest.param(5, "92b44420708dd1673d4dd80cb5501c3517e819c59217a581a0cc73bc53673967",
-                 marks=pytest.mark.slow),
+    (5, "92b44420708dd1673d4dd80cb5501c3517e819c59217a581a0cc73bc53673967"),
     pytest.param(6, "95c398296e59a76a2f768a92fe47d71aad28a182bc716b109f468bfdeaf72267",
                  marks=pytest.mark.slow),
 ])
@@ -51,6 +51,27 @@ def test_scan_is_pinned(n, digest, request):
     # all four tallies: n <= 4 as the former (4n-1)!!-involution scan
     # returned them, n = 5, 6 as the orbit-walking generator did
     assert fingerprint(request.getfixturevalue(f"oracle{n}")) == digest
+
+
+@pytest.mark.parametrize("n, calls", [(3, 449), (4, 7269)])
+def test_scan_work_is_pinned(n, calls):
+    # the forced last pairing is tallied in place and dead branches are
+    # not entered; a scan that makes a call per leaf and per dead branch
+    # makes 773 and 12489 calls, and fails here without timing anything
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_name == "grow":
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        scan(n)
+    finally:
+        sys.setprofile(previous)
+    assert count == calls
 
 
 def test_one_edge_maps():
@@ -131,7 +152,6 @@ def test_four_edge_ground_truth(oracle4, maps_cc_12, bip_16):
         assert got == marked_face_coefficient(oracle4["profiles"], 4, lam), lam
 
 
-@pytest.mark.slow
 def test_five_edge_ground_truth(oracle5, maps_cc_12):
     assert sum(oracle5["maps"].values()) == 100278
     assert oracle5["maps"] == _maps_split(maps_cc_12, 5)
