@@ -44,7 +44,9 @@ and the identity fails at the first row that breaks the symmetry.
 Each F[lam] step and each KP combination is one `TSeries.dot` over
 (weight, series, series) triples; a lone series is paired with a
 constant series (1, z or the linear factor).  Each coefficient of a
-one-face residual is one `Poly.dot`, over the relation's shifts.
+one-face residual is one `Poly.dot`, over the relation's shifts.  The
+shift-free identity merges each sum of formal combinations into one before
+evaluating it, so a monomial its terms share is multiplied out once.
 """
 
 from __future__ import annotations
@@ -542,32 +544,40 @@ def kp_combinations(ctx: SeriesContext) -> tuple[TSeries, TSeries, TSeries]:
     return ctx.memo[key]
 
 
+def _formal_sum(*items) -> _FPoly:
+    """Sum of c * fp over (c, fp) pairs, like monomials merged, zeros dropped."""
+    out: _FPoly = {}
+    for c, fp in items:
+        for mono, coef in fp.items():
+            out[mono] = out.get(mono, 0) + c * coef
+    return {k: v for k, v in out.items() if v}
+
+
 def verify_fixed_charge(ctx: SeriesContext) -> TSeries:
-    """Shift-free identity on the plain (unrescaled) combinations."""
+    """Shift-free identity on the plain (unrescaled) combinations.
+
+    With k1 = KP1, k2 = KP2, k1' = d1 KP1 (dj the derivative by the j-th
+    face variable) and F = F[1,1,1] (doubled-time weight 2^3 in the 16),
+    the residual in nested form is k1 (k1 (16 F k1 + X) + A k1' - 2 B k2)
+    - k1' (2 k2^2 - 2 k1'^2), with X = -d1 KP3 + 2 d2 KP2 + d1^3 KP1,
+    A = KP3 - 3 d1^2 KP1 and B = d2 KP1 - d1 KP2, each merged into one
+    formal combination (`_formal_sum`) before it is evaluated.
+    """
     if ctx.model != "maps":
         raise ValueError("the shift-free identity check runs on the maps model")
-    ev = lambda fp: formal_eval(ctx, fp)
-    k1, h2, q3 = kp_combinations(ctx)   # KP1, KP2/2, KP3/4
-    k3_1 = ev(formal_dp(KP3_FORMAL, 1))
-    k2_2 = ev(formal_dp(KP2_FORMAL, 2))
-    k2_1 = ev(formal_dp(KP2_FORMAL, 1))
-    kp1_1f = formal_dp(KP1_FORMAL, 1)
-    k1_1 = ev(kp1_1f)
-    k1_2 = ev(formal_dp(KP1_FORMAL, 2))
-    kp1_11f = formal_dp(kp1_1f, 1)
-    k1_11 = ev(kp1_11f)
-    k1_111 = ev(formal_dp(kp1_11f, 1))
-    f111 = _F(ctx, (1, 1, 1)).scale(8)  # same doubled-time weight 2^3
-    lhs = (f111 * k1 * k1 * k1).scale(2)
-    rhs = _series_sum([
-        (k3_1 - k2_2.scale(2)) * k1 * k1,
-        -((q3.scale(4) - k1_11.scale(3)) * k1 * k1_1),
-        ((k1_2 - k2_1) * k1 * h2).scale(4),
-        (h2 * h2 * k1_1).scale(8),
-        (k1_1 * k1_1 * k1_1).scale(-2),
-        -(k1 * k1 * k1_111),
-    ])
-    return lhs - rhs
+    kp1_1 = formal_dp(KP1_FORMAL, 1)
+    kp1_11 = formal_dp(kp1_1, 1)
+    k1, k2, k1_1, x, a, b = (formal_eval(ctx, fp) for fp in (
+        KP1_FORMAL, KP2_FORMAL, kp1_1,
+        _formal_sum((-1, formal_dp(KP3_FORMAL, 1)), (2, formal_dp(KP2_FORMAL, 2)),
+                    (1, formal_dp(kp1_11, 1))),
+        _formal_sum((1, KP3_FORMAL), (-3, kp1_11)),
+        _formal_sum((1, formal_dp(KP1_FORMAL, 2)), (-1, formal_dp(KP2_FORMAL, 1))),
+    ))
+    inner = TSeries.dot([(16, _F(ctx, (1, 1, 1)), k1), (1, x, _ONE)])
+    outer = TSeries.dot([(1, k1, inner), (1, a, k1_1), (-2, b, k2)])
+    tail = TSeries.dot([(2, k2, k2), (-2, k1_1, k1_1)])
+    return TSeries.dot([(1, k1, outer), (-1, k1_1, tail)])
 
 
 # ---------------------------------------------------------------------------

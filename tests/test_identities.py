@@ -8,8 +8,13 @@ from surfcount import identities
 from surfcount.bipartite import BipOneFaceTable, BipTable, bip_oneface_series
 from surfcount.errors import WindowError
 from surfcount.identities import (
+    KP1_FORMAL,
+    KP2_FORMAL,
+    KP3_FORMAL,
     LambdaIndex,
     bipartite_context,
+    formal_dp,
+    formal_eval,
     ftheta,
     kp_combinations,
     maps_context,
@@ -155,8 +160,6 @@ def test_mutation_detected_in_oneface_ode():
 def test_fixed_charge_uses_same_evaluator(ctx10):
     # the F[1,1,1] factor in the shift-free identity is the ftheta series
     # itself (up to the doubled-time weight), consistent by construction
-    from surfcount.identities import formal_eval
-
     direct = formal_eval(ctx10, {((1, 1, 1),): Fraction(1)})
     assert direct == ftheta(ctx10, (1, 1, 1)).scale(8)
 
@@ -167,6 +170,51 @@ def test_mutation_detected_in_fixed_charge(maps_cc_12):
     broken.entries[(2, 1)] = broken.entries[(2, 1)] + Poly.from_terms({(1, 1, 0): 1})
     res = verify_fixed_charge(maps_context(8, broken))
     assert not res.is_zero()
+
+
+def fixed_charge_reference(ctx):
+    # the shift-free identity as written out term by term, one formal
+    # combination per derivative and one series product per factor
+    ev = lambda fp: formal_eval(ctx, fp)
+    k1, h2, q3 = kp_combinations(ctx)   # KP1, KP2/2, KP3/4
+    k3_1 = ev(formal_dp(KP3_FORMAL, 1))
+    k2_2 = ev(formal_dp(KP2_FORMAL, 2))
+    k2_1 = ev(formal_dp(KP2_FORMAL, 1))
+    kp1_1f = formal_dp(KP1_FORMAL, 1)
+    k1_1 = ev(kp1_1f)
+    k1_2 = ev(formal_dp(KP1_FORMAL, 2))
+    kp1_11f = formal_dp(kp1_1f, 1)
+    k1_11 = ev(kp1_11f)
+    k1_111 = ev(formal_dp(kp1_11f, 1))
+    f111 = ftheta(ctx, (1, 1, 1)).scale(8)  # same doubled-time weight 2^3
+    lhs = (f111 * k1 * k1 * k1).scale(2)
+    rhs = TSeries.zero()
+    for term in [
+        (k3_1 - k2_2.scale(2)) * k1 * k1,
+        -((q3.scale(4) - k1_11.scale(3)) * k1 * k1_1),
+        ((k1_2 - k2_1) * k1 * h2).scale(4),
+        (h2 * h2 * k1_1).scale(8),
+        (k1_1 * k1_1 * k1_1).scale(-2),
+        -(k1 * k1 * k1_111),
+    ]:
+        rhs = rhs + term
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+def test_fixed_charge_matches_reference(maps_cc_12, corrupt):
+    # the merged, nested residual is the term-by-term one, window included:
+    # merging can only raise a valuation, so a moved window would show here
+    table = MapsTable("cc")
+    table.entries.update(maps_cc_12.entries)
+    if corrupt:
+        table.entries[(5, 2)] = table.entries[(5, 2)] + Poly.from_terms({(1, 1, 0): 1})
+    for order in range(1, 15):
+        want = fixed_charge_reference(maps_context(order, table))
+        got = verify_fixed_charge(maps_context(order, table))
+        assert got == want, order
+        assert got.window == want.window, order
+    assert corrupt != got.is_zero()
 
 
 def _bip_corrupted(table, n, g2, delta):
@@ -243,7 +291,8 @@ def test_raised_order_residuals(name, order):
 
 @pytest.fixture(scope="module")
 def top_rows():
-    # the tables that ode-maps at order 40 and ode-triangulations at 150 read
+    # the tables that ode-maps at order 40 and ode-triangulations at 150 read;
+    # fixed-charge at order 20 reads the maps rows to 10
     return {"maps": MapsTable("cc").fill(20), "triangulations": TriTable().fill(25)}
 
 
@@ -252,6 +301,8 @@ TOP_ROW_MUTATIONS = [
     ("ode-maps", 40, (20, 2), 48), ("ode-maps", 40, (20, 10), 48),
     ("ode-maps", 40, (20, 12), 48), ("ode-triangulations", 150, (25, 3), 154),
     ("ode-triangulations", 150, (25, 11), 154), ("ode-triangulations", 150, (25, 18), 154),
+    ("fixed-charge", 20, (10, 2), 34), ("fixed-charge", 20, (10, 5), 34),
+    ("fixed-charge", 20, (10, 10), 34),
 ]
 
 
@@ -312,16 +363,27 @@ def test_memo_is_pinned(make, order, digest):
 
 
 
-@pytest.mark.slow
+_SLOW = pytest.mark.slow
+
+
 @pytest.mark.parametrize("name, order, digest", [
-    ("shifted-bkp1", 26, "56a0eed7b770dcd66c1be45869706323d30d22da0948eb7787c310ea366e3ccb"),
-    ("ode-maps", 24, "a6033e207793c53b00565c76b960a3a2a0cba95fcdedf5dcb7f3d71ce3c4e01d"),
-    ("ode-bipartite", 12, "6b237b24413dc985aa9469305c11b9a548a707e5ff818d35107a59109a454087"),
-    ("ode-triangulations", 42, "c068ab1f4f8ed2cc77744edcf94a7e187ad2739d4f5a5b53af84759927513119"),
-    ("ode-triangulations", 48, "5d03a4b90623e2b055869201b9819a8ae48165b48d979aac11e7db96b50a07df"),
-    ("ode-oneface-maps", 26, "a2aa870220e928d46dea8da786957f9b77f4251bf0a5101233f8499f81d33029"),
-    ("ode-oneface-maps", 30, "7fa265a248aaff41857661282ab54f03c5573fcd94c2c80d8e4dd4366a2d9af0"),
-    ("ode-oneface-bipartite", 24, "36b680368cd158fa10b070d96fe97e7b8b1c45a947bdf477772cd97705ec8c97"),
+    pytest.param("shifted-bkp1", 26,
+                 "56a0eed7b770dcd66c1be45869706323d30d22da0948eb7787c310ea366e3ccb", marks=_SLOW),
+    pytest.param("ode-maps", 24,
+                 "a6033e207793c53b00565c76b960a3a2a0cba95fcdedf5dcb7f3d71ce3c4e01d", marks=_SLOW),
+    pytest.param("ode-bipartite", 12,
+                 "6b237b24413dc985aa9469305c11b9a548a707e5ff818d35107a59109a454087", marks=_SLOW),
+    pytest.param("ode-triangulations", 42,
+                 "c068ab1f4f8ed2cc77744edcf94a7e187ad2739d4f5a5b53af84759927513119", marks=_SLOW),
+    pytest.param("ode-triangulations", 48,
+                 "5d03a4b90623e2b055869201b9819a8ae48165b48d979aac11e7db96b50a07df", marks=_SLOW),
+    pytest.param("ode-oneface-maps", 26,
+                 "a2aa870220e928d46dea8da786957f9b77f4251bf0a5101233f8499f81d33029", marks=_SLOW),
+    pytest.param("ode-oneface-maps", 30,
+                 "7fa265a248aaff41857661282ab54f03c5573fcd94c2c80d8e4dd4366a2d9af0", marks=_SLOW),
+    pytest.param("ode-oneface-bipartite", 24,
+                 "36b680368cd158fa10b070d96fe97e7b8b1c45a947bdf477772cd97705ec8c97", marks=_SLOW),
+    # cheap enough for tier-1
     ("fixed-charge", 18, "7f0f8bbacdb4f3d9e65588d4bb367de6f0cfd01fa154804916fc42c5448326ab"),
 ])
 def test_verify_deep_reports_are_pinned(name, order, digest):

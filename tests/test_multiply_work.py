@@ -92,6 +92,9 @@ def dot_work(monkeypatch):
     # the F[lam] and KP products run in (s, z, p): 66978 pairs in (u, z, v)
     (lambda: run_identity("ode-bipartite", 8), 35598),
     (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
+    # the table fill included; the shift-free residual written out term
+    # by term (ten formal evaluations, fifteen products) took 35714 pairs
+    (lambda: run_identity("fixed-charge", 12), 21879),
     # a cut fill multiplies no part above the cap
     (lambda: MapsTable("cc").fill(12, 2), 10134),
     (lambda: MapsTable("kz").fill(12, 2), 8966),
@@ -100,8 +103,8 @@ def dot_work(monkeypatch):
     # one: the trivariate fill(13) multiplies 81493 pairs
     (lambda: BipTable(v_is_u=True).fill(13), 14545),
 ], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8",
-        "ode-oneface-bipartite-12", "MapsTable-cc-12-cut-2", "MapsTable-kz-12-cut-2",
-        "BipTable-10-cut-2", "BipTable-v-is-u-13"])
+        "ode-oneface-bipartite-12", "fixed-charge-12", "MapsTable-cc-12-cut-2",
+        "MapsTable-kz-12-cut-2", "BipTable-10-cut-2", "BipTable-v-is-u-13"])
 def test_multiply_work_budget(dot_work, run, pairs):
     run()
     assert dot_work["pairs"] == pairs
