@@ -22,7 +22,8 @@ the charge shift, and the substitution v -> u commutes with both: to
 move u and v together by +-2 and then set v = u is to set v = u and
 then move u.  So the table substitutes into its seeds and constants
 once, at construction, and runs the engine unchanged; its cells have no
-v, and the shift of u with v is the shift of u alone.
+v, so the shift of u with v is the shift of u alone, slot None, which
+builds no (u, v) parts (they would be mostly zeros).
 
 The one-face numbers b[n, i, j] (i black, j white vertices) satisfy
 their own linear recursion with history depth 4, which BipOneFaceTable
@@ -67,7 +68,7 @@ class BipTable(PolyTable):
     }
 
     def __init__(self, v_is_u: bool = False):
-        super().__init__(BipTable._core, 1, 2)
+        super().__init__(BipTable._core, 1, None if v_is_u else 2)
         sub = Poly.v_to_u if v_is_u else (lambda p: p)
         self.entries.update((key, sub(p)) for key, p in self.SEEDS.items())
         self.sum3, self.diff3, self.psi, self.uv = map(sub, (_SUM3, _DIFF3, _PSI, _UV))

@@ -45,7 +45,8 @@ of numerators.
 shift of the charge parameter by +-2, averaged, minus f, in u alone or
 in u together with z or v.  The charge-shift weights of every
 polynomial table and the shifted identity's second difference are this
-operator.
+operator: a binomial per term and drop in u alone, and in u with w = z
+or v one integer recurrence per drop down each part in (u, w).
 
 A polynomial symmetric in u and v is one in s = u + v and p = uv, z
 passing through.  `to_sp` writes it in that basis, in the same packed
@@ -341,17 +342,24 @@ class Poly:
         `slot` (1: z, 2: v); the others pass through.  Terms of degree
         below `floor` are left out.
 
-        The odd powers of 2 cancel in the sum, so a monomial u^p w^q y of
-        degree D gives, for each even drop r >= 2, 2^r C(p, i) C(q, j)
-        u^i w^j y over i + j = p + q - r: a term of degree D - r.  The
-        substitution itself is never formed, nor any term below the floor.
+        The odd powers of 2 cancel in the sum, so the shift is the sum over
+        even r >= 2 of 2^r h_r, h_r = L^r f / r! for L = d/du (+ d/dw, w
+        the slot's variable), r up to the degree of f.  In u alone h_r of
+        u^p is C(p, r) u^(p - r).  With two slots each homogeneous part in
+        (u, w), with its pass-through exponent, is a dense list h of the
+        coefficients of u^i w^(d - i), and each drop is one step
+        h_r[i] = ((i + 1) h_(r-1)[i + 1] + (d - r + 1 - i) h_(r-1)[i]) / r,
+        exact since h_r sends u^p w^q to the integer sum of C(p, i) C(q, j)
+        u^i w^j over i + j = p + q - r.  A part costs O(d * top) steps for
+        its highest drop top even if it holds one term (u^2000 at floor
+        0); the parts of a table row are full.  No substitution is formed,
+        nor any term below the floor.
         """
         unit_u = 1 << 2 * _SHIFT
         acc: dict[int, int] = {}
         get = acc.get
         if slot is None:
-            # u alone (q = 0): one term per drop; the two-slot loop below
-            # gives the same terms about twice as slowly
+            # u alone (q = 0): one term per drop
             for k, c in self.terms.items():
                 p = k >> 2 * _SHIFT
                 top = min(p, p + ((k >> _SHIFT) & _MASK) + (k & _MASK) - floor)
@@ -362,19 +370,26 @@ class Poly:
         at = (2 - slot) * _SHIFT
         unit_w = 1 << at
         step = unit_u - unit_w
+        parts: dict[tuple[int, int], list[int]] = {}
         for k, c in self.terms.items():
             p, q = k >> 2 * _SHIFT, (k >> at) & _MASK
-            pq = p + q
-            # the pass-through part's key, and the highest drop above the floor
             rest = k - p * unit_u - q * unit_w
-            top = min(pq, p + ((k >> _SHIFT) & _MASK) + (k & _MASK) - floor)
-            for r in range(2, top + 1, 2):
-                s = pq - r
-                base = rest + s * unit_w     # u^0 w^s; each power moved to u adds step
-                cr = c << r
-                for i in range(max(0, s - q), min(p, s) + 1):
-                    key = base + i * step
-                    acc[key] = get(key, 0) + comb(p, i) * comb(q, s - i) * cr
+            part = parts.get((rest, p + q))
+            if part is None:
+                part = parts[rest, p + q] = [0] * (p + q + 1)
+            part[p] = c
+        for (rest, d), h in parts.items():
+            top = min(d, d + ((rest >> _SHIFT) & _MASK) + (rest & _MASK) - floor)
+            for r in range(1, top + 1):
+                # h_r = L h_(r-1) / r, of degree s, from h_(r-1) of degree s + 1
+                s = d - r
+                h = [((i + 1) * h[i + 1] + (s + 1 - i) * h[i]) // r for i in range(s + 1)]
+                if not r & 1:
+                    base = rest + s * unit_w     # u^0 w^s; each power moved to u adds step
+                    for i, c in enumerate(h):
+                        if c:     # a zero's w exponent may lie past its field
+                            key = base + i * step
+                            acc[key] = get(key, 0) + (c << r)
         return Poly(acc, self.den)
 
     def v_to_u(self) -> "Poly":

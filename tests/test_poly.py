@@ -105,6 +105,10 @@ def test_charge_shift_by_hand():
     assert (UZ * V).charge_shift(2) == 4 * Z
     assert (UZ * V).charge_shift(1, floor=2).is_zero()
     assert (U + Z + ONE).charge_shift(1).is_zero()
+    # (u+z)^4 is t^4 in t = u + z, which shifts by +-4: 96t^2 + 256
+    uz4 = (U + Z) * (U + Z) * (U + Z) * (U + Z)
+    assert uz4.charge_shift(1) == 96 * (U + Z) * (U + Z) + 256 * ONE
+    assert (uz4 * V).charge_shift(1, floor=2) == 96 * (U + Z) * (U + Z) * V
 
 
 @settings(max_examples=60)

@@ -120,6 +120,32 @@ def test_charge_shift(f, slot, drop):
     agrees(lambda: f.charge_shift(slot, floor), ref_charge_shift(ref(f), slot, floor))
 
 
+@st.composite
+def dense_parts(draw):
+    """(Poly, slot): one or two full homogeneous parts in (u, w), w the
+    slot's variable, over a shared pass-through exponent and a common
+    denominator; numerators of mixed sign, zero among them."""
+    slot, e = draw(st.sampled_from([1, 2])), draw(exponent(EXP_MAX))
+    mapping = {}
+    for d in draw(st.lists(st.integers(0, 30), min_size=1, max_size=2, unique=True)):
+        for i in range(d + 1):
+            exps = [i, 0, 0]
+            exps[slot] = d - i
+            exps[3 - slot] = e
+            mapping[tuple(exps)] = draw(st.one_of(st.just(0), st.integers(-50, 50)))
+    return Poly.from_terms(mapping, draw(st.integers(1, 9))), slot
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_parts(), st.integers(-1, 32))
+def test_charge_shift_dense_parts(part, drop):
+    # the two-slot shift runs its exact division down every entry of a
+    # full part, to any floor
+    f, slot = part
+    floor = max((sum(e) for e in ref(f)), default=0) - drop
+    agrees(lambda: f.charge_shift(slot, floor), ref_charge_shift(ref(f), slot, floor))
+
+
 def ref_from_sp(f: dict) -> dict:
     out = defaultdict(Fraction)
     for (i, ez, j), c in f.items():

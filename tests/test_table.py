@@ -310,39 +310,62 @@ def test_rows_split_back_into_their_cells(table, cap):
             assert weight == tab.row[n, c].charge_shift(None, n - c), (n, c)
 
 
+@pytest.mark.parametrize("cap", [None, 2], ids=["uncut", "cut-2"])
+def test_v_is_u_weights_are_the_two_slot_ones(cap):
+    # at v = u the cells have no v, so the shift of u alone gives the
+    # weights that u and v shifting together would
+    tab = BipTable(v_is_u=True).fill(10, cap)
+    assert len(tab.shift_weight) >= 8
+    for (m, c), weight in tab.shift_weight.items():
+        assert weight == tab.row[m, c].charge_shift(2, m - c), (m, c)
+
+
 def _double_factorial(m):
     return prod(range(m, 0, -2))
 
 
 def exponential_row_sums(model: str, n_max: int) -> list:
-    """Rows 1..n_max of the scalar table of model ("maps" or
-    "triangulations") summed over the genus, from the exponential
-    formula: with c = log A, maps give 4n c_n / 4^n for A(x) = sum over
-    n of (4n-1)!! x^n / n!, and triangulations 12n c_2n for A(y) = sum
-    over even m of (3m-1)!! 2^(3m/2) y^m / (m! 6^m).  The log runs its
-    recurrence m c_m = m a_m - sum over k < m of k c_k a_(m-k) in
-    Fractions only."""
-    maps = model == "maps"
-    order = n_max if maps else 2 * n_max
-    if maps:
+    """Rows 1..n_max of the scalar table of model ("maps",
+    "triangulations" or "bipartite") summed over the genus, from the
+    exponential formula: with c = log A, maps give 4n c_n / 4^n for A(x)
+    = sum over n of (4n-1)!! x^n / n!, triangulations 12n c_2n for A(y) =
+    sum over even m of (3m-1)!! 2^(3m/2) y^m / (m! 6^m), and bipartite
+    maps n c_n / 2^(n-1) for A(x) = sum over n of ((2n-1)!!)^2 x^n / n!.
+    The log runs its recurrence m c_m = m a_m - sum over k < m of k c_k
+    a_(m-k) in Fractions only."""
+    order = 2 * n_max if model == "triangulations" else n_max
+    if model == "maps":
         a = [Fraction(_double_factorial(4 * m - 1), factorial(m)) for m in range(order + 1)]
+    elif model == "bipartite":
+        a = [Fraction(_double_factorial(2 * m - 1) ** 2, factorial(m)) for m in range(order + 1)]
     else:
         a = [Fraction(_double_factorial(3 * m - 1) * 2 ** (3 * m // 2), factorial(m) * 6**m)
              if m % 2 == 0 else Fraction(0) for m in range(order + 1)]
     c = [Fraction(0)] * (order + 1)
     for m in range(1, order + 1):
         c[m] = a[m] - sum((k * c[k] * a[m - k] for k in range(1, m)), Fraction(0)) / m
-    return [4 * n * c[n] / 4**n if maps else 12 * n * c[2 * n] for n in range(1, n_max + 1)]
+    if model == "maps":
+        return [4 * n * c[n] / 4**n for n in range(1, n_max + 1)]
+    if model == "bipartite":
+        return [n * c[n] / 2 ** (n - 1) for n in range(1, n_max + 1)]
+    return [12 * n * c[2 * n] for n in range(1, n_max + 1)]
 
 
-def _row_sums(table, n_max: int) -> list:
-    return [sum(table.value(n, g2) for g2 in range(n + 2)) for n in range(1, n_max + 1)]
+def _row_sums(value, n_max: int) -> list:
+    return [sum(value(n, g2) for g2 in range(n + 2)) for n in range(1, n_max + 1)]
 
 
 def test_scalar_row_sums():
     # every genus of maps rows 1..40 and triangulation rows 1..24
-    assert _row_sums(MapsCounts().fill(40), 40) == exponential_row_sums("maps", 40)
-    assert _row_sums(TriTable().fill(24), 24) == exponential_row_sums("triangulations", 24)
+    assert _row_sums(MapsCounts().fill(40).value, 40) == exponential_row_sums("maps", 40)
+    assert _row_sums(TriTable().fill(24).value, 24) == exponential_row_sums("triangulations", 24)
+
+
+def test_bipartite_row_sums():
+    # every genus of bipartite rows 1..20 at v = u, the table the scalar
+    # bipartite counts come from, summed at all ones
+    rows = _row_sums(BipTable(v_is_u=True).fill(20).count, 20)
+    assert rows == exponential_row_sums("bipartite", 20)
 
 
 @pytest.mark.slow
@@ -356,5 +379,5 @@ def test_scalar_tables_far_out():
         assert lhs == 2 ** (2 * n + 1) * _double_factorial(3 * n), n
     assert {cell: h.value(*cell) for cell in MAPS} == MAPS
     assert {cell: t.value(*cell) for cell in TRIANGULATIONS} == TRIANGULATIONS
-    assert _row_sums(h, 100) == exponential_row_sums("maps", 100)
-    assert _row_sums(t, 60) == exponential_row_sums("triangulations", 60)
+    assert _row_sums(h.value, 100) == exponential_row_sums("maps", 100)
+    assert _row_sums(t.value, 60) == exponential_row_sums("triangulations", 60)
