@@ -10,7 +10,6 @@ truncated power series.
 from .bipartite import BipOneFaceTable, BipTable
 from .identities import (
     IDENTITIES,
-    LambdaIndex,
     SeriesContext,
     VerifyReport,
     ftheta,
@@ -18,7 +17,7 @@ from .identities import (
     run_identity,
 )
 from .maps import MapsCounts, MapsTable, OneFaceTable
-from .oracle import oracle_count, scan
+from .oracle import scan
 from .poly import Poly, U, V, Z
 from .triangulations import TriTable
 from .tseries import TSeries
@@ -29,7 +28,6 @@ __all__ = [
     "BipOneFaceTable",
     "BipTable",
     "IDENTITIES",
-    "LambdaIndex",
     "MapsCounts",
     "MapsTable",
     "OneFaceTable",
@@ -43,7 +41,6 @@ __all__ = [
     "Z",
     "ftheta",
     "kp_combinations",
-    "oracle_count",
     "run_identity",
     "scan",
     "__version__",

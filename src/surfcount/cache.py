@@ -38,9 +38,9 @@ index above `poly.EXP_MAX` raises CacheError; `coefficient_records` is
 v)), and `store` and the CLI's coefficient output both go through it.
 Every row line is `json.dumps` of its dict, written by `_row_line`.  A
 served row must be homogeneous of degree n + 2 - g2 and symmetric,
-maps under u <-> z (vertex-face duality) and bipartite under u <-> v,
-and a cached row that a table already holds, one of its seeds, must
-equal it.  Storing a table compares each row the file holds, other
+maps under u <-> z (vertex-face duality) and bipartite under u <-> v, a
+planar one (g2 = 0) must sum to `anchors.planar`, and a cached row that
+a table already holds, one of its seeds, must equal it.  Storing a table compares each row the file holds, other
 than those the cache served, with the recomputed row, and appends the
 rows the file lacks.
 
@@ -52,8 +52,9 @@ does not parse (with a warning on stderr), which loses one row, and the
 next append cuts it off the file under the lock; a complete last line
 only gets its newline.  Such a line anywhere else, a line that parses
 but fails the shape check, a row that differs from another line of it,
-from its recomputed or its seeded value, and a served row of another
-degree or without its symmetry raise CacheError naming the file and
+from its recomputed or its seeded value, a served row of another
+degree, without its symmetry or off its planar count, and an OS error
+on the path, reading or writing, raise CacheError naming the file and
 the line or the row.
 """
 
@@ -66,6 +67,7 @@ import re
 import sys
 from pathlib import Path
 
+from .anchors import planar
 from .errors import CacheError, ExponentRangeError
 from .poly import EXP_MAX, Poly
 
@@ -157,7 +159,9 @@ class CountCache:
         """Load the file at path, every row of it.  Given model and n_max,
         the view of the table runs: it keeps only the rows of model with
         n <= n_max, and skips the lines of other rows unparsed where their
-        start is canonical.  A model needs its n_max (ValueError)."""
+        start is canonical.  A model needs its n_max (ValueError).  No
+        file at path is an empty cache; a file that cannot be read is a
+        CacheError."""
         if model is not None and n_max is None:
             raise ValueError(f"the view of {model!r} needs n_max")
         self.path = Path(path)
@@ -167,8 +171,13 @@ class CountCache:
         # (model, n, g2) -> the row `load` put into a table, built from
         # exactly the line the file holds for it
         self._served: dict[tuple[str, int, int], Poly] = {}
-        if self.path.exists():
-            self._load(model, n_max)
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise CacheError(f"{self.path}: cannot read the cache file: {exc.strerror}") from None
+        self._load(data, model, n_max)
 
     @property
     def records(self) -> dict[tuple, int]:
@@ -177,8 +186,7 @@ class CountCache:
         return {(*key, indices): value for key, cells in self._rows.items()
                 for indices, value in [*cells.items(), (None, sum(cells.values()))]}
 
-    def _load(self, model, n_max):
-        data = self.path.read_bytes()
+    def _load(self, data: bytes, model, n_max):
         # split leaves "" last unless the last line lacks its newline
         lines = data.decode(errors="replace").split("\n")
         last = len(lines)
@@ -224,7 +232,7 @@ class CountCache:
         nothing is appended.
 
         Under the lock: mend the last line, then write the header if the
-        file is empty.
+        file is empty.  An OS error on the way is a CacheError.
         """
         new = {}
         for key, cells in rows.items():
@@ -236,14 +244,17 @@ class CountCache:
                                  "cached row differs from the recomputed one")
         if not new:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         lines = [_row_line(*key, cells) for key, cells in new.items()]
-        with self.path.open("ab+") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)   # released when the file closes
-            _mend_last_line(fh)
-            if not fh.seek(0, os.SEEK_END):
-                lines.insert(0, json.dumps(HEADER) + "\n")
-            fh.write("".join(lines).encode())
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("ab+") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)   # released when the file closes
+                _mend_last_line(fh)
+                if not fh.seek(0, os.SEEK_END):
+                    lines.insert(0, json.dumps(HEADER) + "\n")
+                fh.write("".join(lines).encode())
+        except OSError as exc:
+            raise CacheError(f"{self.path}: cannot write the cache file: {exc.strerror}") from None
         self._rows.update(new)
 
     # -- tables ----------------------------------------------------------
@@ -260,9 +271,9 @@ class CountCache:
 
         A served row must be homogeneous of degree n + 2 - g2, the degree
         of every cell of these tables, which read genus off degree, and
-        symmetric under the swap of its first two variables; and a row
-        already in entries, one of the table's seeds, must equal its
-        cached row.  Else CacheError names the file and the row.  A view
+        symmetric under the swap of its first two variables; a planar row
+        must sum to `anchors.planar`; and a row already in entries, one
+        of the table's seeds, must equal its cached row.  Else CacheError names the file and the row.  A view
         of every model has no table to load into (ValueError).
         """
         model = self._view_model()
@@ -278,6 +289,10 @@ class CountCache:
             if any(cells.get((x[1], x[0], *x[2:]), 0) != c for x, c in cells.items()):
                 raise CacheError(f"{self.path}: {model}[{n},{g2}]: cached row is not "
                                  f"symmetric under {u} <-> {w}")
+            # a row 0 is no table row: no fill reads it
+            if g2 == 0 < n and sum(cells.values()) != planar(model, n):
+                raise CacheError(f"{self.path}: {model}[{n},0]: cached row sums to {sum(cells.values())}"
+                                 f", not to the planar count {planar(model, n)}")
             held = entries.setdefault((n, g2), row)
             if held is row:
                 self._served[key] = row

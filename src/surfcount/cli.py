@@ -2,25 +2,28 @@
 
 Subcommands produce count tables (human table, CSV grid, or JSON records)
 for each model, run the brute-force oracle, and evaluate the functional
-identity checks.  Exit code 0 on success, 1 on a verification failure,
-2 on usage errors, 3 when the count cache file cannot be read, is of
-another format version (version 1 among them: the message says to
-delete the file) or holds a malformed line (a one-line message on
-stderr names the file and line), or when the polynomial rows in it are
-wrong: a row's coefficients do not sum to its total, two lines of one
-row differ, a served row is not homogeneous or not symmetric, a cached
-row differs from one of the table's seed rows or from its recomputed
-value, or a fill that started from cached rows fails an integrality
-check (the message names the file and the row).  A fill with no cached
-row loaded that fails an integrality check is no cache fault: its
-IntegralityError propagates.  Only `maps --bivariate`, `maps --engine
-cc|both` and `bipartite --trivariate` use the cache, one line per row,
-and each reads only the rows of its own model up to its `--n-max`; the
-other table commands take `--cache` and `--no-cache` and ignore them.  A
-request whose polynomials would hold a z or v exponent above 511
-(`poly.EXP_MAX`; only `bip-oneface --engine ode` at n >= 511 and very
-high `verify` orders reach it) is a usage error like an `--edges` out
-of range: one stderr line, exit code 2.
+identity checks.  Exit codes, each failure one stderr line:
+
+- 0 success, 1 a verification failure;
+- 2 a usage error, among them an `--edges` out of range and a request
+  whose polynomials would hold a z or v exponent above 511
+  (`poly.EXP_MAX`: only `bip-oneface --engine ode` at n >= 511 and very
+  high `verify` orders reach it);
+- 3 a count cache fault, the message naming the file and the line or
+  row: an OS error on its path, reading or writing; a file of another
+  format version (version 1 among them: the message says to delete it);
+  a malformed line; or wrong rows: a row's coefficients do not sum to
+  its total, two lines of one row differ, a served row is not
+  homogeneous or not symmetric, a served planar row does not sum to
+  `anchors.planar`, a cached row differs from a seed row or from its
+  recomputed value, or a fill started from cached rows fails an
+  integrality check.  A fill with no cached row loaded that fails one is
+  no cache fault: its IntegralityError propagates.
+
+Only `maps --bivariate`, `maps --engine cc|both` and `bipartite
+--trivariate` use the cache, one line per row, and each reads only the
+rows of its own model up to its `--n-max`; the other table commands
+take `--cache` and `--no-cache` and ignore them.
 """
 
 from __future__ import annotations
@@ -73,10 +76,10 @@ def _fill_rows(model, tables, n_max, g2_max, cache_path, no_cache):
     `--engine both`): a row of one that differs from the last table's is
     one stderr line, exit code 1.  The last table starts from the
     rows the cache holds, and only once every check has passed are its
-    new rows stored.  A cache file that cannot be read, a cached row that
-    is wrong or differs from a seed, a fill from cached rows that fails
-    an integrality check, or a stored row that differs from its
-    recomputed value, is one stderr line, exit code 3.
+    new rows stored.  A cache file that cannot be read or written, a
+    cached row that is wrong or differs from a seed, a fill from cached
+    rows that fails an integrality check, or a stored row that differs
+    from its recomputed value, is one stderr line, exit code 3.
     """
     *checks, tab = tables
     # the cache reads the rows of model that this run loads or stores: up

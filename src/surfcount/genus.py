@@ -12,15 +12,10 @@ import re
 from fractions import Fraction
 
 
-def check_g2(g2: int) -> int:
-    if g2 < 0:
-        raise ValueError(f"doubled genus must be >= 0, got {g2}")
-    return g2
-
-
 def genus_label(g2: int) -> str:
     """Human form: 0, 1/2, 1, 3/2, ..."""
-    check_g2(g2)
+    if g2 < 0:
+        raise ValueError(f"doubled genus must be >= 0, got {g2}")
     return str(g2 // 2) if g2 % 2 == 0 else f"{g2}/2"
 
 

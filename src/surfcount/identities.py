@@ -51,7 +51,7 @@ evaluating it, so a monomial its terms share is multiplied out once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
@@ -67,34 +67,6 @@ _UZ = U * Z
 _UV = U * V
 _ONE = TSeries.const(1)
 _Z = TSeries.const(Z)
-
-
-@dataclass(frozen=True)
-class LambdaIndex:
-    """Canonical derivative multi-index [ell, 3^n3, 2^n2, 1^n1].
-
-    ell is the (single) largest part, 0 for the empty index; at most one
-    part may exceed 3, which is exactly the range the recursion reaches.
-    """
-
-    ell: int = 0
-    n3: int = 0
-    n2: int = 0
-    n1: int = 0
-
-    def __post_init__(self):
-        if min(self.ell, self.n3, self.n2, self.n1) < 0:
-            raise ValueError("negative multi-index component")
-
-    @property
-    def size(self) -> int:
-        return self.ell + 3 * self.n3 + 2 * self.n2 + self.n1
-
-    def parts(self) -> tuple[int, ...]:
-        return _canon(
-            ([self.ell] if self.ell else [])
-            + [3] * self.n3 + [2] * self.n2 + [1] * self.n1
-        )
 
 
 def _canon(parts) -> tuple[int, ...]:
@@ -145,14 +117,13 @@ _LOOP = {
     "maps": (2, 2 * U + ONE, {(-1, (1,)): U.scale(_HALF), (-1, ()): _UZ.scale(_HALF),
                               (0, ()): _U_U1}, 9),
     "bipartite": (1, S, {(0, ()): P.scale(_HALF)}, 9),   # in (s, z, p)
-    "triangulations": (3, 2 * U + ONE, {(-1, (1,)): U.scale(_HALF), (0, ()): _U_U1}, 10),
+    "triangulations": (3, 2 * U + ONE, {(-1, (1,)): U.scale(_HALF)}, 10),
 }
 
 
 def ftheta(ctx: SeriesContext, lam) -> TSeries:
-    """The truncated series F[lam], by structural recursion on the size."""
-    parts = lam.parts() if isinstance(lam, LambdaIndex) else _canon(lam)
-    return _F(ctx, parts)
+    """The truncated series F[lam], lam its parts in any order, by recursion on the size."""
+    return _F(ctx, _canon(lam))
 
 
 def _F(ctx: SeriesContext, parts: tuple[int, ...]) -> TSeries:
@@ -237,7 +208,7 @@ def _f_tri(ctx, parts):
             acc.append(TSeries.exact({4: _U_U1 * Z}))
         elif l == 2:
             acc.append(TSeries.exact({2: U.scale(_HALF)}))
-        return _series_sum(acc)
+        return sum(acc, TSeries.zero())
     i, rest, terms = _loop_terms(ctx, parts)
     top = _F(ctx, _canon((i + 2,) + rest)).scale(Fraction(i + 2, parts[0]))
     return (top - _fused(terms, parts[0], 2)).div_z().shift_t(-2)
@@ -246,14 +217,7 @@ def _f_tri(ctx, parts):
 def _fused(terms, ell: int, offset: int) -> TSeries:
     """t^offset / ell times the sum of the triples, as one `TSeries.dot`."""
     w = Fraction(1, ell)
-    return _series_sum([TSeries.dot([(c * w, a, b) for c, a, b in terms])]).shift_t(offset)
-
-
-def _series_sum(terms) -> TSeries:
-    acc = TSeries.zero()
-    for t in terms:
-        acc = acc + t
-    return acc
+    return (TSeries.zero() + TSeries.dot([(c * w, a, b) for c, a, b in terms])).shift_t(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +277,7 @@ def verify_ode(model: str, ctx: SeriesContext) -> TSeries:
 
     kp1, kp2, kp3 = kp_combinations(ctx)
     d1 = kp1.dt()
-    cof = _series_sum([D(ctx.theta.dt()).scale(2), TSeries.exact(exact)])
+    cof = TSeries.zero() + D(ctx.theta.dt()).scale(2) + TSeries.exact(exact)
     inner = kp3 - kp2_term(kp2) - (D(d1) + kp1 * cof)
     res = weight((d1 * d1).shift_t(s)) - kp2 * kp2 + kp1 * inner
     return res.map(from_sp) if model == "bipartite" else res
@@ -531,7 +495,7 @@ def formal_eval(ctx: SeriesContext, fp: _FPoly) -> TSeries:
         for f in head[1:]:
             left = left * f
         triples.append((coef * (1 << sum(map(len, mono))), left, last))
-    return _series_sum([TSeries.dot(triples)])
+    return TSeries.zero() + TSeries.dot(triples)
 
 
 def kp_combinations(ctx: SeriesContext) -> tuple[TSeries, TSeries, TSeries]:
@@ -594,14 +558,7 @@ class VerifyReport:
     first_failure: dict | None = None  # {"order": ..., "coefficient": ...}
 
     def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "model": self.model,
-            "requested_order": self.requested_order,
-            "window": list(self.window),
-            "status": self.status,
-            "first_failure": self.first_failure,
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def _residual_shifted(order, tables):

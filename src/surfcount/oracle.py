@@ -196,18 +196,3 @@ def marked_face_coefficient(profiles: dict, n: int, degrees: tuple[int, ...]) ->
             key = (v, len(degs) - len(degrees))
             acc[key] = acc.get(key, Fraction(0)) + Fraction(cnt * ways, 4 * n)
     return acc
-
-
-def oracle_count(n: int, filter: str | None = None) -> dict:
-    """Rooted counts by (vertices, faces), optionally filtered by model.
-
-    filter None   -> {(v, f): count}
-    "bipartite"   -> {(black, white, faces): count}
-    "triangulation" -> {g2: count} (requires n divisible by 3)
-    """
-    key = {None: "maps", "bipartite": "bipartite", "triangulation": "triangulations"}.get(filter)
-    if key is None:
-        raise ValueError(f"unknown filter {filter!r}")
-    if key == "triangulations" and n % 3:
-        raise ValueError("triangulations need an edge count divisible by 3")
-    return scan(n)[key]

@@ -1,11 +1,15 @@
+import errno
 import fcntl
 import hashlib
 import json
+import os
+import pathlib
 import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest.mock import Mock
 
 import pytest
 from click.testing import CliRunner
@@ -24,6 +28,12 @@ from surfcount.poly import EXP_MAX, Poly, U, V, Z
 
 # H[1,0] = u^2 z + u z^2 and H[2,0] = 2 u z^3 + 5 u^2 z^2 + 2 u^3 z
 H10, H20 = U * U * Z + U * Z * Z, 2 * U * Z * Z * Z + 5 * U * U * Z * Z + 2 * U * U * U * Z
+
+
+def _exit_3(res) -> str:
+    """The stderr of a CLI run that exits 3 with one stderr line and no output."""
+    assert (res.exit_code, res.stdout, res.stderr.count("\n")) == (3, "", 1), res.stderr
+    return res.stderr
 
 
 def test_round_trip_scalars(tmp_path):
@@ -187,9 +197,7 @@ def test_cli_corrupt_cache_exit_code(tmp_path):
     path.write_text(json.dumps(HEADER) + "\n{not json}\n"
                     + '{"model": "maps", "n": 1, "g2": 0, "total": "2", "c": [1, 2, "1", 2, 1, "1"]}\n')
     res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "3", "--cache", str(path)])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr.count("\n") == 1 and ":2:" in res.stderr
+    assert ":2:" in _exit_3(res)
 
 
 def _edit_row(path, model, n, g2, edit):
@@ -203,6 +211,18 @@ def _edit_row(path, model, n, g2, edit):
             path.write_text("\n".join(lines) + "\n")
             return k
     raise AssertionError(f"no row {model}[{n},{g2}]")
+
+
+def _rerun_edited(path, args, model, n, g2, edit):
+    """Run args, a command on the cache file at path, apply edit to the
+    row model[n,g2], and run args again, which must exit 3 and leave the
+    file as it was: its stderr, and the edited line's number."""
+    assert CliRunner().invoke(main, args).exit_code == 0
+    lineno = _edit_row(path, model, n, g2, edit)
+    before = path.read_bytes()
+    stderr = _exit_3(CliRunner().invoke(main, args))
+    assert path.read_bytes() == before
+    return stderr, lineno
 
 
 def _bump(rec, indices, by=1):
@@ -276,9 +296,7 @@ def test_cli_malformed_record_exit_code(tmp_path, command, edit, place, error):
     CliRunner().invoke(main, [model, flag, "--n-max", "4", "--cache", str(path)])
     lineno = _edit_first_row(path, model, edit, place)
     res = CliRunner().invoke(main, [model, flag, "--n-max", "5", "--cache", str(path)])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr.count("\n") == 1 and f"{path}:{lineno}: {error}" in res.stderr
+    assert f"{path}:{lineno}: {error}" in _exit_3(res)
 
 
 @pytest.mark.parametrize("index, top", [("0, 2097155", 2097155), ("1, 512", 512)],
@@ -294,10 +312,8 @@ def test_cli_index_out_of_exponent_range_exit_code(tmp_path, index, top):
     assert row in text
     path.write_text(text.replace(row, row.replace("1, 3,", index + ",")))
     res = CliRunner().invoke(main, args)
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == (f"error: {path}: maps[3,1]: z or v index {top} "
-                          f"is above {EXP_MAX}, out of range\n")
+    assert _exit_3(res) == (f"error: {path}: maps[3,1]: z or v index {top} "
+                            f"is above {EXP_MAX}, out of range\n")
 
 
 def _row_file(path, model, indices):
@@ -394,8 +410,7 @@ def test_record_per_line_file_exit_code(tmp_path, command, header, error):
     path.write_text("\n".join(lines) + "\n")
     before = path.read_bytes()
     res = CliRunner().invoke(main, [model, flag, "--n-max", "5", "--cache", str(path)])
-    assert res.exit_code == 3 and res.stdout == ""
-    assert res.stderr.count("\n") == 1 and str(path) in res.stderr and error in res.stderr
+    assert str(path) in _exit_3(res) and error in res.stderr
     assert path.read_bytes() == before
 
 
@@ -442,15 +457,9 @@ def test_cli_corrupt_cached_cell_exit_code(tmp_path):
     # row to refill
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--bivariate", "--n-max", "5", "--cache", str(path)]
-    assert CliRunner().invoke(main, args).exit_code == 0
-    lineno = _edit_row(path, "maps", 4, 1, lambda rec: rec.update(total="983"))
-    before = path.read_bytes()
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == (f"error: {path}:{lineno}: malformed cache record: maps[4,1]: "
-                          "coefficients sum to 982, not to the total 983\n")
-    assert path.read_bytes() == before
+    stderr, lineno = _rerun_edited(path, args, "maps", 4, 1, lambda rec: rec.update(total="983"))
+    assert stderr == (f"error: {path}:{lineno}: malformed cache record: maps[4,1]: "
+                      "coefficients sum to 982, not to the total 983\n")
 
 
 def _break_h50(monkeypatch):
@@ -480,10 +489,7 @@ def test_fill_failure_from_cached_rows_exit_code(tmp_path, monkeypatch):
     before = path.read_bytes()
     _break_h50(monkeypatch)
     res = CliRunner().invoke(main, args + ["6"])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr.startswith(f"error: {path}: cached counts break the recurrence at H[5,0]")
-    assert res.stderr.count("\n") == 1
+    assert _exit_3(res).startswith(f"error: {path}: cached counts break the recurrence at H[5,0]")
     assert path.read_bytes() == before
 
 
@@ -513,7 +519,6 @@ def test_store_checks_held_records(tmp_path, command, record):
     path = tmp_path / "counts.ndjson"
     model, flag = command.split()
     args = [model, flag, "--n-max", "6", "--format", "csv", "--cache", str(path)]
-    assert CliRunner().invoke(main, args).exit_code == 0
     n, g2 = (6, 2) if record == "top-row-total" else (4, 1)
     sums = []
 
@@ -525,14 +530,9 @@ def test_store_checks_held_records(tmp_path, command, record):
         else:
             rec["total"] = str(total + 1)
             sums.extend([total, total + 1])
-    lineno = _edit_row(path, model, n, g2, edit)
-    before = path.read_bytes()
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == (f"error: {path}:{lineno}: malformed cache record: {model}[{n},{g2}]: "
-                          f"coefficients sum to {sums[0]}, not to the total {sums[1]}\n")
-    assert path.read_bytes() == before
+    stderr, lineno = _rerun_edited(path, args, model, n, g2, edit)
+    assert stderr == (f"error: {path}:{lineno}: malformed cache record: {model}[{n},{g2}]: "
+                      f"coefficients sum to {sums[0]}, not to the total {sums[1]}\n")
 
 
 def _h21_plus_one_each(rec):
@@ -551,10 +551,7 @@ def test_cli_corrupt_cached_seed_row_exit_code(tmp_path):
     _edit_row(path, "maps", 2, 1, _h21_plus_one_each)
     assert CountCache(path).get_row("maps", 2, 1) is not None
     res = CliRunner().invoke(main, args)
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr.count("\n") == 1
-    assert str(path) in res.stderr and "maps[2,1]: cached " in res.stderr
+    assert _exit_3(res).startswith(f"error: {path}: maps[2,1]: cached ")
 
 
 def test_store_compares_a_held_seed_row_above_n_max(tmp_path):
@@ -562,14 +559,8 @@ def test_store_compares_a_held_seed_row_above_n_max(tmp_path):
     # table compares them with the file's lines
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--bivariate", "--n-max", "1", "--cache", str(path)]
-    assert CliRunner().invoke(main, args).exit_code == 0
-    _edit_row(path, "maps", 2, 1, _h21_plus_one_each)
-    before = path.read_bytes()
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == f"error: {path}: maps[2,1]: cached row differs from the recomputed one\n"
-    assert path.read_bytes() == before
+    stderr, _ = _rerun_edited(path, args, "maps", 2, 1, _h21_plus_one_each)
+    assert stderr == f"error: {path}: maps[2,1]: cached row differs from the recomputed one\n"
 
 
 def test_cli_cached_row_of_another_degree_exit_code(tmp_path):
@@ -589,9 +580,7 @@ def test_cli_cached_row_of_another_degree_exit_code(tmp_path):
     assert CountCache(path).get_row("maps", 4, 1) is not None
     before = path.read_bytes()
     res = CliRunner().invoke(main, args + ["5"])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == f"error: {path}: maps[4,1]: cached row is not homogeneous of degree 5\n"
+    assert _exit_3(res) == f"error: {path}: maps[4,1]: cached row is not homogeneous of degree 5\n"
     assert path.read_bytes() == before
 
 
@@ -606,18 +595,55 @@ def test_cli_asymmetric_cached_row_exit_code(tmp_path, command, n, g2, moves, sw
     path = tmp_path / "counts.ndjson"
     model, flag = command.split()
     args = [model, flag, "--n-max", "5", "--cache", str(path)]
-    assert CliRunner().invoke(main, args).exit_code == 0
 
     def edit(rec):
         for indices, by in moves.items():
             _bump(rec, indices, by)
-    _edit_row(path, model, n, g2, edit)
-    before = path.read_bytes()
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == f"error: {path}: {model}[{n},{g2}]: cached row is not symmetric under {swap}\n"
-    assert path.read_bytes() == before
+    stderr, _ = _rerun_edited(path, args, model, n, g2, edit)
+    assert stderr == f"error: {path}: {model}[{n},{g2}]: cached row is not symmetric under {swap}\n"
+
+
+@pytest.mark.parametrize("command, n, pair, planar", [
+    ("maps --bivariate", 5, [(1, 6), (6, 1)], 2916),
+    ("bipartite --trivariate", 4, [(1, 4, 1), (4, 1, 1)], 56),
+], ids=["maps", "bipartite"])
+def test_cli_cached_planar_row_of_another_count_exit_code(tmp_path, command, n, pair, planar):
+    # +1 on two mirrored coefficients of a planar row and +2 on its total keep its sum,
+    # degree and symmetry: only the planar count sees it (maps: 43 plane trees, not 42)
+    path = tmp_path / "counts.ndjson"
+    model, flag = command.split()
+    args = [model, flag, "--n-max", str(n), "--cache", str(path)]
+
+    def edit(rec):
+        for indices in pair:
+            _bump(rec, indices)
+        rec["total"] = str(int(rec["total"]) + 2)
+    stderr, _ = _rerun_edited(path, args, model, n, 0, edit)
+    assert stderr == (f"error: {path}: {model}[{n},0]: cached row sums to {planar + 2}, "
+                      f"not to the planar count {planar}\n")
+
+
+# case: (the cache path under tmp_path, the side, the error, and what
+# raises it, or None for a path no file can have)
+_OS_ERRORS = {
+    "under-a-file": ("F/c.ndjson", "read", errno.ENOTDIR, None),
+    "name-too-long": ("x" * 300, "read", errno.ENAMETOOLONG, None),
+    "read": ("c.ndjson", "read", errno.EIO, (pathlib.Path, "read_bytes")),
+    "flock": ("c.ndjson", "write", errno.ENOLCK, (fcntl, "flock")),
+    "mkdir": ("c.ndjson", "write", errno.EROFS, (pathlib.Path, "mkdir")),
+}
+
+
+@pytest.mark.parametrize("case", _OS_ERRORS)
+@pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
+def test_cli_os_error_on_the_cache_path_exit_code(tmp_path, monkeypatch, command, case):
+    name, side, errno_, raiser = _OS_ERRORS[case]
+    (tmp_path / "F").touch()
+    path = tmp_path / name
+    if raiser:
+        monkeypatch.setattr(*raiser, Mock(side_effect=OSError(errno_, os.strerror(errno_))))
+    res = CliRunner().invoke(main, command.split() + ["--n-max", "4", "--cache", str(path)])
+    assert _exit_3(res) == f"error: {path}: cannot {side} the cache file: {os.strerror(errno_)}\n"
 
 
 # -- the loader reads every line exactly as json.loads does ---------------
@@ -698,28 +724,39 @@ _ROWS = [{"model": "maps", "n": 1, "g2": 0, "total": "2", "c": [1, 2, "1", 2, 1,
 _LAST = {"model": "bipartite", "n": 4, "g2": 2, "total": "93", "c": [1, 2, 1, "90", 0, 0, 6, "3"]}
 
 
-@pytest.mark.parametrize("place", ["header", "inner", "last", "last-newline"])
-@pytest.mark.parametrize("spelling", _SPELLINGS)
-def test_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, place):
+def _spelled_file(path, spelling, place):
+    """The header and _ROWS, one line each, with the line at place (the
+    header, _ROWS[1] inner, _ROWS[2] of the other model, or _LAST after
+    them, with or without its newline) spelled by spelling."""
     spell = _SPELLINGS[spelling]
     lines = [json.dumps(obj).encode() for obj in [HEADER] + _ROWS]
     if place == "header":
         lines[0] = spell(HEADER)
     elif place == "inner":
         lines[2] = spell(_ROWS[1])
+    elif place == "other-model":
+        lines[3] = spell(_ROWS[2])
     else:
         lines.append(spell(_LAST))
-    path = tmp_path / "counts.ndjson"
     path.write_bytes(b"\n".join(lines) + (b"" if place == "last" else b"\n"))
 
-    def outcome(load):
-        try:
-            got = ("records", load())
-        except CacheError as exc:
-            got = ("error", str(exc))
-        return got, capsys.readouterr().err
 
-    assert outcome(lambda: CountCache(path).records) == outcome(lambda: _reference_load(path))
+def _outcome(load, capsys, rename=lambda text: text):
+    """load()'s records or CacheError message, and the stderr it wrote, each renamed."""
+    try:
+        got = ("records", load())
+    except CacheError as exc:
+        got = ("error", rename(str(exc)))
+    return got, rename(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("place", ["header", "inner", "last", "last-newline"])
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+def test_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, place):
+    path = tmp_path / "counts.ndjson"
+    _spelled_file(path, spelling, place)
+    assert (_outcome(lambda: CountCache(path).records, capsys)
+            == _outcome(lambda: _reference_load(path), capsys))
 
 
 @pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
@@ -816,18 +853,8 @@ def _skipped(line, lineno, last, model, n_max):
 def test_selective_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, place):
     # the rows of maps with n <= 3 are those of the full load; a line the
     # request reads raises what the full load raises on it
-    spell = _SPELLINGS[spelling]
-    lines = [json.dumps(obj).encode() for obj in [HEADER] + _ROWS]
-    if place == "header":
-        lines[0] = spell(HEADER)
-    elif place == "inner":
-        lines[2] = spell(_ROWS[1])
-    elif place == "other-model":
-        lines[3] = spell(_ROWS[2])
-    else:
-        lines.append(spell(_LAST))
     path = tmp_path / "counts.ndjson"
-    path.write_bytes(b"\n".join(lines) + (b"" if place == "last" else b"\n"))
+    _spelled_file(path, spelling, place)
     # the lines it skips, blanked, are lines the reference skips too
     text = path.read_bytes().decode(errors="replace").split("\n")
     read = tmp_path / "read.ndjson"
@@ -835,17 +862,11 @@ def test_selective_load_reads_lines_as_json_loads(tmp_path, capsys, spelling, pl
         "" if _skipped(line, k, len(text), "maps", 3) else line
         for k, line in enumerate(text, 1)).encode())
 
-    def outcome(load):
-        try:
-            got = ("records", load())
-        except CacheError as exc:
-            got = ("error", str(exc).replace(str(read), str(path)))
-        return got, capsys.readouterr().err.replace(str(read), str(path))
-
     def reference():
         return {key: value for key, value in _reference_load(read).items()
                 if key[0] == "maps" and key[1] <= 3}
-    assert outcome(lambda: CountCache(path, "maps", 3).records) == outcome(reference)
+    assert (_outcome(lambda: CountCache(path, "maps", 3).records, capsys)
+            == _outcome(reference, capsys, lambda text: text.replace(str(read), str(path))))
 
 
 def test_selective_load_reads_the_first_line(tmp_path):
@@ -883,9 +904,7 @@ def test_cli_malformed_line_of_another_model_exit_code(tmp_path, line, error):
     before = path.read_bytes()
     res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4",
                                     "--cache", str(path)])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr.count("\n") == 1 and f":{lineno}: {error}" in res.stderr
+    assert f":{lineno}: {error}" in _exit_3(res)
     assert path.read_bytes() == before
 
 
@@ -907,8 +926,7 @@ def test_cli_number_beyond_the_digit_limit_exit_code(tmp_path, line, error):
     lineno = _maps_cache_with(path, line)
     res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "4",
                                     "--cache", str(path)])
-    assert res.exit_code == 3 and res.stdout == ""
-    assert res.stderr.count("\n") == 1 and f":{lineno}: {error}" in res.stderr
+    assert f":{lineno}: {error}" in _exit_3(res)
 
 
 def test_cli_torn_last_line_of_another_model_is_dropped_and_cut(tmp_path):

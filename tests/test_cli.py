@@ -90,16 +90,9 @@ def test_formats_agree(runner):
     as_csv = invoke(runner, base + ["--format", "csv"]).output.strip().splitlines()
     as_table = invoke(runner, base + ["--format", "table"]).output.strip().splitlines()
     json_vals = {(r["n"], r["g2"]): int(r["value"]) for r in as_json["rows"]}
-    for line in as_csv[1:]:
-        cells = line.split(",")
-        n = int(cells[0])
-        for g2, cell in enumerate(cells[1:]):
-            assert json_vals[(n, g2)] == int(cell)
-    for line in as_table[1:]:
-        cells = line.split()
-        n = int(cells[0])
-        for g2, cell in enumerate(cells[1:]):
-            assert json_vals[(n, g2)] == int(cell)
+    for n, *cells in [line.split(",") for line in as_csv[1:]] + [line.split() for line in as_table[1:]]:
+        for g2, cell in enumerate(cells):
+            assert json_vals[(int(n), g2)] == int(cell)
 
 
 def test_engine_choices_agree(runner):

@@ -11,7 +11,6 @@ from surfcount.identities import (
     KP1_FORMAL,
     KP2_FORMAL,
     KP3_FORMAL,
-    LambdaIndex,
     bipartite_context,
     formal_dp,
     formal_eval,
@@ -38,18 +37,15 @@ def ctx10(maps_cc_12):
 
 
 def test_lambda_index_roundtrip(ctx10):
-    lam = LambdaIndex(ell=4, n3=1, n1=2)
-    assert lam.size == 9
-    assert lam.parts() == (4, 3, 1, 1)
-    assert ftheta(ctx10, lam) is ftheta(ctx10, (4, 3, 1, 1))
-    assert LambdaIndex().parts() == ()
+    # an index is its parts in any order, zero parts dropped
+    assert ftheta(ctx10, (1, 4, 0, 3, 1)) is ftheta(ctx10, (4, 3, 1, 1))
+    assert ftheta(ctx10, (0,)) is ctx10.theta
     with pytest.raises(ValueError):
         ftheta(ctx10, (5, 4))
 
 
 def test_base_case_is_series(ctx10):
     assert ftheta(ctx10, ()) is ctx10.theta
-    assert ftheta(ctx10, LambdaIndex()) is ctx10.theta
 
 
 def test_single_mark_formula(ctx10):
@@ -116,6 +112,14 @@ def test_memoization_transparent(maps_cc_12):
     assert first == again
 
 
+def _corrupted(table, n, g2, delta):
+    """A copy of a polynomial table with delta, {exponents: c}, added to cell (n, g2)."""
+    broken = MapsTable(table.engine) if isinstance(table, MapsTable) else BipTable()
+    broken.entries.update(table.entries)
+    broken.entries[n, g2] = broken.entries[n, g2] + Poly.from_terms(delta)
+    return broken
+
+
 def test_window_shrink_consistency(maps_cc_12):
     # shrinking the build order never flips a verdict on the shared window
     prev_max = None
@@ -126,9 +130,7 @@ def test_window_shrink_consistency(maps_cc_12):
             assert res.max_order >= prev_max
         prev_max = res.max_order
     # and a corrupted table fails at every order wide enough to see it
-    broken = MapsTable("cc")
-    broken.entries.update(maps_cc_12.entries)
-    broken.entries[(3, 0)] = broken.entries[(3, 0)] + Poly.from_terms({(4, 1, 0): 1})
+    broken = _corrupted(maps_cc_12, 3, 0, {(4, 1, 0): 1})
     locations = set()
     for order in (10, 12, 14):
         res = verify_shifted_bkp1(maps_context(order, broken))
@@ -139,10 +141,7 @@ def test_window_shrink_consistency(maps_cc_12):
 
 def test_mutation_detected_in_shifted_identity(maps_cc_12):
     # +1 on one coefficient of the 3-edge planar polynomial
-    broken = MapsTable("cc")
-    broken.entries.update(maps_cc_12.entries)
-    bad = broken.entries[(3, 0)] + Poly.from_terms({(2, 3, 0): 1})
-    broken.entries[(3, 0)] = bad
+    broken = _corrupted(maps_cc_12, 3, 0, {(2, 3, 0): 1})
     ctx = maps_context(10, broken)
     res = verify_shifted_bkp1(ctx)
     assert not res.is_zero()
@@ -165,9 +164,7 @@ def test_fixed_charge_uses_same_evaluator(ctx10):
 
 
 def test_mutation_detected_in_fixed_charge(maps_cc_12):
-    broken = MapsTable("cc")
-    broken.entries.update(maps_cc_12.entries)
-    broken.entries[(2, 1)] = broken.entries[(2, 1)] + Poly.from_terms({(1, 1, 0): 1})
+    broken = _corrupted(maps_cc_12, 2, 1, {(1, 1, 0): 1})
     res = verify_fixed_charge(maps_context(8, broken))
     assert not res.is_zero()
 
@@ -205,23 +202,13 @@ def fixed_charge_reference(ctx):
 def test_fixed_charge_matches_reference(maps_cc_12, corrupt):
     # the merged, nested residual is the term-by-term one, window included:
     # merging can only raise a valuation, so a moved window would show here
-    table = MapsTable("cc")
-    table.entries.update(maps_cc_12.entries)
-    if corrupt:
-        table.entries[(5, 2)] = table.entries[(5, 2)] + Poly.from_terms({(1, 1, 0): 1})
+    table = _corrupted(maps_cc_12, 5, 2, {(1, 1, 0): 1} if corrupt else {})
     for order in range(1, 15):
         want = fixed_charge_reference(maps_context(order, table))
         got = verify_fixed_charge(maps_context(order, table))
         assert got == want, order
         assert got.window == want.window, order
     assert corrupt != got.is_zero()
-
-
-def _bip_corrupted(table, n, g2, delta):
-    broken = BipTable()
-    broken.entries.update(table.entries)
-    broken.entries[n, g2] = broken.entries[n, g2] + Poly.from_terms(delta)
-    return broken
 
 
 @pytest.mark.parametrize("n, g2, delta, digest", [
@@ -233,7 +220,7 @@ def _bip_corrupted(table, n, g2, delta):
 def test_bipartite_ode_fail_path_is_pinned(bip_16, n, g2, delta, digest):
     # a colour-symmetric +1 corruption: the residual, window included, is
     # the one the ODE gave when computed in (u, z, v)
-    broken = _bip_corrupted(bip_16, n, g2, delta)
+    broken = _corrupted(bip_16, n, g2, delta)
     res = verify_ode("bipartite", bipartite_context(n + 6, broken))
     assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
 
@@ -241,7 +228,7 @@ def test_bipartite_ode_fail_path_is_pinned(bip_16, n, g2, delta, digest):
 def test_asymmetric_bipartite_table_fails_at_its_row(bip_16):
     # +1 on u^3 z v and -1 on u z v^3 break the colour symmetry at t^4: the
     # residual is the colour defect, and no F[lam] is built
-    broken = _bip_corrupted(bip_16, 4, 1, {(3, 1, 1): 1, (1, 1, 3): -1})
+    broken = _corrupted(bip_16, 4, 1, {(3, 1, 1): 1, (1, 1, 3): -1})
     rep = run_identity("ode-bipartite", 10, {"bipartite": broken})
     assert rep.status == "fail" and rep.first_failure["order"] == 4
     with pytest.raises(ValueError):
@@ -258,6 +245,24 @@ def test_run_identity_reports():
         run_identity("no-such-identity")
     with pytest.raises(WindowError):
         run_identity("ode-oneface-maps", 0)
+
+
+def test_every_boundary_constant_is_reached(monkeypatch):
+    # the loop equation meets each (i, rest) of a model's boundary
+    # constants when the identities run at their default orders; a key
+    # it never meets is a constant no residual can see
+    met = {model: set() for model in identities._LOOP}
+    loop_terms = identities._loop_terms
+
+    def spy(ctx, parts):
+        i, rest, terms = loop_terms(ctx, parts)
+        met[ctx.model].add((i, rest))
+        return i, rest, terms
+    monkeypatch.setattr(identities, "_loop_terms", spy)
+    for name in identities.IDENTITIES:
+        assert run_identity(name).status == "pass", name
+    for model, (_, _, constants, _) in identities._LOOP.items():
+        assert constants.keys() <= met[model], model
 
 
 def test_oneface_pair_entry_point():

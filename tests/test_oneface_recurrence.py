@@ -12,12 +12,11 @@ The tests compare it with the hand-written steps `ledoux` and
 `bip_oneface`, coefficient by coefficient, check that the ODE fill run
 from rows 1..3 rebuilds the tables, and that the residual regrouped by
 relation equals the sum of the operator terms.  Both tables are also
-anchored by closed row sums, and pinned by digests of their cells.
+pinned by digests of their cells (their row sums are in test_anchors).
 """
 
 import hashlib
 from fractions import Fraction
-from math import prod
 
 import pytest
 
@@ -105,22 +104,6 @@ def test_bip_oneface_is_the_derived_recurrence(n):
 ], ids=["oneface", "bip-oneface"])
 def test_derived_recurrence_fills_the_table(model, table, rows):
     assert oneface_ode_fill(model, rows).entries == table().fill(rows).entries
-
-
-def _odd_factorial(n):
-    """(2n-1)!!, the pairings of 2n sides."""
-    return prod(range(2 * n - 1, 0, -2))
-
-
-def test_oneface_row_sums():
-    # a rooted one-face map glues the sides of a 2n-gon in pairs, each pair
-    # straight or twisted; a bipartite one alternates the colours round
-    # the polygon, so each pair glues one way only
-    u, b = OneFaceTable().fill(60), BipOneFaceTable().fill(30)
-    for n in range(61):
-        assert sum(u.value(n, g2) for g2 in range(n + 1)) == _odd_factorial(n) << n, n
-    for n in range(1, 31):
-        assert sum(b.value(n, i, j) for i, j in b.row_cells(n)) == _odd_factorial(n), n
 
 
 @pytest.mark.parametrize("table, rows, digest", [

@@ -3,17 +3,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from surfcount.anchors import total
 from surfcount.bipartite import BipTable
+from surfcount.cli import main
 from surfcount.identities import ftheta, maps_context
-from surfcount import oracle
 from surfcount.maps import MapsCounts
-from surfcount.oracle import (
-    MAX_EDGES,
-    marked_face_coefficient,
-    oracle_count,
-    scan,
-)
+from surfcount.oracle import MAX_EDGES, marked_face_coefficient, scan
 
 
 def genus_totals(n: int) -> dict:
@@ -32,12 +29,10 @@ def fingerprint(result: dict) -> str:
 
 
 def test_leaf_counts_match_maps_counts(oracle4):
-    # one leaf per rooted map: the totals are the univariate counts
-    counts = MapsCounts().fill(4, 4)
-    for n, want in [(1, 3), (2, 24), (3, 297), (4, 4896)]:
+    # one leaf per rooted map: the totals are the row sums of the counts
+    for n in range(1, 5):
         result = oracle4 if n == 4 else scan(n)
-        assert sum(result["maps"].values()) == want
-        assert want == sum(counts.value(n, g2) for g2 in range(n + 1))
+        assert sum(result["maps"].values()) == total("maps", n)
 
 
 @pytest.mark.parametrize("n, digest", [
@@ -75,40 +70,39 @@ def test_scan_work_is_pinned(n, calls):
 
 
 def test_one_edge_maps():
-    assert oracle_count(1) == {(1, 1): 1, (1, 2): 1, (2, 1): 1}
+    assert scan(1)["maps"] == {(1, 1): 1, (1, 2): 1, (2, 1): 1}
     assert genus_totals(1) == {0: 2, 1: 1}
 
 
 def test_two_edge_maps_and_bipartite():
     assert genus_totals(2) == {0: 9, 1: 10, 2: 5}
-    split = oracle_count(2)
+    split = scan(2)["maps"]
     # planar row is uz(2u^2 + 5uz + 2z^2); duality symmetric
     assert split[(3, 1)] == 2 and split[(2, 2)] == 5 and split[(1, 3)] == 2
     assert all(split[(v, f)] == split[(f, v)] for (v, f) in split)
-    bip = oracle_count(2, "bipartite")
+    bip = scan(2)["bipartite"]
     assert bip == {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1, (1, 1, 1): 1}
 
 
 def test_one_edge_bipartite():
-    assert oracle_count(1, "bipartite") == {(1, 1, 1): 1}
+    assert scan(1)["bipartite"] == {(1, 1, 1): 1}
 
 
 def test_guard():
     with pytest.raises(ValueError):
         scan(MAX_EDGES + 1)
-    with pytest.raises(ValueError):
-        oracle_count(2, "triangulation")
 
 
 def test_filter_checked_before_scan(monkeypatch):
+    # the CLI rejects a triangulation filter on an edge count not
+    # divisible by 3 before it scans
     def no_scan(n):
         raise AssertionError("scan ran before the filter was checked")
 
-    monkeypatch.setattr(oracle, "scan", no_scan)
-    with pytest.raises(ValueError, match="unknown filter"):
-        oracle_count(5, "bogus")
-    with pytest.raises(ValueError, match="divisible by 3"):
-        oracle_count(5, "triangulation")
+    monkeypatch.setattr("surfcount.cli.scan", no_scan)
+    res = CliRunner().invoke(main, ["oracle", "--edges", "5", "--filter", "triangulation"])
+    assert res.exit_code == 2
+    assert "divisible by 3" in res.stderr
 
 
 def test_euler_relation_holds(oracle2):

@@ -3,11 +3,9 @@
 import gc
 import weakref
 from fractions import Fraction
-from functools import partial
-from math import comb, factorial, prod
+from math import comb
 
 import pytest
-from reference_tables import MAPS, TRIANGULATIONS
 
 from surfcount import bipartite, maps
 from surfcount.bipartite import BipOneFaceTable, BipTable
@@ -161,33 +159,21 @@ HAND_ROWS = {
 
 
 def _expand(rows, n1, g2_1, slot):
-    """The charge-shift weight at g2_1 of row n1, u and the variable of
-    slot `slot` shifting together, term by term: 2^(2+g2_1-g2_0) C(p, i)
-    C(q, m-k-i) c u^i w^(m-k-i) x^k for the monomials c u^p w^q x^k of
-    each cell (n1, g2_0), m = n1 - g2_1."""
-    m, out = n1 - g2_1, {}
-    for g2_0 in range(g2_1 % 2, g2_1 + 1, 2):
-        for exps, c in rows(n1, g2_0).items():
-            p, q, k = exps[0], exps[slot], exps[3 - slot]
-            for i in range(p + 1):
-                if 0 <= m - k - i <= q:
-                    e = [i, 0, 0]
-                    e[slot], e[3 - slot] = m - k - i, k
-                    add = 2 ** (2 + g2_1 - g2_0) * comb(p, i) * comb(q, m - k - i) * c
-                    out[tuple(e)] = out.get(tuple(e), 0) + add
-    return Poly.from_terms(out)
-
-
-def _expand_u(rows, n1, g2_1):
-    """The same weight with u shifting alone, cell by cell: 2^r C(p, r) c
-    u^(p-r) y for the monomials c u^p y of each cell (n1, g2_0), r = 2 +
-    g2_1 - g2_0."""
+    """The charge-shift weight at g2_1 of row n1, u and the variable w of
+    slot `slot` (None: u alone) shifting together, term by term:
+    2^(2+g2_1-g2_0) C(p, i) C(q, s-i) c u^i w^(s-i) x for the monomials c
+    u^p w^q x of each cell (n1, g2_0), x of degree k, s = n1 - g2_1 - k."""
     out = {}
     for g2_0 in range(g2_1 % 2, g2_1 + 1, 2):
-        r = 2 + g2_1 - g2_0
-        for (p, j, k), c in rows(n1, g2_0).items():
-            if p >= r:
-                out[p - r, j, k] = out.get((p - r, j, k), 0) + 2**r * comb(p, r) * c
+        for exps, c in rows(n1, g2_0).items():
+            x = [0 if k in (0, slot) else e for k, e in enumerate(exps)]
+            p, q, s = exps[0], 0 if slot is None else exps[slot], n1 - g2_1 - sum(x)
+            for i in range(max(0, s - q), min(p, s) + 1):
+                e = list(x)
+                e[0] += i
+                e[slot or 0] += s - i
+                add = 2 ** (2 + g2_1 - g2_0) * comb(p, i) * comb(q, s - i) * c
+                out[tuple(e)] = out.get(tuple(e), 0) + add
     return Poly.from_terms(out)
 
 
@@ -198,14 +184,13 @@ def test_charge_shift(slot):
     def rows(n, g2):
         return HAND_ROWS.get((n, g2), Poly.zero())
 
-    expand = _expand_u if slot is None else partial(_expand, slot=slot)
     for n1 in range(4):
         for top in range(6):
             c = min(n1, top)
             row = Poly.sum(rows(n1, g2) for g2 in range(c + 1))
             weights = split(row.charge_shift(slot, n1 - c), n1, 6)
             for g2_1, weight in enumerate(weights):
-                expected = expand(rows, n1, g2_1) if g2_1 <= c else Poly.zero()
+                expected = _expand(rows, n1, g2_1, slot) if g2_1 <= c else Poly.zero()
                 assert weight == expected, (n1, top, g2_1)
     if slot == 1:
         # at all ones the (u, z) shift is the scalar weight: Vandermonde
@@ -318,66 +303,3 @@ def test_v_is_u_weights_are_the_two_slot_ones(cap):
     assert len(tab.shift_weight) >= 8
     for (m, c), weight in tab.shift_weight.items():
         assert weight == tab.row[m, c].charge_shift(2, m - c), (m, c)
-
-
-def _double_factorial(m):
-    return prod(range(m, 0, -2))
-
-
-def exponential_row_sums(model: str, n_max: int) -> list:
-    """Rows 1..n_max of the scalar table of model ("maps",
-    "triangulations" or "bipartite") summed over the genus, from the
-    exponential formula: with c = log A, maps give 4n c_n / 4^n for A(x)
-    = sum over n of (4n-1)!! x^n / n!, triangulations 12n c_2n for A(y) =
-    sum over even m of (3m-1)!! 2^(3m/2) y^m / (m! 6^m), and bipartite
-    maps n c_n / 2^(n-1) for A(x) = sum over n of ((2n-1)!!)^2 x^n / n!.
-    The log runs its recurrence m c_m = m a_m - sum over k < m of k c_k
-    a_(m-k) in Fractions only."""
-    order = 2 * n_max if model == "triangulations" else n_max
-    if model == "maps":
-        a = [Fraction(_double_factorial(4 * m - 1), factorial(m)) for m in range(order + 1)]
-    elif model == "bipartite":
-        a = [Fraction(_double_factorial(2 * m - 1) ** 2, factorial(m)) for m in range(order + 1)]
-    else:
-        a = [Fraction(_double_factorial(3 * m - 1) * 2 ** (3 * m // 2), factorial(m) * 6**m)
-             if m % 2 == 0 else Fraction(0) for m in range(order + 1)]
-    c = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1):
-        c[m] = a[m] - sum((k * c[k] * a[m - k] for k in range(1, m)), Fraction(0)) / m
-    if model == "maps":
-        return [4 * n * c[n] / 4**n for n in range(1, n_max + 1)]
-    if model == "bipartite":
-        return [n * c[n] / 2 ** (n - 1) for n in range(1, n_max + 1)]
-    return [12 * n * c[2 * n] for n in range(1, n_max + 1)]
-
-
-def _row_sums(value, n_max: int) -> list:
-    return [sum(value(n, g2) for g2 in range(n + 2)) for n in range(1, n_max + 1)]
-
-
-def test_scalar_row_sums():
-    # every genus of maps rows 1..40 and triangulation rows 1..24
-    assert _row_sums(MapsCounts().fill(40).value, 40) == exponential_row_sums("maps", 40)
-    assert _row_sums(TriTable().fill(24).value, 24) == exponential_row_sums("triangulations", 24)
-
-
-def test_bipartite_row_sums():
-    # every genus of bipartite rows 1..20 at v = u, the table the scalar
-    # bipartite counts come from, summed at all ones
-    rows = _row_sums(BipTable(v_is_u=True).fill(20).count, 20)
-    assert rows == exponential_row_sums("bipartite", 20)
-
-
-@pytest.mark.slow
-def test_scalar_tables_far_out():
-    # every exact division passes up to maps 100 and triangulations 60
-    h, t = MapsCounts().fill(100), TriTable().fill(60)
-    for n in range(1, 101):   # Tutte (1963)
-        assert h.value(n, 0) * factorial(n) * factorial(n + 2) == 2 * 3**n * factorial(2 * n), n
-    for n in range(1, 61):    # OEIS A002005
-        lhs = t.value(n, 0) * factorial(n + 2) * _double_factorial(n)
-        assert lhs == 2 ** (2 * n + 1) * _double_factorial(3 * n), n
-    assert {cell: h.value(*cell) for cell in MAPS} == MAPS
-    assert {cell: t.value(*cell) for cell in TRIANGULATIONS} == TRIANGULATIONS
-    assert _row_sums(h.value, 100) == exponential_row_sums("maps", 100)
-    assert _row_sums(t.value, 60) == exponential_row_sums("triangulations", 60)

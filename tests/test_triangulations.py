@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import factorial, prod
 
 import pytest
 
@@ -64,18 +63,6 @@ def test_rejects_non_divisible_sum():
     tab.entries[(1, 0)] += 1
     with pytest.raises(IntegralityError, match=r"t\[3,0\]"):
         tab.fill(3)
-
-
-def _double_factorial(m):
-    return prod(range(m, 0, -2))
-
-
-def test_planar_row_is_a002005():
-    # OEIS A002005: 2^(2n+1) (3n)!! / ((n+2)! n!!) rooted planar triangulations
-    tab = TriTable().fill(30, 0)
-    for n in range(1, 31):
-        lhs = tab.value(n, 0) * factorial(n + 2) * _double_factorial(n)
-        assert lhs == 2 ** (2 * n + 1) * _double_factorial(3 * n), n
 
 
 def test_xi_series(tri10):
