@@ -24,9 +24,10 @@ be torn, are always read, and so is every line of another shape, so a
 malformed line is still loud; a value corrupted in a skipped line is
 caught by the first run that reads that row.  Every line read goes
 through `json.loads`, and its shape is checked: a known model,
-non-negative integers n, g2 and indices, as many indices per term as
-the model has variables, no index tuple twice, decimal strings for the
-values and the total, and values that sum to the total.  Two lines of
+non-negative integers n, g2 and indices, a row some table reads (n at
+least 1, g2 at most n), as many indices per term as the model has
+variables, no index tuple twice, decimal strings for the values and the
+total, and values that sum to the total.  Two lines of
 one row are one row if they are equal, else an error.  A file of
 another version, the record-per-line version 1 among them, is not read
 or rewritten: the error says to delete it.
@@ -38,11 +39,13 @@ index above `poly.EXP_MAX` raises CacheError; `coefficient_records` is
 v)), and `store` and the CLI's coefficient output both go through it.
 Every row line is `json.dumps` of its dict, written by `_row_line`.  A
 served row must be homogeneous of degree n + 2 - g2 and symmetric,
-maps under u <-> z (vertex-face duality) and bipartite under u <-> v, a
-planar one (g2 = 0) must sum to `anchors.planar`, and a cached row that
-a table already holds, one of its seeds, must equal it.  Storing a table compares each row the file holds, other
-than those the cache served, with the recomputed row, and appends the
-rows the file lacks.
+maps under u <-> z (vertex-face duality) and bipartite under u <-> v,
+a planar one (g2 = 0) must sum to `anchors.planar`, and the served rows
+of every genus g2 = 0..n of one n to `anchors.total`.  Loading only
+fills gaps: a row goes into a table only where the table has none.
+Storing a table compares every row the file holds and the table does
+not hold as served, a seed or a cell of a row the fill recomputed, with
+the table's row, and appends the rows the file lacks.
 
 Each append holds an exclusive `flock` on the file, so runs sharing one
 file write one header and never interleave their lines.  A run that
@@ -51,11 +54,11 @@ prefix of a row line is invalid JSON, so loading drops a last line that
 does not parse (with a warning on stderr), which loses one row, and the
 next append cuts it off the file under the lock; a complete last line
 only gets its newline.  Such a line anywhere else, a line that parses
-but fails the shape check, a row that differs from another line of it,
-from its recomputed or its seeded value, a served row of another
-degree, without its symmetry or off its planar count, and an OS error
-on the path, reading or writing, raise CacheError naming the file and
-the line or the row.
+but fails the shape check, a row that differs from another line of it
+or from the table's row, a served row of another degree, without its
+symmetry or off its planar count, served rows off their total count,
+and an OS error on the path, reading or writing, raise CacheError
+naming the file and the line or the row.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import re
 import sys
 from pathlib import Path
 
-from .anchors import planar
+from . import anchors
 from .errors import CacheError, ExponentRangeError
 from .poly import EXP_MAX, Poly
 
@@ -108,6 +111,13 @@ def _row_line(model: str, n: int, g2: int, cells: dict) -> str:
                        "total": str(sum(cells.values())), "c": c}) + "\n"
 
 
+def _check_row_index(model: str, n: int, g2: int):
+    """ValueError unless some table reads row (n, g2): 1 <= n, 0 <= g2 <= n."""
+    if n < 1 or not 0 <= g2 <= n:
+        raise ValueError(f"{model}[{n},{g2}]: no table has this row: n must be at least 1 "
+                         "and g2 at most n")
+
+
 def _parse_row(obj) -> tuple[tuple[str, int, int], dict]:
     """Check one parsed row line: (model, n, g2) and its {indices: value}.
     ValueError says what is wrong."""
@@ -122,6 +132,7 @@ def _parse_row(obj) -> tuple[tuple[str, int, int], dict]:
     values = columns.pop()
     if not all(type(x) is int and x >= 0 for col in [(n, g2), *columns] for x in col):
         raise ValueError("n, g2 and indices must be non-negative integers")
+    _check_row_index(model, n, g2)
     if not all(type(x) is str and x.isascii() and x.isdecimal() for x in (total, *values)):
         raise ValueError("values and total must be decimal strings")
     cells = dict(zip(zip(*columns), map(int, values)))
@@ -266,21 +277,25 @@ class CountCache:
         return self.model
 
     def load(self, entries: dict, n_max: int):
-        """Copy the cached rows of the view's model with n <= n_max into a
-        polynomial table's entries, keyed (n, g2).
+        """Serve the cached rows of the view's model with n <= n_max to a
+        polynomial table's entries, keyed (n, g2), each only where entries
+        has no row; `store` compares the rest.
 
         A served row must be homogeneous of degree n + 2 - g2, the degree
         of every cell of these tables, which read genus off degree, and
         symmetric under the swap of its first two variables; a planar row
-        must sum to `anchors.planar`; and a row already in entries, one
-        of the table's seeds, must equal its cached row.  Else CacheError names the file and the row.  A view
-        of every model has no table to load into (ValueError).
+        must sum to `anchors.planar`; and the served rows of every genus
+        g2 = 0..n of one n must sum to `anchors.total`.  Else CacheError
+        names the file and the row.  A view of every model has no table
+        to load into (ValueError).
         """
         model = self._view_model()
         u, w = _ORDER[model][:2]
+        # n -> the totals of the served rows of row n
+        totals = {}
         for key, cells in self._rows.items():
             _, n, g2 = key
-            if n > n_max:
+            if n > n_max or (n, g2) in entries:
                 continue
             row = self.get_row(model, n, g2)
             if not row.is_homogeneous(n + 2 - g2):
@@ -289,23 +304,25 @@ class CountCache:
             if any(cells.get((x[1], x[0], *x[2:]), 0) != c for x, c in cells.items()):
                 raise CacheError(f"{self.path}: {model}[{n},{g2}]: cached row is not "
                                  f"symmetric under {u} <-> {w}")
-            # a row 0 is no table row: no fill reads it
-            if g2 == 0 < n and sum(cells.values()) != planar(model, n):
-                raise CacheError(f"{self.path}: {model}[{n},0]: cached row sums to {sum(cells.values())}"
-                                 f", not to the planar count {planar(model, n)}")
-            held = entries.setdefault((n, g2), row)
-            if held is row:
-                self._served[key] = row
-            elif held != row:
-                raise CacheError(f"{self.path}: {model}[{n},{g2}]: cached {row}, seed {held}")
+            count = sum(cells.values())
+            if g2 == 0 and count != anchors.planar(model, n):
+                raise CacheError(f"{self.path}: {model}[{n},0]: cached row sums to {count}"
+                                 f", not to the planar count {anchors.planar(model, n)}")
+            entries[n, g2] = self._served[key] = row
+            totals.setdefault(n, []).append(count)
+        for n, counts in totals.items():
+            if len(counts) == n + 1 and sum(counts) != anchors.total(model, n):
+                raise CacheError(f"{self.path}: {model}[{n}]: cached rows of g2 = 0..{n} sum to "
+                                 f"{sum(counts)}, not to the total count {anchors.total(model, n)}")
 
     def store(self, entries: dict):
         """Append every row of a table, of the view's model, that the file lacks.
 
-        A row the file holds must equal the recomputed one, else
-        CacheError names the file and the row, and nothing is appended.
-        A row that `load` served is skipped: it was built from that very
-        line.  A view of every model has no table to store (ValueError).
+        A row the file holds must equal the table's, a seed or a cell of
+        a row the fill recomputed, else CacheError names the file and the
+        row, and nothing is appended.  A row that `load` served and the
+        fill kept is skipped: it was built from that very line.  A view
+        of every model has no table to store (ValueError).
         """
         model = self._view_model()
         self._append({(model, n, g2): dict(coefficient_records(model, poly))
@@ -341,7 +358,9 @@ class CountCache:
                              f"is above {EXP_MAX}, out of range") from None
 
     def put_row(self, model: str, n: int, g2: int, poly: Poly, total: int):
-        """Store one row; total must be its value at all-ones (ValueError)."""
+        """Store one row; total must be its value at all-ones, and some table
+        must read the row (ValueError)."""
+        _check_row_index(model, n, g2)
         cells = dict(coefficient_records(model, poly))
         if sum(cells.values()) != total:
             raise ValueError(f"{model}[{n},{g2}]: total {total} is not the sum of the row's "

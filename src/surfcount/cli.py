@@ -12,11 +12,13 @@ identity checks.  Exit codes, each failure one stderr line:
 - 3 a count cache fault, the message naming the file and the line or
   row: an OS error on its path, reading or writing; a file of another
   format version (version 1 among them: the message says to delete it);
-  a malformed line; or wrong rows: a row's coefficients do not sum to
-  its total, two lines of one row differ, a served row is not
-  homogeneous or not symmetric, a served planar row does not sum to
-  `anchors.planar`, a cached row differs from a seed row or from its
-  recomputed value, or a fill started from cached rows fails an
+  a malformed line, a row no table reads (n = 0 or g2 > n) among them;
+  or wrong rows: a row's coefficients do not sum to its total, two
+  lines of one row differ, a served row is not homogeneous or not
+  symmetric, a served planar row does not sum to `anchors.planar`, the
+  served rows of every genus of one n do not sum to `anchors.total`, a
+  cached row differs from the table's (a seed, or a cell of a row the
+  fill recomputed), or a fill started from cached rows fails an
   integrality check.  A fill with no cached row loaded that fails one is
   no cache fault: its IntegralityError propagates.
 
@@ -75,11 +77,11 @@ def _fill_rows(model, tables, n_max, g2_max, cache_path, no_cache):
     The tables before it are independent checks (engine kz under
     `--engine both`): a row of one that differs from the last table's is
     one stderr line, exit code 1.  The last table starts from the
-    rows the cache holds, and only once every check has passed are its
-    new rows stored.  A cache file that cannot be read or written, a
-    cached row that is wrong or differs from a seed, a fill from cached
-    rows that fails an integrality check, or a stored row that differs
-    from its recomputed value, is one stderr line, exit code 3.
+    rows the cache holds where it has none, and only once every check
+    has passed are its new rows stored.  A cache file that cannot be
+    read or written, a cached row that is wrong, a fill from cached rows
+    that fails an integrality check, or a row the file holds that
+    differs from the table's, is one stderr line, exit code 3.
     """
     *checks, tab = tables
     # the cache reads the rows of model that this run loads or stores: up

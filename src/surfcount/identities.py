@@ -416,8 +416,8 @@ def oneface_ode_fill(model: str, n_max: int):
     = 2n for maps and j = n for bipartite maps, with C_j the row as a
     polynomial.  From the seeded rows 1..3, each row solves the relation
     that first reaches it: C_top = -(sum_j (top / j) P_j C_j + 2 top
-    inhom) / lead, an exact division, so a row that is not integral raises
-    IntegralityError.
+    inhom) / lead, an exact division, so a row that is not integral, or a
+    cell that is negative (`Table._cell`), raises IntegralityError.
     """
     table, series, step, cell = _ONEFACE_TABLES[model]
     tab = table()
@@ -432,7 +432,9 @@ def oneface_ode_fill(model: str, n_max: int):
         rows[top] = num.scale(-1 / lead)
         if not rows[top].is_integral():
             raise IntegralityError(f"{model}[{n}]: {num} is not divisible by {lead}")
-        tab.entries.update((cell(n, exps), c) for exps, c in rows[top].int_items())
+        for exps, c in rows[top].int_items():
+            key = cell(n, exps)
+            tab.entries[key] = tab._cell(key, c, 1)
     return tab
 
 

@@ -9,14 +9,16 @@ the fill.  The one-face tables run a linear recursion of depth 4
 (`Table._fill_linear`): row n is one step over rows n-1..n-4, held as
 zero-padded int lists local to the fill.  Both check each new int cell
 in one place (`Table._cell`: an exact division, then a non-negative
-result).  The polynomial tables (`PolyTable._fill`) write the missing
-cells of a row, keeping those already there (seeds, and cells loaded
-from the count cache).  Genus is degree there: by Euler's relation cell
-(n, g2) is homogeneous of degree n + 2 - g2, so row n of every genus is
-the plain sum of its cells and comes back apart by degree (`split`).  A
-product of two rows adds genera as it adds degrees, a move to g2 + k
-is a scaling, and each step is a few `Poly.dot` calls per row, not per
-cell.  Their building blocks are Memo rows, computed on first read;
+result).  One rule holds for a cell a table already holds: a fill
+computes every row that lacks a cell, whole, and writes every cell it
+computes over the one held (a cell the count cache loaded among them);
+a complete row is read, not recomputed, but by `_fill_convolution`.
+In the polynomial tables (`PolyTable._fill`) genus is degree: by
+Euler's relation cell (n, g2) is homogeneous of degree n + 2 - g2, so
+row n of every genus is the plain sum of its cells and comes back apart
+by degree (`split`).  A product of two rows adds genera as it adds
+degrees, a move to g2 + k is a scaling, and each step is a few
+`Poly.dot` calls per row, not per cell.  Their building blocks are Memo rows, computed on first read;
 each new cell is checked (`PolyTable._check`: integral, homogeneous,
 non-negative) before it is written.  The charge-shift weights of every
 polynomial table are `Poly.charge_shift` of its rows, the one
@@ -88,17 +90,15 @@ class Table:
         step(n, *history) over n + 1.  keys(n) lists the cells of row n,
         step gives one total per cell in that order, and history holds
         rows n-1..n-4, each laid out by layout(m, values of row m at
-        keys(m)).  A cell already in entries is kept, and it is what later
-        rows read; each missing one is written once `_cell` has checked
-        it.  A row with no missing cell is not computed."""
+        keys(m)).  A row with a cell missing is computed whole, each cell
+        written once `_cell` has checked it; a complete row is read."""
         entries = self.entries
         history = [layout(m, [self.value(*key) for key in keys(m)]) for m in (3, 2, 1, 0)]
         for n in range(4, n_max + 1):
             row = keys(n)
             if not all(key in entries for key in row):
                 for key, total in zip(row, step(n, *history)):
-                    if key not in entries:
-                        entries[key] = self._cell(key, total, n + 1)
+                    entries[key] = self._cell(key, total, n + 1)
             history = [layout(n, [entries[key] for key in row])] + history[:3]
         return self
 
@@ -191,15 +191,13 @@ class PolyTable(Table):
 
     def _fill(self, rec, n_max: int, g2_max: int | None):
         """Rows 3..n_max, cut at g2_max: each row with a cell missing is
-        rec(n, top, self), its cells by ascending g2 up to top, and only the
-        missing ones are checked and written, each before the next is read."""
+        rec(n, top, self), its cells by ascending g2 up to top, each checked
+        and written before the next is read; a complete row is read."""
         entries = self.entries
         for n in range(3, n_max + 1):
             top = n if g2_max is None else min(n, g2_max)
-            if all((n, g2) in entries for g2 in range(top + 1)):
-                continue
-            for g2, poly in enumerate(rec(n, top, self)):
-                if (n, g2) not in entries:
+            if not all((n, g2) in entries for g2 in range(top + 1)):
+                for g2, poly in enumerate(rec(n, top, self)):
                     entries[n, g2] = self._check(n, g2, poly)
         return self
 

@@ -544,14 +544,15 @@ def _h21_plus_one_each(rec):
 
 
 def test_cli_corrupt_cached_seed_row_exit_code(tmp_path):
-    # a row served whole, caught only by the comparison with the seed
+    # a seed row's line is not served, as the table holds that row:
+    # storing the table compares the line with the seed
     path = tmp_path / "counts.ndjson"
     args = ["maps", "--bivariate", "--n-max", "4", "--cache", str(path)]
     assert CliRunner().invoke(main, args).exit_code == 0
     _edit_row(path, "maps", 2, 1, _h21_plus_one_each)
     assert CountCache(path).get_row("maps", 2, 1) is not None
     res = CliRunner().invoke(main, args)
-    assert _exit_3(res).startswith(f"error: {path}: maps[2,1]: cached ")
+    assert _exit_3(res) == f"error: {path}: maps[2,1]: cached row differs from the recomputed one\n"
 
 
 def test_store_compares_a_held_seed_row_above_n_max(tmp_path):
@@ -621,6 +622,55 @@ def test_cli_cached_planar_row_of_another_count_exit_code(tmp_path, command, n, 
     stderr, _ = _rerun_edited(path, args, model, n, 0, edit)
     assert stderr == (f"error: {path}: {model}[{n},0]: cached row sums to {planar + 2}, "
                       f"not to the planar count {planar}\n")
+
+
+@pytest.mark.parametrize("command, pair, count", [
+    ("maps --bivariate", [(1, 4), (4, 1)], 4896),
+    ("bipartite --trivariate", [(1, 3, 1), (3, 1, 1)], 208),
+], ids=["maps", "bipartite"])
+def test_cli_cached_rows_off_their_total_exit_code(tmp_path, command, pair, count):
+    # +1 on two mirrored coefficients of row (4, 1) and +2 on its total keep
+    # its sum, degree and symmetry, and g2 = 1 has no closed form: only the
+    # total count of row 4, every genus of which is served, sees it
+    path = tmp_path / "counts.ndjson"
+    model, flag = command.split()
+    args = [model, flag, "--n-max", "4", "--cache", str(path)]
+
+    def edit(rec):
+        for indices in pair:
+            _bump(rec, indices)
+        rec["total"] = str(int(rec["total"]) + 2)
+    stderr, _ = _rerun_edited(path, args, model, 4, 1, edit)
+    assert stderr == (f"error: {path}: {model}[4]: cached rows of g2 = 0..4 sum to {count + 2}, "
+                      f"not to the total count {count}\n")
+
+
+@pytest.mark.parametrize("cold, warm, n, g2", [
+    ("maps --bivariate", "maps --engine cc", 5, 1),
+    ("bipartite --trivariate", "bipartite --trivariate", 5, 2),
+], ids=["maps", "bipartite"])
+def test_cli_cached_cell_of_a_recomputed_row_exit_code(tmp_path, cold, warm, n, g2):
+    # an empty line of one cell of row 5 after a run to n = 4: the row lacks
+    # its other cells, so the fill computes it whole, writes over the served
+    # cell, and storing compares that cell's line with the recomputed one
+    path = tmp_path / "counts.ndjson"
+    model = cold.split()[0]
+    assert CliRunner().invoke(main, cold.split() + ["--n-max", "4", "--cache", str(path)]).exit_code == 0
+    with path.open("a") as fh:
+        fh.write(json.dumps({"model": model, "n": n, "g2": g2, "total": "0", "c": []}) + "\n")
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, warm.split() + ["--n-max", "5", "--cache", str(path)])
+    assert _exit_3(res) == (f"error: {path}: {model}[{n},{g2}]: "
+                            "cached row differs from the recomputed one\n")
+    assert path.read_bytes() == before
+
+
+def test_put_row_rejects_a_row_no_table_reads(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    for n, g2 in [(0, 0), (3, 4)]:
+        with pytest.raises(ValueError, match=rf"^maps\[{n},{g2}\]: no table has this row"):
+            CountCache(path).put_row("maps", n, g2, H10, 2)
+    assert not path.exists()
 
 
 # case: (the cache path under tmp_path, the side, the error, and what
@@ -798,7 +848,8 @@ def test_warm_run_below_the_seed_rows_appends_nothing(tmp_path, command, n_max):
 @pytest.mark.parametrize("command", ["maps --bivariate", "bipartite --trivariate"])
 def test_deleted_cell_of_a_middle_row_is_refilled(tmp_path, command, g_max):
     # the line of one genus cell of row 5 goes: the warm run computes that
-    # row again, writes only the missing cell, and prints the cold run
+    # row again, compares its other cells with their lines, appends only
+    # the missing one, and prints the cold run
     path = tmp_path / "counts.ndjson"
     model = command.split()[0]
     args = command.split() + ["--n-max", "8", *g_max, "--format", "csv", "--cache", str(path)]
@@ -929,6 +980,21 @@ def test_cli_number_beyond_the_digit_limit_exit_code(tmp_path, line, error):
     assert f":{lineno}: {error}" in _exit_3(res)
 
 
+@pytest.mark.parametrize("line, n, g2", [
+    ('{"model": "maps", "n": 0, "g2": 0, "total": "7", "c": [1, 1, "7"]}', 0, 0),
+    ('{"model": "maps", "n": 3, "g2": 4, "total": "10", "c": [1, 0, "5", 0, 1, "5"]}', 3, 4),
+], ids=["n-0", "g2-above-n"])
+def test_cli_row_no_table_reads_exit_code(tmp_path, line, n, g2):
+    # no fill and no output reads such a row, so no check would see it
+    path = tmp_path / "counts.ndjson"
+    lineno = _maps_cache_with(path, line)
+    before = path.read_bytes()
+    res = CliRunner().invoke(main, ["maps", "--bivariate", "--n-max", "6", "--cache", str(path)])
+    assert _exit_3(res) == (f"error: {path}:{lineno}: malformed cache record: maps[{n},{g2}]: "
+                            "no table has this row: n must be at least 1 and g2 at most n\n")
+    assert path.read_bytes() == before
+
+
 def test_cli_torn_last_line_of_another_model_is_dropped_and_cut(tmp_path):
     path = tmp_path / "counts.ndjson"
     lineno = _maps_cache_with(path, '{"model": "bipartite", "n": 9, "g2": 0, "tot', last=True)
@@ -967,7 +1033,6 @@ def test_full_view_does_not_store(tmp_path):
 # -- the row writer and the files the CLI writes ----------------------------
 
 _SMALL = st.integers(min_value=0, max_value=12)
-_NATURALS = st.one_of(_SMALL, st.integers(min_value=0, max_value=10**30))
 
 
 @st.composite
@@ -977,7 +1042,9 @@ def _rows(draw):
     cells = draw(st.dictionaries(st.tuples(*[index] * ROW_WIDTH[model]),
                                  st.one_of(st.integers(1, 12), st.integers(1, 10**45)),
                                  max_size=6))
-    return model, draw(_NATURALS), draw(_NATURALS), cells
+    # a row some table reads: 1 <= n, 0 <= g2 <= n
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**30)))
+    return model, n, draw(st.integers(0, n)), cells
 
 
 def _views(path, n_maxes):

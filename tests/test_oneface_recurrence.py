@@ -126,6 +126,17 @@ def test_ode_fill_raises_on_a_wrong_seed_or_a_zero_lead(monkeypatch):
         oneface_ode_fill("oneface", 4)
 
 
+@pytest.mark.parametrize("model, table, seed, drop, message", [
+    ("oneface", OneFaceTable, (3, 0), 3, r"oneface\[4,0\] = -4"),
+    ("bip-oneface", BipOneFaceTable, (3, 3, 1), 1, r"bip-oneface\[4,4,1\] = -2"),
+], ids=["oneface", "bip-oneface"])
+def test_ode_fill_checks_each_sign(monkeypatch, model, table, seed, drop, message):
+    # a lowered seed gives an integral row 4 with one negative cell
+    monkeypatch.setitem(table.SEEDS, seed, table.SEEDS[seed] - drop)
+    with pytest.raises(IntegralityError, match=rf"^{message} is negative$"):
+        oneface_ode_fill(model, 5)
+
+
 def _residual_by_terms(model, series):
     """The residual as one product per operator term c t^a f^(k)."""
     rows, inhom = _ONEFACE_ODE[model]

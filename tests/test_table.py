@@ -105,13 +105,17 @@ READERS = {
 
 
 @pytest.mark.parametrize("cls", ONEFACE_TABLES, ids=lambda cls: cls.__name__)
-def test_oneface_fill_keeps_a_filled_cell(cls):
-    # a cell already in entries stays, and the next row reads it: 7 more
-    # there moves row 6 by 7 times its coefficients over n + 1 = 7
+def test_oneface_fill_recomputes_a_held_cell(cls):
+    # a cell held in a row with cells missing is computed again with its
+    # row; held in a complete row, it is read: 7 more there moves row 6 by
+    # 7 times its coefficients over n + 1 = 7
     cell, readers = READERS[cls]
     true = cls().fill(6).entries
     tab = cls()
     tab.entries[cell] = true[cell] + 7
+    assert tab.fill(6).entries == true
+    tab = cls().fill(5)
+    tab.entries[cell] += 7
     tab.fill(6)
     moved = {key: tab.entries[key] - v for key, v in true.items() if tab.entries[key] != v}
     assert moved == {cell: 7, **readers}
