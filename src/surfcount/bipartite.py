@@ -43,10 +43,6 @@ _UV = U * V
 _SUM3 = U + V + Z
 _DIFF3 = U + V - Z
 
-# stated zero seeds, kept explicit: no bipartite map exists there
-_INITIAL_ZERO = {(1, 1), (2, 2)}
-
-
 _PSI = U * U + V * V + Z * Z - 14 * _UV - 2 * U * Z - 2 * V * Z
 
 
@@ -61,10 +57,14 @@ class BipTable(PolyTable):
     """Trivariate table of K[n, g2], or with v_is_u its values at v = u."""
 
     NAME = "K"
+    # rows 1 and 2, their stated zeros (1, 1) and (2, 2) included: no
+    # bipartite map is there, and a cached row for either must be empty
     SEEDS = {
         (1, 0): _UVZ,
+        (1, 1): Poly.zero(),
         (2, 0): _UVZ * _SUM3,
         (2, 1): _UVZ,
+        (2, 2): Poly.zero(),
     }
 
     def __init__(self, v_is_u: bool = False):
@@ -76,8 +76,6 @@ class BipTable(PolyTable):
 
     def poly(self, n: int, g2: int) -> Poly:
         if n <= 0 or g2 < 0 or n < g2:
-            return Poly.zero()
-        if (n, g2) in _INITIAL_ZERO:
             return Poly.zero()
         return self.entries[n, g2]
 
@@ -133,8 +131,6 @@ class BipOneFaceTable(Table):
     def value(self, n: int, i: int, j: int) -> int:
         if i <= 0 or j <= 0 or i + j > n + 1:
             return 0
-        if n <= 3:
-            return self.entries.get((n, i, j), 0)
         return self.entries[n, i, j]
 
     @staticmethod

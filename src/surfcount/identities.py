@@ -43,10 +43,13 @@ and the identity fails at the first row that breaks the symmetry.
 
 Each F[lam] step and each KP combination is one `TSeries.dot` over
 (weight, series, series) triples; a lone series is paired with a
-constant series (1, z or the linear factor).  Each coefficient of a
-one-face residual is one `Poly.dot`, over the relation's shifts.  The
-shift-free identity merges each sum of formal combinations into one before
-evaluating it, so a monomial its terms share is multiplied out once.
+constant series (1, z or the linear factor).  Some sums start from
+`TSeries.zero()` (`_fused`, `formal_eval`, `verify_ode`, `_f_tri`),
+which starts their window at t^0 at the latest and so fixes the windows
+the reports print.  Each coefficient of a one-face residual is one
+`Poly.dot`, over the relation's shifts.  The shift-free identity merges
+each sum of formal combinations into one before evaluating it, so a
+monomial its terms share is multiplied out once.
 """
 
 from __future__ import annotations

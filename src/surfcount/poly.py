@@ -168,10 +168,10 @@ class Poly:
     @classmethod
     def from_records(cls, order: str, records: dict) -> "Poly":
         """The integral polynomial of {indices: int}, indices a term's
-        exponents in `order`, "uz" or "uvz"; a record keyed None is no
-        term.  ExponentRangeError if a z or v index is above EXP_MAX."""
+        exponents in `order`, "uz" or "uvz".  ExponentRangeError if a z
+        or v index is above EXP_MAX."""
         key = _RECORD_KEYS[order][0]
-        return cls({key(*indices): c for indices, c in records.items() if indices is not None})
+        return cls({key(*indices): c for indices, c in records.items()})
 
     @classmethod
     def sum(cls, polys) -> "Poly":

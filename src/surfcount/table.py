@@ -278,5 +278,4 @@ def convolve_square(rows, m: int, width: int) -> list:
 
 def row_series(order: int, step: int, coeff) -> TSeries:
     """Sum over n >= 1 of coeff(n) t^(step n), truncated at t^order."""
-    return TSeries.truncated({step * n: coeff(n) for n in range(1, order // step + 1)},
-                             order, min_order=min(step, order))
+    return TSeries.truncated({step * n: coeff(n) for n in range(1, order // step + 1)}, order)

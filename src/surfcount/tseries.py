@@ -12,11 +12,12 @@ a product of a series known to order A (valuation a) with one known to
 order B (valuation b) is trusted to min(A + b, B + a).
 
 Products go through one kernel, `TSeries.dot`: the sum of c * a * b over
-(c, TSeries a, TSeries b) triples with rational weights c.  It returns
-exactly what adding up the products (a * b).scale(c) from left to right
-returns, window included: each product's window follows the product
-rule, and the sum rule then combines them.  Only the orders inside the
-final window are computed, with one `Poly.dot` per order, so no product
+(c, TSeries a, TSeries b) triples with rational weights c.  A product
+with an exact zero factor adds nothing.  The sum of the others is exact,
+its zero ends trimmed, when every product is; else it is known to the
+smallest of their bounds (the product rule above) and starts at the
+smallest a.min_order + b.min_order among them.  Only the orders inside
+that window are computed, with one `Poly.dot` per order, so no product
 series or partial sum is ever built.  A product is the one-triple case.
 A square, a triple whose two factors are the same series object, pairs
 each two orders i < j once at weight 2c, and each diagonal order once.
@@ -167,44 +168,29 @@ class TSeries:
     @classmethod
     def dot(cls, triples) -> "TSeries":
         """Sum of c * a * b over (c, TSeries a, TSeries b) triples, c an int
-        or a Fraction: equal, window and stored leading zeros included, to
-        adding up the products (a * b).scale(c) from left to right.
+        or a Fraction.
 
-        Product rule: a product with an exact zero factor is the exact zero
-        series.  Otherwise it is exact when both factors are; else it is
-        known to min(A + valuation(b), B + valuation(a)) over the bounded
-        ones of A = a.max_order, B = b.max_order, and starts at
-        a.min_order + b.min_order (at 0 at the latest if a factor is all
-        zero).
-
-        Sum rule: a sum of exact products is exact, with its zero ends
-        trimmed.  Otherwise the sum is known to the smallest product bound
-        and starts at the lowest start among the products from the first
-        bounded one on and the trimmed sum of the exact products before it
-        (an exact zero starts at 0).
+        A product with an exact zero factor adds nothing, window included.
+        Every other product starts at a.min_order + b.min_order.  It is
+        exact when both factors are; else it is known to
+        min(A + valuation(b), B + valuation(a)) over the bounded ones of
+        A = a.max_order, B = b.max_order.  The sum is exact, its zero ends
+        trimmed, when every product is; else it is known to the smallest
+        product bound and starts at the smallest product start.
         """
-        prods = []   # (c, a, b, start, bound); bound None: an exact product
+        prods, starts, tops = [], [], []
         for c, a, b in triples:
             aval, bval = a.valuation(), b.valuation()
             if aval is _INF or bval is _INF:
-                prods.append((0, a, b, 0, None))
                 continue
-            bounds = [top + val for top, val in ((a.max_order, bval), (b.max_order, aval))
-                      if top is not None]
-            start = a.min_order + b.min_order
-            if not bounds:
-                prods.append((c, a, b, start if c else 0, None))
-                continue
-            if any(top is not None and val > top
-                   for top, val in ((a.max_order, aval), (b.max_order, bval))):
-                start = min(start, 0)   # an all-zero factor: `truncated` of no terms
-            prods.append((c, a, b, start, min(bounds)))
-        tops = [p[4] for p in prods if p[4] is not None]
-        hi = min(tops) if tops else None
+            if c:
+                prods.append((c, a, b))
+            starts.append(a.min_order + b.min_order)
+            tops.extend(top + val for top, val in ((a.max_order, bval), (b.max_order, aval))
+                        if top is not None)
+        hi = min(tops, default=None)
         acc: dict[int, list] = {}
-        for c, a, b, _, _ in prods:
-            if not c:
-                continue
+        for c, a, b in prods:
             bn = list(b.enum_nonzero())
             if not bn:
                 continue
@@ -227,18 +213,11 @@ class TSeries:
         sums = {k: Poly.dot(v) for k, v in acc.items()}
         if hi is None:
             return cls.exact(sums)
-        first = next(i for i, p in enumerate(prods) if p[4] is not None)
-        starts = [p[3] for p in prods[first:]]
-        if first:
-            starts.append(cls.dot(p[:3] for p in prods[:first]).min_order)
         lo = min(starts)
         return cls(lo, [sums.get(k, ZERO) for k in range(lo, hi + 1)], hi)
 
     def scale(self, value) -> "TSeries":
         if isinstance(value, Poly):
-            if value.is_zero():
-                return TSeries.zero() if self.max_order is None else \
-                    TSeries(self.min_order, [ZERO] * len(self.coeffs), self.max_order)
             return TSeries(self.min_order, [p * value for p in self.coeffs], self.max_order)
         return TSeries(self.min_order, [p.scale(value) for p in self.coeffs], self.max_order)
 

@@ -447,9 +447,10 @@ def test_cold_store_is_one_append(tmp_path, monkeypatch):
     cold = CliRunner().invoke(main, args + ["--cache", str(path)])
     assert cold.exit_code == 0
     assert len(appends) == 1
-    # 715 coefficients, as printed, and the totals of the 63 nonzero rows
+    # 715 coefficients, as printed, and the totals of the 65 rows, the
+    # empty stated-zero rows (1, 1) and (2, 2) among them
     assert len(cold.stdout.splitlines()) == 1 + 715
-    assert len(CountCache(path).records) == 778
+    assert len(CountCache(path).records) == 780
 
 
 def test_cli_corrupt_cached_cell_exit_code(tmp_path):
@@ -562,6 +563,35 @@ def test_store_compares_a_held_seed_row_above_n_max(tmp_path):
     args = ["maps", "--bivariate", "--n-max", "1", "--cache", str(path)]
     stderr, _ = _rerun_edited(path, args, "maps", 2, 1, _h21_plus_one_each)
     assert stderr == f"error: {path}: maps[2,1]: cached row differs from the recomputed one\n"
+
+
+# K[2,2] = 5 u v: symmetric and of degree 2, but no bipartite map is there
+_K22 = '{"model": "bipartite", "n": 2, "g2": 2, "total": "5", "c": [1, 1, 0, "5"]}\n'
+_EMPTY = ('{"model": "bipartite", "n": 1, "g2": 1, "total": "0", "c": []}\n',
+          '{"model": "bipartite", "n": 2, "g2": 2, "total": "0", "c": []}\n')
+
+
+@pytest.mark.parametrize("empty_rows", [True, False], ids=["stored", "missing"])
+def test_cli_cached_stated_zero_row_exit_code(tmp_path, empty_rows):
+    # the stated zeros K[1,1] and K[2,2] are seeds, stored as empty rows: a
+    # line with terms for one differs from its empty row on load, and, in a
+    # file stored without the empty rows, from the seed on store
+    path = tmp_path / "counts.ndjson"
+    args = ["bipartite", "--trivariate", "--n-max", "3", "--cache", str(path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    lines = path.read_text().splitlines(keepends=True)
+    if empty_rows:
+        assert all(line in lines for line in _EMPTY)
+    else:
+        lines = [line for line in lines if line not in _EMPTY]
+    path.write_text("".join(lines) + _K22)
+    before = path.read_bytes()
+    stderr = _exit_3(CliRunner().invoke(main, args))
+    assert path.read_bytes() == before
+    assert stderr == (f"error: {path}:{len(lines) + 1}: bipartite[2,2]: row differs from an "
+                      "earlier line of it\n" if empty_rows else
+                      f"error: {path}: bipartite[2,2]: cached row differs from the "
+                      "recomputed one\n")
 
 
 def test_cli_cached_row_of_another_degree_exit_code(tmp_path):
@@ -1099,5 +1129,6 @@ def test_session_file_loads_as_json_loads(tmp_path):
         assert res.stdout == CliRunner().invoke(main, args + ["--no-cache"]).stdout
         for got, expected in _views(path, range(8)):
             assert got == expected
+    # the empty bipartite rows (1, 1) and (2, 2) included
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "2bdd607132ebdbdae6f74a2c5557d2ead98cc735d2a4d50e98b775844c160b04")
+        "da40a8674f77418adad8c6b236aae6a1a67017c798538ed0c15c25e563441a06")

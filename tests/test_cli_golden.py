@@ -131,7 +131,8 @@ GOLDEN = {
 FORMATS = ("table", "csv", "json")
 
 CACHE_RUNS = ("maps --n-max 10 --bivariate", "bipartite --n-max 10 --trivariate")
-CACHE_FILE = "a40cd2153bf4f72bcdbcc562c877e34155c5bed3db31de1352e71fc93208f503"
+# the bipartite stated zeros (1, 1) and (2, 2) are stored as empty rows
+CACHE_FILE = "52f2cf22ccea89847579e0077af584191d710864101b3f9677aae980685c84f2"
 
 
 def digest(args):

@@ -8,6 +8,7 @@ from surfcount import identities
 from surfcount.bipartite import BipOneFaceTable, BipTable, bip_oneface_series
 from surfcount.errors import WindowError
 from surfcount.identities import (
+    IDENTITIES,
     KP1_FORMAL,
     KP2_FORMAL,
     KP3_FORMAL,
@@ -395,3 +396,13 @@ def test_verify_deep_reports_are_pinned(name, order, digest):
     # the identity reports at the benchmark's verify-deep orders
     report = json.dumps(run_identity(name, order).as_dict(), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_report_windows_are_pinned():
+    # the window every report prints, its t^0 start from the `TSeries.zero()`
+    # folds included: each identity at orders 1..12 and at its default order
+    h = hashlib.sha256()
+    for name, (_, default, _) in IDENTITIES.items():
+        for order in [*range(1, 13), default]:
+            h.update(json.dumps(run_identity(name, order).as_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == "99427b986b5e52ebf6ce3fd0b5009ab893d08d5d69c2d631ace156d703813549"

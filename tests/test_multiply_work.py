@@ -29,10 +29,11 @@ PINNED = [
      "fde9f83dff359fd885a1ae4a074be22cb413d9af6b0017997e4d0128121d18b2"),
     (lambda: MapsTable("kz").fill(16),
      "fde9f83dff359fd885a1ae4a074be22cb413d9af6b0017997e4d0128121d18b2"),
+    # the bipartite stated zeros (1, 1) and (2, 2) are seeds, so cells
     (lambda: BipTable().fill(13),
-     "85098c99628a7b9d86dbb5807dc9f42e5eb99bd9a61f10604a37e0fb4b02f1d4"),
+     "86e951970747cfd6e5699da106caf5bb2ce3e5ee9d437c269205e9a4fd69be42"),
     (lambda: BipTable(v_is_u=True).fill(13),
-     "6b5203a73ca57b2cc5457dac890b03b45dc137643fd7874a494821c59abc0888"),
+     "9715d4a4d0d8238902433b6762031fe9ca46b245c17286b79d4a51e21cc6a0ff"),
 ]
 PINNED_IDS = ["MapsTable-cc-16", "MapsTable-kz-16", "BipTable-13", "BipTable-v-is-u-13"]
 
@@ -89,12 +90,14 @@ def dot_work(monkeypatch):
     (lambda: MapsTable("cc").fill(12), 19791),
     (lambda: MapsTable("kz").fill(12), 16346),
     (lambda: BipTable().fill(10), 14653),
-    # the F[lam] and KP products run in (s, z, p): 66978 pairs in (u, z, v)
-    (lambda: run_identity("ode-bipartite", 8), 35598),
+    # the F[lam] and KP products run in (s, z, p): 66978 pairs in (u, z, v);
+    # `TSeries.dot` multiplies each product once, none again for a window
+    (lambda: run_identity("ode-bipartite", 8), 35597),
     (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
     # the table fill included; the shift-free residual written out term
-    # by term (ten formal evaluations, fifteen products) took 35714 pairs
-    (lambda: run_identity("fixed-charge", 12), 21879),
+    # by term (ten formal evaluations, fifteen products) took 35714 pairs,
+    # and `TSeries.dot` multiplies each product once, none again for a window
+    (lambda: run_identity("fixed-charge", 12), 21875),
     # a cut fill multiplies no part above the cap
     (lambda: MapsTable("cc").fill(12, 2), 10134),
     (lambda: MapsTable("kz").fill(12, 2), 8966),

@@ -216,7 +216,7 @@ def test_swap_uv_v_to_u_div_z(f):
                               ("uz", ints.v_to_u(), lambda eu, ez, ev: (eu, ez))):
         records = p.to_records(order)
         assert records == [(indices(*e), c) for e, c in sorted(ref(p).items())]
-        assert Poly.from_records(order, {None: 0, **dict(records)}) == p
+        assert Poly.from_records(order, dict(records)) == p
 
 
 @settings(max_examples=60, deadline=None)
