@@ -22,8 +22,9 @@ degrees, a move to g2 + k is a scaling, and each step is a few
 each new cell is checked (`PolyTable._check`: integral, homogeneous,
 non-negative) before it is written.  The charge-shift weights of every
 polynomial table are `Poly.charge_shift` of its rows, the one
-charge-shift operator; the scalar tables read it at all ones through the
-int kernel `shift_weight`.  One polynomial kernel lives here:
+charge-shift operator; the scalar tables take it at all ones, each
+cell's binomial weights added once to a running list as the cell
+becomes known.  One polynomial kernel lives here:
 `square_sum`, the quadratic sum of the map and bipartite brackets.  The
 formulas themselves, the zero region of each table and its `fill` stay
 in the model modules.
@@ -109,20 +110,25 @@ class Table:
         are read through `value`.
 
         The fill keeps, for every row m from 0 up and as lists by genus,
-        scale(m) times the row, its charge-shift weights (`shift_weight`)
-        and its bracket: core less (m + 1) times the row, plus the
-        corrections boundary[m]; row 0's bracket is boundary[0] alone.
+        scale(m) times the row, its charge-shift weights and its bracket:
+        core less (m + 1) times the row, plus the corrections boundary[m];
+        row 0's bracket is boundary[0] alone.  The weight of row m at g2_1
+        is the sum over g2_0 <= g2_1 of the same parity of
+        C(m + 2 - g2_0, m - g2_1) 2^(2 + g2_1 - g2_0) times cell g2_0:
+        `Poly.charge_shift` of u^(m + 2 - g2_0) at u = 1, and by
+        Vandermonde engine "cc"'s weight at all ones.  The weights are
+        running sums, each cell's terms added once, as soon as it is known.
         core(n, g2, q) is the bracket of row n without its cell term, q
         the quadratic sum of the scaled rows n3 - 1 and n4 - 1 over
         n3 + n4 = n.  Cell (n, g2) is lead(n) core less the shift sum,
         over divisor(n, g2), checked by `_cell`.  The shift sum convolves
         the weights of row n1 with the bracket of row n - n1 for
-        n1 = 0..n: at n1 = 0 that bracket is core, the unknown cell left
-        out, and at n1 = n the weights are those of the cells of row n
-        written so far."""
+        n1 = 0..n: at n1 = 0 that bracket is core, and at n1 = n the
+        weights are those of row n as they stand, without the unknown
+        cell's own term."""
         top = n_max + reach if g2_max is None else g2_max
-        value = self.value
         scaled, weight, bracket = [], [], [list(boundary.get(0, ()))]
+        bracket0 = list(enumerate(bracket[0]))
         for n in range(n_max + 1):
             genera = range(min(n + reach, top) + 1)
             if n:
@@ -131,15 +137,22 @@ class Table:
             if n >= 3:
                 shift = convolve([0] * len(genera),
                                  ((weight[n1], bracket[n - n1] if n1 else own) for n1 in range(n)))
-                row, first, last = [0] * len(genera), lead(n), list(enumerate(bracket[0]))
-                for g2 in genera:
+                first = lead(n)
+            row, w, w_top = [], [0] * len(genera), min(n, top)
+            for g2 in genera:
+                if n < 3:
+                    v = self.value(n, g2)
+                else:
                     total = first * own[g2] - shift[g2]
-                    for g, b in last:   # n1 = n, over the cells written so far
-                        total -= b * shift_weight(n, g2 - g, row)
-                    row[g2] = self.entries[n, g2] = self._cell((n, g2), total, divisor(n, g2))
-            row = [value(n, g2) for g2 in genera]
+                    for g, b in bracket0:   # n1 = n, over w as it stands
+                        if g <= g2:
+                            total -= b * w[g2 - g]
+                    v = self.entries[n, g2] = self._cell((n, g2), total, divisor(n, g2))
+                row.append(v)
+                for g2_1 in range(g2, w_top + 1, 2):
+                    w[g2_1] += (comb(n + 2 - g2, n - g2_1) * v) << (2 + g2_1 - g2)
             scaled.append([scale(n) * v for v in row])
-            weight.append([shift_weight(n, g2, row) for g2 in genera])
+            weight.append(w)
             if n:
                 full = [b - (n + 1) * v for b, v in zip(own, row)]
                 for g2, c in zip(genera, boundary.get(n, ())):
@@ -227,11 +240,6 @@ def below(row: Poly, m: int, c: int) -> Poly:
     return row if c >= m else row.degree_at_least(m + 2 - c)
 
 
-def _sub_genus(g2_1):
-    """Values g2_0 <= g2_1 with g1 - g0 a non-negative integer."""
-    return range(g2_1 % 2, g2_1 + 1, 2)
-
-
 def square_sum(rows, m: int, weight) -> list:
     """The Poly.dot triples of the sum of weight(n3, n4) rows(n3-1)
     rows(n4-1) over n3 + n4 = m, n3, n4 >= 1, for a weight symmetric in
@@ -241,29 +249,17 @@ def square_sum(rows, m: int, weight) -> list:
             for n3 in range(1, m // 2 + 1)]
 
 
-def shift_weight(n1: int, g2_1: int, row) -> int:
-    """Sum over g2_0 in _sub_genus(g2_1) of C(n1+2-g2_0, n1-g2_1)
-    2^(2+g2_1-g2_0) row[g2_0], where row holds the cells of row n1 by
-    genus: the univariate charge-shift weight, zero when n1 < g2_1.
-
-    It is `Poly.charge_shift` of u^(n1+2-g2_0), its term of degree
-    n1 - g2_1 read at u = 1, summed over the cells.  By Vandermonde's
-    identity it is also engine "cc"'s weight at all ones, where no
-    variable passes through the shift."""
-    if n1 < g2_1:
-        return 0
-    return sum((comb(n1 + 2 - g2_0, n1 - g2_1) * row[g2_0]) << (2 + g2_1 - g2_0)
-               for g2_0 in _sub_genus(g2_1))
-
-
 def convolve(acc: list, pairs) -> list:
     """acc[g] += sum over (a, b) in pairs and over i of a[i] b[g - i], for
     every g < len(acc): genus convolutions of rows, truncated at acc."""
     width = len(acc)
     for a, b in pairs:
+        if len(a) > len(b):   # the longer list inner, as in Poly.dot
+            a, b = b, a
+        whole = width - len(b)   # b is cut only past a[whole]
         for i, x in enumerate(a[:width]):
             if x:
-                for g, y in enumerate(b[:width - i], i):
+                for g, y in enumerate(b if i <= whole else b[:width - i], i):
                     acc[g] += x * y
     return acc
 

@@ -58,6 +58,34 @@ def test_black_white_symmetry_and_homogeneity(bip_16):
         assert swapped == p, f"u <-> v symmetry fails at {(n, g2)}"
 
 
+# orders of the (u, z, v) exponents: u <-> v, the colours, and u <-> z
+COLOURS, BLACK_FACES = (2, 1, 0), (1, 0, 2)
+
+
+def asymmetric(entries, order) -> list:
+    """The keys of the cells that change when their (u, z, v) exponents
+    are read in the given order."""
+    return [key for key, p in entries.items()
+            if Poly.from_terms({tuple(e[i] for i in order): c for e, c in p.int_items()}) != p]
+
+
+def test_triality(bip_16):
+    # black vertices, white vertices and faces play the same part: with the
+    # u <-> v symmetry above, u <-> z makes every cell symmetric under all
+    # permutations of (u, v, z).  The recurrence is not visibly symmetric
+    # in z (its shift moves u and v only), so this shares no formula with it
+    assert len(bip_16.entries) == 152
+    assert asymmetric(bip_16.entries, BLACK_FACES) == []
+    # +1 on a u <-> v mirrored pair of one top-row coefficient with three
+    # distinct exponents keeps the colour symmetry and breaks this one
+    key, (i, k, q) = next(((n, g2), e) for (n, g2), p in bip_16.entries.items() if n == 16
+                          for e, _ in p.int_items() if len({*e}) == 3)
+    mutant = dict(bip_16.entries)
+    mutant[key] += Poly.from_terms({(i, k, q): 1, (q, k, i): 1})
+    assert asymmetric(mutant, COLOURS) == []
+    assert asymmetric(mutant, BLACK_FACES) == [key]
+
+
 def test_one_face_recursion_initials():
     t = BipOneFaceTable()
     assert t.value(3, 1, 1) == 4

@@ -13,8 +13,9 @@ import pytest
 
 from surfcount.bipartite import BipTable
 from surfcount.identities import bipartite_context, maps_context, run_identity, verify_ode
-from surfcount.maps import MapsTable
+from surfcount.maps import MapsCounts, MapsTable
 from surfcount.poly import Poly
+from surfcount.triangulations import TriTable
 
 
 def cells_digest(table):
@@ -36,9 +37,22 @@ PINNED = [
      "9715d4a4d0d8238902433b6762031fe9ca46b245c17286b79d4a51e21cc6a0ff"),
 ]
 PINNED_IDS = ["MapsTable-cc-16", "MapsTable-kz-16", "BipTable-13", "BipTable-v-is-u-13"]
+# past the reference tables (n <= 16, 15 for triangulations) the anchors
+# fix only the planar cell and the row sum of a scalar row, which a count
+# moved between two genera above 0 keeps
+SCALAR_PINNED = [
+    (lambda: MapsCounts().fill(40),
+     "bd6546804cc3ae2a59e1c3d4020b35fcb90c8d841257985dfe4c4d5bb7160305"),
+    (lambda: MapsCounts().fill(40, 5),
+     "00dba52a43cb83a31ea958e0992202c2e4c4e8845c712b9c9e4461f478072446"),
+    (lambda: TriTable().fill(30),
+     "5538111b6e5cf58af05cad2f161468464854c164504ecb913be426bd38c5a7fb"),
+]
+SCALAR_PINNED_IDS = ["MapsCounts-40", "MapsCounts-40-g-max-5", "TriTable-30"]
 
 
-@pytest.mark.parametrize("fill, digest", PINNED, ids=PINNED_IDS)
+@pytest.mark.parametrize("fill, digest", PINNED + SCALAR_PINNED,
+                         ids=PINNED_IDS + SCALAR_PINNED_IDS)
 def test_table_cells_are_pinned(fill, digest):
     assert cells_digest(fill()) == digest
 

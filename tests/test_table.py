@@ -12,7 +12,7 @@ from surfcount.bipartite import BipOneFaceTable, BipTable
 from surfcount.errors import IntegralityError, MissingEntryError
 from surfcount.maps import MapsCounts, MapsTable, OneFaceTable
 from surfcount.poly import Poly
-from surfcount.table import Memo, shift_weight, square_sum
+from surfcount.table import Memo, square_sum
 from surfcount.triangulations import TriTable
 
 split = Poly.parts_by_degree
@@ -197,13 +197,15 @@ def test_charge_shift(slot):
                 expected = _expand(rows, n1, g2_1, slot) if g2_1 <= c else Poly.zero()
                 assert weight == expected, (n1, top, g2_1)
     if slot == 1:
-        # at all ones the (u, z) shift is the scalar weight: Vandermonde
+        # at all ones the (u, z) shift is the scalar weight, a sum over
+        # g2_0 <= g2_1 of the same parity: Vandermonde
         cc, h = MapsTable("cc").fill(10), MapsCounts().fill(10)
         for n1 in range(11):
-            row = [h.value(n1, g) for g in range(n1 + 1)]
             weights = split(cc.shift_weight[n1, n1], n1, n1)
             for g2_1 in range(n1 + 1):
-                assert weights[g2_1].evaluate() == shift_weight(n1, g2_1, row), (n1, g2_1)
+                scalar = sum(comb(n1 + 2 - g2_0, n1 - g2_1) * 2 ** (2 + g2_1 - g2_0)
+                             * h.value(n1, g2_0) for g2_0 in range(g2_1 % 2, g2_1 + 1, 2))
+                assert weights[g2_1].evaluate() == scalar, (n1, g2_1)
 
 
 def test_square_sum_reads_only_nonzero_splits():
