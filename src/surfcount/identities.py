@@ -21,8 +21,9 @@ The three models share one loop equation and one ODE shape; two tables
 of per-model constants drive them.  `_LOOP` holds, per model, the offset
 of the marked part, the linear factor, the boundary constants and the
 largest leading part the recursion accepts (`_loop_terms`).  `_ODE`
-holds the power of t, the weight, the derivative coefficient, the KP2
-term and the exact cofactor of the unshifted ODE (`verify_ode`).
+holds the power of t, the square root of the weight, the derivative
+coefficient, the KP2 term and the exact cofactor of the unshifted ODE
+(`verify_ode`).
 `_ONEFACE_ODE` holds the two linear one-face ODEs as operator data, the
 coefficient of each t^a f^(k) and the inhomogeneous part.  Read at one
 order t^m, such an ODE is a linear relation among the coefficients of
@@ -41,15 +42,40 @@ no such form, and its context carries the colour defect eta -
 eta|u<->v instead: nonzero, so `verify_ode` returns it as the residual
 and the identity fails at the first row that breaks the symmetry.
 
-Each F[lam] step and each KP combination is one `TSeries.dot` over
-(weight, series, series) triples; a lone series is paired with a
-constant series (1, z or the linear factor).  Some sums start from
-`TSeries.zero()` (`_fused`, `formal_eval`, `verify_ode`, `_f_tri`),
-which starts their window at t^0 at the latest and so fixes the windows
-the reports print.  Each coefficient of a one-face residual is one
+Each F[lam] step, each KP combination and each residual is one
+`TSeries.dot` over (weight, series, series) triples; a lone series is
+paired with a constant series (1, z or the linear factor).  Some sums
+start at t^0 at the latest, which fixes the windows the reports print:
+those that start from `TSeries.zero()` (`formal_eval`, the cofactor of
+`verify_ode`, `_f_tri`) and `_fused`'s, whose dot holds a zero-weight
+constant term.  Each coefficient of a one-face residual is one
 `Poly.dot`, over the relation's shifts.  The shift-free identity merges
 each sum of formal combinations into one before evaluating it, so a
 monomial its terms share is multiplied out once.
+
+Maps and bipartite F[lam] are computed only as far as a check reads
+them, to a read cap fixed by rule before anything is computed.  A formal
+combination whose lone factor with the fewest parts has m parts is read
+to C = theta's top + offset m (`_read_cap`): its lone factors are read
+to C, and every factor and partial product of a product monomial to C -
+offset.  A loop-equation step read to c reads each of its terms to c -
+offset (`_f_loop`, `_fused`), and `TSeries.dot` computes no order past
+its `top`.  A memo entry serves every read up to the cap it was computed
+to (`SeriesContext.caps`); a read beyond it, or a read of the whole
+window (`ftheta`, and the F[1,1,1] of `verify_fixed_charge`), computes
+it anew.  Three facts make the caps exact, so every residual, window
+included, is the uncapped one:
+
+1. F[lam]'s window ends at most at theta's top + offset len(lam),
+   because of its (t d/dt - |rest|) F[rest] term; so a combination's
+   window ends at most at C, its lone factor with m parts.
+2. Every maps and bipartite F starts at t^offset; so a product of
+   factors read to C - offset is still known to C.
+3. `_f_loop` only shifts up in t, by t^offset; so a step read to c
+   needs its terms only to c - offset.
+
+Triangulations stay uncapped: `_f_tri` shifts by t^-2, and their windows
+start below t^0.
 """
 
 from __future__ import annotations
@@ -89,6 +115,7 @@ class SeriesContext:
     theta: TSeries
     memo: dict = field(default_factory=dict)
     defect: TSeries | None = None
+    caps: dict = field(default_factory=dict)   # parts: the read cap of memo[parts]
 
 
 def maps_context(order: int, table: MapsTable | None = None) -> SeriesContext:
@@ -125,24 +152,33 @@ _LOOP = {
 
 
 def ftheta(ctx: SeriesContext, lam) -> TSeries:
-    """The truncated series F[lam], lam its parts in any order, by recursion on the size."""
+    """The truncated series F[lam], lam its parts in any order, by recursion
+    on the size, on its whole window."""
     return _F(ctx, _canon(lam))
 
 
-def _F(ctx: SeriesContext, parts: tuple[int, ...]) -> TSeries:
+def _F(ctx: SeriesContext, parts: tuple[int, ...], cap: int | None = None) -> TSeries:
+    """F[parts] read to t^cap, or on its whole window for cap None; the memo
+    entry is computed anew for a read beyond the cap it was computed to."""
     if not parts:
         if ctx.defect is not None:
             raise ValueError("the bipartite series is not colour-symmetric")
         return ctx.theta
     hit = ctx.memo.get(parts)
-    if hit is None:
-        hit = (_f_tri if ctx.model == "triangulations" else _f_loop)(ctx, parts)
+    held = ctx.caps.get(parts)
+    if hit is None or (held is not None and (cap is None or cap > held)):
+        if ctx.model == "triangulations":
+            hit = _f_tri(ctx, parts)
+        else:
+            hit = _f_loop(ctx, parts, cap)
         ctx.memo[parts] = hit
+        ctx.caps[parts] = cap
     return hit
 
 
-def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
-    """The loop-equation terms all three models share, for F[ell, rest].
+def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...], cap: int | None):
+    """The loop-equation terms all three models share, for F[ell, rest],
+    each F read to t^cap.
 
     With i = ell - offset: the binomial split products F[a, ..] F[i-a, ..],
     the merges F[a, i-a, rest] and F[i+j, rest - j], the linear term
@@ -170,32 +206,36 @@ def _loop_terms(ctx: SeriesContext, parts: tuple[int, ...]):
                 continue
             l3, l2, l1 = l
             c = 2 * a * b * comb(n[3], l3) * comb(n[2], l2) * comb(n[1], l1)
-            left = _F(ctx, _canon((a,) + (3,) * l3 + (2,) * l2 + (1,) * l1))
+            left = _F(ctx, _canon((a,) + (3,) * l3 + (2,) * l2 + (1,) * l1), cap)
             right = _F(ctx, _canon((b,) + (3,) * mirror[0] + (2,) * mirror[1]
-                                   + (1,) * mirror[2]))
+                                   + (1,) * mirror[2]), cap)
             splits.append((c if (a, l) == (b, mirror) else 2 * c, left, right))
-        merges.append((2 * a * b * (1 if a == b else 2), _F(ctx, _canon((a, b) + rest)), _ONE))
+        merges.append((2 * a * b * (1 if a == b else 2), _F(ctx, _canon((a, b) + rest), cap),
+                       _ONE))
     terms = splits + merges
     for j in (1, 2, 3):
         if n[j] and i + j > 0:
             sub = list(rest)
             sub.remove(j)
-            terms.append((n[j] * (i + j), _F(ctx, _canon([i + j] + sub)), _ONE))
+            terms.append((n[j] * (i + j), _F(ctx, _canon([i + j] + sub), cap), _ONE))
     if i >= 1:
-        terms.append((i, _F(ctx, _canon((i,) + rest)), TSeries.const(lin + i * ONE)))
+        terms.append((i, _F(ctx, _canon((i,) + rest), cap), TSeries.const(lin + i * ONE)))
     if (i, rest) in consts:
         terms.append((1, _ONE, TSeries.const(consts[i, rest])))
     return i, rest, terms
 
 
-def _f_loop(ctx, parts):
+def _f_loop(ctx, parts, cap):
     """Maps and bipartite: the shared terms, (t d/dt - |rest|) F[rest]
-    and -a z F[a, rest], all times t^offset / ell."""
-    i, rest, terms = _loop_terms(ctx, parts)
-    terms.append((1, _F(ctx, rest).t_dt(sum(rest)), _ONE))
+    and -a z F[a, rest], all times t^offset / ell; read to t^cap, each
+    term is read to t^(cap - offset)."""
+    offset = _LOOP[ctx.model][0]
+    sub = None if cap is None else cap - offset
+    i, rest, terms = _loop_terms(ctx, parts, sub)
+    terms.append((1, _F(ctx, rest, sub).t_dt(sum(rest)), _ONE))
     for a in range(1, i + 1):
-        terms.append((-a, _F(ctx, _canon((a,) + rest)), _Z))
-    return _fused(terms, parts[0], _LOOP[ctx.model][0])
+        terms.append((-a, _F(ctx, _canon((a,) + rest), sub), _Z))
+    return _fused(terms, parts[0], offset, sub)
 
 
 def _f_tri(ctx, parts):
@@ -212,15 +252,19 @@ def _f_tri(ctx, parts):
         elif l == 2:
             acc.append(TSeries.exact({2: U.scale(_HALF)}))
         return sum(acc, TSeries.zero())
-    i, rest, terms = _loop_terms(ctx, parts)
+    i, rest, terms = _loop_terms(ctx, parts, None)
     top = _F(ctx, _canon((i + 2,) + rest)).scale(Fraction(i + 2, parts[0]))
     return (top - _fused(terms, parts[0], 2)).div_z().shift_t(-2)
 
 
-def _fused(terms, ell: int, offset: int) -> TSeries:
-    """t^offset / ell times the sum of the triples, as one `TSeries.dot`."""
+def _fused(terms, ell: int, offset: int, top: int | None = None) -> TSeries:
+    """t^offset / ell times the sum of the triples, as one `TSeries.dot`
+    read to t^top.  Its zero-weight constant term starts the sum at t^0
+    at the latest, so a cap below the other terms' start still leaves
+    the sum its window from t^0."""
     w = Fraction(1, ell)
-    return (TSeries.zero() + TSeries.dot([(c * w, a, b) for c, a, b in terms])).shift_t(offset)
+    triples = [(c * w, a, b) for c, a, b in terms] + [(0, _ONE, _ONE)]
+    return TSeries.dot(triples, top).shift_t(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +277,21 @@ def verify_shifted_bkp1(ctx: SeriesContext) -> TSeries:
     its `Poly.charge_shift`, times KP1 equals (d/dt - 4/t) KP1."""
     if ctx.model != "maps":
         raise ValueError("the shifted identity is implemented for the maps model")
-    theta = ctx.theta
     kp = ctx.memo.get("__kp__")
     kp1 = kp[0] if kp else formal_eval(ctx, KP1_FORMAL)
-    nabla2 = theta.map(Poly.charge_shift).scale(2)
-    lhs = nabla2.dt() * kp1
-    rhs = kp1.dt() - kp1.shift_t(-1).scale(4)
-    return lhs - rhs
+    nabla2 = ctx.theta.map(Poly.charge_shift).scale(2)
+    return TSeries.dot([(1, nabla2.dt(), kp1), (-1, kp1.dt(), _ONE), (4, kp1.shift_t(-1), _ONE)])
 
 
-# model: (s, w, c, KP2 term, exact cofactor); see verify_ode
+# model: (s, r, c, KP2 term, exact cofactor), with the weight w = r^2 and
+# the KP2 term a pair (a, b), kp2_term(KP2) = a b / 2; see verify_ode
 _ODE = {
-    "maps": (6, ONE, 2, lambda kp2: kp2.scale(_HALF),
+    "maps": (6, ONE, 2, lambda kp2: (kp2, _ONE),
              {4: _UZ - 4 * ONE, 2: 3 * U + ONE - Z}),
     "bipartite": (4, ONE, 4,   # in (s, z, p)
-                  lambda kp2: kp2 * TSeries.exact({1: S + ONE - Z, 0: ONE}).scale(_HALF),
+                  lambda kp2: (kp2, TSeries.exact({1: S + ONE - Z, 0: ONE})),
                   {2: 3 * P, 1: -S}),
-    "triangulations": (10, Z * Z, 5, lambda kp2: kp2.div_z().shift_t(-2).scale(_HALF),
+    "triangulations": (10, Z, 5, lambda kp2: (kp2.div_z().shift_t(-2), _ONE),
                        {8: (4 * (U * U + U)) * Z * Z, 2: U}),
 }
 
@@ -257,9 +299,11 @@ _ODE = {
 def verify_ode(model: str, ctx: SeriesContext) -> TSeries:
     """Unshifted ODE residual for the given model.
 
-    With D(f) = w (f'' t^s + c f' t^(s-1)) and the model's row of _ODE:
-    w KP1'^2 t^s - KP2^2 + KP1 (KP3 - kp2_term(KP2) - D(KP1)
-    - KP1 (2 D(theta) + exact)).
+    With D(f) = w (f'' t^s + c f' t^(s-1)), w = r^2, and the model's row
+    of _ODE: w KP1'^2 t^s - KP2^2 + KP1 (KP3 - kp2_term(KP2) - D(KP1)
+    - KP1 (2 D(theta) + exact)).  The bracket is one `TSeries.dot` and the
+    residual another, so no product is computed past the window of its
+    sum; the squares are squares, (r KP1' t^(s/2))^2 and KP2^2.
 
     The bipartite residual is computed in (s, z, p) and returned in (u,
     z, v); a context with a colour defect returns the defect.
@@ -270,19 +314,21 @@ def verify_ode(model: str, ctx: SeriesContext) -> TSeries:
         raise ValueError(f"unknown model {model!r}")
     if ctx.defect is not None:
         return ctx.defect
-    s, w, c, kp2_term, exact = _ODE[model]
+    s, r, c, kp2_term, exact = _ODE[model]
 
-    def weight(f):
-        return f if w == ONE else f.scale(w)
+    def root(f):   # r f
+        return f if r == ONE else f.scale(r)
 
     def D(df):   # D(f), given f'
-        return weight(df.dt().shift_t(s) + df.shift_t(s - 1).scale(c))
+        return root(root(df.dt().shift_t(s) + df.shift_t(s - 1).scale(c)))
 
     kp1, kp2, kp3 = kp_combinations(ctx)
     d1 = kp1.dt()
     cof = TSeries.zero() + D(ctx.theta.dt()).scale(2) + TSeries.exact(exact)
-    inner = kp3 - kp2_term(kp2) - (D(d1) + kp1 * cof)
-    res = weight((d1 * d1).shift_t(s)) - kp2 * kp2 + kp1 * inner
+    inner = TSeries.dot([(1, kp3, _ONE), (-_HALF, *kp2_term(kp2)), (-1, D(d1), _ONE),
+                         (-1, kp1, cof)])
+    d1h = root(d1.shift_t(s // 2))
+    res = TSeries.dot([(1, d1h, d1h), (-1, kp2, kp2), (1, kp1, inner)])
     return res.map(from_sp) if model == "bipartite" else res
 
 
@@ -491,16 +537,31 @@ def formal_eval(ctx: SeriesContext, fp: _FPoly) -> TSeries:
 
     The underlying tau function carries doubled time variables, so each
     factor F[mu] picks up 2^(number of parts of mu) when expressed through
-    the face-specialized series.
+    the face-specialized series.  A lone factor is read to the
+    combination's read cap, and the factors and partial products of a
+    product monomial one offset lower (`_read_cap`).
     """
+    cap = _read_cap(ctx, fp)
+    sub = None if cap is None else cap - _LOOP[ctx.model][0]
     triples = []
     for mono, coef in fp.items():
-        *head, last = [_F(ctx, mu) for mu in mono]
+        c = cap if len(mono) == 1 else sub
+        *head, last = [_F(ctx, mu, c) for mu in mono]
         left = head[0] if head else _ONE
         for f in head[1:]:
-            left = left * f
+            left = TSeries.dot([(1, left, f)], c)
         triples.append((coef * (1 << sum(map(len, mono))), left, last))
     return TSeries.zero() + TSeries.dot(triples)
+
+
+def _read_cap(ctx: SeriesContext, fp: _FPoly) -> int | None:
+    """The highest order any term of the combination can reach: theta's
+    top plus offset times the fewest parts of a lone factor (None for
+    triangulations, or with no lone factor)."""
+    lone = [len(mono[0]) for mono in fp if len(mono) == 1]
+    if ctx.model == "triangulations" or not lone:
+        return None
+    return ctx.theta.max_order + _LOOP[ctx.model][0] * min(lone)
 
 
 def kp_combinations(ctx: SeriesContext) -> tuple[TSeries, TSeries, TSeries]:

@@ -18,7 +18,8 @@ its zero ends trimmed, when every product is; else it is known to the
 smallest of their bounds (the product rule above) and starts at the
 smallest a.min_order + b.min_order among them.  Only the orders inside
 that window are computed, with one `Poly.dot` per order, so no product
-series or partial sum is ever built.  A product is the one-triple case.
+series or partial sum is ever built; a caller that reads less passes
+`top`, and the window ends there.  A product is the one-triple case.
 A square, a triple whose two factors are the same series object, pairs
 each two orders i < j once at weight 2c, and each diagonal order once.
 """
@@ -166,7 +167,7 @@ class TSeries:
     __rmul__ = __mul__
 
     @classmethod
-    def dot(cls, triples) -> "TSeries":
+    def dot(cls, triples, top: int | None = None) -> "TSeries":
         """Sum of c * a * b over (c, TSeries a, TSeries b) triples, c an int
         or a Fraction.
 
@@ -177,6 +178,10 @@ class TSeries:
         A = a.max_order, B = b.max_order.  The sum is exact, its zero ends
         trimmed, when every product is; else it is known to the smallest
         product bound and starts at the smallest product start.
+
+        `top` is the highest order the caller reads: a bounded sum is then
+        computed only to min(that bound, top), but never ends below its
+        start, so its window is never empty.  An exact sum stays exact.
         """
         prods, starts, tops = [], [], []
         for c, a, b in triples:
@@ -186,9 +191,11 @@ class TSeries:
             if c:
                 prods.append((c, a, b))
             starts.append(a.min_order + b.min_order)
-            tops.extend(top + val for top, val in ((a.max_order, bval), (b.max_order, aval))
-                        if top is not None)
+            tops.extend(end + val for end, val in ((a.max_order, bval), (b.max_order, aval))
+                        if end is not None)
         hi = min(tops, default=None)
+        if hi is not None and top is not None:
+            hi = max(min(hi, top), min(starts))
         acc: dict[int, list] = {}
         for c, a, b in prods:
             bn = list(b.enum_nonzero())

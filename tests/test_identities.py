@@ -255,8 +255,8 @@ def test_every_boundary_constant_is_reached(monkeypatch):
     met = {model: set() for model in identities._LOOP}
     loop_terms = identities._loop_terms
 
-    def spy(ctx, parts):
-        i, rest, terms = loop_terms(ctx, parts)
+    def spy(ctx, parts, cap):
+        i, rest, terms = loop_terms(ctx, parts, cap)
         met[ctx.model].add((i, rest))
         return i, rest, terms
     monkeypatch.setattr(identities, "_loop_terms", spy)
@@ -343,18 +343,18 @@ def memo_digest(ctx):
 
 @pytest.mark.parametrize("make, order, digest", [
     pytest.param(maps_context, 10,
-                 "dc17c1a2f4d07b7c69c561872316d183762e3e12a7a758d4502216a327d9a8d0", id="maps"),
+                 "f811e021d577afa080bc522a71fde439c1b4f18ad12ebc14ee502d5121827f09", id="maps"),
     pytest.param(bipartite_context, 8,
-                 "99f57841705745c9221a6157d34bc19df94d8ba0270c4a96ef10b231a4184b96", id="bipartite"),
+                 "e66a1b5d06a02da0836f2cb6b4adc3538ff2f7869e56b722f647996e6dfe2b6c", id="bipartite"),
     pytest.param(triangulations_context, 12,
                  "999c0dd27f2ffb767f0398845059e4c0c306b4a8e7246457721db5b1b7abbadf",
                  id="triangulations"),
     # the verify-deep orders of the benchmark
     pytest.param(maps_context, 24,
-                 "ac436ae90f9702138622eb099f240d162345dfd91f94b2a0eab8e259c050df1f",
+                 "adfca9f8d388706f79c4a82d2e0ee41fd668ded9c4cb0d8233b7e1861a9b2f24",
                  id="maps-24", marks=pytest.mark.slow),
     pytest.param(bipartite_context, 12,
-                 "55feb61c0e1b13cc48c95ca0259e39152f71132f4812a5491ee87d15b856e3a5",
+                 "899f1169d4802279ee0dcedf852746b90916b496de0a34b9839e8f7ac5e25222",
                  id="bipartite-12", marks=pytest.mark.slow),
     pytest.param(triangulations_context, 42,
                  "fc387615a8bb268e0a3355d62273a1eac1e83154d7321be1a5456e64b98b2b33",
@@ -362,10 +362,31 @@ def memo_digest(ctx):
 ])
 def test_memo_is_pinned(make, order, digest):
     # every memoized F[lam] and the KP combinations, windows and memo order
-    # included, exactly as the term-by-term series arithmetic computed them
+    # included; a maps or bipartite F[lam] as far as its read cap
     ctx = make(order)
     kp_combinations(ctx)
     assert memo_digest(ctx) == digest
+
+
+@pytest.mark.parametrize("make, order", [(maps_context, n) for n in (*range(1, 13), 24)]
+                         + [(bipartite_context, n) for n in range(1, 13)],
+                         ids=[f"maps-{n}" for n in (*range(1, 13), 24)]
+                         + [f"bipartite-{n}" for n in range(1, 13)])
+def test_memo_is_read_to_its_cap(make, order):
+    # each memoized F[lam] is the whole F[lam] of a fresh context, cut at
+    # the cap it was read to; at orders 1-4 some caps fall below an F's
+    # valuation, and no window may end up empty
+    ctx, fresh = make(order), make(order)
+    kp_combinations(ctx)
+    offset = identities._LOOP[ctx.model][0]
+    assert ctx.caps.keys() == ctx.memo.keys() - {"__kp__"}
+    for parts, cap in ctx.caps.items():
+        got, whole = ctx.memo[parts], ftheta(fresh, parts)
+        assert whole.max_order <= ctx.theta.max_order + offset * len(parts)
+        assert got.min_order == whole.min_order == offset
+        assert got.max_order == (whole.max_order if cap is None else min(whole.max_order, cap))
+        assert got.coeffs == whole.coeffs[:len(got.coeffs)]
+    assert kp_combinations(ctx) == kp_combinations(fresh)
 
 
 

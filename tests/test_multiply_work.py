@@ -105,13 +105,18 @@ def dot_work(monkeypatch):
     (lambda: MapsTable("kz").fill(12), 16346),
     (lambda: BipTable().fill(10), 14653),
     # the F[lam] and KP products run in (s, z, p): 66978 pairs in (u, z, v);
-    # `TSeries.dot` multiplies each product once, none again for a window
-    (lambda: run_identity("ode-bipartite", 8), 35597),
+    # `TSeries.dot` multiplies each product once, none again for a window;
+    # each F[lam] computed to its full window and each ODE product to its
+    # own took 35597 pairs, read caps and one dot per ODE sum take these
+    (lambda: run_identity("ode-bipartite", 8), 27217),
+    # 6292 pairs with each F[lam] to its full window
+    (lambda: run_identity("ode-maps", 10), 5154),
     (lambda: run_identity("ode-oneface-bipartite", 12), 8949),
     # the table fill included; the shift-free residual written out term
     # by term (ten formal evaluations, fifteen products) took 35714 pairs,
-    # and `TSeries.dot` multiplies each product once, none again for a window
-    (lambda: run_identity("fixed-charge", 12), 21875),
+    # and `TSeries.dot` multiplies each product once, none again for a
+    # window; 21875 pairs with each F[lam] to its full window
+    (lambda: run_identity("fixed-charge", 12), 20930),
     # a cut fill multiplies no part above the cap
     (lambda: MapsTable("cc").fill(12, 2), 10134),
     (lambda: MapsTable("kz").fill(12, 2), 8966),
@@ -120,7 +125,7 @@ def dot_work(monkeypatch):
     # one: the trivariate fill(13) multiplies 81493 pairs
     (lambda: BipTable(v_is_u=True).fill(13), 14545),
 ], ids=["MapsTable-cc-12", "MapsTable-kz-12", "BipTable-10", "ode-bipartite-8",
-        "ode-oneface-bipartite-12", "fixed-charge-12", "MapsTable-cc-12-cut-2",
+        "ode-maps-10", "ode-oneface-bipartite-12", "fixed-charge-12", "MapsTable-cc-12-cut-2",
         "MapsTable-kz-12-cut-2", "BipTable-10-cut-2", "BipTable-v-is-u-13"])
 def test_multiply_work_budget(dot_work, run, pairs):
     run()

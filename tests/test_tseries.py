@@ -204,6 +204,31 @@ def test_dot_window_after_exact_cancellation():
     assert got.window == (2, 8)
 
 
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), mixed_series(),
+                          mixed_series()), max_size=4),
+       st.integers(min_value=-6, max_value=10))
+def test_dot_read_to_top(ts, top):
+    # the sum cut at the reader's top, never below its start; an exact sum
+    # stays exact, and top=None is the whole window
+    whole = TSeries.dot(ts)
+    same_series(TSeries.dot(ts, None), whole)
+    got = TSeries.dot(ts, top)
+    if whole.max_order is None:
+        same_series(got, whole)
+        return
+    assert got.min_order == whole.min_order <= got.max_order
+    assert got.max_order == max(min(whole.max_order, top), whole.min_order)
+    assert got.coeffs == whole.coeffs[:len(got.coeffs)]
+
+
+def test_dot_top_below_the_start():
+    # a top below every product's start leaves the one order at the start
+    a = TSeries.truncated({2: U}, 6, min_order=2)
+    got = TSeries.dot([(1, a, a), (2, a, TSeries.const(1))], 0)
+    assert got.window == (2, 2) and got.coeff(2) == 2 * U
+
+
 def distinct_copy(s):
     """An equal series that is a different object, so `dot` cannot see a square."""
     return TSeries(s.min_order, list(s.coeffs), s.max_order)
